@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -26,6 +25,18 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
 
+class InputError(Exception):
+    """Malformed user input (a file, its JSON, a field descriptor): exit code
+    2 with a one-line message."""
+
+
+def _field(desc):
+    try:
+        return field_from_descriptor(desc)
+    except ValueError as exc:  # FieldError, or a non-integer modulus
+        raise InputError(f"bad field {desc!r}: {exc}") from None
+
+
 def _write_json(path, data):
     text = json.dumps(data, indent=2, sort_keys=True)
     if path in (None, "-"):
@@ -36,12 +47,25 @@ def _write_json(path, data):
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _keys(data, path, *names):
+    """The values of the given top-level keys of a loaded JSON object."""
+    missing = [n for n in names if not isinstance(data, dict) or n not in data]
+    if missing:
+        raise InputError(f"{path} has no {', '.join(map(repr, missing))} key")
+    return [data[n] for n in names]
 
 
 def cmd_model(args) -> int:
-    field = field_from_descriptor(args.field)
+    field = _field(args.field)
     builder = MODEL_BUILDERS.get(args.name)
     if builder is None:
         print(f"unknown model {args.name!r}; choose from {sorted(MODEL_BUILDERS)}", file=sys.stderr)
@@ -52,7 +76,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    field = field_from_descriptor(args.field)
+    field = _field(args.field)
     builder = MODEL_BUILDERS.get(args.model)
     if builder is None:
         print(f"unknown model {args.model!r}; choose from {sorted(MODEL_BUILDERS)}", file=sys.stderr)
@@ -65,10 +89,10 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def _legs_from_pod_json(data, field):
-    base = data["base"]
-    platform = data["platform"]
-    d2s = data["lengths_squared"]
+def _legs_from_pod_json(path, field):
+    if path is None:
+        raise InputError("this construction needs --legs")
+    base, platform, d2s = _keys(_load_json(path), path, "base", "platform", "lengths_squared")
     if not (len(base) == len(platform) == len(d2s)):
         raise ValueError("base, platform and lengths_squared must have equal length")
     legs = []
@@ -107,7 +131,7 @@ def _bundle_to_json(bundle) -> dict:
 
 
 def cmd_construct(args) -> int:
-    field = field_from_descriptor(args.field)
+    field = _field(args.field)
     try:
         if args.what == "infinity":
             bundle = constructions.create_infinity_pod(
@@ -115,7 +139,7 @@ def cmd_construct(args) -> int:
             )
             _write_json(args.out, _bundle_to_json(bundle))
         elif args.what == "duporcq":
-            legs = _legs_from_pod_json(_load_json(getattr(args, "legs")), field)
+            legs = _legs_from_pod_json(args.legs, field)
             sixth = constructions.duporcq_sixth_leg(legs)
             _write_json(
                 args.out,
@@ -127,7 +151,7 @@ def cmd_construct(args) -> int:
                 },
             )
         elif args.what == "hexapod":
-            legs = _legs_from_pod_json(_load_json(getattr(args, "legs")), field)
+            legs = _legs_from_pod_json(args.legs, field)
             curve = constructions.hexapod_leg_curve(legs)
             hd = hilbert_data(curve)
             out = ideal_to_json(curve)
@@ -184,15 +208,17 @@ def cmd_dual(args) -> int:
         print(f"unknown form {args.form!r}; choose from {sorted(FORMS)}", file=sys.stderr)
         return EXIT_USAGE
     form = form()
-    data = _load_json(getattr(args, "in"))
-    field = field_from_descriptor(data.get("field", "q"))
+    path = getattr(args, "in")
+    data = _load_json(path)
+    ambient, kind, basis = _keys(data, path, "ambient", "kind", "basis")
+    field = _field(data.get("field", "q"))
     space = LinearSubspace(
-        tuple(data["ambient"]),
-        data["kind"],
-        tuple(tuple(field.of(Fraction(str(c))) for c in v) for v in data["basis"]),
+        tuple(ambient),
+        kind,
+        tuple(tuple(field.of(Fraction(str(c))) for c in v) for v in basis),
         field,
     )
-    side = "left" if tuple(data["ambient"]) == form.left_names else "right"
+    side = "left" if tuple(ambient) == form.left_names else "right"
     out = dual_space(space, form, side)
     _write_json(
         args.out,
@@ -207,7 +233,7 @@ def cmd_dual(args) -> int:
 
 
 def _bundle_from_json(data):
-    field = field_from_descriptor(data["field"])
+    field = _field(data["field"])
     seed = constructions.draw_seed(data["rng_seed"], field, data.get("bound", 10))
     config = ideal_from_json(data["config_ideal"])
     leg_full = ideal_from_json(data["leg_ideal_full"])
@@ -231,10 +257,13 @@ def _bundle_from_json(data):
 
 def cmd_verify(args) -> int:
     data = _load_json(args.bundle)
-    if data.get("kind") != "infinity":
+    if not isinstance(data, dict) or data.get("kind") != "infinity":
         print("verify currently handles infinity bundles", file=sys.stderr)
         return EXIT_USAGE
-    bundle = _bundle_from_json(data)
+    try:
+        bundle = _bundle_from_json(data)
+    except KeyError as exc:
+        raise InputError(f"{args.bundle} has no {exc} key") from None
     field = bundle.seed.field
     if args.mode == "exact":
         if field is QQ:
@@ -313,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="podforge",
         description="Exact construction and certification of mobile infinity-pods.",
     )
-    ap.add_argument("--threads", type=int, default=None, help="cap internal parallelism (PODFORGE_THREADS)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("model", help="emit a variety ideal as JSON")
@@ -368,10 +396,11 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.threads is not None:
-        os.environ["PODFORGE_THREADS"] = str(args.threads)
     try:
         return args.func(args)
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except constructions.DegenerateSeedError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

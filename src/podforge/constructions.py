@@ -243,7 +243,11 @@ SYM_SPLIT_NAMES = (
 def sym_projection(leg_full: Ideal):
     """Image of an ideal in the leg P^16 under the symmetrization
     z_ij |-> (s_ij, a_ij) splitting, eliminating the six antisymmetric
-    directions.  Returns (ideal in the symmetric P^10 ring, HilbertData)."""
+    directions.  Returns (ideal in the symmetric P^10 ring, HilbertData).
+
+    The splitting is a linear change of coordinates, invertible wherever 1/2
+    exists, so the split ideal has the Hilbert series of leg_full; that
+    series drives the elimination."""
     field = leg_full.ring.field
     W = RingContext(SYM_SPLIT_NAMES, (1,) * 17, DEGREVLEX, field)
     gv = {n: W.gen(n) for n in SYM_SPLIT_NAMES}
@@ -258,8 +262,9 @@ def sym_projection(leg_full: Ideal):
             images[f"z{j}{i}"] = (s - a).scale(half)
     images["l"] = gv["l"]
     split = RingMap(ring_Y(field), W, [images[n] for n in Y_NAMES])
-    gens = [split(g) for g in leg_full.generators]
-    out = eliminate(Ideal(W, gens), ["a01", "a02", "a03", "a12", "a13", "a23"])
+    split_ideal = Ideal(W, [split(g) for g in leg_full.generators])
+    split_ideal.seed_hilbert_cache(hilbert_data(leg_full))
+    out = eliminate(split_ideal, ["a01", "a02", "a03", "a12", "a13", "a23"])
     hd = hilbert_data(out)
     target = ring_Y_inv(field)
     return _permute_ideal(out, target), hd
@@ -329,8 +334,8 @@ def create_infinity_pod(
     certification = {"i_lin_dim": i_lin_dim, "f_smooth": seed.f_smooth}
     leg_sym = None
     if certify:
-        leg_sym, hd_sym = sym_projection(leg_full)
         hd_full = hilbert_data(leg_full)
+        leg_sym, hd_sym = sym_projection(leg_full)
         certification["leg_sym"] = hd_sym.triple()
         certification["leg_full"] = hd_full.triple()
     else:

@@ -1,10 +1,16 @@
 """Reduced Groebner bases, normal forms, elimination, and Hilbert data.
 
-Buchberger with the Gebauer-Moeller pair criteria and normal (lowest-degree)
-selection.  Reduction is heap-driven with a versioned reducer cache; basis
-elements are kept monic over GF(p) and content-normalized over Q during the
-run.  The reduced basis is unique for a fixed order, so output is
-bit-reproducible regardless of internal scheduling.
+Buchberger with the Gebauer-Moeller pair criteria, run degree by degree:
+S-pairs are taken by (weighted degree, order key) and each input generator is
+reduced at its own degree.  Given the Hilbert series of the ideal (which does
+not depend on the monomial order), the run skips the rest of a degree once the
+lead ideal's Hilbert function matches the known one there, and stops once the
+two series agree (Traverso 1996, Hilbert functions and the Buchberger
+algorithm); elimination supplies that series for free.  Reduction is
+heap-driven with a versioned reducer cache; basis elements are kept monic over
+GF(p) and content-normalized over Q during the run.  The reduced basis is
+unique for a fixed order, so output is bit-reproducible regardless of internal
+scheduling.
 """
 
 from __future__ import annotations
@@ -12,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import inf
+from operator import le
 
 from .fields import QQ, FieldError
-from .rings import DEGREVLEX, Polynomial, RingContext, elim_order
+from .rings import DEGREVLEX, EXP_BITS, EXP_MASK, EXP_MAX, Polynomial, RingContext, elim_order
 
 
 class BudgetExceeded(RuntimeError):
@@ -52,6 +60,9 @@ class Ideal:
     def seed_groebner_cache(self, order, gb):
         self._gb[tuple(order)] = tuple(gb)
 
+    def seed_hilbert_cache(self, data: HilbertData):
+        self._hilbert = data
+
     def __add__(self, other):
         if isinstance(other, Ideal):
             if other.ring != self.ring:
@@ -70,12 +81,15 @@ class Ideal:
 @dataclass(frozen=True)
 class HilbertData:
     """Projective dimension, degree, Hilbert polynomial (ascending rational
-    coefficients), and the arithmetic genus when the scheme is a curve."""
+    coefficients), the arithmetic genus when the scheme is a curve, and the
+    Hilbert series numerator: HS(t) = numerator(t) / (1 - t)^(dimension + 1),
+    ascending integer coefficients."""
 
     dimension: int
     degree: int
     hilbert_polynomial: tuple
     arithmetic_genus: int | None = None
+    numerator: tuple = ()
 
     def triple(self):
         return (self.dimension, self.degree, self.arithmetic_genus)
@@ -84,11 +98,6 @@ class HilbertData:
 # ---------------------------------------------------------------------------
 # Buchberger engine
 # ---------------------------------------------------------------------------
-
-
-def _spair_parts(ring, leads, i, j):
-    lcm = ring.monomial_lcm(leads[i], leads[j])
-    return lcm, lcm - leads[i], lcm - leads[j]
 
 
 def _normalize_qq(terms):
@@ -105,8 +114,14 @@ def _normalize_qq(terms):
     return {m: c * scale for m, c in terms.items()}
 
 
-def _gb_engine(seed_polys, ring, max_steps=None):
+def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     """Compute the reduced Groebner basis of homogeneous seed polynomials.
+
+    `hilbert`, when given, is the numerator of the Hilbert series of R/I over
+    prod(1 - t^w) for the ring's weights, and must be exact.  A wrong one
+    raises ValueError when the lead ideal passes it in some degree (an input
+    generator included) or when the pairs run out before the lead ideal
+    reaches it; so a returned basis always generates I.
 
     Returns a list of term dicts, monic, sorted by increasing leading
     monomial; deterministic.
@@ -115,6 +130,8 @@ def _gb_engine(seed_polys, ring, max_steps=None):
     modp = ring.field is not QQ
     p = ring.field.p if modp else None
     guard = ring.guard_mask
+    if hilbert is not None:
+        hilbert = _trim(hilbert)
 
     leads = []      # leading monomial per basis element
     tails = []      # list of (monomial, coeff) pairs, excluding the lead
@@ -131,7 +148,6 @@ def _gb_engine(seed_polys, ring, max_steps=None):
                 return idx
         nb = len(leads)
         if start < nb:
-            divides = ring.monomial_divides
             for i in range(start, nb):
                 if ((m | guard) - leads[i]) & guard == guard:
                     idx = i
@@ -212,10 +228,13 @@ def _gb_engine(seed_polys, ring, max_steps=None):
         lcoeffs.append(lc)
         return len(leads) - 1
 
-    # seed basis: interreduce the input generators first
-    pending = sorted((dict(f.terms) for f in seed_polys), key=lambda t: key(max(t, key=key)))
-    pairs = []  # heap of (lcm_key, i, j, lcm)
-    pair_set = {}
+    # input generators by (degree, lead key); each is reduced at its degree
+    seeds = []
+    for f in seed_polys:
+        lm = max(f.terms, key=key)
+        seeds.append((ring.wdeg(lm), key(lm), dict(f.terms)))
+    seeds.sort(key=lambda s: s[:2], reverse=True)  # popped from the end
+    pairs = []  # heap of (lcm degree, lcm key, i, j, lcm)
 
     def gm_update(t):
         """Gebauer-Moeller pair update for the new element with index t."""
@@ -224,7 +243,7 @@ def _gb_engine(seed_polys, ring, max_steps=None):
         # prune old pairs (criterion B)
         survivors = []
         for entry in pairs:
-            _, i, j, lij = entry
+            _, _, i, j, lij = entry
             if i == t or j == t:
                 survivors.append(entry)
                 continue
@@ -251,26 +270,11 @@ def _gb_engine(seed_polys, ring, max_steps=None):
         for lij, i in kept:
             if ring.monomials_coprime(leads[i], lt):
                 continue
-            survivors.append((key(lij), i, t, lij))
+            survivors.append((ring.wdeg(lij), key(lij), i, t, lij))
         pairs[:] = survivors
         heapify(pairs)
 
-    steps = 0
-    # insert seed polynomials one at a time, reducing against what exists
-    for terms in pending:
-        red = full_reduce(dict(terms))
-        if red:
-            t = insert(red)
-            gm_update(t)
-
-    while pairs:
-        _, i, j, lij = heappop(pairs)
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise BudgetExceeded(
-                f"S-pair budget exhausted: {steps} reductions, basis size {len(leads)}, "
-                f"current lcm degree {ring.wdeg(lij)}"
-            )
+    def s_polynomial_terms(i, j, lij):
         si, sj = lij - leads[i], lij - leads[j]
         if modp:
             s = {e + si: c for e, c in tails[i]}
@@ -291,12 +295,60 @@ def _gb_engine(seed_polys, ring, max_steps=None):
                     s[mm] = v
                 else:
                     s.pop(mm, None)
-        if not s:
-            continue
-        red = full_reduce(s)
-        if red:
-            t = insert(red)
-            gm_update(t)
+        return s
+
+    def add(terms):
+        """Reduce and insert; return the number of new basis elements (0 or 1)."""
+        red = full_reduce(terms)
+        if not red:
+            return 0
+        gm_update(insert(red))
+        return 1
+
+    def wrong_series(why):
+        return ValueError(f"the given Hilbert series is wrong: {why}")
+
+    steps = 0
+    num, num_size = None, -1  # lead ideal numerator, and the basis size it is for
+    while True:
+        if hilbert is not None and num_size != len(leads):
+            num, num_size = _lead_numerator(ring, leads), len(leads)
+        if num is not None and num == hilbert:
+            # the lead ideal has the series of I, so the basis is complete and
+            # the generators not reached yet reduce to zero
+            if any(full_reduce(s[2]) for s in seeds):
+                raise wrong_series("an input generator is outside the finished basis")
+            break
+        if not seeds and not pairs:
+            if num is not None:
+                raise wrong_series("the S-pairs ran out before the lead ideal reached it")
+            break
+        d = min(s[0] for s in seeds[-1:] + pairs[:1])
+        if d > EXP_MAX:
+            raise OverflowError(
+                f"degree {d} exceeds the exponent cap {EXP_MAX}: basis size {len(leads)}"
+            )
+        # basis elements still missing in degree d (unbounded with no series);
+        # once none are, every remaining pair of degree d reduces to zero
+        missing = inf if num is None else _hilbert_gap(ring, num, hilbert, d)
+        if missing < 0:
+            raise wrong_series(f"the lead ideal is already {-missing} past it in degree {d}")
+        while seeds and seeds[-1][0] == d:
+            # input generators are always reduced: they are few, and check the series
+            missing -= add(seeds.pop()[2])
+            if missing < 0:
+                raise wrong_series(f"an input generator passes it in degree {d}")
+        while pairs and pairs[0][0] == d:
+            _, _, i, j, lij = heappop(pairs)
+            if missing == 0:
+                continue
+            steps += 1
+            if max_steps is not None and steps > max_steps:
+                raise BudgetExceeded(
+                    f"S-pair budget exhausted: {steps} reductions, basis size {len(leads)}, "
+                    f"current lcm degree {d}"
+                )
+            missing -= add(s_polynomial_terms(i, j, lij))
 
     # minimal basis: drop elements whose lead is divisible by another lead
     order_idx = sorted(range(len(leads)), key=lambda i: key(leads[i]))
@@ -374,9 +426,11 @@ def _gb_engine(seed_polys, ring, max_steps=None):
     return final
 
 
-def buchberger(ideal_or_polys, order=None, max_steps=None):
+def buchberger(ideal_or_polys, order=None, max_steps=None, hilbert=None):
     """Reduced Groebner basis as a tuple of monic Polynomials, sorted by
-    increasing leading monomial.  `order` defaults to the ring's own order."""
+    increasing leading monomial.  `order` defaults to the ring's own order.
+    `hilbert` is the ideal's known Hilbert series numerator over
+    prod(1 - t^w) (see `_gb_engine`); it must be exact."""
     if isinstance(ideal_or_polys, Ideal):
         ring = ideal_or_polys.ring
         gens = ideal_or_polys.generators
@@ -393,7 +447,7 @@ def buchberger(ideal_or_polys, order=None, max_steps=None):
             raise ValueError("buchberger requires homogeneous generators")
     if not work_gens:
         return ()
-    dicts = _gb_engine(work_gens, work_ring, max_steps=max_steps)
+    dicts = _gb_engine(work_gens, work_ring, max_steps=max_steps, hilbert=hilbert)
     key = work_ring.sort_key
     polys = [Polynomial(work_ring, d) for d in dicts]
     polys.sort(key=lambda f: key(f.lead_monomial()))
@@ -422,7 +476,8 @@ def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
 
 
 def reduce_by_basis(f: Polynomial, basis) -> Polynomial:
-    """Full normal form of f against an explicit list of nonzero polynomials."""
+    """Full normal form of f against an explicit list of nonzero polynomials.
+    Raises OverflowError when a reduction step needs an exponent above 127."""
     if not basis or f.is_zero():
         return f
     ring = f.ring
@@ -458,6 +513,10 @@ def reduce_by_basis(f: Polynomial, basis) -> Polynomial:
             if prev is None:
                 v = fld.neg(fld.mul(t, ce))
                 if not fld.is_zero(v):
+                    if mm & guard:
+                        raise OverflowError(
+                            f"monomial exponent overflow (cap {EXP_MAX}) in reduce_by_basis"
+                        )
                     work[mm] = v
                     heappush(heap, (-key(mm), mm))
             else:
@@ -474,70 +533,63 @@ def reduce_by_basis(f: Polynomial, basis) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def eliminate(ideal: Ideal, drop_vars, max_steps=None, single_block=False) -> Ideal:
+def eliminate(ideal: Ideal, drop_vars, max_steps=None) -> Ideal:
     """I intersected with the subring omitting drop_vars.
 
-    Each step uses a two-block elimination order (dropped block dominates).
-    Variables are eliminated one at a time in the listed order: intersection
-    with a subring is transitive, and iterated single-variable blocks run far
-    faster on the ideals here than one wide block (pass single_block=True to
-    force the one-shot order).  The result lives in the smaller ring with its
-    degrevlex Groebner cache pre-seeded (elimination theorem)."""
+    Variables are eliminated one at a time, each under a two-block order in
+    which the dropped variable dominates: intersection with a subring is
+    transitive, and single-variable steps run far faster on the ideals here
+    than one wide block.  Each step's Buchberger run is driven by the Hilbert
+    series of its input, read from the input's Hilbert data or from its cached
+    degrevlex basis when either is known; every later step's input has that
+    basis.  The result lives in the smaller ring with its degrevlex Groebner
+    cache pre-seeded (elimination theorem)."""
     drop_list = list(dict.fromkeys(drop_vars))
     if set(drop_list) - set(ideal.ring.names):
         raise ValueError(f"unknown variables: {set(drop_list) - set(ideal.ring.names)}")
-    if not drop_list:
-        return ideal
-    if not single_block and len(drop_list) > 1:
-        # late-ring variables are cheapest to eliminate first under degrevlex
-        pos = ideal.ring.var_index
-        out = ideal
-        for v in sorted(drop_list, key=lambda n: -pos[n]):
-            out = _eliminate_block(out, [v], max_steps)
-        return out
-    return _eliminate_block(ideal, drop_list, max_steps)
-
-
-def _eliminate_block(ideal: Ideal, drop, max_steps) -> Ideal:
-    ring = ideal.ring
-    drop = [v for v in ring.names if v in set(drop)]
-    keep = [v for v in ring.names if v not in set(drop)]
-    if not keep:
+    if len(drop_list) >= ideal.ring.n:
         raise ValueError("cannot eliminate every variable")
-    perm_names = tuple(drop + keep)
-    perm = [ring.var_index[v] for v in perm_names]
+    # late-ring variables are cheapest to eliminate first under degrevlex
+    pos = ideal.ring.var_index
+    out = ideal
+    for v in sorted(drop_list, key=lambda n: -pos[n]):
+        out = _eliminate_variable(out, v, max_steps)
+    return out
+
+
+def _eliminate_variable(ideal: Ideal, var, max_steps) -> Ideal:
+    ring = ideal.ring
+    k = ring.var_index[var]
+    keep = ring.names[:k] + ring.names[k + 1 :]
+    keep_weights = ring.weights[:k] + ring.weights[k + 1 :]
+    # var moves to the front: bytes below k shift up one, byte k goes to 0
+    shift = EXP_BITS * k
+    low = (1 << shift) - 1
+    high = ~((1 << (shift + EXP_BITS)) - 1)
     elim_ring = RingContext(
-        perm_names,
-        tuple(ring.weights[i] for i in perm),
-        elim_order(len(drop)),
-        ring.field,
+        (var, *keep), (ring.weights[k], *keep_weights), elim_order(1), ring.field
     )
+    gens = [
+        Polynomial(
+            elim_ring,
+            {((m >> shift) & EXP_MASK) | ((m & low) << EXP_BITS) | (m & high): c
+             for m, c in g.terms.items()},
+        )
+        for g in ideal.generators
+    ]
+    gb = ()
+    if gens:
+        # the Hilbert series does not change under a permutation of the variables
+        gb = buchberger(
+            gens, order=elim_ring.order, max_steps=max_steps, hilbert=_known_numerator(ideal)
+        )
 
-    def permute(f, src, dst, positions):
-        out = []
-        for m, c in f.terms.items():
-            exps = src.unpack(m)
-            out.append(([exps[i] for i in positions], c))
-        return dst.from_terms(out)
-
-    gens = [permute(g, ring, elim_ring, perm) for g in ideal.generators]
-    gb = buchberger(gens, order=elim_ring.order, max_steps=max_steps)
-
-    kept_ring = RingContext(
-        tuple(keep),
-        tuple(ring.weights[ring.var_index[v]] for v in keep),
-        DEGREVLEX,
-        ring.field,
-    )
-    k = len(drop)
-    block_mask = 0
-    for i in range(k):
-        block_mask |= 0xFF << (8 * i)
-    down_positions = [elim_ring.var_index[v] for v in keep]
-    result = []
-    for g in gb:
-        if all((m & block_mask) == 0 for m in g.terms):
-            result.append(permute(g, elim_ring, kept_ring, down_positions))
+    kept_ring = RingContext(keep, keep_weights, DEGREVLEX, ring.field)
+    result = [
+        Polynomial(kept_ring, {m >> EXP_BITS: c for m, c in g.terms.items()})
+        for g in gb
+        if not any(m & EXP_MASK for m in g.terms)
+    ]
     out = Ideal(kept_ring, result)
     out.seed_groebner_cache(DEGREVLEX, tuple(result))
     return out
@@ -557,10 +609,12 @@ def linear_part(ideal: Ideal):
 
 def _minimalize(gens):
     """Minimal generators of a monomial ideal given as exponent tuples."""
-    gens = sorted(set(gens), key=lambda g: (sum(g), g))
     out = []
-    for g in gens:
-        if not any(all(h[i] <= g[i] for i in range(len(g))) for h in out):
+    for g in sorted(set(gens), key=lambda g: (sum(g), g)):
+        for h in out:
+            if all(map(le, h, g)):
+                break
+        else:
             out.append(g)
     return out
 
@@ -589,10 +643,26 @@ def _one_minus_t_power(d):
     return out
 
 
-def _hilbert_numerator(gens):
-    """Numerator of the Hilbert series of R/I for a monomial ideal I, over the
-    standard grading: HS = N(t) / (1-t)^n.  gens: minimal exponent tuples."""
-    gens = _minimalize(gens)
+def _trim(num):
+    num = list(num)
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return num
+
+
+def _hilbert_numerator(gens, weights):
+    """Numerator of the Hilbert series of R/I for a monomial ideal I, graded
+    by the variable weights: HS = N(t) / prod(1 - t^w).  gens: exponent
+    tuples.  Returned with trailing zeros trimmed."""
+    return _trim(_hilbert_numerator_rec(_minimalize(gens), weights))
+
+
+def _hilbert_numerator_rec(gens, weights):
+    """_hilbert_numerator for minimal generators."""
+
+    def deg(g):
+        return sum(w * e for w, e in zip(weights, g))
+
     if not gens:
         return [1]
     if any(sum(g) == 0 for g in gens):
@@ -605,17 +675,18 @@ def _hilbert_numerator(gens):
     if len(mixed) <= 1:
         num = [1]
         for g in pure:
-            num = _poly_mul(num, _one_minus_t_power(sum(g)))
+            num = _poly_mul(num, _one_minus_t_power(deg(g)))
         if mixed:
             m = mixed[0]
             colon = [1]
             for g in pure:
-                d = sum(g) - min(sum(g), sum(min(a, b) for a, b in zip(g, m)))
+                # pure powers: g / gcd(g, m) is again a pure power
+                d = deg(tuple(max(a - b, 0) for a, b in zip(g, m)))
                 if d == 0:
                     colon = [0]
                     break
                 colon = _poly_mul(colon, _one_minus_t_power(d))
-            num = _poly_add(num, colon, scale=-1, shift=sum(m))
+            num = _poly_add(num, colon, scale=-1, shift=deg(m))
         return num
     # pivot: most frequent variable among mixed generators, median exponent
     n = len(gens[0])
@@ -627,15 +698,52 @@ def _hilbert_numerator(gens):
     j = max(range(n), key=lambda i: counts[i])
     exps = sorted(g[j] for g in mixed if g[j])
     e = exps[len(exps) // 2]
-    pivot = tuple(e if i == j else 0 for i in range(n))
-    # I + <pivot>
-    plus = [g for g in gens if not all(p <= a for p, a in zip(pivot, g))]
-    plus.append(pivot)
-    # I : pivot
-    colon = [tuple(max(a - p, 0) for a, p in zip(g, pivot)) for g in gens]
+    # I + <x_j^e> (minimal as built: e is below any pure power of x_j), and I : x_j^e
+    plus = [g for g in gens if g[j] < e]
+    plus.append(tuple(e if i == j else 0 for i in range(n)))
+    colon = _minimalize([g[:j] + (max(g[j] - e, 0),) + g[j + 1 :] for g in gens])
     return _poly_add(
-        _hilbert_numerator(plus), _hilbert_numerator(colon), scale=1, shift=e
+        _hilbert_numerator_rec(plus, weights),
+        _hilbert_numerator_rec(colon, weights),
+        scale=1,
+        shift=weights[j] * e,
     )
+
+
+def _lead_numerator(ring, leads):
+    """Hilbert series numerator over prod(1 - t^w) of the monomial ideal
+    generated by packed lead monomials."""
+    return _hilbert_numerator([ring.unpack(m) for m in leads], ring.weights)
+
+
+def _hilbert_gap(ring, num, known, d):
+    """HF(d) of the series num / prod(1 - t^w) minus HF(d) of known / prod(1 - t^w)."""
+    diff = [0] * (d + 1)
+    for i, c in enumerate(num[: d + 1]):
+        diff[i] += c
+    for i, c in enumerate(known[: d + 1]):
+        diff[i] -= c
+    for w in ring.weights:
+        for k in range(w, d + 1):
+            diff[k] += diff[k - w]
+    return diff[d]
+
+
+def _known_numerator(ideal: Ideal):
+    """The ideal's Hilbert series numerator over prod(1 - t^w), when it is
+    known without a Groebner run: from its Hilbert data or from the lead
+    monomials of its cached basis in the ring's order.  None otherwise."""
+    ring = ideal.ring
+    hd = ideal._hilbert
+    if hd is not None:
+        num = list(hd.numerator)
+        for _ in range(ring.n - hd.dimension - 1):
+            num = _poly_mul(num, [1, -1])
+        return _trim(num)
+    gb = ideal._gb.get(ring.order)
+    if gb is not None:
+        return _lead_numerator(ring, [g.lead_monomial() for g in gb])
+    return None
 
 
 def hilbert_data(ideal: Ideal, max_steps=None) -> HilbertData:
@@ -648,8 +756,7 @@ def hilbert_data(ideal: Ideal, max_steps=None) -> HilbertData:
         return ideal._hilbert
     n = ring.n
     gb = ideal.groebner_basis(max_steps=max_steps)
-    lead_exps = [ring.unpack(g.lead_monomial()) for g in gb]
-    num = _hilbert_numerator(lead_exps)
+    num = _lead_numerator(ring, [g.lead_monomial() for g in gb])
     # strip factors of (1 - t); num(1) == 0 iff divisible
     s = 0
     while any(num) and sum(num) == 0:
@@ -662,7 +769,7 @@ def hilbert_data(ideal: Ideal, max_steps=None) -> HilbertData:
         s += 1
     if not any(num):
         # unit ideal: empty projective scheme
-        data = HilbertData(-1, 0, (Fraction(0),), None)
+        data = HilbertData(-1, 0, (Fraction(0),), None, (0,))
         ideal._hilbert = data
         return data
     dim_affine = n - s
@@ -689,7 +796,7 @@ def hilbert_data(ideal: Ideal, max_steps=None) -> HilbertData:
     if proj_dim == 1:
         hp0 = hp[0] if hp else Fraction(0)
         genus = int(1 - hp0)
-    data = HilbertData(proj_dim, degree, tuple(hp), genus)
+    data = HilbertData(proj_dim, degree, tuple(hp), genus, tuple(num))
     ideal._hilbert = data
     return data
 
@@ -701,16 +808,6 @@ def _polyfrac_mul_linear(poly, const):
         out[i + 1] += v
         out[i] += const * v
     return out
-
-
-def hilbert_function(ideal: Ideal, t: int) -> int:
-    """dim_k (R/I)_t: the number of degree-t standard monomials."""
-    ring = ideal.ring
-    if any(w != 1 for w in ring.weights):
-        raise ValueError("hilbert_function requires a weight-1 ring")
-    gb = ideal.groebner_basis()
-    leads = [g.lead_monomial() for g in gb]
-    return sum(1 for _ in _standard_monomials(ring, leads, t))
 
 
 def standard_monomials(ideal: Ideal, t: int):

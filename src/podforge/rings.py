@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .fields import QQ, FieldError
 
@@ -106,10 +107,14 @@ class RingContext:
         return m
 
     def unpack(self, m: int) -> tuple:
-        return tuple((m >> (EXP_BITS * i)) & EXP_MASK for i in range(self.n))
+        return tuple(m.to_bytes(self.n, "little"))
 
     def wdeg(self, m: int) -> int:
-        return sum(w * e for w, e in zip(self.weights, self.unpack(m)))
+        return sum(map(mul, self.weights, m.to_bytes(self.n, "little")))
+
+    # The three tests below work on all bytes at once: with every exponent at
+    # most 127, (b | guard) - a borrows within no byte, and its bit 7 in a
+    # byte is set iff that exponent of b is at least the one of a.
 
     def monomial_divides(self, a: int, b: int) -> bool:
         """True iff monomial a divides monomial b."""
@@ -117,18 +122,14 @@ class RingContext:
         return ((b | g) - a) & g == g
 
     def monomial_lcm(self, a: int, b: int) -> int:
-        m = 0
-        for i in range(self.n):
-            s = EXP_BITS * i
-            m |= max((a >> s) & EXP_MASK, (b >> s) & EXP_MASK) << s
-        return m
+        g = self.guard_mask
+        a_wins = ((((a | g) - b) & g) >> 7) * EXP_MASK  # 0xFF where a_i >= b_i
+        return (a & a_wins) | (b & ~a_wins)
 
     def monomials_coprime(self, a: int, b: int) -> bool:
-        for i in range(self.n):
-            s = EXP_BITS * i
-            if (a >> s) & EXP_MASK and (b >> s) & EXP_MASK:
-                return False
-        return True
+        g = self.guard_mask
+        ones = g >> 7
+        return not (((a | g) - ones) & ((b | g) - ones) & g)
 
     # -- element constructors --------------------------------------------------
 

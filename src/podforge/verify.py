@@ -218,20 +218,43 @@ def _recover_point(v, bt, gb, ring):
     return tuple(coords)
 
 
+_FORM_DRAWS = 8  # draws of the random forms before a solve gives up
+
+
 def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
     """All rational points of a zero-dimensional projective scheme over its
-    field, each verified exactly against every generator."""
+    field, each verified exactly against every generator.
+
+    The points are read off the eigenvectors of a random multiplication map.
+    Two points at which the random forms take the same ratio share an
+    eigenspace, whose vectors mix them; the forms are then redrawn, and
+    SamplingError is raised after _FORM_DRAWS draws."""
+    field = ideal.ring.field
+    if field is QQ:
+        raise ValueError("rational-point enumeration is a finite-field path")
+    form_rng = rng or random.Random(0x5EED)
+    for _ in range(_FORM_DRAWS):
+        points = _solve_with_random_forms(ideal, max_points, form_rng, rng)
+        if points is not None:
+            return points
+    raise SamplingError(
+        f"random forms did not separate the rational points in {_FORM_DRAWS} draws "
+        f"(an eigenspace of dimension 2 or more each time)"
+    )
+
+
+def _solve_with_random_forms(ideal, max_points, form_rng, root_rng):
+    """One solve with freshly drawn forms; None when an eigenspace has
+    dimension 2 or more."""
     ring = ideal.ring
     field = ring.field
-    bt, _bt1, M0, M1, _e0, _e1 = multiplication_data(ideal, rng)
+    bt, _bt1, M0, M1, _e0, _e1 = multiplication_data(ideal, form_rng)
     gb = ideal.groebner_basis()
     minv = linalg.mat_inverse(M0, field)
     A = linalg.mat_mul(minv, M1, field)
     cp = linalg.charpoly(A, field)
-    if field is QQ:
-        raise ValueError("rational-point enumeration is a finite-field path")
     p = field.p
-    lambdas = roots_mod_p([int(c) % p for c in cp], p, rng)
+    lambdas = roots_mod_p([int(c) % p for c in cp], p, root_rng)
     at = linalg._transpose(A)
     points = []
     seen = set()
@@ -240,7 +263,10 @@ def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
             [field.sub(at[i][j], lam if i == j else field.zero) for j in range(len(at))]
             for i in range(len(at))
         ]
-        for w in linalg.matrix_kernel(shifted, field):
+        kernel = linalg.matrix_kernel(shifted, field)
+        if len(kernel) > 1:
+            return None
+        for w in kernel:
             # v = w^t M0 is the evaluation functional on basis_t
             v = linalg.mat_vec(linalg._transpose(M0), list(w), field)
             pt = _recover_point(v, bt, gb, ring)

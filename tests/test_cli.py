@@ -141,3 +141,28 @@ def test_verify_tampered_bundle_fails(tmp_path):
     bundle.write_text(json.dumps(data))
     proc = run_cli("verify", str(bundle), "--mode", "exact", check=False)
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "{tmp}/missing.json"],
+        ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/missing.json"],
+        ["verify", "{tmp}/bad.json"],
+        ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/bad.json"],
+        ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/no_ambient.json"],
+        ["construct", "infinity", "--field", "fp:100"],
+        ["construct", "infinity", "--field", "fp:2"],
+    ],
+    ids=["verify-missing-file", "dual-missing-file", "verify-bad-json", "dual-bad-json",
+         "dual-no-ambient", "field-not-prime", "field-two"],
+)
+def test_input_error_exit_code(tmp_path, args):
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "no_ambient.json").write_text(
+        json.dumps({"field": "q", "kind": "points", "basis": [["1"]]})
+    )
+    proc = run_cli(*[a.format(tmp=tmp_path) for a in args], check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

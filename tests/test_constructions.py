@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from podforge import groebner
 from podforge.fields import GF, QQ
-from podforge.groebner import hilbert_data, normal_form, reduce_by_basis
-from podforge.models import Leg, euler_rho, rho_isometry_point, ring_euler
+from podforge.groebner import Ideal, hilbert_data, normal_form, reduce_by_basis
+from podforge.models import Leg, euler_rho, project_model, rho_isometry_point, ring_euler
 from podforge.duality import (
     DualityError,
     bsc17,
@@ -34,6 +35,7 @@ from podforge.constructions import (
     leg_sym_dual_ideal,
     legs_span_subspace,
     pentapod_config_ideal,
+    sym_projection,
     symmetroid_pencil,
     syzygy_triple,
 )
@@ -189,6 +191,26 @@ def test_multiple_seeds_certify():
         b = create_infinity_pod(s, F101)
         assert b.certification["leg_sym"] == (1, 10, 6)
         assert b.certification["leg_full"] == (1, 20, 11)
+
+
+@pytest.mark.parametrize("seed", [1, 8, 15])
+def test_hilbert_driven_elimination_byte_identical(seed, monkeypatch):
+    # the known Hilbert series only skips work: the reduced bases agree
+    # byte for byte with runs that know no series
+    leg_full = create_infinity_pod(seed, F101, certify=False).leg_ideal_full
+    keep = [n for n in leg_full.ring.names if n not in ("z01", "z10", "z23")]
+
+    def bases():
+        sym, hd = sym_projection(Ideal(leg_full.ring, leg_full.generators))
+        full = Ideal(leg_full.ring, leg_full.generators)
+        hilbert_data(full)
+        proj = project_model(full, keep)
+        return hd, [str(g) for g in sym.generators], [str(g) for g in proj.groebner_basis()]
+
+    with_series = bases()
+    monkeypatch.setattr(groebner, "_known_numerator", lambda ideal: None)
+    assert bases() == with_series
+    assert with_series[0].triple() == (1, 10, 6)
 
 
 def test_base_curve_certified(bundle7):

@@ -311,3 +311,55 @@ def test_buchberger_explicit_elimination_order():
     t_free = [g for g in gb if all(ring.unpack(m)[0] == 0 for m in g.terms)]
     out = eliminate(I, ["t"])
     assert {str(g) for g in t_free} == {str(g) for g in out.generators}
+
+
+# -- Hilbert-driven runs and the exponent cap -----------------------------------
+
+
+def test_known_hilbert_series_gives_the_same_basis():
+    ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, GF(101))
+    x, y, z = ring.gens()
+    I = Ideal(ring, [x * x - y * z, x * y - z * z])
+    # two quadrics meeting properly: numerator (1 - t^2)^2
+    assert buchberger(I, hilbert=[1, 0, -2, 0, 1]) == buchberger(I)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        [0],  # the unit ideal: the pairs run out first
+        [1, 0, -1],  # one quadric: the second generator passes it in degree 2
+        [1],  # the zero ideal: the generators stay outside the basis
+    ],
+)
+def test_wrong_hilbert_numerator_raises(wrong):
+    ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, GF(101))
+    x, y, z = ring.gens()
+    I = Ideal(ring, [x * x - y * z, x * y - z * z])
+    with pytest.raises(ValueError, match="Hilbert series is wrong"):
+        buchberger(I, hilbert=wrong)
+
+
+def test_eliminate_with_wrong_hilbert_data_raises():
+    ring = RingContext(("t", "x", "y"), (1, 1, 1), DEGREVLEX, GF(101))
+    t, x, y = ring.gens()
+    I = Ideal(ring, [x - t, y * t - x * x])
+    # the Hilbert data of a point is not that of this ideal
+    I.seed_hilbert_cache(hilbert_data(Ideal(ring, [x, y])))
+    with pytest.raises(ValueError, match="Hilbert series is wrong"):
+        eliminate(I, ["t"])
+
+
+def test_buchberger_exponent_cap_raises():
+    # S(xy, x^127 - y^127) = y^128: one past the packed exponent cap
+    ring = RingContext(("x", "y"), (1, 1), DEGREVLEX, GF(101))
+    x, y = ring.gens()
+    with pytest.raises(OverflowError):
+        buchberger(Ideal(ring, [x * y, ring.parse("x^127 - y^127")]))
+
+
+def test_reduce_by_basis_exponent_cap_raises():
+    ring = RingContext(("x", "y"), (1, 1), DEGREVLEX, GF(101))
+    x, y = ring.gens()
+    with pytest.raises(OverflowError):
+        reduce_by_basis(ring.parse("x*y^127"), [x - y])

@@ -89,6 +89,22 @@ def test_weighted_degree():
     assert (e * e + p).is_homogeneous()
 
 
+def test_packed_monomial_ops_match_exponentwise():
+    # unpack, wdeg, lcm, coprime and divides act on all packed bytes at once;
+    # compare them with the exponent-by-exponent definitions
+    ring = RingContext(tuple(f"v{i}" for i in range(7)), (1, 2, 1, 3, 1, 1, 2), DEGREVLEX, QQ)
+    rng = random.Random(5)
+    for _ in range(2000):
+        a, b = ([rng.choice([0, 0, 1, 2, 127, rng.randint(0, 127)]) for _ in range(7)]
+                for _ in range(2))
+        ma, mb = ring.pack(a), ring.pack(b)
+        assert ring.unpack(ma) == tuple(a)
+        assert ring.wdeg(ma) == sum(w * e for w, e in zip(ring.weights, a))
+        assert ring.unpack(ring.monomial_lcm(ma, mb)) == tuple(map(max, a, b))
+        assert ring.monomials_coprime(ma, mb) == all(not (x and y) for x, y in zip(a, b))
+        assert ring.monomial_divides(ma, mb) == all(x <= y for x, y in zip(a, b))
+
+
 def test_parse_print_roundtrip(ring_xyz):
     rng = random.Random(11)
     for _ in range(100):

@@ -95,6 +95,36 @@ def test_solve_zero_dim_degree_two():
         assert I.contains_point(pt)
 
 
+class ScriptedRng(random.Random):
+    """A Random whose first randint draws are given, then seeded draws."""
+
+    def __init__(self, draws, seed=7):
+        super().__init__(seed)
+        self.draws = list(draws)
+
+    def randint(self, a, b):
+        return self.draws.pop(0) if self.draws else super().randint(a, b)
+
+
+def test_solve_zero_dim_splits_shared_eigenvalue():
+    # the points (1:2:0) and (1:3:0); the first forms drawn, x0 and 5*x0,
+    # take the same ratio 5 at both, so their eigenspace is two-dimensional
+    ring = RingContext(("x0", "x1", "x2"), (1, 1, 1), DEGREVLEX, F101)
+    x0, x1, x2 = ring.gens()
+    I = Ideal(ring, [x2, (x1 - x0.scale(2)) * (x1 - x0.scale(3))])
+    pts = solve_zero_dimensional(I, rng=ScriptedRng([1, 0, 0, 5, 0, 0]))
+    assert sorted(pts) == [(1, 2, 0), (1, 3, 0)]
+
+
+def test_solve_zero_dim_never_separated_raises():
+    # every draw repeats the colliding forms: no draw splits the eigenspace
+    ring = RingContext(("x0", "x1", "x2"), (1, 1, 1), DEGREVLEX, F101)
+    x0, x1, x2 = ring.gens()
+    I = Ideal(ring, [x2, (x1 - x0.scale(2)) * (x1 - x0.scale(3))])
+    with pytest.raises(SamplingError, match="did not separate"):
+        solve_zero_dimensional(I, rng=ScriptedRng([1, 0, 0, 5, 0, 0] * 100))
+
+
 def test_sample_curve_points_line():
     # a line in P^3 over GF(5): at most 6 distinct points, all on the line
     f5 = GF(5)
