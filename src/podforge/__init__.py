@@ -3,7 +3,7 @@ infinity-pods via projective isometry/leg models and their sphere-condition
 duality."""
 
 from .fields import GF, QQ, FieldError, field_from_descriptor
-from .rings import DEGREVLEX, Polynomial, RingContext, RingMap, apply_ring_map, poly_arith
+from .rings import DEGREVLEX, Polynomial, RingContext, RingMap
 from .linalg import matrix_kernel
 from .groebner import (
     BudgetExceeded,

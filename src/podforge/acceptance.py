@@ -301,10 +301,9 @@ def _abs_eval(g, vals):
     total = 0.0
     for m, c in g.terms.items():
         t = abs(float(c))
-        for i in range(g.ring.n):
-            e = (m >> (8 * i)) & 0xFF
+        for e, v in zip(g.ring.unpack(m), vals):
             if e:
-                t *= abs(vals[i]) ** e
+                t *= abs(v) ** e
         total += t
     return total
 

@@ -30,6 +30,7 @@ from .models import (
     ideal_X_p,
     ideal_X_pinv,
     ideal_Y,
+    ideal_Y_inv,
     ideal_Y_p,
     ideal_Y_pinv,
     ideal_X_inv,
@@ -54,7 +55,7 @@ from .duality import (
     sbsc11,
     sbsc_planar7,
 )
-from .rings import DEGREVLEX, Polynomial, RingContext, RingMap
+from .rings import DEGREVLEX, EXP_BITS, EXP_MASK, Polynomial, RingContext, RingMap
 
 
 class DegenerateSeedError(ValueError):
@@ -84,11 +85,6 @@ class ConstructionSeed:
     bound: int
     field: object
     f_smooth: bool
-
-    @property
-    def V(self):
-        """The decomposition sum P_i^2 = U q + V F is normalized to V = 1."""
-        return self.field.one
 
 
 def _rand_poly(ring, rng, degree, bound):
@@ -313,7 +309,7 @@ def create_infinity_pod(
     # degree-1 part, route A: linear generators of J_inv + preimage
     lin_gens = [g for g in preimage.generators if g.homogeneous_degree() == 1]
     lin_gens += j_inv_gens
-    covectors = [_covector_of_linear_general(g) for g in lin_gens]
+    covectors = [_covector_of_linear(g) for g in lin_gens]
     route_a = linalg.row_space_basis([list(v) for v in covectors], field)
     # route B: kernel of the lift map on linear forms
     route_b_kernel = linalg.matrix_kernel(rho_quadric_matrix(rho), field)
@@ -352,11 +348,6 @@ def create_infinity_pod(
     )
 
 
-def _covector_of_linear_general(f: Polynomial) -> tuple:
-    """Covector of a weighted-degree-1 form (only weight-1 variables occur)."""
-    return _covector_of_linear(f)
-
-
 def leg_sym_dual_ideal(bundle: InfinityPodBundle) -> Ideal:
     """The symmetric leg curve by the duality route: the symmetric cone cut by
     the P^4 dual to the configuration span under the symmetric pairing.  Used
@@ -387,13 +378,7 @@ def leg_sym_dual_ideal(bundle: InfinityPodBundle) -> Ideal:
     points = dual_space(forms, sbsc11(), "left")
     cutting = linalg.matrix_kernel([list(v) for v in points.basis], field)
     ryi = ring_Y_inv(field)
-    return ideal_Y_inv_cached(field) + [_linear_of_covector(v, ryi) for v in cutting]
-
-
-def ideal_Y_inv_cached(field):
-    from .models import ideal_Y_inv
-
-    return ideal_Y_inv(field)
+    return ideal_Y_inv(field) + [_linear_of_covector(v, ryi) for v in cutting]
 
 
 # ---------------------------------------------------------------------------
@@ -861,10 +846,10 @@ def _det4(entries, ring):
 
 def _exact_divide_by_var(f: Polynomial, ring, name):
     i = ring.var_index[name]
-    shift = 1 << (8 * i)
+    shift = 1 << (EXP_BITS * i)
     out = {}
     for m, c in f.terms.items():
-        if not (m >> (8 * i)) & 0xFF:
+        if not (m >> (EXP_BITS * i)) & EXP_MASK:
             return None
         out[m - shift] = c
     return Polynomial(ring, out)

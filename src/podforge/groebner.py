@@ -6,11 +6,16 @@ reduced at its own degree.  Given the Hilbert series of the ideal (which does
 not depend on the monomial order), the run skips the rest of a degree once the
 lead ideal's Hilbert function matches the known one there, and stops once the
 two series agree (Traverso 1996, Hilbert functions and the Buchberger
-algorithm); elimination supplies that series for free.  Reduction is
-heap-driven with a versioned reducer cache; basis elements are kept monic over
-GF(p) and content-normalized over Q during the run.  The reduced basis is
-unique for a fixed order, so output is bit-reproducible regardless of internal
-scheduling.
+algorithm); elimination supplies that series for free.
+
+All reduction goes through one heap-driven kernel, `_reduce`, with one loop
+per field: the run's S-polynomial and generator reductions, the final
+interreduction (each minimal element is its lead plus the normal form of its
+tail modulo the finished basis) and `reduce_by_basis`.  Each term is reduced
+by the first basis element whose lead divides it; in the run that lookup is
+cached per monomial.  Basis elements are kept monic over GF(p) and
+content-normalized over Q during the run.  The reduced basis is unique for a
+fixed order, so output is bit-reproducible regardless of internal scheduling.
 """
 
 from __future__ import annotations
@@ -49,11 +54,11 @@ class Ideal:
         self._gb = {}
         self._hilbert = None
 
-    def groebner_basis(self, order=None, max_steps=None):
+    def groebner_basis(self, order=None):
         order = tuple(order) if order is not None else self.ring.order
         gb = self._gb.get(order)
         if gb is None:
-            gb = buchberger(self, order, max_steps=max_steps)
+            gb = buchberger(self, order)
             self._gb[order] = gb
         return gb
 
@@ -114,6 +119,86 @@ def _normalize_qq(terms):
     return {m: c * scale for m, c in terms.items()}
 
 
+def _split_lead(terms, lm, p):
+    """(tail, lead coefficient) of a term dict with lead monomial lm: the tail
+    as (monomial, coeff) pairs, scaled to a monic reducer over GF(p)."""
+    lc = terms[lm]
+    if p:
+        inv = pow(lc, p - 2, p)
+        return [(m, c * inv % p) for m, c in terms.items() if m != lm], 1
+    return [(m, c) for m, c in terms.items() if m != lm], Fraction(lc)
+
+
+def _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard):
+    """Full normal form of the term dict `work` (consumed), returned as a term
+    dict in decreasing monomial order.
+
+    Reducer i is leads[i] plus the (monomial, coeff) pairs tails[i] with lead
+    coefficient lcoeffs[i]; find_reducer(m) picks the reducer of monomial m.
+    Over GF(p) (p given) every reducer must be monic; over Q (p None) the
+    coefficients are Fractions.  Raises OverflowError when a new monomial
+    needs an exponent above the cap."""
+    out = {}
+    heap = [(-key(m), m) for m in work]
+    heapify(heap)
+    if p:
+        while heap:
+            m = heappop(heap)[1]
+            c = work.pop(m, 0)
+            if not c:
+                continue
+            idx = find_reducer(m)
+            if idx is None:
+                out[m] = c
+                continue
+            shift = m - leads[idx]
+            for e, ce in tails[idx]:
+                mm = e + shift
+                prev = work.get(mm)
+                if prev is None:
+                    v = -c * ce % p
+                    if v:
+                        if mm & guard:
+                            raise OverflowError(f"monomial exponent above the cap {EXP_MAX}")
+                        work[mm] = v
+                        heappush(heap, (-key(mm), mm))
+                else:
+                    v = (prev - c * ce) % p
+                    if v:
+                        work[mm] = v
+                    else:
+                        del work[mm]
+    else:
+        while heap:
+            m = heappop(heap)[1]
+            c = work.pop(m, 0)
+            if not c:
+                continue
+            idx = find_reducer(m)
+            if idx is None:
+                out[m] = c
+                continue
+            t = c / lcoeffs[idx]
+            shift = m - leads[idx]
+            for e, ce in tails[idx]:
+                mm = e + shift
+                prev = work.get(mm)
+                if prev is None:
+                    v = -t * ce
+                    if v:
+                        if mm & guard:
+                            raise OverflowError(f"monomial exponent above the cap {EXP_MAX}")
+                        work[mm] = v
+                        heappush(heap, (-key(mm), mm))
+                else:
+                    v = prev - t * ce
+                    if v:
+                        work[mm] = v
+                    else:
+                        del work[mm]
+    return out
+
+
 def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     """Compute the reduced Groebner basis of homogeneous seed polynomials.
 
@@ -139,6 +224,8 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     cache = {}      # reducer cache: monomial -> (scanned_upto, index or None)
 
     def find_reducer(m):
+        """Index of the first lead dividing m, or None; cached, and still
+        valid as the basis grows."""
         ent = cache.get(m)
         if ent is None:
             start, idx = 0, None
@@ -157,74 +244,14 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
 
     def full_reduce(work):
         """Full normal form of a term dict against the current basis."""
-        out = {}
-        heap = [(-key(m), m) for m in work]
-        heapify(heap)
-        if modp:
-            while heap:
-                m = heappop(heap)[1]
-                c = work.pop(m, 0)
-                if not c:
-                    continue
-                idx = find_reducer(m)
-                if idx is None:
-                    out[m] = c
-                    continue
-                shift = m - leads[idx]
-                for e, ce in tails[idx]:
-                    mm = e + shift
-                    prev = work.get(mm)
-                    if prev is None:
-                        v = -c * ce % p
-                        if v:
-                            work[mm] = v
-                            heappush(heap, (-key(mm), mm))
-                    else:
-                        v = (prev - c * ce) % p
-                        if v:
-                            work[mm] = v
-                        else:
-                            del work[mm]
-        else:
-            while heap:
-                m = heappop(heap)[1]
-                c = work.pop(m, None)
-                if not c:
-                    continue
-                idx = find_reducer(m)
-                if idx is None:
-                    out[m] = c
-                    continue
-                t = c / lcoeffs[idx]
-                shift = m - leads[idx]
-                for e, ce in tails[idx]:
-                    mm = e + shift
-                    prev = work.get(mm)
-                    if prev is None:
-                        v = -t * ce
-                        if v:
-                            work[mm] = v
-                            heappush(heap, (-key(mm), mm))
-                    else:
-                        v = prev - t * ce
-                        if v:
-                            work[mm] = v
-                        else:
-                            del work[mm]
-        return out
+        return _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard)
 
     def insert(terms):
         """Normalize and append a new basis element; return its index."""
         lm = max(terms, key=key)
-        if modp:
-            inv = pow(terms[lm], p - 2, p)
-            terms = {m: c * inv % p for m, c in terms.items()}
-            lc = 1
-        else:
-            terms = _normalize_qq(terms)
-            lc = terms[lm]
+        tail, lc = _split_lead(terms if modp else _normalize_qq(terms), lm, p)
         leads.append(lm)
-        tails.append([(m, c) for m, c in terms.items() if m != lm])
+        tails.append(tail)
         lcoeffs.append(lc)
         return len(leads) - 1
 
@@ -358,71 +385,20 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
             continue
         minimal.append(i)
 
-    # reduced basis: tails fully reduced against the minimal leads, monic
-    red_leads = [leads[i] for i in minimal]
-    red_polys = []
+    # reduced basis: each minimal lead plus the normal form of its tail, made
+    # monic.  The normal form modulo a Groebner basis is unique, so the whole
+    # basis of the run and its warm reducer cache give the reduced tails.
+    final = []
     for i in minimal:
+        tail = full_reduce(dict(tails[i]))
         if modp:
-            terms = {leads[i]: 1}
-            terms.update(dict(tails[i]))
+            out = {leads[i]: 1}
+            out.update(tail)
         else:
             inv = 1 / lcoeffs[i]
-            terms = {leads[i]: Fraction(1)}
-            terms.update({m: c * inv for m, c in tails[i]})
-        red_polys.append(terms)
-
-    cache2 = {}
-
-    def find_min_reducer(m):
-        ent = cache2.get(m)
-        if ent is not None:
-            return ent
-        idx = None
-        for k, lm in enumerate(red_leads):
-            if ((m | guard) - lm) & guard == guard:
-                idx = k
-                break
-        cache2[m] = idx
-        return idx
-
-    final = []
-    for k, terms in enumerate(red_polys):
-        lm = red_leads[k]
-        out = {lm: terms[lm]}
-        work = {m: c for m, c in terms.items() if m != lm}
-        heap = [(-key(m), m) for m in work]
-        heapify(heap)
-        while heap:
-            m = heappop(heap)[1]
-            c = work.pop(m, None)
-            if not c:
-                continue
-            idx = find_min_reducer(m)
-            if idx is None:
-                out[m] = c
-                continue
-            g = red_polys[idx]
-            glm = red_leads[idx]
-            t = c / g[glm] if not modp else c * pow(g[glm], p - 2, p) % p
-            shift = m - glm
-            for e, ce in g.items():
-                if e == glm:
-                    continue
-                mm = e + shift
-                prev = work.get(mm)
-                if prev is None:
-                    v = (-t * ce % p) if modp else -t * ce
-                    if v:
-                        work[mm] = v
-                        heappush(heap, (-key(mm), mm))
-                else:
-                    v = ((prev - t * ce) % p) if modp else prev - t * ce
-                    if v:
-                        work[mm] = v
-                    else:
-                        del work[mm]
+            out = {leads[i]: Fraction(1)}
+            out.update((m, c * inv) for m, c in tail.items())
         final.append(out)
-
     return final
 
 
@@ -476,56 +452,29 @@ def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
 
 
 def reduce_by_basis(f: Polynomial, basis) -> Polynomial:
-    """Full normal form of f against an explicit list of nonzero polynomials.
+    """Full normal form of f against an explicit list of nonzero polynomials;
+    each term is reduced by the first element whose lead divides it.
     Raises OverflowError when a reduction step needs an exponent above 127."""
     if not basis or f.is_zero():
         return f
     ring = f.ring
-    key = ring.sort_key
-    fld = ring.field
+    p = ring.field.p if ring.field is not QQ else None
     guard = ring.guard_mask
     leads = [g.lead_monomial() for g in basis]
-    lcs = [g.lead_coeff() for g in basis]
-    work = dict(f.terms)
-    out = {}
-    heap = [(-key(m), m) for m in work]
-    heapify(heap)
-    while heap:
-        m = heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None or fld.is_zero(c):
-            continue
-        idx = None
-        for k, lm in enumerate(leads):
+    tails = [None] * len(basis)  # split off on first use
+    lcoeffs = [None] * len(basis)
+
+    def find_reducer(m):
+        for i, lm in enumerate(leads):
             if ((m | guard) - lm) & guard == guard:
-                idx = k
-                break
-        if idx is None:
-            out[m] = c
-            continue
-        t = fld.div(c, lcs[idx])
-        shift = m - leads[idx]
-        for e, ce in basis[idx].terms.items():
-            if e == leads[idx]:
-                continue
-            mm = e + shift
-            prev = work.get(mm)
-            if prev is None:
-                v = fld.neg(fld.mul(t, ce))
-                if not fld.is_zero(v):
-                    if mm & guard:
-                        raise OverflowError(
-                            f"monomial exponent overflow (cap {EXP_MAX}) in reduce_by_basis"
-                        )
-                    work[mm] = v
-                    heappush(heap, (-key(mm), mm))
-            else:
-                v = fld.sub(prev, fld.mul(t, ce))
-                if fld.is_zero(v):
-                    del work[mm]
-                else:
-                    work[mm] = v
-    return Polynomial(ring, out)
+                if tails[i] is None:
+                    tails[i], lcoeffs[i] = _split_lead(basis[i].terms, lm, p)
+                return i
+        return None
+
+    return Polynomial(
+        ring, _reduce(dict(f.terms), find_reducer, leads, tails, lcoeffs, ring.sort_key, p, guard)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +482,7 @@ def reduce_by_basis(f: Polynomial, basis) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def eliminate(ideal: Ideal, drop_vars, max_steps=None) -> Ideal:
+def eliminate(ideal: Ideal, drop_vars) -> Ideal:
     """I intersected with the subring omitting drop_vars.
 
     Variables are eliminated one at a time, each under a two-block order in
@@ -553,11 +502,11 @@ def eliminate(ideal: Ideal, drop_vars, max_steps=None) -> Ideal:
     pos = ideal.ring.var_index
     out = ideal
     for v in sorted(drop_list, key=lambda n: -pos[n]):
-        out = _eliminate_variable(out, v, max_steps)
+        out = _eliminate_variable(out, v)
     return out
 
 
-def _eliminate_variable(ideal: Ideal, var, max_steps) -> Ideal:
+def _eliminate_variable(ideal: Ideal, var) -> Ideal:
     ring = ideal.ring
     k = ring.var_index[var]
     keep = ring.names[:k] + ring.names[k + 1 :]
@@ -580,9 +529,7 @@ def _eliminate_variable(ideal: Ideal, var, max_steps) -> Ideal:
     gb = ()
     if gens:
         # the Hilbert series does not change under a permutation of the variables
-        gb = buchberger(
-            gens, order=elim_ring.order, max_steps=max_steps, hilbert=_known_numerator(ideal)
-        )
+        gb = buchberger(gens, order=elim_ring.order, hilbert=_known_numerator(ideal))
 
     kept_ring = RingContext(keep, keep_weights, DEGREVLEX, ring.field)
     result = [
@@ -746,7 +693,7 @@ def _known_numerator(ideal: Ideal):
     return None
 
 
-def hilbert_data(ideal: Ideal, max_steps=None) -> HilbertData:
+def hilbert_data(ideal: Ideal) -> HilbertData:
     """Dimension, degree, Hilbert polynomial and (for curves) arithmetic genus
     of a homogeneous ideal in a weight-1 ring."""
     ring = ideal.ring
@@ -755,7 +702,7 @@ def hilbert_data(ideal: Ideal, max_steps=None) -> HilbertData:
     if ideal._hilbert is not None:
         return ideal._hilbert
     n = ring.n
-    gb = ideal.groebner_basis(max_steps=max_steps)
+    gb = ideal.groebner_basis()
     num = _lead_numerator(ring, [g.lead_monomial() for g in gb])
     # strip factors of (1 - t); num(1) == 0 iff divisible
     s = 0
@@ -832,12 +779,12 @@ def _standard_monomials(ring, leads, t):
 
     def rec(i, rem, m):
         if i == n - 1:
-            mm = m | (rem << (8 * i))
-            if rem <= 127 and is_std(mm):
+            mm = m | (rem << (EXP_BITS * i))
+            if rem <= EXP_MAX and is_std(mm):
                 yield mm
             return
         for e in range(rem + 1):
-            mm = m | (e << (8 * i))
+            mm = m | (e << (EXP_BITS * i))
             if not is_std(mm):
                 continue
             yield from rec(i + 1, rem - e, mm)

@@ -559,21 +559,3 @@ class RingMap:
                     t = t * self._power(i, e)
             acc = acc + t
         return acc
-
-
-def poly_arith(op: str, f: Polynomial, g) -> Polynomial:
-    """Dispatch basic exact arithmetic: add, sub, mul, scale."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def apply_ring_map(phi: RingMap, f: Polynomial) -> Polynomial:
-    """Image of f under the substitution homomorphism, fully expanded."""
-    return phi(f)

@@ -307,7 +307,6 @@ def sample_curve_points(ideal: Ideal, count: int, rng=None, max_slices: int = 25
         raise ValueError(f"expected a curve, got dimension {hd.dimension}")
     points = []
     seen = set()
-    warned = False
     for _ in range(max_slices):
         gens_ring = ring.gens()
         hyper = sum(
@@ -327,7 +326,7 @@ def sample_curve_points(ideal: Ideal, count: int, rng=None, max_slices: int = 25
                 points.append(pt)
         if len(points) >= count:
             return points[:count]
-    if not warned and points:
+    if points:
         import warnings
 
         warnings.warn(

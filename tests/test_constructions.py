@@ -510,12 +510,11 @@ def test_hexapod_rigid_configs_pair_with_leg_curve():
 
 
 def test_seed_decomposition_identity():
-    # sum P_i^2 = U (e1^2+e2^2+e3^2) + V F with V normalized to 1
+    # sum P_i^2 = U (e1^2+e2^2+e3^2) + F
     for s in (3, 8):
         seed = draw_seed(s, F101)
         ring = seed.F.ring
         e1, e2, e3 = ring.gens()
         q = e1 * e1 + e2 * e2 + e3 * e3
         lhs = seed.P[0] * seed.P[0] + seed.P[1] * seed.P[1] + seed.P[2] * seed.P[2]
-        assert lhs == seed.U * q + seed.F.scale(seed.V)
-        assert seed.V == F101.one
+        assert lhs == seed.U * q + seed.F
