@@ -16,6 +16,9 @@ by the first basis element whose lead divides it; in the run that lookup is
 cached per monomial.  Basis elements are kept monic over GF(p) and
 content-normalized over Q during the run.  The reduced basis is unique for a
 fixed order, so output is bit-reproducible regardless of internal scheduling.
+
+Hilbert series numerators are `unipoly` coefficient lists of ints (the unit
+ideal's is [], stored as (0,) in HilbertData).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from heapq import heapify, heappop, heappush
 from math import inf
 from operator import le
 
+from . import unipoly
 from .fields import QQ, FieldError
 from .rings import DEGREVLEX, EXP_BITS, EXP_MASK, EXP_MAX, Polynomial, RingContext, elim_order
 
@@ -216,7 +220,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     p = ring.field.p if modp else None
     guard = ring.guard_mask
     if hilbert is not None:
-        hilbert = _trim(hilbert)
+        hilbert = unipoly.trim(hilbert)
 
     leads = []      # leading monomial per basis element
     tails = []      # list of (monomial, coeff) pairs, excluding the lead
@@ -566,42 +570,15 @@ def _minimalize(gens):
     return out
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_add(a, b, scale=1, shift=0):
-    out = list(a) + [0] * max(0, shift + len(b) - len(a))
-    for j, y in enumerate(b):
-        out[shift + j] += scale * y
-    return out
-
-
 def _one_minus_t_power(d):
-    out = [0] * (d + 1)
-    out[0] = 1
-    out[d] = -1
-    return out
-
-
-def _trim(num):
-    num = list(num)
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
+    return unipoly.add([1], [1], scale=-1, shift=d)
 
 
 def _hilbert_numerator(gens, weights):
     """Numerator of the Hilbert series of R/I for a monomial ideal I, graded
     by the variable weights: HS = N(t) / prod(1 - t^w).  gens: exponent
     tuples.  Returned with trailing zeros trimmed."""
-    return _trim(_hilbert_numerator_rec(_minimalize(gens), weights))
+    return unipoly.trim(_hilbert_numerator_rec(_minimalize(gens), weights))
 
 
 def _hilbert_numerator_rec(gens, weights):
@@ -613,7 +590,7 @@ def _hilbert_numerator_rec(gens, weights):
     if not gens:
         return [1]
     if any(sum(g) == 0 for g in gens):
-        return [0]  # unit ideal
+        return []  # unit ideal
     pure = []
     mixed = []
     for g in gens:
@@ -622,18 +599,15 @@ def _hilbert_numerator_rec(gens, weights):
     if len(mixed) <= 1:
         num = [1]
         for g in pure:
-            num = _poly_mul(num, _one_minus_t_power(deg(g)))
+            num = unipoly.mul(num, _one_minus_t_power(deg(g)))
         if mixed:
             m = mixed[0]
             colon = [1]
             for g in pure:
                 # pure powers: g / gcd(g, m) is again a pure power
                 d = deg(tuple(max(a - b, 0) for a, b in zip(g, m)))
-                if d == 0:
-                    colon = [0]
-                    break
-                colon = _poly_mul(colon, _one_minus_t_power(d))
-            num = _poly_add(num, colon, scale=-1, shift=deg(m))
+                colon = unipoly.mul(colon, _one_minus_t_power(d))
+            num = unipoly.add(num, colon, scale=-1, shift=deg(m))
         return num
     # pivot: most frequent variable among mixed generators, median exponent
     n = len(gens[0])
@@ -649,10 +623,9 @@ def _hilbert_numerator_rec(gens, weights):
     plus = [g for g in gens if g[j] < e]
     plus.append(tuple(e if i == j else 0 for i in range(n)))
     colon = _minimalize([g[:j] + (max(g[j] - e, 0),) + g[j + 1 :] for g in gens])
-    return _poly_add(
+    return unipoly.add(
         _hilbert_numerator_rec(plus, weights),
         _hilbert_numerator_rec(colon, weights),
-        scale=1,
         shift=weights[j] * e,
     )
 
@@ -685,8 +658,8 @@ def _known_numerator(ideal: Ideal):
     if hd is not None:
         num = list(hd.numerator)
         for _ in range(ring.n - hd.dimension - 1):
-            num = _poly_mul(num, [1, -1])
-        return _trim(num)
+            num = unipoly.mul(num, [1, -1])
+        return unipoly.trim(num)
     gb = ideal._gb.get(ring.order)
     if gb is not None:
         return _lead_numerator(ring, [g.lead_monomial() for g in gb])
@@ -706,15 +679,10 @@ def hilbert_data(ideal: Ideal) -> HilbertData:
     num = _lead_numerator(ring, [g.lead_monomial() for g in gb])
     # strip factors of (1 - t); num(1) == 0 iff divisible
     s = 0
-    while any(num) and sum(num) == 0:
-        q = [0] * (len(num) - 1)
-        carry = 0
-        for i in range(len(num) - 1):
-            carry += num[i]
-            q[i] = carry
-        num = q or [0]
+    while num and sum(num) == 0:
+        num = unipoly.divmod(num, [1, -1])[0]
         s += 1
-    if not any(num):
+    if not num:
         # unit ideal: empty projective scheme
         data = HilbertData(-1, 0, (Fraction(0),), None, (0,))
         ideal._hilbert = data
@@ -733,7 +701,7 @@ def hilbert_data(ideal: Ideal) -> HilbertData:
             # binom(t - j + D - 1, D - 1) as a polynomial in t
             term = [Fraction(1)]
             for i in range(D - 1):
-                term = _polyfrac_mul_linear(term, Fraction(D - 1 - i - j))
+                term = unipoly.mul(term, [Fraction(D - 1 - i - j), 1])
             scale = Fraction(c, 1)
             for i in range(1, D):
                 scale /= i
@@ -746,15 +714,6 @@ def hilbert_data(ideal: Ideal) -> HilbertData:
     data = HilbertData(proj_dim, degree, tuple(hp), genus, tuple(num))
     ideal._hilbert = data
     return data
-
-
-def _polyfrac_mul_linear(poly, const):
-    """Multiply an ascending-coefficient polynomial in t by (t + const)."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, v in enumerate(poly):
-        out[i + 1] += v
-        out[i] += const * v
-    return out
 
 
 def standard_monomials(ideal: Ideal, t: int):

@@ -3,10 +3,13 @@
 Matrices are lists of equal-length rows of field scalars.  Everything is
 deterministic: pivots are chosen first-nonzero, kernel bases follow the
 standard free-column convention, so results are reproducible bit for bit.
+The characteristic polynomial's Hessenberg recurrence runs on `unipoly`
+coefficient lists (ints mod p over GF(p), Fractions over Q).
 """
 
 from __future__ import annotations
 
+from . import unipoly
 from .fields import QQ
 
 
@@ -203,33 +206,16 @@ def charpoly(rows, field):
                 for r in a:
                     r[col + 1] = field.add(r[col + 1], field.mul(f, r[i]))
     # charpoly of Hessenberg matrix: p_0 = 1, p_k = charpoly of leading k x k block
+    p = None if field is QQ else field.p
     polys = [[field.one]]
     for k in range(1, n + 1):
         # p_k(x) = (x - a[k-1][k-1]) p_{k-1}(x) - sum_{i} a[i-1][k-1] * (prod subdiag) p_{i-1}(x)
-        pk = _poly_shift_mul(polys[k - 1], a[k - 1][k - 1], field)
+        pk = unipoly.mul(polys[k - 1], [field.neg(a[k - 1][k - 1]), field.one], p)
         prod = field.one
         for i in range(k - 1, 0, -1):
             prod = field.mul(prod, a[i][i - 1])
             term = field.mul(prod, a[i - 1][k - 1])
             if not field.is_zero(term):
-                pk = _poly_axpy(pk, polys[i - 1], field.neg(term), field)
+                pk = unipoly.add(pk, polys[i - 1], scale=field.neg(term), p=p)
         polys.append(pk)
     return polys[n]
-
-
-def _poly_shift_mul(p, c, field):
-    """(x - c) * p for coefficient lists ascending in x."""
-    out = [field.zero] * (len(p) + 1)
-    for i, v in enumerate(p):
-        out[i + 1] = field.add(out[i + 1], v)
-        out[i] = field.sub(out[i], field.mul(c, v))
-    return out
-
-
-def _poly_axpy(p, q, c, field):
-    out = list(p)
-    while len(out) < len(q):
-        out.append(field.zero)
-    for i, v in enumerate(q):
-        out[i] = field.add(out[i], field.mul(c, v))
-    return out

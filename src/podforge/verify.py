@@ -6,7 +6,9 @@ slice of a curve is a zero-dimensional scheme, its points are read off the
 generalized eigenvalue problem of two generic multiplication maps on the
 quotient, and every emitted point is verified exactly against all generators.
 The real path isolates univariate roots with exact Sturm sequences before any
-floating refinement, so no real root is spurious or missed.
+floating refinement, so no real root is spurious or missed.  All univariate
+arithmetic (roots over GF(p), Sturm sequences, the Newton polish) runs on the
+coefficient lists of `unipoly`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, unipoly
 from .fields import QQ
 from .groebner import Ideal, hilbert_data, reduce_by_basis, standard_monomials
 from .models import EULER_NAMES, IsometryPoint, Leg, sum_
@@ -32,59 +34,9 @@ class SamplingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _poly_mod_trim(c, p):
-    c = [x % p for x in c]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mod_divmod(a, b, p):
-    a = list(a)
-    binv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] * binv % p
-        if f:
-            q[i] = f
-            for j, bc in enumerate(b):
-                a[i + j] = (a[i + j] - f * bc) % p
-    return q, _poly_mod_trim(a[: len(b) - 1], p)
-
-
-def _poly_mod_gcd(a, b, p):
-    a, b = _poly_mod_trim(a, p), _poly_mod_trim(b, p)
-    while b:
-        a, b = b, _poly_mod_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-def _poly_mod_mulmod(a, b, m, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_mod_divmod(out, m, p)[1] if len(out) >= len(m) else _poly_mod_trim(out, p)
-
-
-def _poly_mod_powmod(base, e, m, p):
-    result = [1]
-    base = _poly_mod_divmod(base, m, p)[1] if len(base) >= len(m) else list(base)
-    while e:
-        if e & 1:
-            result = _poly_mod_mulmod(result, base, m, p)
-        e >>= 1
-        if e:
-            base = _poly_mod_mulmod(base, base, m, p)
-    return result
-
-
 def roots_mod_p(coeffs, p, rng=None):
     """Distinct roots in GF(p) of a univariate polynomial (ascending ints)."""
-    c = _poly_mod_trim(coeffs, p)
+    c = unipoly.trim(coeffs, p)
     if not c:
         raise ValueError("zero polynomial")
     roots = []
@@ -96,16 +48,13 @@ def roots_mod_p(coeffs, p, rng=None):
         return sorted(roots)
     if p <= 4096:
         for x in range(p):
-            acc = 0
-            for cc in reversed(c):
-                acc = (acc * x + cc) % p
-            if acc == 0 and x not in roots:
+            if unipoly.evaluate(c, x, p) == 0 and x not in roots:
                 roots.append(x)
         return sorted(roots)
     # Cantor-Zassenhaus: split the product of linear factors
     rng = rng or random.Random(0xC2)
-    xp = _poly_mod_powmod([0, 1], p, c, p)
-    lin = _poly_mod_gcd([(a - b) % p for a, b in _zip_pad(xp, [0, 1])], c, p)
+    xp = unipoly.powmod([0, 1], p, c, p)
+    lin = unipoly.gcd(unipoly.add(xp, [0, 1], scale=-1, p=p), c, p)
     stack = [lin]
     while stack:
         f = stack.pop()
@@ -116,19 +65,13 @@ def roots_mod_p(coeffs, p, rng=None):
             continue
         while True:
             a = rng.randrange(p)
-            probe = _poly_mod_powmod([a, 1], (p - 1) // 2, f, p)
-            probe = _poly_mod_trim([(probe[0] - 1) % p] + probe[1:], p) if probe else [p - 1]
-            g = _poly_mod_gcd(probe, f, p)
+            probe = unipoly.powmod([a, 1], (p - 1) // 2, f, p)
+            g = unipoly.gcd(unipoly.add(probe, [1], scale=-1, p=p), f, p)
             if 0 < len(g) - 1 < len(f) - 1:
                 stack.append(g)
-                stack.append(_poly_mod_divmod(f, g, p)[0])
+                stack.append(unipoly.divmod(f, g, p)[0])
                 break
     return sorted(set(roots))
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +134,22 @@ def multiplication_data(ideal: Ideal, rng=None, max_degree=40):
     raise SamplingError("no invertible multiplication map found")
 
 
+def _coordinate_vectors(bt, j_star, gb, ring):
+    """Factor the basis monomial bt[j_star] as x_k * m' (x_k its first
+    variable) and return, for each variable x_i, the coordinates over bt of
+    the normal form of x_i * m'.  Paired with the evaluation functional v of
+    a point (v[j_star] != 0), they give the point's coordinates up to scale."""
+    m = bt[j_star]
+    k = next(i for i in range(ring.n) if (m >> (EXP_BITS * i)) & EXP_MASK)
+    parent = m - (1 << (EXP_BITS * k))
+    idx_t = {mm: i for i, mm in enumerate(bt)}
+    return [
+        _nf_in_basis(Polynomial(ring, {parent + (1 << (EXP_BITS * i)): ring.field.one}),
+                     gb, idx_t, ring)
+        for i in range(ring.n)
+    ]
+
+
 def _recover_point(v, bt, gb, ring):
     """Coordinates of a point from its evaluation functional on basis_t."""
     field = ring.field
@@ -201,18 +160,10 @@ def _recover_point(v, bt, gb, ring):
             break
     if j_star is None:
         return None
-    m = bt[j_star]
-    # factor basis monomial as x_k * m'
-    k = next(i for i in range(ring.n) if (m >> (EXP_BITS * i)) & EXP_MASK)
-    parent = m - (1 << (EXP_BITS * k))
-    idx_t = {mm: i for i, mm in enumerate(bt)}
-    coords = []
-    for i in range(ring.n):
-        xi_m = parent + (1 << (EXP_BITS * i))
-        vec = _nf_in_basis(
-            Polynomial(ring, {xi_m: field.one}), gb, idx_t, ring
-        )
-        coords.append(sum_(field, (field.mul(vec[j], v[j]) for j in range(len(bt)))))
+    coords = [
+        sum_(field, (field.mul(x, y) for x, y in zip(vec, v)))
+        for vec in _coordinate_vectors(bt, j_star, gb, ring)
+    ]
     if all(field.is_zero(c) for c in coords):
         return None
     return tuple(coords)
@@ -340,64 +291,14 @@ def sample_curve_points(ideal: Ideal, count: int, rng=None, max_slices: int = 25
 # ---------------------------------------------------------------------------
 
 
-def _uni_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _uni_eval(c, x):
-    acc = Fraction(0)
-    for cc in reversed(c):
-        acc = acc * x + cc
-    return acc
-
-
-def _uni_deriv(c):
-    return [i * cc for i, cc in enumerate(c)][1:]
-
-
-def _uni_primitive(c):
-    """Scale by a positive rational to coprime integer coefficients.
-
-    Positive scaling preserves every sign, so Sturm variation counts are
-    unchanged while coefficient growth stays under control."""
-    from math import gcd
-
-    c = _uni_trim(c)
-    if not c:
-        return []
-    den = 1
-    for x in c:
-        x = Fraction(x)
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(Fraction(x) * den) for x in c]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return [x // g for x in ints] if g > 1 else ints
-
-
-def _uni_rem(a, b):
-    a = _uni_trim([Fraction(x) for x in a])
-    b = [Fraction(x) for x in b]
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for j, bc in enumerate(b):
-            a[shift + j] -= f * bc
-        a = _uni_trim(a)
-    return a
-
-
-def _uni_gcd(a, b):
-    """Polynomial gcd via the primitive remainder sequence (integer-only)."""
-    a, b = _uni_primitive(a), _uni_primitive(b)
-    while b:
-        r = _uni_primitive(_uni_rem(a, b))
-        a, b = b, r
-    return a
+def _squarefree_part(coeffs):
+    """The primitive square-free part f / gcd(f, f') of a polynomial over Q."""
+    f = unipoly.normalized(coeffs)
+    if len(f) > 1:
+        g = unipoly.gcd(f, unipoly.derivative(f))
+        if len(g) > 1:
+            f = unipoly.normalized(unipoly.divmod(f, g)[0])
+    return f
 
 
 def sturm_sequence(coeffs):
@@ -407,33 +308,16 @@ def sturm_sequence(coeffs):
     rescaling, harmless for sign variations); remainders are computed on the
     small primitive representatives, which keeps the classical coefficient
     explosion of the raw Euclidean sequence in check."""
-    f = _uni_primitive(coeffs)
+    f = _squarefree_part(coeffs)
     if len(f) <= 1:
         return [f] if f else []
-    g = _uni_gcd(f, _uni_deriv(f))
-    if len(g) > 1:
-        f = _uni_primitive(_uni_quot(f, g))
-    seq = [f, _uni_primitive(_uni_deriv(f))]
-    while seq[-1]:
-        r = _uni_rem(seq[-2], seq[-1])
+    seq = [f, unipoly.normalized(unipoly.derivative(f))]
+    while True:
+        r = unipoly.divmod(seq[-2], seq[-1])[1]
         if not r:
             break
-        seq.append(_uni_primitive([-c for c in r]))
+        seq.append(unipoly.normalized([-c for c in r]))
     return seq
-
-
-def _uni_quot(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(_uni_trim(a)) >= len(b):
-        a = _uni_trim(a)
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for j, bc in enumerate(b):
-            a[shift + j] -= f * bc
-        a = _uni_trim(a)
-    return _uni_trim(q)
 
 
 def _variations(values):
@@ -443,13 +327,13 @@ def _variations(values):
 
 def sturm_count(seq, lo, hi):
     """Number of distinct real roots in (lo, hi]."""
-    va = _variations([_uni_eval(f, lo) for f in seq])
-    vb = _variations([_uni_eval(f, hi) for f in seq])
+    va = _variations([unipoly.evaluate(f, lo) for f in seq])
+    vb = _variations([unipoly.evaluate(f, hi) for f in seq])
     return va - vb
 
 
 def cauchy_bound(coeffs):
-    c = _uni_trim([Fraction(x) for x in coeffs])
+    c = unipoly.trim([Fraction(x) for x in coeffs])
     lead = abs(c[-1])
     return 1 + max((abs(x) / lead for x in c[:-1]), default=Fraction(0))
 
@@ -457,15 +341,15 @@ def cauchy_bound(coeffs):
 def isolate_real_roots(coeffs):
     """Disjoint open-ish rational intervals, one simple root each, via exact
     Sturm bisection.  Interval endpoints are never roots."""
-    f = _uni_trim([Fraction(c) for c in coeffs])
+    f = unipoly.trim([Fraction(c) for c in coeffs])
     if len(f) <= 1:
         return []
     seq = sturm_sequence(f)
     bound = cauchy_bound(f)
     lo, hi = -bound - 1, bound + 1
-    while _uni_eval(seq[0], lo) == 0:
+    while unipoly.evaluate(seq[0], lo) == 0:
         lo -= 1
-    while _uni_eval(seq[0], hi) == 0:
+    while unipoly.evaluate(seq[0], hi) == 0:
         hi += 1
     total = sturm_count(seq, lo, hi)
     out = []
@@ -478,7 +362,7 @@ def isolate_real_roots(coeffs):
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        while _uni_eval(seq[0], mid) == 0:
+        while unipoly.evaluate(seq[0], mid) == 0:
             mid = mid + (b - a) / 997  # tiny rational nudge off the root
         nl = sturm_count(seq, a, mid)
         stack.append((a, mid, nl))
@@ -489,13 +373,14 @@ def isolate_real_roots(coeffs):
 
 def refine_root(coeffs, interval, eps=Fraction(1, 10 ** 12)):
     """Shrink an isolating interval by exact bisection to width <= eps."""
-    f = _uni_trim([Fraction(c) for c in coeffs])
-    seq = sturm_sequence(f)
+    f = _squarefree_part([Fraction(c) for c in coeffs])
+    if not f:
+        raise ValueError("zero polynomial")
     a, b = interval
-    fa = _uni_eval(seq[0], a)
+    fa = unipoly.evaluate(f, a)
     while b - a > eps:
         mid = (a + b) / 2
-        fm = _uni_eval(seq[0], mid)
+        fm = unipoly.evaluate(f, mid)
         if fm == 0:
             # exact root: collapse to a degenerate interval at mid
             return (mid, mid)
@@ -508,20 +393,13 @@ def refine_root(coeffs, interval, eps=Fraction(1, 10 ** 12)):
 
 def polish_float_root(coeffs, x0: float, iterations: int = 6) -> float:
     c = [float(x) for x in coeffs]
-    dc = [i * x for i, x in enumerate(c)][1:]
-
-    def ev(cs, x):
-        acc = 0.0
-        for v in reversed(cs):
-            acc = acc * x + v
-        return acc
-
+    dc = unipoly.derivative(c)
     x = x0
     for _ in range(iterations):
-        d = ev(dc, x)
+        d = unipoly.evaluate(dc, x)
         if d == 0:
             break
-        x = x - ev(c, x) / d
+        x = x - unipoly.evaluate(c, x) / d
     return x
 
 
@@ -558,7 +436,7 @@ def real_configurations(seed, count: int, grid: int = 40):
             break
         e2 = Fraction(k, max(1, grid // 8))
         uni = _substitute_e2(seed.F, e2)
-        if len(_uni_trim(uni)) <= 1:
+        if len(unipoly.trim(uni)) <= 1:
             continue
         for interval in isolate_real_roots(uni):
             a, b = refine_root(uni, interval)
@@ -675,19 +553,10 @@ def _float_leg_from_functional(v, bt, gb, ring, tol):
     j_star = int(np.argmax(np.abs(v)))
     if abs(v[j_star]) < 1e-12:
         return None
-    m = bt[j_star]
-    k = next(i for i in range(ring.n) if (m >> (EXP_BITS * i)) & EXP_MASK)
-    parent = m - (1 << (EXP_BITS * k))
-    idx_t = {mm: i for i, mm in enumerate(bt)}
-    coords = []
-    for i in range(ring.n):
-        vec = _nf_in_basis(
-            Polynomial(ring, {parent + (1 << (EXP_BITS * i)): ring.field.one}),
-            gb,
-            idx_t,
-            ring,
-        )
-        coords.append(float(np.dot([float(c) for c in vec], v)))
+    coords = [
+        float(np.dot([float(c) for c in vec], v))
+        for vec in _coordinate_vectors(bt, j_star, gb, ring)
+    ]
     scale = max(abs(c) for c in coords)
     if scale == 0:
         return None

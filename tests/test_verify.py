@@ -200,6 +200,26 @@ def test_isolate_handles_multiple_roots():
     assert len(isolate_real_roots(f)) == 2
 
 
+def test_refine_both_roots_of_repeated_root_polynomial():
+    # (x - 1)^2 (x + 2): refining works on the square-free part
+    f = [2, -3, 0, 1]
+    refined = [refine_root(f, interval) for interval in isolate_real_roots(f)]
+    assert len(refined) == 2
+    for (lo, hi), root in zip(refined, (-2, 1)):
+        assert lo <= root <= hi and hi - lo <= Fraction(1, 10 ** 12)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        refine_root([0, 0], (0, 1))
+
+
+def test_square_free_part_is_exact_for_large_coefficients():
+    # (x - a)^2 (x + 1): f / gcd(f, f') must not pass through floats
+    a = 10 ** 17 + 3
+    f = [a * a, a * a - 2 * a, 1 - 2 * a, 1]
+    assert sturm_sequence(f)[0] == [a, a - 1, -1]
+    (lo1, hi1), (lo2, hi2) = isolate_real_roots(f)
+    assert lo1 < -1 < hi1 and lo2 < a < hi2
+
+
 def test_refine_and_polish():
     f = [-2, 0, 1]  # x^2 - 2
     (lo, hi) = isolate_real_roots(f)[1]
