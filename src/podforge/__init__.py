@@ -16,11 +16,9 @@ from .groebner import (
     normal_form,
 )
 from .models import (
-    EulerPoint,
     IsometryPoint,
     Leg,
     LegPoint,
-    ZPoint,
     euler_rho,
     ideal_X,
     ideal_X_inv,

@@ -75,18 +75,6 @@ class BilinearForm:
             for row in self.entries
         )
 
-    def right_form_of_point(self, left_coords, field):
-        """The covector B(v, .) on the right space induced by a left point."""
-        n = len(self.right_names)
-        out = []
-        for j in range(n):
-            acc = field.zero
-            for i, row in enumerate(self.entries):
-                if row[j]:
-                    acc = field.add(acc, field.mul(field.of(row[j]), field.of(left_coords[i])))
-            out.append(acc)
-        return tuple(out)
-
 
 def _pair_matrix(left, right, pairs):
     rows = [[0] * len(right) for _ in left]
@@ -297,9 +285,6 @@ class LinearSubspace:
 
     def point_basis(self):
         return self.basis if self.kind == "points" else self.converted().basis
-
-    def form_basis(self):
-        return self.basis if self.kind == "forms" else self.converted().basis
 
 
 def same_subspace(s1: LinearSubspace, s2: LinearSubspace) -> bool:

@@ -89,31 +89,6 @@ def row_space_basis(rows, field):
     return red
 
 
-def solve_in_span(rows, target, field):
-    """Coefficients c with sum(c_i * rows_i) = target, or None.
-
-    Solves rows^T c = target via RREF of the augmented matrix."""
-    if not rows:
-        return None
-    mat = [[field.of(rows[j][i]) for j in range(len(rows))] + [field.of(target[i])]
-           for i in range(len(rows[0]))]
-    red, pivots = rref(mat, field)
-    ncols = len(rows)
-    coeffs = [field.zero] * ncols
-    for r, pc in zip(red, pivots):
-        if pc == ncols:
-            return None  # inconsistent
-        coeffs[pc] = r[-1]
-    # verify (guards against underdetermined fits)
-    for i in range(len(rows[0])):
-        acc = field.zero
-        for j in range(ncols):
-            acc = field.add(acc, field.mul(coeffs[j], field.of(rows[j][i])))
-        if acc != field.of(target[i]):
-            return None
-    return coeffs
-
-
 def _transpose(rows):
     return [list(col) for col in zip(*rows)]
 

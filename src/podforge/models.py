@@ -60,10 +60,6 @@ def ring_X_p(field=QQ):
     return _ring(XP_NAMES, (1,) * 10, field)
 
 
-def ring_X_inv(field=QQ):
-    return _ring(XINV_NAMES, (1,) * 11, field)
-
-
 def ring_X_pinv(field=QQ):
     return _ring(XPINV_NAMES, (1,) * 7, field)
 
@@ -131,26 +127,6 @@ class IsometryPoint:
     def matrix(self):
         c = self.coords
         return [list(c[0:3]), list(c[3:6]), list(c[6:9])]
-
-
-@dataclass(frozen=True)
-class EulerPoint:
-    """Euler coordinates (e0 : e1 : e2 : e3); the construction uses e0 = 0."""
-
-    e0: object
-    e1: object
-    e2: object
-    e3: object
-
-
-@dataclass(frozen=True)
-class ZPoint:
-    """A point of the weighted model: (e1:e2:e3) of weight one and
-    (p1..p3, q1..q3) of weight two."""
-
-    e: tuple
-    p: tuple
-    q: tuple
 
 
 @dataclass(frozen=True)

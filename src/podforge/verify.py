@@ -2,11 +2,13 @@
 leg extraction over Q, and end-to-end pod certification.
 
 Finite-field sampling is the primary certification path: a random hyperplane
-slice of a curve is a zero-dimensional scheme, its points are read off the
-generalized eigenvalue problem of two generic multiplication maps on the
-quotient, and every emitted point is verified exactly against all generators.
-The real path isolates univariate roots with exact Sturm sequences before any
-floating refinement, so no real root is spurious or missed.  All univariate
+slice of a curve is a zero-dimensional scheme, and `multiplication_data`
+builds one multiplication map A = M0^-1 M1 on its quotient.  The evaluation
+functionals of the points are the left eigenvectors of A (Auzinger-Stetter),
+so over GF(p) each eigenvector gives its point, and every emitted point is
+verified exactly against all generators.  The real path isolates the roots
+of A's characteristic polynomial over Q with exact Sturm sequences before
+any floating refinement, so no real root is spurious or missed.  All univariate
 arithmetic (roots over GF(p), Sturm sequences, the Newton polish) runs on the
 coefficient lists of `unipoly`.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import accumulate
 
 from . import linalg, unipoly
 from .fields import QQ
@@ -88,49 +91,48 @@ def _nf_in_basis(poly, gb, basis_index, ring):
     return vec
 
 
-def multiplication_data(ideal: Ideal, rng=None, max_degree=40):
-    """Two generic multiplication maps on a zero-dimensional projective
-    quotient: returns (basis_t, basis_t1, M0, M1, ell0, ell1).
+def _random_form(ring, rng, lo, hi):
+    """A linear form with coefficients drawn uniformly from [lo, hi]."""
+    field = ring.field
+    return sum((g.scale(field.of(rng.randint(lo, hi))) for g in ring.gens()), ring.zero())
 
-    M_i is d x d with column j the coordinates of NF(ell_i * basis_t[j]) in
-    basis_t1; M0 is invertible for generic forms."""
+
+def multiplication_data(ideal: Ideal, rng=None):
+    """The multiplication map of a zero-dimensional projective quotient:
+    returns (basis_t, M0, M1, A) with A = M0^-1 M1.
+
+    basis_t holds the degree-t standard monomials for the least t >= 1 with
+    HF(t) = HF(t + 1) = degree, read off the partial sums of the Hilbert
+    numerator.  M_i is d x d with column j the coordinates of
+    NF(ell_i * basis_t[j]) over the degree-(t + 1) standard monomials, for
+    random linear forms ell_0, ell_1, redrawn until M0 is invertible.  A is
+    multiplication by ell_1 / ell_0 on the degree-t part: the evaluation
+    functional of a point p on basis_t is a left eigenvector of A with
+    eigenvalue ell_1(p) / ell_0(p)."""
     ring = ideal.ring
     field = ring.field
     hd = hilbert_data(ideal)
     if hd.dimension != 0:
         raise ValueError(f"expected a zero-dimensional scheme, got dimension {hd.dimension}")
     d = hd.degree
+    hf = list(accumulate(hd.numerator)) + [d, d]
+    t = next(s for s in range(1, len(hf) - 1) if hf[s] == hf[s + 1] == d)
     gb = ideal.groebner_basis()
-    t = 1
-    while True:
-        bt = standard_monomials(ideal, t)
-        if len(bt) == d:
-            bt1 = standard_monomials(ideal, t + 1)
-            if len(bt1) == d:
-                break
-        if t > max_degree:
-            raise SamplingError("Hilbert function did not stabilize")
-        t += 1
-    idx1 = {m: i for i, m in enumerate(bt1)}
+    bt = standard_monomials(ideal, t)
+    idx1 = {m: i for i, m in enumerate(standard_monomials(ideal, t + 1))}
     rng = rng or random.Random(0x5EED)
-    gens = ring.gens()
     for _ in range(20):
-        ells = []
-        for _ in range(2):
-            ells.append(
-                sum((g.scale(field.of(rng.randint(0, 1000))) for g in gens), ring.zero())
-            )
+        ells = [_random_form(ring, rng, 0, 1000) for _ in range(2)]
         mats = []
         for ell in ells:
-            cols = []
-            for m in bt:
-                cols.append(_nf_in_basis(ell.mul_term(m, field.one), gb, idx1, ring))
+            cols = [_nf_in_basis(ell.mul_term(m, field.one), gb, idx1, ring) for m in bt]
             mats.append([list(row) for row in zip(*cols)])
+        M0, M1 = mats
         try:
-            linalg.mat_inverse(mats[0], field)
+            minv = linalg.mat_inverse(M0, field)
         except ValueError:
             continue
-        return bt, bt1, mats[0], mats[1], ells[0], ells[1]
+        return bt, M0, M1, linalg.mat_mul(minv, M1, field)
     raise SamplingError("no invertible multiplication map found")
 
 
@@ -176,7 +178,8 @@ def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
     """All rational points of a zero-dimensional projective scheme over its
     field, each verified exactly against every generator.
 
-    The points are read off the eigenvectors of a random multiplication map.
+    The points are read off the left eigenvectors of a random multiplication
+    map, each one the evaluation functional of its point.
     Two points at which the random forms take the same ratio share an
     eigenspace, whose vectors mix them; the forms are then redrawn, and
     SamplingError is raised after _FORM_DRAWS draws."""
@@ -199,10 +202,8 @@ def _solve_with_random_forms(ideal, max_points, form_rng, root_rng):
     dimension 2 or more."""
     ring = ideal.ring
     field = ring.field
-    bt, _bt1, M0, M1, _e0, _e1 = multiplication_data(ideal, form_rng)
+    bt, _M0, _M1, A = multiplication_data(ideal, form_rng)
     gb = ideal.groebner_basis()
-    minv = linalg.mat_inverse(M0, field)
-    A = linalg.mat_mul(minv, M1, field)
     cp = linalg.charpoly(A, field)
     p = field.p
     lambdas = roots_mod_p([int(c) % p for c in cp], p, root_rng)
@@ -218,9 +219,8 @@ def _solve_with_random_forms(ideal, max_points, form_rng, root_rng):
         if len(kernel) > 1:
             return None
         for w in kernel:
-            # v = w^t M0 is the evaluation functional on basis_t
-            v = linalg.mat_vec(linalg._transpose(M0), list(w), field)
-            pt = _recover_point(v, bt, gb, ring)
+            # a left eigenvector of A is the point's evaluation functional
+            pt = _recover_point(w, bt, gb, ring)
             if pt is None:
                 continue
             if not ideal.contains_point(pt):
@@ -259,11 +259,7 @@ def sample_curve_points(ideal: Ideal, count: int, rng=None, max_slices: int = 25
     points = []
     seen = set()
     for _ in range(max_slices):
-        gens_ring = ring.gens()
-        hyper = sum(
-            (g.scale(field.of(rng.randint(0, field.p - 1))) for g in gens_ring),
-            ring.zero(),
-        )
+        hyper = _random_form(ring, rng, 0, field.p - 1)
         if hyper.is_zero():
             continue
         sliced = ideal + [hyper]
@@ -372,12 +368,20 @@ def isolate_real_roots(coeffs):
 
 
 def refine_root(coeffs, interval, eps=Fraction(1, 10 ** 12)):
-    """Shrink an isolating interval by exact bisection to width <= eps."""
-    f = _squarefree_part([Fraction(c) for c in coeffs])
+    """Shrink an isolating interval by exact bisection to width <= eps.
+
+    When f changes sign across the interval its root there has odd
+    multiplicity, and f is its square-free part times a factor of constant
+    sign on the interval, so bisecting f itself gives the same intervals.
+    The square-free part is computed only for a root of even multiplicity."""
+    f = unipoly.normalized([Fraction(c) for c in coeffs])
     if not f:
         raise ValueError("zero polynomial")
     a, b = interval
     fa = unipoly.evaluate(f, a)
+    if fa * unipoly.evaluate(f, b) >= 0:
+        f = _squarefree_part(f)
+        fa = unipoly.evaluate(f, a)
     while b - a > eps:
         mid = (a + b) / 2
         fm = unipoly.evaluate(f, mid)
@@ -507,19 +511,15 @@ def real_legs(bundle, count: int, rng=None, max_slices: int = 12, tol: float = 1
     for _ in range(max_slices):
         if len(legs) >= count:
             break
-        hyper = sum(
-            (g.scale(Fraction(rng.randint(-9, 9))) for g in ring.gens()), ring.zero()
-        )
+        hyper = _random_form(ring, rng, -9, 9)
         if hyper.is_zero():
             continue
         sliced = ideal + [hyper]
         try:
-            bt, _bt1, M0, M1, _e0, _e1 = multiplication_data(sliced, rng)
+            bt, M0, M1, A = multiplication_data(sliced, rng)
         except (SamplingError, ValueError):
             continue
         gb = sliced.groebner_basis()
-        minv = linalg.mat_inverse(M0, QQ)
-        A = linalg.mat_mul(minv, M1, QQ)
         cp = linalg.charpoly(A, QQ)
         slice_degrees.append(len(cp) - 1)
         m0f = np.array([[float(c) for c in row] for row in M0])
