@@ -14,6 +14,7 @@ from .groebner import (
     hilbert_data,
     linear_part,
     normal_form,
+    saturate,
 )
 from .models import (
     IsometryPoint,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .fields import QQ, GF
-from .groebner import Ideal, eliminate, hilbert_data, normal_form
+from .groebner import Ideal, eliminate, hilbert_data, normal_form, saturate
 from .models import (
     EULER_NAMES,
     X_NAMES,
@@ -476,7 +476,13 @@ def duporcq_sixth_leg(legs) -> Leg:
 
 def pentapod_config_ideal(legs) -> Ideal:
     """Configurations of a pentapod: the isometry model cut by the five
-    sphere-condition hyperplanes in P^16."""
+    sphere-condition hyperplanes in P^16, saturated at h = 0.
+
+    The cut I carries boundary points on h = 0 (X is a closure, so they
+    satisfy it); a pose has h != 0.  The result is J = I : h^infinity, whose
+    points are the closure of the poses: V(I) and V(J) differ only inside
+    h = 0, so no pose is lost.  J's reduced degrevlex basis is its generator
+    set and is cached, so its slices get a Hilbert-series bound for free."""
     field = legs[0].field
     from .models import ideal_X
     from .duality import leg_to_point
@@ -487,7 +493,7 @@ def pentapod_config_ideal(legs) -> Ideal:
     for leg in legs:
         cov = B.left_form_of_point(leg_to_point(leg).coords(), field)
         forms.append(_linear_of_covector(cov, rx))
-    return ideal_X(field) + forms
+    return saturate(ideal_X(field) + forms, "h")
 
 
 def legs_span_subspace(legs, field) -> LinearSubspace:

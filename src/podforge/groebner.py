@@ -2,11 +2,14 @@
 
 Buchberger with the Gebauer-Moeller pair criteria, run degree by degree:
 S-pairs are taken by (weighted degree, order key) and each input generator is
-reduced at its own degree.  Given the Hilbert series of the ideal (which does
-not depend on the monomial order), the run skips the rest of a degree once the
-lead ideal's Hilbert function matches the known one there, and stops once the
-two series agree (Traverso 1996, Hilbert functions and the Buchberger
-algorithm); elimination supplies that series for free.
+reduced at its own degree.  Given a lower bound on the Hilbert series of the
+ideal (which does not depend on the monomial order), the run skips the rest of
+a degree once the lead ideal's Hilbert function matches the bound there, and
+stops once the two series agree (Traverso 1996, Hilbert functions and the
+Buchberger algorithm).  Elimination supplies the exact series for free, and
+`Ideal + [f]` supplies (1 - t^deg f) times the parent's series, a bound for
+every slice.  `saturate` computes I : x^infinity for the last variable x by
+Bayer's trick (Bayer-Stillman 1987).
 
 All reduction goes through one heap-driven kernel, `_reduce`, with one loop
 per field: the run's S-polynomial and generator reductions, the final
@@ -41,7 +44,7 @@ class BudgetExceeded(RuntimeError):
 class Ideal:
     """A homogeneous ideal with cached reduced Groebner bases per order."""
 
-    __slots__ = ("ring", "generators", "_gb", "_hilbert")
+    __slots__ = ("ring", "generators", "_gb", "_hilbert", "_bound")
 
     def __init__(self, ring: RingContext, generators):
         gens = []
@@ -57,12 +60,13 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb = {}
         self._hilbert = None
+        self._bound = None  # a lower bound on the Hilbert series, see __add__
 
     def groebner_basis(self, order=None):
         order = tuple(order) if order is not None else self.ring.order
         gb = self._gb.get(order)
         if gb is None:
-            gb = buchberger(self, order)
+            gb = buchberger(self, order, hilbert=self._bound)
             self._gb[order] = gb
         return gb
 
@@ -73,11 +77,24 @@ class Ideal:
         self._hilbert = data
 
     def __add__(self, other):
+        """The sum ideal.  When it adds exactly one form f of degree e and this
+        ideal's series is known (`_known_numerator`), the sum keeps
+        (1 - t^e) HS(R/I) as a lower bound for its Groebner run: from
+        0 -> (0 :_{R/I} f)(-e) -> R/I(-e) -> R/I -> R/(I + f) -> 0,
+        HS(R/(I + f)) = (1 - t^e) HS(R/I) + t^e HS(0 :_{R/I} f), with equality
+        when f is a nonzerodivisor on R/I.  No such bound holds for two or
+        more forms at once."""
         if isinstance(other, Ideal):
             if other.ring != self.ring:
                 raise FieldError("ideals from different rings")
-            return Ideal(self.ring, self.generators + other.generators)
-        return Ideal(self.ring, self.generators + tuple(other))
+            other = other.generators
+        out = Ideal(self.ring, self.generators + tuple(other))
+        added = out.generators[len(self.generators):]
+        if len(added) == 1:
+            num = _known_numerator(self)
+            if num is not None:
+                out._bound = unipoly.mul(num, _one_minus_t_power(added[0].homogeneous_degree()))
+        return out
 
     def contains_point(self, coords) -> bool:
         """Exact test that every generator vanishes at the coordinate vector."""
@@ -206,11 +223,17 @@ def _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard):
 def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     """Compute the reduced Groebner basis of homogeneous seed polynomials.
 
-    `hilbert`, when given, is the numerator of the Hilbert series of R/I over
-    prod(1 - t^w) for the ring's weights, and must be exact.  A wrong one
-    raises ValueError when the lead ideal passes it in some degree (an input
-    generator included) or when the pairs run out before the lead ideal
-    reaches it; so a returned basis always generates I.
+    `hilbert`, when given, is the numerator over prod(1 - t^w) (the ring's
+    weights) of a lower bound on the Hilbert series of R/I: its Hilbert
+    function is at most that of R/I in every degree.  The lead ideal's
+    Hilbert function is at least that of R/I, so where it meets the bound the
+    degree is complete and its remaining pairs are skipped; when the two
+    series agree the bound was exact and the run stops.  A strict bound only
+    costs reductions: the run then ends when the pairs run out.  A bound that
+    is too large raises ValueError when the lead ideal passes it in some
+    degree (an input generator included) or when an input generator is
+    outside the basis it proves finished; so a returned basis always
+    generates I.
 
     Returns a list of term dicts, monic, sorted by increasing leading
     monomial; deterministic.
@@ -351,8 +374,6 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
                 raise wrong_series("an input generator is outside the finished basis")
             break
         if not seeds and not pairs:
-            if num is not None:
-                raise wrong_series("the S-pairs ran out before the lead ideal reached it")
             break
         d = min(s[0] for s in seeds[-1:] + pairs[:1])
         if d > EXP_MAX:
@@ -409,8 +430,9 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
 def buchberger(ideal_or_polys, order=None, max_steps=None, hilbert=None):
     """Reduced Groebner basis as a tuple of monic Polynomials, sorted by
     increasing leading monomial.  `order` defaults to the ring's own order.
-    `hilbert` is the ideal's known Hilbert series numerator over
-    prod(1 - t^w) (see `_gb_engine`); it must be exact."""
+    `hilbert` is the numerator over prod(1 - t^w) of a lower bound on the
+    ideal's Hilbert series (see `_gb_engine`); the exact series is the best
+    bound.  A bound that is too large raises ValueError."""
     if isinstance(ideal_or_polys, Ideal):
         ring = ideal_or_polys.ring
         gens = ideal_or_polys.generators
@@ -543,6 +565,28 @@ def _eliminate_variable(ideal: Ideal, var) -> Ideal:
     ]
     out = Ideal(kept_ring, result)
     out.seed_groebner_cache(DEGREVLEX, tuple(result))
+    return out
+
+
+def saturate(ideal: Ideal, var) -> Ideal:
+    """I : var^infinity, for var the last variable of a degrevlex ring, by
+    Bayer's trick: in that order a homogeneous f is divisible by var^k exactly
+    when its lead is, so dividing each element of the degrevlex basis of I by
+    its largest power of var gives a Groebner basis of the saturation.  One
+    engine run reduces it, driven by the exact series those divided leads
+    give.  The result has that reduced basis as generators and cached."""
+    ring = ideal.ring
+    if ring.order != DEGREVLEX or ring.names[-1] != var:
+        raise ValueError(f"saturate needs {var!r} as the last variable of a degrevlex ring")
+    shift = EXP_BITS * (ring.n - 1)
+    divided = []
+    for g in ideal.groebner_basis():
+        k = min((m >> shift) & EXP_MASK for m in g.terms)
+        divided.append(Polynomial(ring, {m - (k << shift): c for m, c in g.terms.items()}))
+    num = _lead_numerator(ring, [g.lead_monomial() for g in divided])
+    gb = buchberger(Ideal(ring, divided), hilbert=num)
+    out = Ideal(ring, gb)
+    out.seed_groebner_cache(DEGREVLEX, gb)
     return out
 
 

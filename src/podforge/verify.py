@@ -247,7 +247,9 @@ def sample_curve_points(ideal: Ideal, count: int, rng=None, max_slices: int = 25
     hyperplanes, solve the zero-dimensional slices exactly, deduplicate.
 
     Returns up to `count` points; fewer (with no error) only if the slice
-    budget runs out, matching the partial-list-with-warning contract."""
+    budget runs out, matching the partial-list-with-warning contract.  A slice
+    is skipped when it is not zero-dimensional or when its points are not
+    separated (SamplingError); any other error propagates."""
     ring = ideal.ring
     field = ring.field
     if field is QQ:
@@ -263,9 +265,11 @@ def sample_curve_points(ideal: Ideal, count: int, rng=None, max_slices: int = 25
         if hyper.is_zero():
             continue
         sliced = ideal + [hyper]
+        if hilbert_data(sliced).dimension != 0:
+            continue  # the hyperplane contains a component
         try:
             pts = solve_zero_dimensional(sliced, rng=rng)
-        except (SamplingError, ValueError):
+        except SamplingError:
             continue
         for pt in pts:
             if pt not in seen:
@@ -515,9 +519,11 @@ def real_legs(bundle, count: int, rng=None, max_slices: int = 12, tol: float = 1
         if hyper.is_zero():
             continue
         sliced = ideal + [hyper]
+        if hilbert_data(sliced).dimension != 0:
+            continue  # the hyperplane contains a component
         try:
             bt, M0, M1, A = multiplication_data(sliced, rng)
-        except (SamplingError, ValueError):
+        except SamplingError:
             continue
         gb = sliced.groebner_basis()
         cp = linalg.charpoly(A, QQ)

@@ -39,7 +39,7 @@ from podforge.constructions import (
     symmetroid_pencil,
     syzygy_triple,
 )
-from podforge.verify import sample_curve_points
+from podforge.verify import sample_curve_points, solve_zero_dimensional
 
 F101 = GF(101)
 
@@ -272,6 +272,29 @@ def test_duporcq_sixth_leg_sphere_condition_on_configs():
     lp = leg_to_point(sixth).coords()
     for c in pts:
         assert F101.is_zero(B.evaluate(c, lp, F101))
+
+
+def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
+    # a planar pentapod built around a known pose (home), sliced by a
+    # hyperplane through it.  Unsaturated, the curve carries a fat point on
+    # h = 0 that this slice meets, and no draw of forms separated its points
+    field = F101
+    legs = [
+        Leg((field.of(a1), field.of(a2), field.zero), (field.of(b1), field.of(b2), field.zero),
+            field.of(d2), field)
+        for (a1, a2), (b1, b2), d2 in [
+            ((83, 67), (31, 62), 67), ((35, 63), (64, 65), 30), ((45, 84), (58, 59), 53),
+            ((44, 72), (92, 71), 29), ((92, 58), (62, 84), 87),
+        ]
+    ]
+    home = (1, 89, 82, 90, 21, 34, 92, 74, 91, 91, 94, 59, 37, 51, 8, 95, 1)
+    coeffs = (78, 75, 52, 39, 93, 26, 62, 65, 46, 87, 79, 9, 100, 43, 92, 1, 80)
+    cfg = pentapod_config_ideal(legs)
+    assert hilbert_data(cfg).triple() == (1, 40, 41)
+    ring = cfg.ring
+    hyper = sum((g.scale(field.of(c)) for g, c in zip(ring.gens(), coeffs)), ring.zero())
+    pts = solve_zero_dimensional(cfg + [hyper], rng=random.Random(0))
+    assert tuple(field.of(v) for v in home) in pts
 
 
 def test_duporcq_shared_base_point_rejected():

@@ -16,10 +16,11 @@ from podforge.groebner import (
     normal_form,
     reduce_by_basis,
     s_polynomial,
+    saturate,
     ideal_from_json,
     ideal_to_json,
 )
-from podforge.rings import DEGREVLEX, RingContext
+from podforge.rings import DEGREVLEX, RingContext, elim_order
 from podforge.models import ideal_X_inv, ideal_Y, ring_X
 from podforge.constructions import draw_seed, rho_preimage
 from podforge.models import euler_rho
@@ -327,12 +328,13 @@ def test_known_hilbert_series_gives_the_same_basis():
 @pytest.mark.parametrize(
     "wrong",
     [
-        [0],  # the unit ideal: the pairs run out first
         [1, 0, -1],  # one quadric: the second generator passes it in degree 2
         [1],  # the zero ideal: the generators stay outside the basis
+        [1, 0, -2, 0, 2],  # one past the true series in degree 4 and above
     ],
 )
 def test_wrong_hilbert_numerator_raises(wrong):
+    # a bound whose Hilbert function exceeds the ideal's somewhere is wrong
     ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, GF(101))
     x, y, z = ring.gens()
     I = Ideal(ring, [x * x - y * z, x * y - z * z])
@@ -340,14 +342,74 @@ def test_wrong_hilbert_numerator_raises(wrong):
         buchberger(I, hilbert=wrong)
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [
+        [0],  # the unit ideal: the pairs run out first
+        [1, -1, -2, 2, 1, -1],  # (1 - t) times the true series: a slice bound
+    ],
+)
+def test_too_small_hilbert_numerator_gives_the_basis(bound):
+    # a lower bound on the series only costs reductions
+    ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, GF(101))
+    x, y, z = ring.gens()
+    I = Ideal(ring, [x * x - y * z, x * y - z * z])
+    assert buchberger(I, hilbert=bound) == buchberger(I)
+
+
+def test_eliminate_with_too_small_hilbert_data_gives_the_elimination():
+    ring = RingContext(("t", "x", "y"), (1, 1, 1), DEGREVLEX, GF(101))
+    t, x, y = ring.gens()
+    gens = [x - t, y * t - x * x]
+    I = Ideal(ring, gens)
+    # the Hilbert data of a point is below that of these two points
+    I.seed_hilbert_cache(hilbert_data(Ideal(ring, [x, y])))
+    out = eliminate(I, ["t"])
+    assert out.groebner_basis() == eliminate(Ideal(ring, gens), ["t"]).groebner_basis()
+
+
 def test_eliminate_with_wrong_hilbert_data_raises():
     ring = RingContext(("t", "x", "y"), (1, 1, 1), DEGREVLEX, GF(101))
     t, x, y = ring.gens()
     I = Ideal(ring, [x - t, y * t - x * x])
-    # the Hilbert data of a point is not that of this ideal
-    I.seed_hilbert_cache(hilbert_data(Ideal(ring, [x, y])))
+    # the Hilbert data of the whole plane is above that of this ideal
+    I.seed_hilbert_cache(hilbert_data(Ideal(ring, [])))
     with pytest.raises(ValueError, match="Hilbert series is wrong"):
         eliminate(I, ["t"])
+
+
+def test_sum_with_one_form_keeps_a_series_bound():
+    ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, GF(101))
+    x, y, z = ring.gens()
+    I = Ideal(ring, [x * x - y * z, x * y - z * z])
+    assert (I + [z])._bound is None  # no series known yet
+    hilbert_data(I)
+    assert (I + [z])._bound == [1, -1, -2, 2, 1, -1]  # (1 - t) (1 - t^2)^2
+    assert (I + [y * z])._bound == [1, 0, -3, 0, 3, 0, -1]  # (1 - t^2)^3
+    assert (I + [z, y])._bound is None
+    sliced = I + Ideal(ring, [x + z])
+    assert sliced.groebner_basis() == buchberger(sliced.generators)
+
+
+def test_saturate_divides_out_the_last_variable():
+    ring = RingContext(("x", "y", "h"), (1, 1, 1), DEGREVLEX, GF(101))
+    x, y, h = ring.gens()
+    # the conic x^2 - y h plus the point (0:1:0) counted in h = 0
+    I = Ideal(ring, [h * (x * x - y * h), x * (x * x - y * h)])
+    J = saturate(I, "h")
+    assert J.generators == J.groebner_basis() == buchberger([x * x - y * h])
+    assert saturate(Ideal(ring, []), "h").generators == ()
+
+
+@pytest.mark.parametrize("var", ["x", "y"])
+def test_saturate_needs_the_last_degrevlex_variable(var):
+    ring = RingContext(("x", "y", "h"), (1, 1, 1), DEGREVLEX, GF(101))
+    x, y, h = ring.gens()
+    with pytest.raises(ValueError, match="last variable"):
+        saturate(Ideal(ring, [x * h, y * h]), var)
+    elim_ring = RingContext(("x", "y", "h"), (1, 1, 1), elim_order(1), GF(101))
+    with pytest.raises(ValueError, match="last variable"):
+        saturate(Ideal(elim_ring, []), "h")
 
 
 def test_buchberger_exponent_cap_raises():

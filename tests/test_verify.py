@@ -353,6 +353,41 @@ def test_sample_curve_points_partial_list_warns():
     assert 1 <= len(pts) <= 6
 
 
+def test_sample_curve_points_skips_only_unsolvable_slices(monkeypatch):
+    # a slice that is not zero-dimensional or whose points are not separated
+    # is skipped; any other error is a fault and propagates
+    from podforge import verify
+
+    f5 = GF(5)
+    ring = RingContext(("x0", "x1", "x2", "x3"), (1,) * 4, DEGREVLEX, f5)
+    g = ring.gens()
+    I = Ideal(ring, [g[2], g[3]])
+
+    def fail(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(verify, "solve_zero_dimensional", fail)
+    with pytest.raises(ValueError, match="engine fault"):
+        sample_curve_points(I, 3, random.Random(1))
+
+
+def test_real_legs_skips_only_unsolvable_slices(monkeypatch):
+    from types import SimpleNamespace
+
+    from podforge import verify
+
+    ring = RingContext(("x0", "x1", "x2", "x3"), (1,) * 4, DEGREVLEX, QQ)
+    g = ring.gens()
+    bundle = SimpleNamespace(seed=SimpleNamespace(field=QQ), leg_ideal_full=Ideal(ring, [g[2], g[3]]))
+
+    def fail(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(verify, "multiplication_data", fail)
+    with pytest.raises(ValueError, match="engine fault"):
+        verify.real_legs(bundle, 1)
+
+
 def test_real_configurations_definite_quartic_warns_empty():
     # U = -(e1^2+e2^2+e3^2) makes F = sum P^2 + q^2 positive definite: the
     # quartic has no real points at all
