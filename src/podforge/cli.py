@@ -16,7 +16,7 @@ from fractions import Fraction
 from .fields import QQ, field_from_descriptor
 from .groebner import hilbert_data, ideal_from_json, ideal_to_json
 from .models import MODEL_BUILDERS, Leg
-from .duality import FORMS, LinearSubspace, dual_space
+from .duality import FORMS, DualityError, LinearSubspace, dual_space
 from . import constructions, verify
 
 EXIT_OK = 0
@@ -89,19 +89,32 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def _legs_from_pod_json(path, field):
+def _scalar(field, c):
+    """A rational string (or number) of the input as a field scalar."""
+    try:
+        return field.of(Fraction(str(c)))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad number {c!r}: {exc}") from None
+
+
+def _legs_from_pod_json(path, field, count):
     if path is None:
         raise InputError("this construction needs --legs")
     base, platform, d2s = _keys(_load_json(path), path, "base", "platform", "lengths_squared")
-    if not (len(base) == len(platform) == len(d2s)):
-        raise ValueError("base, platform and lengths_squared must have equal length")
+    if not (isinstance(base, list) and isinstance(platform, list) and isinstance(d2s, list)
+            and len(base) == len(platform) == len(d2s)):
+        raise InputError(f"{path}: base, platform and lengths_squared must be lists of equal length")
+    if len(base) != count:
+        raise InputError(f"{path} has {len(base)} legs; this construction needs {count}")
     legs = []
     for a, b, d2 in zip(base, platform, d2s):
+        if not all(isinstance(p, list) and len(p) == 3 for p in (a, b)):
+            raise InputError(f"{path}: every anchor needs three coordinates")
         legs.append(
             Leg(
-                tuple(field.of(Fraction(str(c))) for c in a),
-                tuple(field.of(Fraction(str(c))) for c in b),
-                field.of(Fraction(str(d2))),
+                tuple(_scalar(field, c) for c in a),
+                tuple(_scalar(field, c) for c in b),
+                _scalar(field, d2),
                 field,
             )
         )
@@ -139,7 +152,7 @@ def cmd_construct(args) -> int:
             )
             _write_json(args.out, _bundle_to_json(bundle))
         elif args.what == "duporcq":
-            legs = _legs_from_pod_json(args.legs, field)
+            legs = _legs_from_pod_json(args.legs, field, 5)
             sixth = constructions.duporcq_sixth_leg(legs)
             _write_json(
                 args.out,
@@ -151,7 +164,7 @@ def cmd_construct(args) -> int:
                 },
             )
         elif args.what == "hexapod":
-            legs = _legs_from_pod_json(args.legs, field)
+            legs = _legs_from_pod_json(args.legs, field, 6)
             curve = constructions.hexapod_leg_curve(legs)
             hd = hilbert_data(curve)
             out = ideal_to_json(curve)
@@ -212,12 +225,18 @@ def cmd_dual(args) -> int:
     data = _load_json(path)
     ambient, kind, basis = _keys(data, path, "ambient", "kind", "basis")
     field = _field(data.get("field", "q"))
-    space = LinearSubspace(
-        tuple(ambient),
-        kind,
-        tuple(tuple(field.of(Fraction(str(c))) for c in v) for v in basis),
-        field,
-    )
+    if not isinstance(ambient, list) or tuple(ambient) not in (form.left_names, form.right_names):
+        raise InputError(f"{path}: ambient is neither side of {form.kind}")
+    if not isinstance(basis, list) or any(
+        not isinstance(v, list) or len(v) != len(ambient) for v in basis
+    ):
+        raise InputError(f"{path}: basis must be a list of vectors of length {len(ambient)}")
+    try:
+        space = LinearSubspace(
+            tuple(ambient), kind, tuple(tuple(_scalar(field, c) for c in v) for v in basis), field
+        )
+    except DualityError as exc:  # an unknown kind tag
+        raise InputError(f"{path}: {exc}") from None
     side = "left" if tuple(ambient) == form.left_names else "right"
     out = dual_space(space, form, side)
     _write_json(
@@ -239,10 +258,10 @@ def _bundle_from_json(data):
     leg_full = ideal_from_json(data["leg_ideal_full"])
     leg_sym = ideal_from_json(data["leg_ideal_sym"])
     span_forms = tuple(
-        tuple(field.of(Fraction(str(c))) for c in v) for v in data["config_span_forms"]
+        tuple(_scalar(field, c) for c in v) for v in data["config_span_forms"]
     )
     span_points = tuple(
-        tuple(field.of(Fraction(str(c))) for c in v) for v in data["leg_span_points"]
+        tuple(_scalar(field, c) for c in v) for v in data["leg_span_points"]
     )
     return constructions.InfinityPodBundle(
         seed=seed,
@@ -401,7 +420,7 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except constructions.DegenerateSeedError as exc:
+    except (constructions.DegenerateSeedError, DualityError) as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (verify.SamplingError, constructions.CertificationError) as exc:

@@ -22,6 +22,7 @@ from .models import (
     XINV_NAMES,
     XPINV_NAMES,
     Y_NAMES,
+    YINV_NAMES,
     YP_NAMES,
     YPINV_NAMES,
     Leg,
@@ -169,8 +170,9 @@ def draw_seed(rng_seed: int, field=None, bound: int = 10, retries: int = 8) -> C
 @dataclass(frozen=True)
 class InfinityPodBundle:
     """Output of the construction: the configuration ideal in the isometry
-    P^16, the full leg curve in the leg P^16, its symmetric image in P^10,
-    and the exact certification numbers."""
+    P^16, the full leg curve in the leg P^16, its symmetric image in P^10
+    (given by its reduced degrevlex basis, which is cached), and the exact
+    certification numbers."""
 
     seed: ConstructionSeed
     config_ideal: Ideal
@@ -228,55 +230,67 @@ def _linear_of_covector(vec, ring) -> Polynomial:
     )
 
 
-SYM_SPLIT_NAMES = (
-    "z00", "z11", "z22", "z33",
-    "s01", "s02", "s03", "s12", "s13", "s23",
-    "a01", "a02", "a03", "a12", "a13", "a23",
-    "l",
-)
+def _fold_name(n: str) -> str:
+    """The involution-side coordinate that an isometry coordinate restricts
+    to on W = {M = M^t, x = y}: m_ij, m_ji -> m_ij (i < j), y_i -> x_i."""
+    if n[0] == "y":
+        return "x" + n[1]
+    if n[0] == "m":
+        return f"m{min(n[1:])}{max(n[1:])}"
+    return n
 
 
-def sym_projection(leg_full: Ideal):
-    """Image of an ideal in the leg P^16 under the symmetrization
-    z_ij |-> (s_ij, a_ij) splitting, eliminating the six antisymmetric
-    directions.  Returns (ideal in the symmetric P^10 ring, HilbertData).
-
-    The splitting is a linear change of coordinates, invertible wherever 1/2
-    exists, so the split ideal has the Hilbert series of leg_full; that
-    series drives the elimination."""
-    field = leg_full.ring.field
-    W = RingContext(SYM_SPLIT_NAMES, (1,) * 17, DEGREVLEX, field)
-    gv = {n: W.gen(n) for n in SYM_SPLIT_NAMES}
-    half = field.div(field.one, field.of(2))
-    images = {}
-    for i in range(4):
-        images[f"z{i}{i}"] = gv[f"z{i}{i}"]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            s, a = gv[f"s{i}{j}"], gv[f"a{i}{j}"]
-            images[f"z{i}{j}"] = (s + a).scale(half)
-            images[f"z{j}{i}"] = (s - a).scale(half)
-    images["l"] = gv["l"]
-    split = RingMap(ring_Y(field), W, [images[n] for n in Y_NAMES])
-    split_ideal = Ideal(W, [split(g) for g in leg_full.generators])
-    split_ideal.seed_hilbert_cache(hilbert_data(leg_full))
-    out = eliminate(split_ideal, ["a01", "a02", "a03", "a12", "a13", "a23"])
-    hd = hilbert_data(out)
-    target = ring_Y_inv(field)
-    return _permute_ideal(out, target), hd
+def _pi_name(n: str) -> str:
+    """The symmetric coordinate that a leg coordinate feeds under the
+    symmetrization pi: z_ii -> z_ii, z_ij and z_ji -> s_ij, l -> l."""
+    if n == "l" or n[1] == n[2]:
+        return n
+    return f"s{min(n[1:])}{max(n[1:])}"
 
 
-def _permute_ideal(ideal: Ideal, target: RingContext) -> Ideal:
-    src = ideal.ring
-    if set(src.names) != set(target.names):
-        raise ValueError("coordinate names differ")
-    pos = [src.var_index[n] for n in target.names]
-    gens = []
-    for g in ideal.generators:
-        gens.append(
-            target.from_terms((tuple(src.unpack(m)[i] for i in pos), c) for m, c in g.terms.items())
+def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
+    """The symmetric leg curve by the duality: Y_inv cut by the P^4 dual,
+    under sbsc11, to the configuration span, checked exactly to be the image
+    of the full leg curve (Y cut by leg_cutting) under the symmetrization pi.
+
+    The span lies in W = {M = M^t, x = y} (span_forms contain the involution
+    forms), and on W bsc17(sigma, z) = sbsc11(sigma, pi z).  So the P^10 of
+    the full curve is the pi-preimage of the P^4: the check below compares
+    leg_cutting with the pi-pullbacks of the P^4's cutting forms and raises
+    CertificationError if their spans differ.  Given that, with 2 invertible,
+    the image is this ideal: the first and second fundamental theorems for
+    O(2) on the pairs (a_i, b_i) (De Concini-Procesi 1976) identify
+    S/I_{Y_inv} with the transpose-invariants of R/I_Y, the Reynolds operator
+    (1 + tau)/2 is an S-linear retraction onto them, so
+    ker(S -> R/(I_Y + pi^* I_cut)) = I_{Y_inv} + I_cut.  The result has its
+    reduced degrevlex basis as generators and cached."""
+    # restrict the span forms to W: substituting m_ji = m_ij and y = x folds
+    # the covector entries pairwise
+    xidx = {n: i for i, n in enumerate(XINV_NAMES)}
+    rows = []
+    for v in span_forms:
+        row = [field.zero] * len(XINV_NAMES)
+        for n, c in zip(X_NAMES, v):
+            k = xidx[_fold_name(n)]
+            row[k] = field.add(row[k], field.of(c))
+        rows.append(row)
+    basis = linalg.row_space_basis(rows, field)
+    forms = LinearSubspace(XINV_NAMES, "forms", tuple(tuple(r) for r in basis), field)
+    points = dual_space(forms, sbsc11(), "left")
+    cutting = linalg.matrix_kernel([list(v) for v in points.basis], field)
+    yidx = {n: i for i, n in enumerate(YINV_NAMES)}
+    pulled = [[v[yidx[_pi_name(n)]] for n in Y_NAMES] for v in cutting]
+    if linalg.row_space_basis(pulled, field) != linalg.row_space_basis(
+        [list(v) for v in leg_cutting], field
+    ):
+        raise CertificationError(
+            "the leg P^10 is not the symmetrization preimage of the dual P^4"
         )
-    return Ideal(target, gens)
+    ryi = ring_Y_inv(field)
+    gb = (ideal_Y_inv(field) + [_linear_of_covector(v, ryi) for v in cutting]).groebner_basis()
+    out = Ideal(ryi, gb)
+    out.seed_groebner_cache(DEGREVLEX, gb)
+    return out
 
 
 def create_infinity_pod(
@@ -284,7 +298,6 @@ def create_infinity_pod(
     field=None,
     bound: int = 10,
     retries: int = 8,
-    certify: bool = True,
 ) -> InfinityPodBundle:
     """Run the construction end to end from a seed.
 
@@ -292,8 +305,10 @@ def create_infinity_pod(
     under the lift map, computed both by graph elimination and by the
     linear-kernel shortcut (the degree-1 parts must agree).  The compatible
     legs are cut out of the leg cone by the forms dual to the configuration
-    span; their symmetric image is certified (1, 10, 6) and the full curve
-    (1, 20, 11)."""
+    span: the full curve, certified (1, 20, 11).  Its symmetric image comes
+    from the duality on the symmetric side (`_symmetric_leg_ideal`, which
+    checks exactly that it is that image) and is certified (1, 10, 6).
+    The field must not have characteristic 2."""
     field = field or GF(101)
     seed = draw_seed(rng_seed, field, bound, retries)
     quarter = field.div(field.one, field.of(4))
@@ -326,17 +341,14 @@ def create_infinity_pod(
     ry = ring_Y(field)
     leg_forms = [_linear_of_covector(v, ry) for v in cutting]
     leg_full = ideal_Y(field) + leg_forms
+    leg_sym = _symmetric_leg_ideal(route_a, cutting, field)
 
-    certification = {"i_lin_dim": i_lin_dim, "f_smooth": seed.f_smooth}
-    leg_sym = None
-    if certify:
-        hd_full = hilbert_data(leg_full)
-        leg_sym, hd_sym = sym_projection(leg_full)
-        certification["leg_sym"] = hd_sym.triple()
-        certification["leg_full"] = hd_full.triple()
-    else:
-        leg_sym = Ideal(ring_Y_inv(field), [])
-
+    certification = {
+        "i_lin_dim": i_lin_dim,
+        "f_smooth": seed.f_smooth,
+        "leg_sym": hilbert_data(leg_sym).triple(),
+        "leg_full": hilbert_data(leg_full).triple(),
+    }
     return InfinityPodBundle(
         seed=seed,
         config_ideal=config,
@@ -346,39 +358,6 @@ def create_infinity_pod(
         leg_span_points=tuple(tuple(v) for v in l_lin.basis),
         certification=certification,
     )
-
-
-def leg_sym_dual_ideal(bundle: InfinityPodBundle) -> Ideal:
-    """The symmetric leg curve by the duality route: the symmetric cone cut by
-    the P^4 dual to the configuration span under the symmetric pairing.  Used
-    as a cross-check against the elimination route."""
-    field = bundle.seed.field
-    xidx = {n: i for i, n in enumerate(X_NAMES)}
-    # restrict the span forms to the symmetric P^10 coordinates: substituting
-    # m_ji = m_ij and y = x folds the covector entries pairwise
-    rows = []
-    for v in bundle.config_span_forms:
-        w = {n: field.of(v[xidx[n]]) for n in X_NAMES}
-        row = [
-            w["m11"],
-            field.add(w["m12"], w["m21"]),
-            field.add(w["m13"], w["m31"]),
-            w["m22"],
-            field.add(w["m23"], w["m32"]),
-            w["m33"],
-            field.add(w["x1"], w["y1"]),
-            field.add(w["x2"], w["y2"]),
-            field.add(w["x3"], w["y3"]),
-            w["r"],
-            w["h"],
-        ]
-        rows.append(row)
-    basis = linalg.row_space_basis(rows, field)
-    forms = LinearSubspace(XINV_NAMES, "forms", tuple(tuple(r) for r in basis), field)
-    points = dual_space(forms, sbsc11(), "left")
-    cutting = linalg.matrix_kernel([list(v) for v in points.basis], field)
-    ryi = ring_Y_inv(field)
-    return ideal_Y_inv(field) + [_linear_of_covector(v, ryi) for v in cutting]
 
 
 # ---------------------------------------------------------------------------

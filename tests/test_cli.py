@@ -18,6 +18,15 @@ def run_cli(*args, check=True):
     return proc
 
 
+POD = {
+    "base": [["-5", "-8", "0"], ["-4", "-5", "0"], ["-8", "-6", "0"],
+             ["1/2", "-2", "0"], ["0", "-7", "0"]],
+    "platform": [["0", "-1", "0"], ["-6", "5", "0"], ["-2", "-1", "0"],
+                 ["5", "3", "0"], ["-3", "5", "0"]],
+    "lengths_squared": ["8", "2", "17", "15", "11"],
+}
+
+
 def test_invariants_yinv():
     proc = run_cli("invariants", "--model", "Yinv", "--field", "fp:101")
     assert proc.stdout.strip() == "dim 7 deg 10"
@@ -72,17 +81,7 @@ def test_construct_then_verify_exact(tmp_path):
 
 def test_construct_duporcq(tmp_path):
     pod = tmp_path / "pod.json"
-    pod.write_text(
-        json.dumps(
-            {
-                "base": [["-5", "-8", "0"], ["-4", "-5", "0"], ["-8", "-6", "0"],
-                          ["1/2", "-2", "0"], ["0", "-7", "0"]],
-                "platform": [["0", "-1", "0"], ["-6", "5", "0"], ["-2", "-1", "0"],
-                              ["5", "3", "0"], ["-3", "5", "0"]],
-                "lengths_squared": ["8", "2", "17", "15", "11"],
-            }
-        )
-    )
+    pod.write_text(json.dumps(POD))
     out = tmp_path / "sixth.json"
     run_cli("construct", "duporcq", "--legs", str(pod), "--field", "q", "--out", str(out))
     data = json.loads(out.read_text())
@@ -143,26 +142,74 @@ def test_verify_tampered_bundle_fails(tmp_path):
     assert proc.returncode == 1
 
 
+def _write_inputs(tmp_path):
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "no_ambient.json").write_text(
+        json.dumps({"field": "q", "kind": "points", "basis": [["1"]]})
+    )
+    (tmp_path / "unequal.json").write_text(
+        json.dumps(dict(POD, lengths_squared=POD["lengths_squared"][:4]))
+    )
+    (tmp_path / "nonnumeric.json").write_text(
+        json.dumps(dict(POD, lengths_squared=["8", "two", "17", "15", "11"]))
+    )
+    names = ["m11", "m12", "m22", "x1", "x2", "r", "h"]
+    (tmp_path / "wrong_ambient.json").write_text(
+        json.dumps({"field": "q", "ambient": names[:6], "kind": "points",
+                    "basis": [["1", "0", "0", "0", "0", "0"]]})
+    )
+    (tmp_path / "short_basis.json").write_text(
+        json.dumps({"field": "q", "ambient": names, "kind": "points",
+                    "basis": [["1", "0", "0"]]})
+    )
+    equal = {k: [v[0]] * 5 for k, v in POD.items()}
+    (tmp_path / "equal_legs.json").write_text(json.dumps(equal))
+    (tmp_path / "pod.json").write_text(json.dumps(POD))
+    empty = {"ring": {"vars": ["l"]}, "generators": []}
+    (tmp_path / "bad_span.json").write_text(json.dumps({
+        "kind": "infinity", "field": "fp:101", "rng_seed": 1, "config_ideal": empty,
+        "leg_ideal_full": empty, "leg_ideal_sym": empty,
+        "config_span_forms": [["x"]], "leg_span_points": [],
+    }))
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ["verify", "{tmp}/missing.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/missing.json"],
         ["verify", "{tmp}/bad.json"],
+        ["verify", "{tmp}/bad_span.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/bad.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/no_ambient.json"],
         ["construct", "infinity", "--field", "fp:100"],
         ["construct", "infinity", "--field", "fp:2"],
+        ["construct", "duporcq", "--field", "q", "--legs", "{tmp}/unequal.json"],
+        ["construct", "duporcq", "--field", "q", "--legs", "{tmp}/nonnumeric.json"],
+        ["construct", "hexapod", "--field", "q", "--legs", "{tmp}/pod.json"],
+        ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/wrong_ambient.json"],
+        ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/short_basis.json"],
     ],
-    ids=["verify-missing-file", "dual-missing-file", "verify-bad-json", "dual-bad-json",
-         "dual-no-ambient", "field-not-prime", "field-two"],
+    ids=["verify-missing-file", "dual-missing-file", "verify-bad-json", "verify-bad-number",
+         "dual-bad-json", "dual-no-ambient", "field-not-prime", "field-two",
+         "legs-unequal-lengths", "legs-non-numeric", "legs-wrong-count", "dual-wrong-ambient",
+         "dual-short-basis"],
 )
 def test_input_error_exit_code(tmp_path, args):
-    (tmp_path / "bad.json").write_text("{not json")
-    (tmp_path / "no_ambient.json").write_text(
-        json.dumps({"field": "q", "kind": "points", "basis": [["1"]]})
-    )
+    _write_inputs(tmp_path)
     proc = run_cli(*[a.format(tmp=tmp_path) for a in args], check=False)
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_special_pentapod_exit_code(tmp_path):
+    # five equal legs span a point, not a P^4: a degenerate input, not a crash
+    _write_inputs(tmp_path)
+    proc = run_cli(
+        "construct", "duporcq", "--field", "q", "--legs", str(tmp_path / "equal_legs.json"),
+        check=False,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("degenerate input: special pentapod")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

@@ -6,10 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from podforge import groebner
+from podforge import groebner, linalg
 from podforge.fields import GF, QQ
-from podforge.groebner import Ideal, hilbert_data, normal_form, reduce_by_basis
-from podforge.models import Leg, euler_rho, project_model, rho_isometry_point, ring_euler
+from podforge.groebner import Ideal, eliminate, hilbert_data
+from podforge.models import (
+    Y_NAMES,
+    Leg,
+    euler_rho,
+    project_model,
+    rho_isometry_point,
+    ring_euler,
+    ring_Y,
+    ring_Y_inv,
+)
+from podforge.rings import DEGREVLEX, RingContext, RingMap
 from podforge.duality import (
     DualityError,
     bsc17,
@@ -23,6 +33,7 @@ from podforge.duality import (
 from podforge.constructions import (
     CertificationError,
     DegenerateSeedError,
+    _symmetric_leg_ideal,
     base_curve,
     build_seed,
     conic_product_legs,
@@ -32,10 +43,8 @@ from podforge.constructions import (
     draw_seed,
     duporcq_sixth_leg,
     hexapod_leg_curve,
-    leg_sym_dual_ideal,
     legs_span_subspace,
     pentapod_config_ideal,
-    sym_projection,
     symmetroid_pencil,
     syzygy_triple,
 )
@@ -161,15 +170,69 @@ def test_bundle_points_on_ideals(bundle7):
                 )
 
 
-def test_leg_sym_dual_route_agrees(bundle7):
-    # the symmetric leg curve computed by elimination matches the duality
-    # route: same Hilbert data and mutual containment of generators
-    dual_route = leg_sym_dual_ideal(bundle7)
-    elim_route = bundle7.leg_ideal_sym
-    assert hilbert_data(dual_route).triple() == (1, 10, 6)
-    gb = list(elim_route.groebner_basis())
-    for g in dual_route.generators:
-        assert reduce_by_basis(g, gb).is_zero()
+SPLIT_NAMES = (
+    "z00", "z11", "z22", "z33",
+    "s01", "s02", "s03", "s12", "s13", "s23",
+    "a01", "a02", "a03", "a12", "a13", "a23",
+    "l",
+)
+
+
+def sym_image_by_elimination(leg_full):
+    """Oracle for the symmetric leg curve: the image of the full curve under
+    the symmetrization, by the split z_ij = (s_ij + a_ij)/2,
+    z_ji = (s_ij - a_ij)/2 and elimination of the six a_ij.  The split is an
+    invertible linear change of coordinates, so it keeps leg_full's Hilbert
+    series, which drives the elimination.  Returns the image in ring_Y_inv
+    with the elimination's generators."""
+    field = leg_full.ring.field
+    W = RingContext(SPLIT_NAMES, (1,) * 17, DEGREVLEX, field)
+    gv = {n: W.gen(n) for n in SPLIT_NAMES}
+    half = field.inv(field.of(2))
+    images = {"l": gv["l"]}
+    for i in range(4):
+        images[f"z{i}{i}"] = gv[f"z{i}{i}"]
+        for j in range(i + 1, 4):
+            s, a = gv[f"s{i}{j}"], gv[f"a{i}{j}"]
+            images[f"z{i}{j}"] = (s + a).scale(half)
+            images[f"z{j}{i}"] = (s - a).scale(half)
+    split = RingMap(ring_Y(field), W, [images[n] for n in Y_NAMES])
+    split_ideal = Ideal(W, [split(g) for g in leg_full.generators])
+    split_ideal.seed_hilbert_cache(hilbert_data(Ideal(leg_full.ring, leg_full.generators)))
+    out = eliminate(split_ideal, ["a01", "a02", "a03", "a12", "a13", "a23"])
+    ryi = ring_Y_inv(field)
+    return Ideal(ryi, [ryi.parse(str(g)) for g in out.generators])
+
+
+@pytest.fixture(scope="module")
+def bundles_1_8_15():
+    return {s: create_infinity_pod(s, F101) for s in (1, 8, 15)}
+
+
+def test_leg_sym_dual_route_agrees(bundles_1_8_15):
+    # the duality route gives exactly the elimination image of the full
+    # curve: the same reduced degrevlex basis
+    for bundle in bundles_1_8_15.values():
+        oracle = sym_image_by_elimination(bundle.leg_ideal_full)
+        assert [str(g) for g in oracle.groebner_basis()] == [
+            str(g) for g in bundle.leg_ideal_sym.generators
+        ]
+        assert hilbert_data(oracle).triple() == (1, 10, 6)
+
+
+def test_symmetric_cut_mismatch_raises(bundle7):
+    field = F101
+    cutting = linalg.matrix_kernel([list(v) for v in bundle7.leg_span_points], field)
+    ideal = _symmetric_leg_ideal(bundle7.config_span_forms, cutting, field)
+    assert [str(g) for g in ideal.generators] == [str(g) for g in bundle7.leg_ideal_sym.generators]
+    # one entry of one cutting form moved: off the transpose-symmetric forms
+    # (z01 alone), or along them (l)
+    for name in ("z01", "l"):
+        bad = [list(v) for v in cutting]
+        k = Y_NAMES.index(name)
+        bad[0][k] = field.add(bad[0][k], field.one)
+        with pytest.raises(CertificationError, match="symmetrization preimage"):
+            _symmetric_leg_ideal(bundle7.config_span_forms, bad, field)
 
 
 def test_sym_leg_points_recover_leg_pairs(bundle7):
@@ -194,23 +257,24 @@ def test_multiple_seeds_certify():
 
 
 @pytest.mark.parametrize("seed", [1, 8, 15])
-def test_hilbert_driven_elimination_byte_identical(seed, monkeypatch):
+def test_hilbert_driven_elimination_byte_identical(seed, bundles_1_8_15, monkeypatch):
     # the known Hilbert series only skips work: the reduced bases agree
     # byte for byte with runs that know no series
-    leg_full = create_infinity_pod(seed, F101, certify=False).leg_ideal_full
+    leg_full = bundles_1_8_15[seed].leg_ideal_full
     keep = [n for n in leg_full.ring.names if n not in ("z01", "z10", "z23")]
 
     def bases():
-        sym, hd = sym_projection(Ideal(leg_full.ring, leg_full.generators))
+        sym = sym_image_by_elimination(leg_full)
         full = Ideal(leg_full.ring, leg_full.generators)
         hilbert_data(full)
         proj = project_model(full, keep)
-        return hd, [str(g) for g in sym.generators], [str(g) for g in proj.groebner_basis()]
+        return (hilbert_data(sym).triple(), [str(g) for g in sym.generators],
+                [str(g) for g in proj.groebner_basis()])
 
     with_series = bases()
     monkeypatch.setattr(groebner, "_known_numerator", lambda ideal: None)
     assert bases() == with_series
-    assert with_series[0].triple() == (1, 10, 6)
+    assert with_series[0] == (1, 10, 6)
 
 
 def test_base_curve_certified(bundle7):

@@ -246,7 +246,7 @@ def test_sturm_no_real_roots():
 
 @pytest.fixture(scope="module")
 def bundle_q():
-    return create_infinity_pod(2, QQ, certify=False)
+    return create_infinity_pod(2, QQ)
 
 
 def test_real_configurations_are_half_turns(bundle_q):
