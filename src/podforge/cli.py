@@ -16,6 +16,7 @@ from fractions import Fraction
 from .fields import QQ, field_from_descriptor
 from .groebner import hilbert_data, ideal_from_json, ideal_to_json
 from .models import MODEL_BUILDERS, Leg
+from .rings import ParseError
 from .duality import FORMS, DualityError, LinearSubspace, dual_space
 from . import constructions, verify
 
@@ -27,7 +28,8 @@ EXIT_DEGENERATE = 3
 
 class InputError(Exception):
     """Malformed user input (a file, its JSON, a field descriptor): exit code
-    2 with a one-line message."""
+    2 with a one-line message, as for a malformed polynomial string
+    (`rings.ParseError`)."""
 
 
 def _field(desc):
@@ -417,7 +419,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (constructions.DegenerateSeedError, DualityError) as exc:

@@ -13,9 +13,17 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import linalg
+from . import linalg, unipoly
 from .fields import QQ, GF
-from .groebner import Ideal, eliminate, hilbert_data, normal_form, saturate
+from .groebner import (
+    Ideal,
+    buchberger,
+    cut_cohen_macaulay,
+    hilbert_data,
+    linear_part,
+    normal_form,
+    saturate,
+)
 from .models import (
     EULER_NAMES,
     X_NAMES,
@@ -35,7 +43,6 @@ from .models import (
     ideal_Y_p,
     ideal_Y_pinv,
     ideal_X_inv,
-    involution_linear_forms,
     ring_euler,
     ring_X,
     ring_Y,
@@ -195,20 +202,56 @@ def rho_quadric_matrix(rho: RingMap):
     return [list(row) for row in zip(*cols)]
 
 
+# HS(R/P) = (1 + 4t + 3t^2) / (1 - t)^2 = 1 + sum_{k>=1} (8k - 2) t^k: a
+# configuration curve of degree 8 (and arithmetic genus 3) in P^16
+PREIMAGE_NUMERATOR = (1, 4, 3)
+
+
 def rho_preimage(rho: RingMap, F: Polynomial) -> Ideal:
-    """Preimage of the principal ideal (F) under the lift map, by eliminating
-    the Euler variables from the graph ideal.  The graph ring gives the 17
-    isometry coordinates weight two so everything stays homogeneous."""
+    """Preimage P of the principal ideal (F) under the lift map, from its
+    pieces of degrees 1 and 2, certified by its Hilbert series.
+
+    P_1 is the kernel of `rho_quadric_matrix`, 11 linear forms; the 6 pivot
+    coordinates of that matrix are free modulo P_1.  P_2 is spanned by the
+    quadrics q in those coordinates with rho(q) a multiple of F: the kernel
+    of their 21 products, together with F, in the 15 quartics of the Euler
+    plane (7 quadrics).  The nine m_ij images span all six quadrics of the
+    plane, so rho maps onto its even-degree Veronese subring, which is
+    presented by quadrics; with deg F = 4 that makes P generated by P_1 and
+    P_2.  The certificate does not lean on this argument: J = (P_1, P_2) lies
+    in P, so HS(R/P) = sum_k dim (k[e]/F)_{2k} t^k (PREIMAGE_NUMERATOR) is a
+    lower bound for J, and J = P exactly when J's lead ideal reaches it.
+    Raises CertificationError otherwise.  The result has its reduced
+    degrevlex basis as generators and cached."""
     field = F.ring.field
-    names = EULER_NAMES + X_NAMES
-    weights = (1, 1, 1) + (2,) * 17
-    graph_ring = RingContext(names, weights, DEGREVLEX, field)
-    emb = RingMap(ring_euler(field), graph_ring, [graph_ring.gen(n) for n in EULER_NAMES])
-    gens = [graph_ring.gen(n) - emb(rho.images[i]) for i, n in enumerate(X_NAMES)]
-    gens.append(emb(F))
-    out = eliminate(Ideal(graph_ring, gens), EULER_NAMES)
-    rx = ring_X(field)
-    return Ideal(rx, [rx.coerce(g) for g in out.generators])
+    rx = rho.source
+    lift = rho_quadric_matrix(rho)
+    _, pivots = linalg.rref(lift, field)
+    gens = [_linear_of_covector(v, rx) for v in linalg.matrix_kernel(lift, field)]
+    products = list(itertools.combinations_with_replacement(pivots, 2))
+    quartics = [F.ring.pack(e) for e in _degree_monomials(3, 4)]
+    images = [rho.images[i] * rho.images[j] for i, j in products] + [F]
+    cols = [[img.terms.get(m, field.zero) for m in quartics] for img in images]
+    for v in linalg.matrix_kernel([list(row) for row in zip(*cols)], field):
+        gens.append(rx.from_terms(
+            (tuple((k == i) + (k == j) for k in range(rx.n)), c) for (i, j), c in zip(products, v)
+        ))
+    bound = list(PREIMAGE_NUMERATOR)
+    for _ in range(rx.n - 2):
+        bound = unipoly.mul(bound, [1, -1])
+    try:
+        gb = buchberger(gens, hilbert=bound)
+    except ValueError as exc:
+        raise CertificationError(f"preimage of (F) below its Hilbert series: {exc}") from None
+    out = Ideal(rx, gb)
+    out.seed_groebner_cache(DEGREVLEX, gb)
+    hd = hilbert_data(out)
+    if (hd.dimension, hd.numerator) != (1, PREIMAGE_NUMERATOR):
+        raise CertificationError(
+            f"preimage of (F) from degrees 1 and 2 has Hilbert numerator {list(hd.numerator)} "
+            f"in dimension {hd.dimension}, not {list(PREIMAGE_NUMERATOR)} in dimension 1"
+        )
+    return out
 
 
 def _covector_of_linear(f: Polynomial) -> tuple:
@@ -287,7 +330,9 @@ def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
             "the leg P^10 is not the symmetrization preimage of the dual P^4"
         )
     ryi = ring_Y_inv(field)
-    gb = (ideal_Y_inv(field) + [_linear_of_covector(v, ryi) for v in cutting]).groebner_basis()
+    gb = cut_cohen_macaulay(
+        ideal_Y_inv(field), [_linear_of_covector(v, ryi) for v in cutting]
+    ).groebner_basis()
     out = Ideal(ryi, gb)
     out.seed_groebner_cache(DEGREVLEX, gb)
     return out
@@ -301,14 +346,18 @@ def create_infinity_pod(
 ) -> InfinityPodBundle:
     """Run the construction end to end from a seed.
 
-    The configuration ideal is the involution model plus the preimage of (F)
-    under the lift map, computed both by graph elimination and by the
-    linear-kernel shortcut (the degree-1 parts must agree).  The compatible
-    legs are cut out of the leg cone by the forms dual to the configuration
-    span: the full curve, certified (1, 20, 11).  Its symmetric image comes
-    from the duality on the symmetric side (`_symmetric_leg_ideal`, which
-    checks exactly that it is that image) and is certified (1, 10, 6).
-    The field must not have characteristic 2."""
+    The configuration ideal is the involution model plus P, the preimage of
+    (F) under the lift map (`rho_preimage`: generated in degrees 1 and 2,
+    certified by its Hilbert series).  P's 11 linear forms span the
+    configuration forms; the compatible legs are cut out of the leg cone Y by
+    the forms dual to them.  Y is determinantal, hence Cohen-Macaulay
+    (Hochster-Eagon 1971), so that cut runs on the series (1 - t)^6 HS(Y)
+    (`cut_cohen_macaulay`); reaching it shows that the six forms cut Y in
+    dimension 1, and the full curve is certified (1, 20, 11).  Its symmetric
+    image comes from the duality on the symmetric side
+    (`_symmetric_leg_ideal`, which checks exactly that it is that image) and
+    is certified (1, 10, 6).  A failed certificate raises CertificationError
+    naming the seed.  The field must not have characteristic 2."""
     field = field or GF(101)
     seed = draw_seed(rng_seed, field, bound, retries)
     quarter = field.div(field.one, field.of(4))
@@ -316,35 +365,25 @@ def create_infinity_pod(
     # 4 r h = sum P_i^2 = U h + F, so r = U/4 on the curve F = 0
     rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
 
-    rx = ring_X(field)
-    preimage = rho_preimage(rho, seed.F)
-    j_inv_gens = involution_linear_forms(rx)
-    config = ideal_X_inv(field) + preimage.generators
+    try:
+        preimage = rho_preimage(rho, seed.F)
+        config = ideal_X_inv(field) + preimage.generators
+        span_forms = linalg.row_space_basis(
+            [list(_covector_of_linear(g)) for g in linear_part(preimage)], field
+        )
 
-    # degree-1 part, route A: linear generators of J_inv + preimage
-    lin_gens = [g for g in preimage.generators if g.homogeneous_degree() == 1]
-    lin_gens += j_inv_gens
-    covectors = [_covector_of_linear(g) for g in lin_gens]
-    route_a = linalg.row_space_basis([list(v) for v in covectors], field)
-    # route B: kernel of the lift map on linear forms
-    route_b_kernel = linalg.matrix_kernel(rho_quadric_matrix(rho), field)
-    route_b = linalg.row_space_basis([list(v) for v in route_b_kernel], field)
-    if route_a != route_b:
-        raise CertificationError("degree-1 parts of the two preimage routes differ")
-    i_lin_dim = len(route_a)
-
-    # dual side: the 11 forms become 11 leg points spanning a P^10
-    i_lin = LinearSubspace(X_NAMES, "forms", tuple(tuple(v) for v in route_a), field)
-    l_lin = dual_space(i_lin, bsc17(), "left")
-    point_rows = [list(v) for v in l_lin.basis]
-    cutting = linalg.matrix_kernel(point_rows, field)
-    ry = ring_Y(field)
-    leg_forms = [_linear_of_covector(v, ry) for v in cutting]
-    leg_full = ideal_Y(field) + leg_forms
-    leg_sym = _symmetric_leg_ideal(route_a, cutting, field)
+        # dual side: the 11 forms become 11 leg points spanning a P^10
+        i_lin = LinearSubspace(X_NAMES, "forms", tuple(tuple(v) for v in span_forms), field)
+        l_lin = dual_space(i_lin, bsc17(), "left")
+        cutting = linalg.matrix_kernel([list(v) for v in l_lin.basis], field)
+        ry = ring_Y(field)
+        leg_full = cut_cohen_macaulay(ideal_Y(field), [_linear_of_covector(v, ry) for v in cutting])
+        leg_sym = _symmetric_leg_ideal(span_forms, cutting, field)
+    except CertificationError as exc:
+        raise CertificationError(f"seed {rng_seed}: {exc}") from None
 
     certification = {
-        "i_lin_dim": i_lin_dim,
+        "i_lin_dim": len(span_forms),
         "f_smooth": seed.f_smooth,
         "leg_sym": hilbert_data(leg_sym).triple(),
         "leg_full": hilbert_data(leg_full).triple(),
@@ -354,7 +393,7 @@ def create_infinity_pod(
         config_ideal=config,
         leg_ideal_full=leg_full,
         leg_ideal_sym=leg_sym,
-        config_span_forms=tuple(tuple(v) for v in route_a),
+        config_span_forms=tuple(tuple(v) for v in span_forms),
         leg_span_points=tuple(tuple(v) for v in l_lin.basis),
         certification=certification,
     )

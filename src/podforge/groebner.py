@@ -8,7 +8,9 @@ a degree once the lead ideal's Hilbert function matches the bound there, and
 stops once the two series agree (Traverso 1996, Hilbert functions and the
 Buchberger algorithm).  Elimination supplies the exact series for free, and
 `Ideal + [f]` supplies (1 - t^deg f) times the parent's series, a bound for
-every slice.  `saturate` computes I : x^infinity for the last variable x by
+every slice.  `cut_cohen_macaulay` runs a cut of a Cohen-Macaulay ring on the
+series a regular sequence would give and keeps the result only if it reaches
+that series.  `saturate` computes I : x^infinity for the last variable x by
 Bayer's trick (Bayer-Stillman 1987).
 
 All reduction goes through one heap-driven kernel, `_reduce`, with one loop
@@ -587,6 +589,33 @@ def saturate(ideal: Ideal, var) -> Ideal:
     gb = buchberger(Ideal(ring, divided), hilbert=num)
     out = Ideal(ring, gb)
     out.seed_groebner_cache(DEGREVLEX, gb)
+    return out
+
+
+def cut_cohen_macaulay(ideal: Ideal, forms) -> Ideal:
+    """I + forms, for an ideal I whose ring R/I the caller knows to be
+    Cohen-Macaulay, with its degrevlex basis cached.
+
+    The run is driven by H = prod(1 - t^deg f) HS(R/I), which is not a lower
+    bound in general, so the engine may skip pairs it should not; correctness
+    comes from a post-check.  If the basis returned has lead series H, then
+    HF(R/J) <= H, so the forms cut the dimension by their number: they are
+    part of a system of parameters, on a Cohen-Macaulay ring a regular
+    sequence, hence HS(R/J) = H and the basis is complete.  Otherwise
+    (including a ValueError for a series that is too large) the run is
+    repeated with no series."""
+    ring = ideal.ring
+    out = ideal + forms
+    series = _lead_numerator(ring, [g.lead_monomial() for g in ideal.groebner_basis()])
+    for f in out.generators[len(ideal.generators):]:
+        series = unipoly.mul(series, _one_minus_t_power(f.homogeneous_degree()))
+    try:
+        gb = buchberger(out, hilbert=series)
+    except ValueError:
+        gb = None
+    if gb is None or _lead_numerator(ring, [g.lead_monomial() for g in gb]) != unipoly.trim(series):
+        gb = buchberger(out)
+    out.seed_groebner_cache(ring.order, gb)
     return out
 
 

@@ -25,6 +25,10 @@ EXP_MAX = 127
 DEGREVLEX = ("degrevlex",)
 
 
+class ParseError(ValueError):
+    """A polynomial string that is not in the canonical text format."""
+
+
 def elim_order(n_eliminated: int):
     """Two-block order: the first n_eliminated variables dominate."""
     return ("elim", n_eliminated)
@@ -185,14 +189,14 @@ class RingContext:
 
     def parse(self, text: str) -> "Polynomial":
         """Parse the canonical polynomial format `c*v1^a1*...*vk^ak` joined by
-        `+`/`-`.  Round-trips exactly with str()."""
+        `+`/`-`.  Round-trips exactly with str().  Raises ParseError."""
         s = text.replace(" ", "")
         if s in ("", "0"):
             return self.zero()
         # split into signed terms
         chunks = re.findall(r"[+-]?[^+-]+", s)
         if "".join(chunks) != s:
-            raise ValueError(f"cannot parse polynomial {text!r}")
+            raise ParseError(f"cannot parse polynomial {text!r}")
         pairs = []
         for chunk in chunks:
             sign = 1
@@ -205,14 +209,19 @@ class RingContext:
             coeff = Fraction(sign)
             exps = [0] * self.n
             for j, fac in enumerate(factors):
-                if j == 0 and re.fullmatch(r"[0-9]+(?:/[0-9]+)?", fac):
+                if j == 0 and re.fullmatch(r"[0-9]+(?:/[0-9]*[1-9][0-9]*)?", fac):
                     coeff *= Fraction(fac)
                     continue
                 m = self._FACTOR_RE.match(fac)
                 if not m or m.group(1) not in self.var_index:
-                    raise ValueError(f"bad factor {fac!r} in {text!r}")
+                    raise ParseError(f"bad factor {fac!r} in {text!r}")
                 exps[self.var_index[m.group(1)]] += int(m.group(2) or 1)
-            pairs.append((exps, self.field.of(coeff)))
+            if max(exps) > EXP_MAX:
+                raise ParseError(f"exponent above the cap {EXP_MAX} in {text!r}")
+            try:
+                pairs.append((exps, self.field.of(coeff)))
+            except ZeroDivisionError as exc:  # a denominator that vanishes mod p
+                raise ParseError(f"{exc} in {text!r}") from None
         return self.from_terms(pairs)
 
     def format_term(self, m: int, c) -> str:

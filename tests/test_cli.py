@@ -1,5 +1,6 @@
 """CLI surface: subcommands, file formats, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -64,6 +65,22 @@ def test_construct_infinity_deterministic(tmp_path):
     assert data["certification"]["i_lin_dim"] == 11
     assert tuple(data["certification"]["leg_sym"]) == (1, 10, 6)
     assert tuple(data["certification"]["leg_full"]) == (1, 20, 11)
+
+
+@pytest.mark.parametrize(
+    "field, seed, digest",
+    [
+        ("fp:101", 1, "0904936d336626f3e4c2c26d81bddb574de4fb475b4d3051b0434f1ee284446d"),
+        ("fp:101", 1201, "2ff362633fa6312b57b15314275027afc7daf16dc130869cee919ac03d52a14c"),
+        ("q", 2, "55f6e632abc3578856f922d7061b48cccac56ae2fdf4ec5a8050b8ec79f437b7"),
+    ],
+    ids=["fp101-1", "fp101-1201", "q-2"],
+)
+def test_construct_infinity_output_pinned(tmp_path, field, seed, digest):
+    # the determinism contract: a faster route must write the same bytes
+    out = tmp_path / "b.json"
+    run_cli("construct", "infinity", "--seed", str(seed), "--field", field, "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_construct_then_verify_exact(tmp_path):
@@ -166,6 +183,12 @@ def _write_inputs(tmp_path):
     (tmp_path / "equal_legs.json").write_text(json.dumps(equal))
     (tmp_path / "pod.json").write_text(json.dumps(POD))
     empty = {"ring": {"vars": ["l"]}, "generators": []}
+    (tmp_path / "bad_poly.json").write_text(json.dumps({
+        "kind": "infinity", "field": "fp:101", "rng_seed": 1,
+        "config_ideal": {"ring": {"vars": ["l"]}, "generators": ["l + * "]},
+        "leg_ideal_full": empty, "leg_ideal_sym": empty,
+        "config_span_forms": [], "leg_span_points": [],
+    }))
     (tmp_path / "bad_span.json").write_text(json.dumps({
         "kind": "infinity", "field": "fp:101", "rng_seed": 1, "config_ideal": empty,
         "leg_ideal_full": empty, "leg_ideal_sym": empty,
@@ -180,6 +203,7 @@ def _write_inputs(tmp_path):
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/missing.json"],
         ["verify", "{tmp}/bad.json"],
         ["verify", "{tmp}/bad_span.json"],
+        ["verify", "{tmp}/bad_poly.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/bad.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/no_ambient.json"],
         ["construct", "infinity", "--field", "fp:100"],
@@ -191,6 +215,7 @@ def _write_inputs(tmp_path):
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/short_basis.json"],
     ],
     ids=["verify-missing-file", "dual-missing-file", "verify-bad-json", "verify-bad-number",
+         "verify-bad-polynomial",
          "dual-bad-json", "dual-no-ambient", "field-not-prime", "field-two",
          "legs-unequal-lengths", "legs-non-numeric", "legs-wrong-count", "dual-wrong-ambient",
          "dual-short-basis"],

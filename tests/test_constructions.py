@@ -249,6 +249,16 @@ def test_sym_leg_points_recover_leg_pairs(bundle7):
     assert recovered >= 1
 
 
+def test_missed_preimage_series_names_the_seed(monkeypatch):
+    # a series the degree-1 and degree-2 generators cannot reach is an error,
+    # never a basis
+    from podforge import constructions
+
+    monkeypatch.setattr(constructions, "PREIMAGE_NUMERATOR", (1, 4, 4))
+    with pytest.raises(CertificationError, match=r"^seed 7: preimage of \(F\)"):
+        create_infinity_pod(7, F101)
+
+
 def test_multiple_seeds_certify():
     for s in (12, 23):
         b = create_infinity_pod(s, F101)

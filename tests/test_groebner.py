@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from podforge.fields import GF, QQ
+from podforge import unipoly
 from podforge.groebner import (
     BudgetExceeded,
     Ideal,
+    _lead_numerator,
     buchberger,
+    cut_cohen_macaulay,
     eliminate,
     hilbert_data,
     linear_part,
@@ -20,10 +23,25 @@ from podforge.groebner import (
     ideal_from_json,
     ideal_to_json,
 )
-from podforge.rings import DEGREVLEX, RingContext, elim_order
-from podforge.models import ideal_X_inv, ideal_Y, ring_X
-from podforge.constructions import draw_seed, rho_preimage
-from podforge.models import euler_rho
+from podforge.linalg import matrix_kernel, row_space_basis
+from podforge.rings import DEGREVLEX, RingContext, RingMap, elim_order
+from podforge.models import (
+    EULER_NAMES,
+    X_NAMES,
+    euler_rho,
+    ideal_X_inv,
+    ideal_Y,
+    ideal_Y_inv,
+    ring_euler,
+    ring_X,
+)
+from podforge.constructions import (
+    CertificationError,
+    _covector_of_linear,
+    draw_seed,
+    rho_preimage,
+    rho_quadric_matrix,
+)
 
 
 @pytest.fixture
@@ -161,36 +179,121 @@ def test_eliminate_veronese_graph_gives_catalecticant_minors():
     assert gb_out == gb_oracle
 
 
-def test_preimage_linear_part_matches_kernel_route():
-    field = GF(101)
-    seed = draw_seed(4, field)
+def seed_lift(s, field):
+    """The lift map and quartic F of `create_infinity_pod`'s seed s."""
+    seed = draw_seed(s, field)
     quarter = field.inv(field.of(4))
-    rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
-    pre = rho_preimage(rho, seed.F)
-    lin = [g for g in pre.generators if g.homogeneous_degree() == 1]
-    # degree-1 part has dimension 11 by the kernel computation
-    from podforge.linalg import row_space_basis
-    from podforge.constructions import _covector_of_linear
+    return euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter)), seed.F
 
-    vecs = [list(_covector_of_linear(g)) for g in lin]
-    assert len(row_space_basis(vecs, field)) == 11
+
+def preimage_by_elimination(rho, F):
+    """Oracle for rho_preimage: rho^-1((F)) by eliminating the Euler variables
+    from the graph ideal (x_i - rho_i(e), F).  The graph ring gives the 17
+    isometry coordinates weight two so everything stays homogeneous."""
+    field = F.ring.field
+    graph_ring = RingContext(EULER_NAMES + X_NAMES, (1, 1, 1) + (2,) * 17, DEGREVLEX, field)
+    emb = RingMap(ring_euler(field), graph_ring, [graph_ring.gen(n) for n in EULER_NAMES])
+    gens = [graph_ring.gen(n) - emb(rho.images[i]) for i, n in enumerate(X_NAMES)]
+    gens.append(emb(F))
+    out = eliminate(Ideal(graph_ring, gens), EULER_NAMES)
+    rx = ring_X(field)
+    return Ideal(rx, [rx.coerce(g) for g in out.generators])
+
+
+def _linear_span(ideal, field):
+    return row_space_basis([list(_covector_of_linear(g)) for g in linear_part(ideal)], field)
+
+
+@pytest.mark.parametrize(
+    "field, s",
+    [(GF(101), 1), (GF(101), 8), (GF(101), 15), (GF(101), 22), (QQ, 2)],
+    ids=["fp101-1", "fp101-8", "fp101-15", "fp101-22", "q-2"],
+)
+def test_rho_preimage_matches_graph_elimination(field, s):
+    # degrees 1 and 2 plus the series certificate give the reduced basis of
+    # the elimination, element for element
+    rho, F = seed_lift(s, field)
+    pre = rho_preimage(rho, F)
+    assert [str(g) for g in pre.generators] == [
+        str(g) for g in preimage_by_elimination(rho, F).groebner_basis()
+    ]
+    assert hilbert_data(pre).triple() == (1, 8, 3)
+
+
+def test_rho_preimage_missed_series_raises():
+    field = GF(101)
+    rho, F = seed_lift(1, field)
+    # F = 0: the preimage is the kernel of rho, above the series
+    with pytest.raises(CertificationError, match="Hilbert numerator"):
+        rho_preimage(rho, F - F)
+    # the zero map: every coordinate lies in the preimage, below the series
+    zero = RingMap(rho.source, rho.target, [rho.target.zero()] * rho.source.n)
+    with pytest.raises(CertificationError, match="below its Hilbert series"):
+        rho_preimage(zero, F)
+
+
+def test_preimage_linear_part_matches_kernel_route():
+    # the elimination and rho_preimage agree in degree 1, an 11-dimensional space
+    field = GF(101)
+    rho, F = seed_lift(4, field)
+    span = _linear_span(preimage_by_elimination(rho, F), field)
+    assert len(span) == 11
+    assert span == _linear_span(rho_preimage(rho, F), field)
 
 
 def test_eliminate_agrees_with_kernel_on_linear_part():
     field = GF(101)
-    seed = draw_seed(8, field)
-    quarter = field.inv(field.of(4))
-    rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
-    pre = rho_preimage(rho, seed.F)
-    from podforge.constructions import _covector_of_linear, rho_quadric_matrix
-    from podforge.linalg import matrix_kernel, row_space_basis
-
-    route_a = row_space_basis(
-        [list(_covector_of_linear(g)) for g in pre.generators if g.homogeneous_degree() == 1],
-        field,
-    )
+    rho, F = seed_lift(8, field)
     route_b = row_space_basis(matrix_kernel(rho_quadric_matrix(rho), field), field)
-    assert route_a == route_b
+    assert _linear_span(preimage_by_elimination(rho, F), field) == route_b
+
+
+# -- Cohen-Macaulay cuts ----------------------------------------------------------
+
+
+def _random_linear_forms(ring, count, rng):
+    p = ring.field.p
+    unit = [tuple(int(k == i) for k in range(ring.n)) for i in range(ring.n)]
+    return [ring.from_terms((e, rng.randrange(p)) for e in unit) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@pytest.mark.parametrize("model", [ideal_Y, ideal_Y_inv], ids=["Y", "Yinv"])
+def test_leg_cones_cohen_macaulay_certificate(model, p):
+    # dim + 1 random linear forms, a system of parameters, are a regular
+    # sequence exactly when R/I is Cohen-Macaulay: the cut with no series then
+    # keeps the h-vector, (1 - t)^8 HS(R/I)
+    ideal = model(GF(p))
+    hd = hilbert_data(ideal)
+    assert hd.dimension + 1 == 8
+    forms = _random_linear_forms(ideal.ring, 8, random.Random(p))
+    plain = Ideal(ideal.ring, ideal.generators + tuple(forms))
+    cut = hilbert_data(plain)
+    assert (cut.dimension, cut.numerator) == (-1, hd.numerator)
+    assert cut_cohen_macaulay(ideal, forms).groebner_basis() == plain.groebner_basis()
+
+
+def test_cohen_macaulay_cut_falls_back_when_series_missed():
+    # a repeated form is no system of parameters: the series is never reached
+    field = GF(101)
+    ideal = ideal_Y_inv(field)
+    f = _random_linear_forms(ideal.ring, 1, random.Random(5))[0]
+    assert cut_cohen_macaulay(ideal, [f, f]).groebner_basis() == buchberger(
+        ideal.generators + (f,)
+    )
+    # x (x, y, z, w) is not Cohen-Macaulay (x is a socle element): its series
+    # times (1 - t)^2 passes the cut by y, z in degree 3, and the engine raises
+    ring = RingContext(("x", "y", "z", "w"), (1,) * 4, DEGREVLEX, field)
+    x, y, z, w = ring.gens()
+    ideal = Ideal(ring, [x * x, x * y, x * z, x * w])
+    series = _lead_numerator(ring, [g.lead_monomial() for g in ideal.groebner_basis()])
+    for _ in range(2):
+        series = unipoly.mul(series, [1, -1])
+    with pytest.raises(ValueError, match="Hilbert series is wrong"):
+        buchberger(ideal.generators + (y, z), hilbert=series)
+    assert cut_cohen_macaulay(ideal, [y, z]).groebner_basis() == buchberger(
+        ideal.generators + (y, z)
+    )
 
 
 # -- Hilbert data ---------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from podforge.fields import GF, QQ, FieldError, field_from_descriptor
-from podforge.rings import DEGREVLEX, RingContext, RingMap
+from podforge.rings import DEGREVLEX, ParseError, RingContext, RingMap
 from podforge.linalg import matrix_kernel, rank
 from podforge.models import EULER_NAMES, X_NAMES, ring_euler, ring_X
 from podforge.constructions import draw_seed, rho_quadric_matrix
@@ -124,6 +124,15 @@ def test_parse_print_roundtrip_gf():
             ((rng.randint(0, 5), rng.randint(0, 5)), rng.randint(0, 100)) for _ in range(4)
         )
         assert ring.parse(str(f)) == f
+
+
+@pytest.mark.parametrize(
+    "text", ["x + * ", "x*w", "x^128", "x^100*x^100", "1/0*x", "1/101*y", "x y"],
+)
+def test_parse_rejects_malformed_text(text):
+    ring = RingContext(("x", "y"), (1, 1), DEGREVLEX, GF(101))
+    with pytest.raises(ParseError):
+        ring.parse(text)
 
 
 # -- ring maps ---------------------------------------------------------------
