@@ -300,6 +300,9 @@ def cmd_verify(args) -> int:
             certification=bundle.certification,
         )
     else:
+        if field is not QQ:
+            print("float verification runs over a rational bundle", file=sys.stderr)
+            return EXIT_USAGE
         cfgs = verify.real_configurations(bundle.seed, max(10, args.samples // 2))
         legs = verify.real_legs(bundle, max(5, args.samples // 5))
         report = verify.check_pod(

@@ -453,7 +453,11 @@ def recover_leg_pairs(sym_coords, field=QQ) -> LegPairRecovery:
 
 def recover_leg_pairs_float(sym_coords) -> tuple:
     """Float-mode factorization via eigendecomposition of the rank-2 part
-    (signature (1,1)).  Returns (a, b, d2) as float arrays/values."""
+    (signature (1,1)).  Returns (a, b, d2) as float arrays/values.
+
+    Raises DualityError when S is not of rank two (its third eigenvalue above
+    1e-9 of its first, or its second negligible) or an anchor is at infinity,
+    and ComplexLegError when the rank-2 part is definite."""
     import numpy as np
 
     c = [float(v) for v in sym_coords]
@@ -469,6 +473,8 @@ def recover_leg_pairs_float(sym_coords) -> tuple:
     w, V = np.linalg.eigh(S)
     idx = np.argsort(-np.abs(w))
     w1, w2 = w[idx[0]], w[idx[1]]
+    if abs(w[idx[2]]) > 1e-9 * abs(w1):
+        raise DualityError("matrix rank exceeds two (float)")
     if abs(w2) < 1e-12 * scale:
         raise DualityError("rank below two: degenerate float leg point")
     if w1 * w2 > 0:

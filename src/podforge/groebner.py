@@ -36,7 +36,9 @@ from operator import le
 
 from . import unipoly
 from .fields import QQ, FieldError
-from .rings import DEGREVLEX, EXP_BITS, EXP_MASK, EXP_MAX, Polynomial, RingContext, elim_order
+from .rings import (
+    DEGREVLEX, EXP_BITS, EXP_MASK, EXP_MAX, ParseError, Polynomial, RingContext, elim_order,
+)
 
 
 class BudgetExceeded(RuntimeError):
@@ -838,13 +840,18 @@ def ideal_to_json(ideal: Ideal) -> dict:
 
 
 def ideal_from_json(data: dict) -> Ideal:
+    """The ideal of `ideal_to_json`'s format; a bad field descriptor or ring
+    header raises ParseError, as a malformed generator does."""
     from .fields import field_from_descriptor
 
-    field = field_from_descriptor(data.get("field", "q"))
-    ring = RingContext(
-        tuple(data["ring"]["vars"]),
-        tuple(data["ring"].get("weights") or [1] * len(data["ring"]["vars"])),
-        DEGREVLEX,
-        field,
-    )
+    try:
+        field = field_from_descriptor(data.get("field", "q"))
+        ring = RingContext(
+            tuple(data["ring"]["vars"]),
+            tuple(data["ring"].get("weights") or [1] * len(data["ring"]["vars"])),
+            DEGREVLEX,
+            field,
+        )
+    except ValueError as exc:
+        raise ParseError(f"bad ring header: {exc}") from None
     return Ideal(ring, [ring.parse(s) for s in data["generators"]])

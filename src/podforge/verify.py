@@ -6,9 +6,11 @@ slice of a curve is a zero-dimensional scheme, and `multiplication_data`
 builds one multiplication map A = M0^-1 M1 on its quotient.  The evaluation
 functionals of the points are the left eigenvectors of A (Auzinger-Stetter),
 so over GF(p) each eigenvector gives its point, and every emitted point is
-verified exactly against all generators.  The real path isolates the roots
-of A's characteristic polynomial over Q with exact Sturm sequences before
-any floating refinement, so no real root is spurious or missed.  All univariate
+verified exactly against all generators.  Real legs come from slices of
+the symmetric leg curve over Q: exact Sturm sequences isolate the roots of
+A's characteristic polynomial before any floating refinement, so no real root
+is spurious or missed, and A's float left eigenvectors give the points, each
+factored into its leg pair by `recover_leg_pairs_float`.  All univariate
 arithmetic (roots over GF(p), Sturm sequences, the Newton polish) runs on the
 coefficient lists of `unipoly`.
 """
@@ -24,7 +26,7 @@ from . import linalg, unipoly
 from .fields import QQ
 from .groebner import Ideal, hilbert_data, reduce_by_basis, standard_monomials
 from .models import EULER_NAMES, IsometryPoint, Leg, sum_
-from .duality import bsc17, leg_to_point
+from .duality import ComplexLegError, DualityError, bsc17, leg_to_point, recover_leg_pairs_float
 from .rings import EXP_BITS, EXP_MASK, Polynomial
 
 
@@ -99,7 +101,7 @@ def _random_form(ring, rng, lo, hi):
 
 def multiplication_data(ideal: Ideal, rng=None):
     """The multiplication map of a zero-dimensional projective quotient:
-    returns (basis_t, M0, M1, A) with A = M0^-1 M1.
+    returns (basis_t, A) with A = M0^-1 M1.
 
     basis_t holds the degree-t standard monomials for the least t >= 1 with
     HF(t) = HF(t + 1) = degree, read off the partial sums of the Hilbert
@@ -127,12 +129,11 @@ def multiplication_data(ideal: Ideal, rng=None):
         for ell in ells:
             cols = [_nf_in_basis(ell.mul_term(m, field.one), gb, idx1, ring) for m in bt]
             mats.append([list(row) for row in zip(*cols)])
-        M0, M1 = mats
         try:
-            minv = linalg.mat_inverse(M0, field)
+            minv = linalg.mat_inverse(mats[0], field)
         except ValueError:
             continue
-        return bt, M0, M1, linalg.mat_mul(minv, M1, field)
+        return bt, linalg.mat_mul(minv, mats[1], field)
     raise SamplingError("no invertible multiplication map found")
 
 
@@ -202,7 +203,7 @@ def _solve_with_random_forms(ideal, max_points, form_rng, root_rng):
     dimension 2 or more."""
     ring = ideal.ring
     field = ring.field
-    bt, _M0, _M1, A = multiplication_data(ideal, form_rng)
+    bt, A = multiplication_data(ideal, form_rng)
     gb = ideal.groebner_basis()
     cp = linalg.charpoly(A, field)
     p = field.p
@@ -498,17 +499,32 @@ class RealLeg:
     coords: tuple  # 17 floats on the leg side, z00-normalized
 
 
-def real_legs(bundle, count: int, rng=None, max_slices: int = 12, tol: float = 1e-9):
-    """Real legs of a bundle over Q: slice the full leg curve with random
-    rational hyperplanes, isolate the real roots of the degree-20 eliminant
-    exactly, then back-substitute numerically."""
+def _real_leg(a, b, d2):
+    """The leg (a, b, d2) with its point z_ij = a~_i b~_j, l = |a|^2 + |b|^2 - d2
+    (the float form of `leg_to_point`)."""
+    at, bt = (1.0, *map(float, a)), (1.0, *map(float, b))
+    l = sum(x * x for x in at[1:] + bt[1:]) - d2
+    return RealLeg(at[1:], bt[1:], d2, d2 > 0, tuple(x * y for x in at for y in bt) + (l,))
+
+
+def real_legs(bundle, count: int, rng=None, max_slices: int = 12):
+    """At least `count` real legs of a bundle over Q, in (a, b), (b, a) pairs.
+
+    Random rational hyperplanes slice the degree-10 symmetric leg curve, and
+    each slice is read as over GF(p): the real roots of the charpoly of A are
+    isolated exactly by Sturm sequences and refined, and a root's point comes
+    from the float left eigenvector of A (the null vector of (A - lam I)^t).
+    `recover_leg_pairs_float` factors the point into its leg pair; both
+    (a, b) and (b, a) are legs, because the full leg curve is the 2:1
+    preimage of the symmetric one.  A point whose pair is complex, whose
+    anchor is at infinity or that is off the symmetric cone is skipped."""
     import numpy as np
 
     field = bundle.seed.field
     if field is not QQ:
         raise ValueError("real leg extraction requires a rational bundle")
     rng = rng or random.Random(11)
-    ideal = bundle.leg_ideal_full
+    ideal = bundle.leg_ideal_sym
     ring = ideal.ring
     legs = []
     slice_degrees = []
@@ -522,70 +538,35 @@ def real_legs(bundle, count: int, rng=None, max_slices: int = 12, tol: float = 1
         if hilbert_data(sliced).dimension != 0:
             continue  # the hyperplane contains a component
         try:
-            bt, M0, M1, A = multiplication_data(sliced, rng)
+            bt, A = multiplication_data(sliced, rng)
         except SamplingError:
             continue
         gb = sliced.groebner_basis()
         cp = linalg.charpoly(A, QQ)
         slice_degrees.append(len(cp) - 1)
-        m0f = np.array([[float(c) for c in row] for row in M0])
-        m1f = np.array([[float(c) for c in row] for row in M1])
+        af = np.array([[float(c) for c in row] for row in A])
         for interval in isolate_real_roots(cp):
             a, b = refine_root(cp, interval)
             lam = polish_float_root(cp, float((a + b) / 2))
-            # left null vector w of (M1 - lam M0)
-            mat = (m1f - lam * m0f).T
-            _u, s, vh = np.linalg.svd(mat)
+            _u, s, vh = np.linalg.svd((af - lam * np.eye(len(af))).T)
             if s[-1] > 1e-6 * max(1.0, s[0]):
                 continue
-            w = vh[-1]
-            v = m0f.T @ w
-            leg = _float_leg_from_functional(v, bt, gb, ring, tol)
-            if leg is not None:
-                legs.append(leg)
-                if len(legs) >= count:
-                    break
+            v = vh[-1]  # the point's evaluation functional on bt
+            vecs = _coordinate_vectors(bt, int(np.argmax(np.abs(v))), gb, ring)
+            coords = np.array([[float(c) for c in vec] for vec in vecs]) @ v
+            try:
+                la, lb, d2 = recover_leg_pairs_float(coords / np.max(np.abs(coords)))
+            except (ComplexLegError, DualityError):
+                continue
+            legs += [_real_leg(la, lb, d2), _real_leg(lb, la, d2)]
+            if len(legs) >= count:
+                break
     if len(legs) < count:
         raise SamplingError(
             f"found {len(legs)} real legs after {max_slices} slices "
             f"(slice degrees {slice_degrees})"
         )
     return legs
-
-
-def _float_leg_from_functional(v, bt, gb, ring, tol):
-    import numpy as np
-
-    j_star = int(np.argmax(np.abs(v)))
-    if abs(v[j_star]) < 1e-12:
-        return None
-    coords = [
-        float(np.dot([float(c) for c in vec], v))
-        for vec in _coordinate_vectors(bt, j_star, gb, ring)
-    ]
-    scale = max(abs(c) for c in coords)
-    if scale == 0:
-        return None
-    coords = [c / scale for c in coords]
-    z = [[coords[4 * i + j] for j in range(4)] for i in range(4)]
-    l = coords[16]
-    z00 = z[0][0]
-    if abs(z00) < 1e-9:
-        return None
-    # on-cone check: 2x2 minors, relative
-    for i in range(4):
-        for kk in range(i + 1, 4):
-            for j in range(4):
-                for mmm in range(j + 1, 4):
-                    minor = z[i][j] * z[kk][mmm] - z[i][mmm] * z[kk][j]
-                    if abs(minor) > tol * (1 + abs(z[i][j] * z[kk][mmm]) + abs(z[i][mmm] * z[kk][j])):
-                        return None
-    a = tuple(z[i][0] / z00 for i in (1, 2, 3))
-    b = tuple(z[0][j] / z00 for j in (1, 2, 3))
-    l_affine = l / z00
-    d2 = sum(x * x for x in a) + sum(x * x for x in b) - l_affine
-    coords_norm = tuple(c / z00 for c in coords)
-    return RealLeg(a, b, d2, d2 > 0, coords_norm)
 
 
 # ---------------------------------------------------------------------------

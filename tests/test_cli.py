@@ -96,6 +96,23 @@ def test_construct_then_verify_exact(tmp_path):
     assert all(r["ok"] for r in data["residuals"])
 
 
+def test_construct_then_verify_float(tmp_path):
+    bundle = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    run_cli("construct", "infinity", "--seed", "2", "--field", "q", "--out", str(bundle))
+    proc = run_cli("verify", str(bundle), "--mode", "float", "--out", str(report))
+    assert proc.returncode == 0
+    assert json.loads(report.read_text())["ok"] is True
+
+
+def test_verify_float_on_finite_field_bundle_usage_error(tmp_path):
+    bundle = tmp_path / "b.json"
+    run_cli("construct", "infinity", "--seed", "1", "--field", "fp:101", "--out", str(bundle))
+    proc = run_cli("verify", str(bundle), "--mode", "float", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "float verification runs over a rational bundle\n"
+
+
 def test_construct_duporcq(tmp_path):
     pod = tmp_path / "pod.json"
     pod.write_text(json.dumps(POD))
@@ -189,6 +206,14 @@ def _write_inputs(tmp_path):
         "leg_ideal_full": empty, "leg_ideal_sym": empty,
         "config_span_forms": [], "leg_span_points": [],
     }))
+    for name, header in [("bad_field_header", {"field": "fp:x", "ring": {"vars": ["l"]}}),
+                         ("repeated_var", {"ring": {"vars": ["l", "l"]}})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "kind": "infinity", "field": "fp:101", "rng_seed": 1,
+            "config_ideal": dict(header, generators=[]),
+            "leg_ideal_full": empty, "leg_ideal_sym": empty,
+            "config_span_forms": [], "leg_span_points": [],
+        }))
     (tmp_path / "bad_span.json").write_text(json.dumps({
         "kind": "infinity", "field": "fp:101", "rng_seed": 1, "config_ideal": empty,
         "leg_ideal_full": empty, "leg_ideal_sym": empty,
@@ -204,6 +229,8 @@ def _write_inputs(tmp_path):
         ["verify", "{tmp}/bad.json"],
         ["verify", "{tmp}/bad_span.json"],
         ["verify", "{tmp}/bad_poly.json"],
+        ["verify", "{tmp}/bad_field_header.json"],
+        ["verify", "{tmp}/repeated_var.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/bad.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/no_ambient.json"],
         ["construct", "infinity", "--field", "fp:100"],
@@ -215,7 +242,7 @@ def _write_inputs(tmp_path):
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/short_basis.json"],
     ],
     ids=["verify-missing-file", "dual-missing-file", "verify-bad-json", "verify-bad-number",
-         "verify-bad-polynomial",
+         "verify-bad-polynomial", "verify-bad-field-header", "verify-repeated-variable",
          "dual-bad-json", "dual-no-ambient", "field-not-prime", "field-two",
          "legs-unequal-lengths", "legs-non-numeric", "legs-wrong-count", "dual-wrong-ambient",
          "dual-short-basis"],

@@ -350,6 +350,17 @@ def test_recover_float_eigendecomposition():
         assert abs(d2 - float(leg.d2)) < 1e-8
 
 
+def test_recover_float_rejects_rank_three():
+    # a leg pair's matrix plus 2 e1 e1^t has rank three: off the cone
+    leg = Leg((Fraction(1), Fraction(2), Fraction(0)), (Fraction(-1), Fraction(0), Fraction(3)),
+              Fraction(4), QQ)
+    coords = [float(c) for c in leg_sym_coords(leg)]
+    recover_leg_pairs_float(coords)
+    coords[0] += 1.0
+    with pytest.raises(DualityError, match="rank exceeds two"):
+        recover_leg_pairs_float(coords)
+
+
 def test_recover_over_prime_field():
     rng = random.Random(107)
     hits = 0

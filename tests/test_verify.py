@@ -337,7 +337,7 @@ def test_full_leg_curve_slice_eliminant_has_degree_20():
     rng = random.Random(21)
     hyper = sum((g.scale(rng.randint(1, 100)) for g in ring.gens()), ring.zero())
     sliced = bundle.leg_ideal_full + [hyper]
-    _bt, _M0, _M1, A = multiplication_data(sliced, rng)
+    _bt, A = multiplication_data(sliced, rng)
     cp = linalg.charpoly(A, F101)
     assert len(cp) - 1 == 20
 
@@ -378,7 +378,7 @@ def test_real_legs_skips_only_unsolvable_slices(monkeypatch):
 
     ring = RingContext(("x0", "x1", "x2", "x3"), (1,) * 4, DEGREVLEX, QQ)
     g = ring.gens()
-    bundle = SimpleNamespace(seed=SimpleNamespace(field=QQ), leg_ideal_full=Ideal(ring, [g[2], g[3]]))
+    bundle = SimpleNamespace(seed=SimpleNamespace(field=QQ), leg_ideal_sym=Ideal(ring, [g[2], g[3]]))
 
     def fail(*args, **kwargs):
         raise ValueError("engine fault")
@@ -386,6 +386,29 @@ def test_real_legs_skips_only_unsolvable_slices(monkeypatch):
     monkeypatch.setattr(verify, "multiplication_data", fail)
     with pytest.raises(ValueError, match="engine fault"):
         verify.real_legs(bundle, 1)
+
+
+def test_real_legs_from_symmetric_curve_lie_on_full_curve():
+    # oracle: legs read from the degree-10 symmetric curve satisfy every
+    # generator of the independently built full leg curve, come in
+    # (a, b), (b, a) pairs, and anchor on the base curve
+    from podforge.acceptance import _abs_eval
+    from podforge.constructions import base_curve
+    from podforge.verify import real_legs
+
+    def on(ideal, point):
+        return all(abs(g.evaluate_float(point)) <= 1e-9 * (1 + _abs_eval(g, point))
+                   for g in ideal.generators)
+
+    bundle = create_infinity_pod(2, QQ)
+    legs = real_legs(bundle, 5)
+    assert len(legs) >= 5 and len(legs) % 2 == 0
+    for leg in legs:
+        assert on(bundle.leg_ideal_full, leg.coords)
+        assert on(base_curve(bundle), (1.0,) + leg.a)
+    for first, second in zip(legs[::2], legs[1::2]):
+        assert (first.a, first.b) == (second.b, second.a)
+        assert first.d2 == second.d2
 
 
 def test_real_configurations_definite_quartic_warns_empty():
