@@ -33,6 +33,8 @@ class InputError(Exception):
 
 
 def _field(desc):
+    if not isinstance(desc, str):
+        raise InputError(f"bad field {desc!r}: not a descriptor string")
     try:
         return field_from_descriptor(desc)
     except ValueError as exc:  # FieldError, or a non-integer modulus
@@ -253,26 +255,42 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
+def _integer(key, value, minimum=None):
+    """A bundle's integer value (a bool is not one)."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" of at least {minimum}"
+        raise InputError(f"{key} must be an integer{at_least}, not {value!r}")
+    return value
+
+
+def _vectors(data, key, field):
+    """A bundle's list of 17-entry vectors as field scalars."""
+    vecs = data[key]
+    if not isinstance(vecs, list) or any(not isinstance(v, list) or len(v) != 17 for v in vecs):
+        raise InputError(f"{key} must be a list of 17-entry vectors")
+    return tuple(tuple(_scalar(field, c) for c in v) for v in vecs)
+
+
 def _bundle_from_json(data):
     field = _field(data["field"])
-    seed = constructions.draw_seed(data["rng_seed"], field, data.get("bound", 10))
+    seed = constructions.draw_seed(
+        _integer("rng_seed", data["rng_seed"]), field,
+        _integer("bound", data.get("bound", 10), minimum=0),
+    )
     config = ideal_from_json(data["config_ideal"])
     leg_full = ideal_from_json(data["leg_ideal_full"])
     leg_sym = ideal_from_json(data["leg_ideal_sym"])
-    span_forms = tuple(
-        tuple(_scalar(field, c) for c in v) for v in data["config_span_forms"]
-    )
-    span_points = tuple(
-        tuple(_scalar(field, c) for c in v) for v in data["leg_span_points"]
-    )
+    certification = data.get("certification", {})
+    if not isinstance(certification, dict):
+        raise InputError("certification must be an object")
     return constructions.InfinityPodBundle(
         seed=seed,
         config_ideal=config,
         leg_ideal_full=leg_full,
         leg_ideal_sym=leg_sym,
-        config_span_forms=span_forms,
-        leg_span_points=span_points,
-        certification=data.get("certification", {}),
+        config_span_forms=_vectors(data, "config_span_forms", field),
+        leg_span_points=_vectors(data, "leg_span_points", field),
+        certification=certification,
     )
 
 
@@ -347,9 +365,7 @@ def _print_report(report):
 def cmd_reproduce(args) -> int:
     from . import acceptance
 
-    results = acceptance.run_all(
-        fast=args.fast, seed=args.seed, samples=args.samples, tol=args.tol
-    )
+    results = acceptance.run_all(fast=args.fast, seed=args.seed, tol=args.tol)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -407,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the acceptance suite")
     p.add_argument("--fast", action="store_true", help="reduced seed counts for a quick pass")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=25)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_reproduce)
 

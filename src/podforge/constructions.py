@@ -63,7 +63,7 @@ from .duality import (
     sbsc11,
     sbsc_planar7,
 )
-from .rings import DEGREVLEX, EXP_BITS, EXP_MASK, Polynomial, RingContext, RingMap
+from .rings import DEGREVLEX, EXP_BITS, EXP_MASK, Polynomial, RingContext, RingMap, minors
 
 
 class DegenerateSeedError(ValueError):
@@ -418,30 +418,26 @@ def duporcq_sixth_leg(legs) -> Leg:
     vecs = [leg_p_coords(leg) for leg in legs]
     if linalg.rank([list(v) for v in vecs], field) != 5:
         raise DualityError("special pentapod: legs span less than a P^4")
-    # pull the nine 2x2 minors of the 3x3 block back to the lambda-space
-    zmats = [[[field.of(v[3 * i + j]) for j in range(3)] for i in range(3)] for v in vecs]
+    # pull the nine 2x2 minors of the 3x3 block back to the lambda-space:
+    # the minors of z(lam) = sum_s lam_s z_s, one kernel row of lam_s lam_t
+    # coefficients each; a lam_s^2 coefficient is a minor of one input leg
+    lring = RingContext(tuple(f"lam{s}" for s in range(5)), (1,) * 5, DEGREVLEX, field)
+    zlam = [
+        [sum((lring.gen(s).scale(v[3 * i + j]) for s, v in enumerate(vecs)), lring.zero())
+         for j in range(3)]
+        for i in range(3)
+    ]
+
+    def lam_st(s, t):  # the exponents of lam_s lam_t
+        return [int(i == s) + int(i == t) for i in range(5)]
+
     pairs = list(itertools.combinations(range(5), 2))
     pair_idx = {p: k for k, p in enumerate(pairs)}
     rows = []
-    for i, k in itertools.combinations(range(3), 2):
-        for j, m in itertools.combinations(range(3), 2):
-            row = [field.zero] * len(pairs)
-            diag_ok = True
-            for s in range(5):
-                for t in range(5):
-                    c = field.sub(
-                        field.mul(zmats[s][i][j], zmats[t][k][m]),
-                        field.mul(zmats[s][i][m], zmats[t][k][j]),
-                    )
-                    if s == t:
-                        if not field.is_zero(c):
-                            diag_ok = False
-                        continue
-                    p = (min(s, t), max(s, t))
-                    row[pair_idx[p]] = field.add(row[pair_idx[p]], c)
-            if not diag_ok:
-                raise DualityError("input leg does not lie on the planar cone")
-            rows.append(row)
+    for minor in minors(zlam, 2):
+        if any(not field.is_zero(minor.coefficient(lam_st(s, s))) for s in range(5)):
+            raise DualityError("input leg does not lie on the planar cone")
+        rows.append([minor.coefficient(lam_st(s, t)) for s, t in pairs])
     kernel = linalg.matrix_kernel(rows, field)
     if len(kernel) == 0:
         raise DualityError("special pentapod: no residual point")
@@ -693,6 +689,15 @@ def cubic_line_symmetric(rng_seed: int, field=None, bound: int = 10, retries: in
     raise DegenerateSeedError(last)
 
 
+def _lfree_cutting_forms(points, field) -> list:
+    """The covectors of the linear forms vanishing on the span of `points`
+    whose coefficient of the last coordinate, l, is zero."""
+    cutting = linalg.matrix_kernel([list(p) for p in points], field)
+    combos = linalg.matrix_kernel([[v[-1] for v in cutting]], field)
+    columns = [list(col) for col in zip(*cutting)]
+    return [linalg.mat_vec(columns, c, field) for c in combos]
+
+
 def cubic_lift_bidegree(bundle: CubicPodBundle):
     """Bidegree data of the lift of the leg cubic to the product of the base
     and platform planes.
@@ -703,17 +708,7 @@ def cubic_lift_bidegree(bundle: CubicPodBundle):
     coefficient matrix.  Returns ((3, base cubic), (3, platform cubic)); the
     two cubics cut the same curve."""
     field = bundle.field
-    # combinations of the 4 cutting forms with zero l-coefficient
-    cutting = linalg.matrix_kernel([list(p) for p in bundle.plane.basis], field)
-    lcol = [[v[6]] for v in cutting]
-    combos = linalg.matrix_kernel([list(col) for col in zip(*lcol)], field)
-    lfree = []
-    for c in combos:
-        vec = [field.zero] * 7
-        for k, ck in enumerate(c):
-            for j in range(7):
-                vec[j] = field.add(vec[j], field.mul(ck, field.of(cutting[k][j])))
-        lfree.append(vec)
+    lfree = _lfree_cutting_forms(bundle.plane.basis, field)
     if len(lfree) != 3:
         raise DegenerateSeedError("plane meets the cone vertex: no l-free slice")
     ring3 = RingContext(("u0", "u1", "u2"), (1, 1, 1), DEGREVLEX, field)
@@ -725,13 +720,6 @@ def cubic_lift_bidegree(bundle: CubicPodBundle):
         z00, z11, z22, s01, s02, s12 = vec[:6]
         return [[z00, s01, s02], [s01, z11, s12], [s02, s12, z22]]
 
-    def det3(rows):
-        return (
-            rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-        )
-
     mats = [coeff_matrix(vec) for vec in lfree]
     # base side: rows of b-coefficients, linear in a; platform side transposes
     base_rows = [
@@ -742,8 +730,8 @@ def cubic_lift_bidegree(bundle: CubicPodBundle):
         [sum((u[j].scale(mats[c][i][j]) for j in range(3)), ring3.zero()) for i in range(3)]
         for c in range(3)
     ]
-    base_cubic = det3(base_rows)
-    plat_cubic = det3(plat_rows)
+    (base_cubic,) = minors(base_rows, 3)
+    (plat_cubic,) = minors(plat_rows, 3)
     if base_cubic.is_zero() or plat_cubic.is_zero():
         raise CertificationError("lifted curve projects degenerately")
     return (
@@ -819,7 +807,7 @@ def symmetroid_pencil(bundle: CubicPodBundle, node_samples: int = 8) -> Symmetro
         ]
         for i in range(4)
     ]
-    det = _det4(entries, wring)
+    (det,) = minors(entries, 4)
     H = _exact_divide_by_var(det, wring, "w0")
     if H is None:
         raise CertificationError("determinant is not divisible by w0")
@@ -853,21 +841,6 @@ def symmetroid_pencil(bundle: CubicPodBundle, node_samples: int = 8) -> Symmetro
     )
 
 
-def _det4(entries, ring):
-    total = ring.zero()
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = ring.one()
-        for i in range(4):
-            term = term * entries[i][perm[i]]
-        total = total + (term if sign > 0 else -term)
-    return total
-
-
 def _exact_divide_by_var(f: Polynomial, ring, name):
     i = ring.var_index[name]
     shift = 1 << (EXP_BITS * i)
@@ -894,33 +867,17 @@ def base_curve(bundle: InfinityPodBundle, platform: bool = False) -> Ideal:
     condition on the 5 x 4 coefficient matrix, so the base ideal is generated
     by its five maximal minors."""
     field = bundle.seed.field
-    cutting = linalg.matrix_kernel([list(v) for v in bundle.leg_span_points], field)
-    # combinations with zero l-coefficient pull back to P^3 x P^3
-    lcol = [[v[16]] for v in cutting]
-    combos = linalg.matrix_kernel([list(col) for col in zip(*lcol)], field)
-    if len(combos) != 5:
+    # the l-free cutting forms pull back to P^3 x P^3
+    lfree = _lfree_cutting_forms(bundle.leg_span_points, field)
+    if len(lfree) != 5:
         raise CertificationError("leg span does not project cleanly (vertex issue)")
     ring3 = RingContext(("a0", "a1", "a2", "a3"), (1,) * 4, DEGREVLEX, field)
     a = [ring3.gen(f"a{i}") for i in range(4)]
     # row c, column j: the linear form multiplying b_j (or a_j in platform mode)
-    rows = []
-    for c in combos:
-        row = [ring3.zero() for _ in range(4)]
-        for k, ck in enumerate(c):
-            ck = field.of(ck)
-            if field.is_zero(ck):
-                continue
-            for idx in range(16):
-                coeff = field.mul(ck, field.of(cutting[k][idx]))
-                if field.is_zero(coeff):
-                    continue
-                i, j = divmod(idx, 4)
-                if platform:
-                    row[i] = row[i] + a[j].scale(coeff)
-                else:
-                    row[j] = row[j] + a[i].scale(coeff)
-        rows.append(row)
-    minors = []
-    for keep in itertools.combinations(range(5), 4):
-        minors.append(_det4([rows[r] for r in keep], ring3))
-    return Ideal(ring3, minors)
+    if platform:
+        rows = [[sum((a[j].scale(v[4 * i + j]) for j in range(4)), ring3.zero()) for i in range(4)]
+                for v in lfree]
+    else:
+        rows = [[sum((a[i].scale(v[4 * i + j]) for i in range(4)), ring3.zero()) for j in range(4)]
+                for v in lfree]
+    return Ideal(ring3, minors(rows, 4))

@@ -184,13 +184,8 @@ def point_to_leg(pt: LegPoint) -> Leg:
     z = pt.z
     if f.is_zero(z[0][0]):
         raise DualityError("anchor at infinity (z00 = 0)")
-    for i in range(4):
-        for k in range(i + 1, 4):
-            for j in range(4):
-                for m in range(j + 1, 4):
-                    minor = f.sub(f.mul(z[i][j], z[k][m]), f.mul(z[i][m], z[k][j]))
-                    if not f.is_zero(minor):
-                        raise DualityError("not a leg point (rank > 1)")
+    if linalg.rank(z, f) > 1:
+        raise DualityError("not a leg point (rank > 1)")
     inv00 = f.inv(z[0][0])
     a = tuple(f.mul(z[i][0], inv00) for i in (1, 2, 3))
     b = tuple(f.mul(z[0][j], inv00) for j in (1, 2, 3))
@@ -389,21 +384,8 @@ def recover_leg_pairs(sym_coords, field=QQ) -> LegPairRecovery:
     S = _sym_matrix_from_coords(coords, f)
     if all(f.is_zero(S[i][j]) for i in range(4) for j in range(4)):
         raise DualityError("zero matrix: the cone vertex carries no legs")
-    # rank <= 2 test: all 3x3 minors vanish
-    import itertools
-
-    for rows in itertools.combinations(range(4), 3):
-        for cols in itertools.combinations(range(4), 3):
-            a = [[S[r][c] for c in cols] for r in rows]
-            d3 = f.sub(
-                f.add(
-                    f.mul(a[0][0], f.sub(f.mul(a[1][1], a[2][2]), f.mul(a[1][2], a[2][1]))),
-                    f.mul(a[0][2], f.sub(f.mul(a[1][0], a[2][1]), f.mul(a[1][1], a[2][0]))),
-                ),
-                f.mul(a[0][1], f.sub(f.mul(a[1][0], a[2][2]), f.mul(a[1][2], a[2][0]))),
-            )
-            if not f.is_zero(d3):
-                raise DualityError("matrix rank exceeds two: not a leg-pair point")
+    if linalg.rank(S, f) > 2:
+        raise DualityError("matrix rank exceeds two: not a leg-pair point")
     if f.is_zero(S[0][0]):
         raise DualityError("anchor at infinity (z00 = 0)")
     # normalize projective scale so that a~_0 = b~_0 = 1, i.e. S_00 = 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .fields import QQ
 from .groebner import Ideal, eliminate
-from .rings import DEGREVLEX, Polynomial, RingContext, RingMap
+from .rings import DEGREVLEX, Polynomial, RingContext, RingMap, minors
 
 X_NAMES = (
     "m11", "m12", "m13", "m21", "m22", "m23", "m31", "m32", "m33",
@@ -209,11 +209,7 @@ def x_equations(ring) -> list:
             d = h * h if i == j else ring.zero()
             gens.append(mmt - d)
             gens.append(mtm - d)
-    det = (
-        M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-        - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-        + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-    )
+    (det,) = minors(M, 3)
     gens.append(det - h ** 3)
     for i in range(3):
         gens.append(sum((M[i][j] * xv[j] for j in range(3)), ring.zero()) + h * yv[i])
@@ -271,14 +267,8 @@ def ideal_Y(field=QQ) -> Ideal:
     """Cone over the Segre variety of P^3 x P^3: all 2x2 minors of (z_ij)."""
     def build():
         ring = ring_Y(field)
-        z = {(i, j): ring.gen(f"z{i}{j}") for i in range(4) for j in range(4)}
-        minors = []
-        for i in range(4):
-            for k in range(i + 1, 4):
-                for j in range(4):
-                    for m in range(j + 1, 4):
-                        minors.append(z[i, j] * z[k, m] - z[i, m] * z[k, j])
-        return Ideal(ring, minors)
+        z = [[ring.gen(f"z{i}{j}") for j in range(4)] for i in range(4)]
+        return Ideal(ring, minors(z, 2))
 
     return _cached(("Y", field.descriptor), build)
 
@@ -287,14 +277,8 @@ def ideal_Y_p(field=QQ) -> Ideal:
     """Planar leg cone: 2x2 minors of the 3x3 block, in P^9."""
     def build():
         ring = ring_Y_p(field)
-        z = {(i, j): ring.gen(f"z{i}{j}") for i in range(3) for j in range(3)}
-        minors = []
-        for i in range(3):
-            for k in range(i + 1, 3):
-                for j in range(3):
-                    for m in range(j + 1, 3):
-                        minors.append(z[i, j] * z[k, m] - z[i, m] * z[k, j])
-        return Ideal(ring, minors)
+        z = [[ring.gen(f"z{i}{j}") for j in range(3)] for i in range(3)]
+        return Ideal(ring, minors(z, 2))
 
     return _cached(("Yp", field.descriptor), build)
 
@@ -302,46 +286,29 @@ def ideal_Y_p(field=QQ) -> Ideal:
 def symmetric_matrix_entries(ring):
     """The symmetric 4x4 matrix S over the Y_inv ring: S_ii = 2 z_ii and
     S_ij = s_ij, as a nested list of ring elements."""
-    gv = {n: ring.gen(n) for n in ring.names}
-    two = ring.constant(2)
-    S = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        S[i][i] = two * gv[f"z{i}{i}"]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            name = f"s{i}{j}"
-            S[i][j] = S[j][i] = gv[name]
-    return S
+    return [
+        [ring.gen(f"z{i}{i}") * 2 if i == j else ring.gen(f"s{min(i, j)}{max(i, j)}") for j in range(4)]
+        for i in range(4)
+    ]
 
 
 def ideal_Y_inv(field=QQ) -> Ideal:
     """Cone over the rank-two symmetric locus: all 3x3 minors of S.
     Dimension 7, degree 10 in P^10."""
     def build():
-        import itertools
-
         ring = ring_Y_inv(field)
-        S = symmetric_matrix_entries(ring)
-        minors = []
-        for rows in itertools.combinations(range(4), 3):
-            for cols in itertools.combinations(range(4), 3):
-                a = [[S[r][c] for c in cols] for r in rows]
-                minors.append(
-                    a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                    - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                    + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-                )
-        return Ideal(ring, minors)
+        return Ideal(ring, minors(symmetric_matrix_entries(ring), 3))
 
     return _cached(("Yinv", field.descriptor), build)
 
 
 def y_pinv_cubic(ring) -> Polynomial:
     """Half the determinant of the symmetric 3x3 matrix with diagonal 2 z_ii:
-    4 z00 z11 z22 + s01 s02 s12 - z00 s12^2 - z11 s02^2 - z22 s01^2."""
-    gv = {n: ring.gen(n) for n in YPINV_NAMES}
-    z00, z11, z22 = gv["z00"], gv["z11"], gv["z22"]
-    s01, s02, s12 = gv["s01"], gv["s02"], gv["s12"]
+    4 z00 z11 z22 + s01 s02 s12 - z00 s12^2 - z11 s02^2 - z22 s01^2.
+
+    Only the six matrix coordinates are read, so any ring naming them works
+    (claim 10's elimination ring has no l)."""
+    z00, z11, z22, s01, s02, s12 = (ring.gen(n) for n in YPINV_NAMES[:6])
     return (
         z00 * z11 * z22 * 4
         + s01 * s02 * s12

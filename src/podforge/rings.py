@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from operator import mul
 
 from .fields import QQ, FieldError
@@ -507,6 +508,35 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def minors(rows, k: int) -> list:
+    """The k x k minors of a matrix of Polynomials (a list of equal-length
+    rows over one ring): row subsets outside, column subsets inside, both in
+    `itertools.combinations` order.  Each minor is a Laplace expansion along
+    its first row; sub-determinants shared between minors are computed once."""
+    zero = rows[0][0].ring.zero()
+    memo = {}
+
+    def det(rs, cs):
+        if len(rs) == 1:
+            return rows[rs[0]][cs[0]]
+        out = memo.get((rs, cs))
+        if out is None:
+            out = zero
+            for t, c in enumerate(cs):
+                entry = rows[rs[0]][c]
+                if entry:
+                    term = entry * det(rs[1:], cs[:t] + cs[t + 1:])
+                    out = out - term if t % 2 else out + term
+            memo[rs, cs] = out
+        return out
+
+    return [
+        det(rs, cs)
+        for rs in combinations(range(len(rows)), k)
+        for cs in combinations(range(len(rows[0])), k)
+    ]
 
 
 class RingMap:

@@ -83,6 +83,40 @@ def test_construct_infinity_output_pinned(tmp_path, field, seed, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("X", "83ccf426e339ea7e5496f62f3eba9ea31930de20f488968cf13a12b9d4fa5092"),
+        ("Xinv", "689cf2075ed9f3c0759efc44f59cc69f267e3b6f5ed93ce43139a97feec3fa49"),
+        ("Xp", "b08ccee427060e19dd2de89acb06647edd48b83cd7bbe6d2611364edd70b28df"),
+        ("Xpinv", "99dc67db916075740ea9f2bc991d2a2753c0e535eaf490a48ebebfb8c1692925"),
+        ("Y", "0a3a81943c24dfd6b82cefa239cfd4cf13aa1aedac4edc59f5af4c7ad760584b"),
+        ("Yinv", "8cb6b97c0e6c9e13283133606fdde94905b19726530e495892fa9a90dd82815b"),
+        ("Yp", "ca97d5ef44a2ebde885d122c8a572a85fe2383decb1a289fb20648cfee4c8c56"),
+        ("Ypinv", "83302f7ea7952dca1557fb0f6e6672cfafd6b9965f4b720a8181ed41cbd16fff"),
+        ("Zinv", "5fb778d587a96840d8dce459e200a7327ed95a4fe278faa4d44360aeaff85297"),
+    ],
+)
+def test_model_output_pinned(tmp_path, name, digest):
+    # SHA-256 of `podforge model NAME --field fp:101`, generator order included
+    out = tmp_path / "m.json"
+    run_cli("model", name, "--field", "fp:101", "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "what, seed, digest",
+    [
+        ("cubic", 3, "860de6d6fdc546ce85eb920ee95e32bc4087c3676ecd0695cd64b397bbb50cbc"),
+        ("conic", 1, "4bc4304a0be79c59579e77057a4078e4790acbf419a0a384c413927562be8b57"),
+    ],
+)
+def test_construct_output_pinned(tmp_path, what, seed, digest):
+    out = tmp_path / "c.json"
+    run_cli("construct", what, "--seed", str(seed), "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_construct_then_verify_exact(tmp_path):
     bundle = tmp_path / "b.json"
     report = tmp_path / "r.json"
@@ -199,6 +233,10 @@ def _write_inputs(tmp_path):
     equal = {k: [v[0]] * 5 for k, v in POD.items()}
     (tmp_path / "equal_legs.json").write_text(json.dumps(equal))
     (tmp_path / "pod.json").write_text(json.dumps(POD))
+    (tmp_path / "field_number_subspace.json").write_text(
+        json.dumps({"field": 5, "ambient": names, "kind": "points",
+                    "basis": [["1", "0", "0", "0", "0", "0", "0"]]})
+    )
     empty = {"ring": {"vars": ["l"]}, "generators": []}
     (tmp_path / "bad_poly.json").write_text(json.dumps({
         "kind": "infinity", "field": "fp:101", "rng_seed": 1,
@@ -214,11 +252,24 @@ def _write_inputs(tmp_path):
             "leg_ideal_full": empty, "leg_ideal_sym": empty,
             "config_span_forms": [], "leg_span_points": [],
         }))
-    (tmp_path / "bad_span.json").write_text(json.dumps({
+    bundle = {
         "kind": "infinity", "field": "fp:101", "rng_seed": 1, "config_ideal": empty,
         "leg_ideal_full": empty, "leg_ideal_sym": empty,
-        "config_span_forms": [["x"]], "leg_span_points": [],
-    }))
+        "config_span_forms": [], "leg_span_points": [],
+    }
+    for name, key, value in [
+        ("bad_span", "config_span_forms", [["x"] + ["0"] * 16]),
+        ("seed_string", "rng_seed", "7"),
+        ("seed_null", "rng_seed", None),
+        ("seed_bool", "rng_seed", True),
+        ("bound_string", "bound", "x"),
+        ("bound_negative", "bound", -1),
+        ("certification_list", "certification", [1]),
+        ("span_not_list", "config_span_forms", 5),
+        ("short_vector", "leg_span_points", [["1"]]),
+        ("field_number", "field", 5),
+    ]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(bundle, **{key: value})))
 
 
 @pytest.mark.parametrize(
@@ -231,6 +282,15 @@ def _write_inputs(tmp_path):
         ["verify", "{tmp}/bad_poly.json"],
         ["verify", "{tmp}/bad_field_header.json"],
         ["verify", "{tmp}/repeated_var.json"],
+        ["verify", "{tmp}/seed_string.json"],
+        ["verify", "{tmp}/seed_null.json"],
+        ["verify", "{tmp}/seed_bool.json"],
+        ["verify", "{tmp}/bound_string.json"],
+        ["verify", "{tmp}/bound_negative.json"],
+        ["verify", "{tmp}/certification_list.json"],
+        ["verify", "{tmp}/span_not_list.json"],
+        ["verify", "{tmp}/short_vector.json"],
+        ["verify", "{tmp}/field_number.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/bad.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/no_ambient.json"],
         ["construct", "infinity", "--field", "fp:100"],
@@ -240,12 +300,16 @@ def _write_inputs(tmp_path):
         ["construct", "hexapod", "--field", "q", "--legs", "{tmp}/pod.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/wrong_ambient.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/short_basis.json"],
+        ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/field_number_subspace.json"],
     ],
     ids=["verify-missing-file", "dual-missing-file", "verify-bad-json", "verify-bad-number",
          "verify-bad-polynomial", "verify-bad-field-header", "verify-repeated-variable",
+         "verify-seed-string", "verify-seed-null", "verify-seed-bool", "verify-bound-string",
+         "verify-bound-negative", "verify-certification-list",
+         "verify-span-not-list", "verify-short-vector", "verify-field-number",
          "dual-bad-json", "dual-no-ambient", "field-not-prime", "field-two",
          "legs-unequal-lengths", "legs-non-numeric", "legs-wrong-count", "dual-wrong-ambient",
-         "dual-short-basis"],
+         "dual-short-basis", "dual-field-number"],
 )
 def test_input_error_exit_code(tmp_path, args):
     _write_inputs(tmp_path)

@@ -182,8 +182,27 @@ def test_point_to_leg_rejects_rank_two():
     from podforge.models import LegPoint
 
     z = [[Fraction(1), 0, 0, 0], [0, Fraction(1), 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    with pytest.raises(DualityError):
+    with pytest.raises(DualityError, match="not a leg point"):
         point_to_leg(LegPoint(tuple(tuple(r) for r in z), Fraction(0), QQ))
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["q", "fp101"])
+def test_point_to_leg_rejects_sum_of_two_legs(field):
+    # z1 + z2 of two legs has z00 = 2 and rank two: off the leg cone
+    from podforge.models import LegPoint
+
+    rng = random.Random(87)
+    checked = 0
+    for _ in range(20):
+        p1, p2 = (leg_to_point(_rand_leg(rng)) for _ in range(2))
+        z = [[field.add(field.of(u), field.of(v)) for u, v in zip(r1, r2)]
+             for r1, r2 in zip(p1.z, p2.z)]
+        if rank(z, field) != 2:
+            continue
+        checked += 1
+        with pytest.raises(DualityError, match="not a leg point"):
+            point_to_leg(LegPoint(tuple(map(tuple, z)), field.of(p1.l), field))
+    assert checked >= 15
 
 
 # -- duals -----------------------------------------------------------------------
@@ -284,7 +303,7 @@ def test_recover_complex_pair_raises():
 
 def test_recover_rank3_rejected():
     coords = (Fraction(1), Fraction(1), Fraction(1), 0, 0, 0, 0, 0, 0, Fraction(1), 0)
-    with pytest.raises(DualityError):
+    with pytest.raises(DualityError, match="rank exceeds two"):
         recover_leg_pairs(coords, QQ)
 
 

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from podforge.fields import GF, QQ, FieldError, field_from_descriptor
-from podforge.rings import DEGREVLEX, ParseError, RingContext, RingMap
-from podforge.linalg import matrix_kernel, rank
+from podforge.rings import DEGREVLEX, ParseError, RingContext, RingMap, minors
+from podforge.linalg import det, matrix_kernel, rank
 from podforge.models import EULER_NAMES, X_NAMES, ring_euler, ring_X
 from podforge.constructions import draw_seed, rho_quadric_matrix
 from podforge.models import euler_rho
@@ -133,6 +134,54 @@ def test_parse_rejects_malformed_text(text):
     ring = RingContext(("x", "y"), (1, 1), DEGREVLEX, GF(101))
     with pytest.raises(ParseError):
         ring.parse(text)
+
+
+# -- minors ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize(
+    "shape, k", [((2, 3), 1), ((3, 3), 2), ((3, 3), 3), ((4, 4), 2), ((4, 4), 3), ((5, 4), 4)]
+)
+def test_minors_match_determinants_of_evaluated_submatrices(field, shape, k):
+    # oracle: each minor evaluated at a point is the Gaussian-elimination
+    # determinant of the evaluated submatrix, in combinations order
+    rng = random.Random(100 * k + 10 * shape[0] + shape[1])
+    ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, field)
+
+    def entry():
+        if rng.random() < 0.2:
+            return ring.zero()
+        return ring.from_terms(
+            ((rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1)), rng.randint(-5, 5))
+            for _ in range(3)
+        )
+
+    nrows, ncols = shape
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    subsets = [(rs, cs) for rs in combinations(range(nrows), k) for cs in combinations(range(ncols), k)]
+    got = minors(rows, k)
+    assert len(got) == len(subsets)
+    for _ in range(4):
+        pt = [field.of(Fraction(rng.randint(-9, 9), rng.randint(1, 3))) for _ in range(3)]
+        ev = [[e.evaluate(pt) for e in row] for row in rows]
+        for g, (rs, cs) in zip(got, subsets):
+            assert g.evaluate(pt) == det([[ev[r][c] for c in cs] for r in rs], field)
+
+
+def test_minors_subset_order():
+    # on a matrix of distinct variables the minor of rows (r, s) and
+    # columns (c, d) is x_rc x_sd - x_rd x_sc
+    names = tuple(f"x{i}{j}" for i in range(3) for j in range(4))
+    ring = RingContext(names, (1,) * 12, DEGREVLEX, QQ)
+    rows = [[ring.gen(f"x{i}{j}") for j in range(4)] for i in range(3)]
+    got = minors(rows, 2)
+    subsets = [(rs, cs) for rs in combinations(range(3), 2) for cs in combinations(range(4), 2)]
+    assert len(got) == len(subsets) == 18
+    for g, (rs, cs) in zip(got, subsets):
+        diag = rows[rs[0]][cs[0]] * rows[rs[1]][cs[1]]
+        anti = rows[rs[0]][cs[1]] * rows[rs[1]][cs[0]]
+        assert g == diag - anti
 
 
 # -- ring maps ---------------------------------------------------------------
