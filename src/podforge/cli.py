@@ -149,73 +149,69 @@ def _bundle_to_json(bundle) -> dict:
 
 def cmd_construct(args) -> int:
     field = _field(args.field)
-    try:
-        if args.what == "infinity":
-            bundle = constructions.create_infinity_pod(
-                args.seed, field, bound=args.bound, retries=args.retries
-            )
-            _write_json(args.out, _bundle_to_json(bundle))
-        elif args.what == "duporcq":
-            legs = _legs_from_pod_json(args.legs, field, 5)
-            sixth = constructions.duporcq_sixth_leg(legs)
-            _write_json(
-                args.out,
-                {
-                    "kind": "duporcq_sixth_leg",
-                    "a": [str(c) for c in sixth.a],
-                    "b": [str(c) for c in sixth.b],
-                    "d2": str(sixth.d2),
+    if args.what == "infinity":
+        bundle = constructions.create_infinity_pod(
+            args.seed, field, bound=args.bound, retries=args.retries
+        )
+        _write_json(args.out, _bundle_to_json(bundle))
+    elif args.what == "duporcq":
+        legs = _legs_from_pod_json(args.legs, field, 5)
+        sixth = constructions.duporcq_sixth_leg(legs)
+        _write_json(
+            args.out,
+            {
+                "kind": "duporcq_sixth_leg",
+                "a": [str(c) for c in sixth.a],
+                "b": [str(c) for c in sixth.b],
+                "d2": str(sixth.d2),
+            },
+        )
+    elif args.what == "hexapod":
+        legs = _legs_from_pod_json(args.legs, field, 6)
+        curve = constructions.hexapod_leg_curve(legs)
+        hd = hilbert_data(curve)
+        out = ideal_to_json(curve)
+        out["certification"] = {"dim": hd.dimension, "deg": hd.degree}
+        _write_json(args.out, out)
+    elif args.what == "cubic":
+        bundle = constructions.cubic_line_symmetric(
+            args.seed, field, bound=args.bound, retries=args.retries
+        )
+        pencil = constructions.symmetroid_pencil(bundle)
+        _write_json(
+            args.out,
+            {
+                "kind": "cubic_line_symmetric",
+                "field": field.descriptor,
+                "rng_seed": args.seed,
+                "certification": dict(bundle.certification),
+                "leg_ideal": ideal_to_json(bundle.leg_ideal),
+                "config_ideal": ideal_to_json(bundle.config_ideal),
+                "symmetroid": {
+                    "H": str(pencil.H),
+                    "node_scheme_degree": pencil.node_scheme_degree,
+                    "rational_nodes": [[str(c) for c in nd] for nd in pencil.nodes],
                 },
-            )
-        elif args.what == "hexapod":
-            legs = _legs_from_pod_json(args.legs, field, 6)
-            curve = constructions.hexapod_leg_curve(legs)
-            hd = hilbert_data(curve)
-            out = ideal_to_json(curve)
-            out["certification"] = {"dim": hd.dimension, "deg": hd.degree}
-            _write_json(args.out, out)
-        elif args.what == "cubic":
-            bundle = constructions.cubic_line_symmetric(
-                args.seed, field, bound=args.bound, retries=args.retries
-            )
-            pencil = constructions.symmetroid_pencil(bundle)
-            _write_json(
-                args.out,
-                {
-                    "kind": "cubic_line_symmetric",
-                    "field": field.descriptor,
-                    "rng_seed": args.seed,
-                    "certification": dict(bundle.certification),
-                    "leg_ideal": ideal_to_json(bundle.leg_ideal),
-                    "config_ideal": ideal_to_json(bundle.config_ideal),
-                    "symmetroid": {
-                        "H": str(pencil.H),
-                        "node_scheme_degree": pencil.node_scheme_degree,
-                        "rational_nodes": [[str(c) for c in nd] for nd in pencil.nodes],
-                    },
-                },
-            )
-        elif args.what == "conic":
-            rng = random.Random(args.seed)
-            fc = [[rng.randint(-args.bound, args.bound) for _ in range(3)] for _ in range(3)]
-            gc = [[rng.randint(-args.bound, args.bound) for _ in range(3)] for _ in range(3)]
-            pod = constructions.conic_product_legs(fc, gc, field, random.Random(args.seed + 1))
-            _write_json(
-                args.out,
-                {
-                    "kind": "conic_product",
-                    "field": field.descriptor,
-                    "rng_seed": args.seed,
-                    "certification": dict(pod.certification),
-                    "leg_ideal": ideal_to_json(pod.leg_ideal),
-                    "config_ideal": ideal_to_json(pod.config_ideal),
-                },
-            )
-        else:
-            return EXIT_USAGE
-    except constructions.DegenerateSeedError as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+            },
+        )
+    elif args.what == "conic":
+        rng = random.Random(args.seed)
+        fc = [[rng.randint(-args.bound, args.bound) for _ in range(3)] for _ in range(3)]
+        gc = [[rng.randint(-args.bound, args.bound) for _ in range(3)] for _ in range(3)]
+        pod = constructions.conic_product_legs(fc, gc, field, random.Random(args.seed + 1))
+        _write_json(
+            args.out,
+            {
+                "kind": "conic_product",
+                "field": field.descriptor,
+                "rng_seed": args.seed,
+                "certification": dict(pod.certification),
+                "leg_ideal": ideal_to_json(pod.leg_ideal),
+                "config_ideal": ideal_to_json(pod.config_ideal),
+            },
+        )
+    else:
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -377,6 +373,23 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFICATION_FAILED
 
 
+def _count(flag):
+    """An argparse type for a non-negative integer option.  It raises
+    InputError, which argparse does not catch, so a bad value exits 2 with
+    one line rather than a usage message."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise InputError(f"{flag} must be a non-negative integer, not {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="podforge",
@@ -399,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["infinity", "duporcq", "hexapod", "cubic", "conic"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", default="fp:101")
-    p.add_argument("--bound", type=int, default=10)
-    p.add_argument("--retries", type=int, default=8)
+    p.add_argument("--bound", type=_count("--bound"), default=10)
+    p.add_argument("--retries", type=_count("--retries"), default=8)
     p.add_argument("--legs", help="pod JSON with base/platform/lengths_squared")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_construct)
@@ -430,13 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors, --help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (InputError, ParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -703,16 +703,17 @@ def cubic_lift_bidegree(bundle: CubicPodBundle):
     and platform planes.
 
     The l-free plane forms pull back through the quotient map to three
-    bidegree-(1,1) forms sum_j L_cj(a) b_j, so the lift has bidegree (3, 3)
-    and each projection is the determinantal plane cubic of the 3 x 3
-    coefficient matrix.  Returns ((3, base cubic), (3, platform cubic)); the
-    two cubics cut the same curve."""
+    bidegree-(1,1) forms a^t C_c b, so the lift has bidegree (3, 3).  A base
+    point a lies under the lift when the three forms share a zero b, that is
+    on the plane cubic det[C_c^t a]_c of the 3 x 3 coefficient rows.  The
+    platform projection is det[C_c b]_c, and since every C_c is symmetric it
+    is the same cubic in the platform coordinates.  Returns ((3, 3), cubic)."""
     field = bundle.field
     lfree = _lfree_cutting_forms(bundle.plane.basis, field)
     if len(lfree) != 3:
         raise DegenerateSeedError("plane meets the cone vertex: no l-free slice")
     ring3 = RingContext(("u0", "u1", "u2"), (1, 1, 1), DEGREVLEX, field)
-    u = [ring3.gen(f"u{i}") for i in range(3)]
+    u = ring3.gens()
     # alpha pullback: z00 -> a0 b0, z11 -> a1 b1, z22 -> a2 b2,
     # s01 -> a0 b1 + a1 b0, s02 -> a0 b2 + a2 b0, s12 -> a1 b2 + a2 b1;
     # each lifted form is sum_ij C_ij a_i b_j with C symmetric
@@ -721,23 +722,16 @@ def cubic_lift_bidegree(bundle: CubicPodBundle):
         return [[z00, s01, s02], [s01, z11, s12], [s02, s12, z22]]
 
     mats = [coeff_matrix(vec) for vec in lfree]
-    # base side: rows of b-coefficients, linear in a; platform side transposes
-    base_rows = [
+    # row c: the b-coefficients of the c-th form, linear in a
+    rows = [
         [sum((u[i].scale(mats[c][i][j]) for i in range(3)), ring3.zero()) for j in range(3)]
         for c in range(3)
     ]
-    plat_rows = [
-        [sum((u[j].scale(mats[c][i][j]) for j in range(3)), ring3.zero()) for i in range(3)]
-        for c in range(3)
-    ]
-    (base_cubic,) = minors(base_rows, 3)
-    (plat_cubic,) = minors(plat_rows, 3)
-    if base_cubic.is_zero() or plat_cubic.is_zero():
+    (cubic,) = minors(rows, 3)
+    if cubic.is_zero():
         raise CertificationError("lifted curve projects degenerately")
-    return (
-        (base_cubic.homogeneous_degree(), base_cubic.content_normalized()),
-        (plat_cubic.homogeneous_degree(), plat_cubic.content_normalized()),
-    )
+    d = cubic.homogeneous_degree()
+    return (d, d), cubic.content_normalized()
 
 
 @dataclass(frozen=True)

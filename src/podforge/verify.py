@@ -5,12 +5,13 @@ Finite-field sampling is the primary certification path: a random hyperplane
 slice of a curve is a zero-dimensional scheme, and `multiplication_data`
 builds one multiplication map A = M0^-1 M1 on its quotient.  The evaluation
 functionals of the points are the left eigenvectors of A (Auzinger-Stetter),
-so over GF(p) each eigenvector gives its point, and every emitted point is
-verified exactly against all generators.  Real legs come from slices of
+and one reader, the columns M0^-1 NF(x_i * b_j), turns each eigenvector into
+its point; over GF(p) every emitted point is verified exactly against all
+generators.  Real legs come from slices of
 the symmetric leg curve over Q: exact Sturm sequences isolate the roots of
 A's characteristic polynomial before any floating refinement, so no real root
-is spurious or missed, and A's float left eigenvectors give the points, each
-factored into its leg pair by `recover_leg_pairs_float`.  All univariate
+is spurious or missed, and the same columns read the points from A's float
+left eigenvectors, each factored into its leg pair by `recover_leg_pairs_float`.  All univariate
 arithmetic (roots over GF(p), Sturm sequences, the Newton polish) runs on the
 coefficient lists of `unipoly`.
 """
@@ -25,9 +26,9 @@ from itertools import accumulate
 from . import linalg, unipoly
 from .fields import QQ
 from .groebner import Ideal, hilbert_data, reduce_by_basis, standard_monomials
-from .models import EULER_NAMES, IsometryPoint, Leg, sum_
+from .models import EULER_NAMES, IsometryPoint, Leg
 from .duality import ComplexLegError, DualityError, bsc17, leg_to_point, recover_leg_pairs_float
-from .rings import EXP_BITS, EXP_MASK, Polynomial
+from .rings import Polynomial
 
 
 class SamplingError(RuntimeError):
@@ -84,15 +85,6 @@ def roots_mod_p(coeffs, p, rng=None):
 # ---------------------------------------------------------------------------
 
 
-def _nf_in_basis(poly, gb, basis_index, ring):
-    """Normal form of poly expanded over an indexed standard-monomial basis."""
-    nf = reduce_by_basis(poly, gb)
-    vec = [ring.field.zero] * len(basis_index)
-    for m, c in nf.terms.items():
-        vec[basis_index[m]] = c
-    return vec
-
-
 def _random_form(ring, rng, lo, hi):
     """A linear form with coefficients drawn uniformly from [lo, hi]."""
     field = ring.field
@@ -100,17 +92,20 @@ def _random_form(ring, rng, lo, hi):
 
 
 def multiplication_data(ideal: Ideal, rng=None):
-    """The multiplication map of a zero-dimensional projective quotient:
-    returns (basis_t, A) with A = M0^-1 M1.
+    """The multiplication map of a zero-dimensional projective quotient for
+    one draw of two random linear forms ell_0, ell_1: returns (A, columns)
+    with A = M0^-1 M1, and raises SamplingError when M0 is singular.
 
-    basis_t holds the degree-t standard monomials for the least t >= 1 with
+    b_1..b_d are the degree-t standard monomials for the least t >= 1 with
     HF(t) = HF(t + 1) = degree, read off the partial sums of the Hilbert
     numerator.  M_i is d x d with column j the coordinates of
-    NF(ell_i * basis_t[j]) over the degree-(t + 1) standard monomials, for
-    random linear forms ell_0, ell_1, redrawn until M0 is invertible.  A is
+    NF(ell_i * b_j) over the degree-(t + 1) standard monomials.  A is
     multiplication by ell_1 / ell_0 on the degree-t part: the evaluation
-    functional of a point p on basis_t is a left eigenvector of A with
-    eigenvalue ell_1(p) / ell_0(p)."""
+    functional v of a point p on the b_j is a left eigenvector of A with
+    eigenvalue ell_1(p) / ell_0(p).  Since v M0^-1 is the evaluation
+    functional of p in degree t + 1 divided by ell_0(p), `columns(j)`
+    returns, for each variable x_i, c_i = M0^-1 NF(x_i * b_j) with
+    v . c_i = x_i(p) v_j / ell_0(p): the point up to scale when v_j != 0."""
     ring = ideal.ring
     field = ring.field
     hd = hilbert_data(ideal)
@@ -122,125 +117,77 @@ def multiplication_data(ideal: Ideal, rng=None):
     gb = ideal.groebner_basis()
     bt = standard_monomials(ideal, t)
     idx1 = {m: i for i, m in enumerate(standard_monomials(ideal, t + 1))}
+
+    def nf(f, m):
+        """The coordinates of NF(f * m) over the degree-(t + 1) basis."""
+        vec = [field.zero] * d
+        for mm, c in reduce_by_basis(f.mul_term(m, field.one), gb).terms.items():
+            vec[idx1[mm]] = c
+        return vec
+
     rng = rng or random.Random(0x5EED)
-    for _ in range(20):
-        ells = [_random_form(ring, rng, 0, 1000) for _ in range(2)]
-        mats = []
-        for ell in ells:
-            cols = [_nf_in_basis(ell.mul_term(m, field.one), gb, idx1, ring) for m in bt]
-            mats.append([list(row) for row in zip(*cols)])
-        try:
-            minv = linalg.mat_inverse(mats[0], field)
-        except ValueError:
-            continue
-        return bt, linalg.mat_mul(minv, mats[1], field)
-    raise SamplingError("no invertible multiplication map found")
+    ell0, ell1 = [_random_form(ring, rng, 0, 1000) for _ in range(2)]
+    try:
+        minv = linalg.mat_inverse(linalg._transpose([nf(ell0, m) for m in bt]), field)
+    except ValueError:
+        raise SamplingError("M0 is singular: ell_0 vanishes at a point") from None
+
+    def columns(j):
+        return [linalg.mat_vec(minv, nf(x, bt[j]), field) for x in ring.gens()]
+
+    m1 = linalg._transpose([nf(ell1, m) for m in bt])
+    return linalg.mat_mul(minv, m1, field), columns
 
 
-def _coordinate_vectors(bt, j_star, gb, ring):
-    """Factor the basis monomial bt[j_star] as x_k * m' (x_k its first
-    variable) and return, for each variable x_i, the coordinates over bt of
-    the normal form of x_i * m'.  Paired with the evaluation functional v of
-    a point (v[j_star] != 0), they give the point's coordinates up to scale."""
-    m = bt[j_star]
-    k = next(i for i in range(ring.n) if (m >> (EXP_BITS * i)) & EXP_MASK)
-    parent = m - (1 << (EXP_BITS * k))
-    idx_t = {mm: i for i, mm in enumerate(bt)}
-    return [
-        _nf_in_basis(Polynomial(ring, {parent + (1 << (EXP_BITS * i)): ring.field.one}),
-                     gb, idx_t, ring)
-        for i in range(ring.n)
-    ]
-
-
-def _recover_point(v, bt, gb, ring):
-    """Coordinates of a point from its evaluation functional on basis_t."""
-    field = ring.field
-    j_star = None
-    for j, val in enumerate(v):
-        if not field.is_zero(val):
-            j_star = j
-            break
-    if j_star is None:
-        return None
-    coords = [
-        sum_(field, (field.mul(x, y) for x, y in zip(vec, v)))
-        for vec in _coordinate_vectors(bt, j_star, gb, ring)
-    ]
-    if all(field.is_zero(c) for c in coords):
-        return None
-    return tuple(coords)
-
-
-_FORM_DRAWS = 8  # draws of the random forms before a solve gives up
+_FORM_DRAWS = 20  # draws of the two random forms before a solve gives up
 
 
 def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
     """All rational points of a zero-dimensional projective scheme over its
     field, each verified exactly against every generator.
 
-    The points are read off the left eigenvectors of a random multiplication
-    map, each one the evaluation functional of its point.
-    Two points at which the random forms take the same ratio share an
-    eigenspace, whose vectors mix them; the forms are then redrawn, and
-    SamplingError is raised after _FORM_DRAWS draws."""
+    Each draw of forms gives a multiplication map A (`multiplication_data`);
+    each point is read through `columns` from its left eigenvector of A, the
+    point's evaluation functional.  A draw is spent when M0 is singular, or
+    when two points at which the forms take the same ratio share an
+    eigenspace, whose vectors mix them; SamplingError is raised after
+    _FORM_DRAWS draws."""
     field = ideal.ring.field
     if field is QQ:
         raise ValueError("rational-point enumeration is a finite-field path")
+    p = field.p
     form_rng = rng or random.Random(0x5EED)
     for _ in range(_FORM_DRAWS):
-        points = _solve_with_random_forms(ideal, max_points, form_rng, rng)
-        if points is not None:
+        try:
+            A, columns = multiplication_data(ideal, form_rng)
+        except SamplingError:
+            continue  # M0 is singular
+        lambdas = roots_mod_p([int(c) % p for c in linalg.charpoly(A, field)], p, rng)
+        at = linalg._transpose(A)
+        points = []
+        for lam in lambdas:
+            shifted = [[field.sub(x, lam) if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(at)]
+            kernel = linalg.matrix_kernel(shifted, field)
+            if len(kernel) > 1:
+                break
+            for v in kernel:
+                j = next(j for j, c in enumerate(v) if not field.is_zero(c))
+                pt = linalg.mat_vec(columns(j), v, field)
+                if all(field.is_zero(c) for c in pt) or not ideal.contains_point(pt):
+                    continue
+                lead = field.inv(next(c for c in pt if not field.is_zero(c)))
+                norm = tuple(field.mul(lead, c) for c in pt)
+                if norm not in points:
+                    points.append(norm)
+                    if max_points is not None and len(points) >= max_points:
+                        return points
+        else:
             return points
     raise SamplingError(
         f"random forms did not separate the rational points in {_FORM_DRAWS} draws "
-        f"(an eigenspace of dimension 2 or more each time)"
+        f"(a singular M0 or an eigenspace of dimension 2 or more each time)"
     )
-
-
-def _solve_with_random_forms(ideal, max_points, form_rng, root_rng):
-    """One solve with freshly drawn forms; None when an eigenspace has
-    dimension 2 or more."""
-    ring = ideal.ring
-    field = ring.field
-    bt, A = multiplication_data(ideal, form_rng)
-    gb = ideal.groebner_basis()
-    cp = linalg.charpoly(A, field)
-    p = field.p
-    lambdas = roots_mod_p([int(c) % p for c in cp], p, root_rng)
-    at = linalg._transpose(A)
-    points = []
-    seen = set()
-    for lam in lambdas:
-        shifted = [
-            [field.sub(at[i][j], lam if i == j else field.zero) for j in range(len(at))]
-            for i in range(len(at))
-        ]
-        kernel = linalg.matrix_kernel(shifted, field)
-        if len(kernel) > 1:
-            return None
-        for w in kernel:
-            # a left eigenvector of A is the point's evaluation functional
-            pt = _recover_point(w, bt, gb, ring)
-            if pt is None:
-                continue
-            if not ideal.contains_point(pt):
-                continue
-            norm = _normalize_projective(pt, field)
-            if norm not in seen:
-                seen.add(norm)
-                points.append(norm)
-                if max_points is not None and len(points) >= max_points:
-                    return points
-    return points
-
-
-def _normalize_projective(pt, field):
-    lead = next((c for c in pt if not field.is_zero(c)), None)
-    if lead is None:
-        return tuple(pt)
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, c) for c in pt)
 
 
 def sample_curve_points(ideal: Ideal, count: int, rng=None, max_slices: int = 25):
@@ -478,7 +425,7 @@ def _substitute_e2(F: Polynomial, e2: Fraction):
     return [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
 
 
-def _config_from_euler(rho, e_values, tol=1e-9):
+def _config_from_euler(rho, e_values):
     vals = [float(v) for v in e_values]
     coords = [img.evaluate_float(vals) for img in rho.images]
     h = coords[16]
@@ -512,8 +459,10 @@ def real_legs(bundle, count: int, rng=None, max_slices: int = 12):
 
     Random rational hyperplanes slice the degree-10 symmetric leg curve, and
     each slice is read as over GF(p): the real roots of the charpoly of A are
-    isolated exactly by Sturm sequences and refined, and a root's point comes
-    from the float left eigenvector of A (the null vector of (A - lam I)^t).
+    isolated exactly by Sturm sequences and refined, and a root's point is
+    read through `columns` from the float left eigenvector of A (the null
+    vector of (A - lam I)^t); a slice whose draw gives a singular M0 is
+    skipped.
     `recover_leg_pairs_float` factors the point into its leg pair; both
     (a, b) and (b, a) are legs, because the full leg curve is the 2:1
     preimage of the symmetric one.  A point whose pair is complex, whose
@@ -538,10 +487,9 @@ def real_legs(bundle, count: int, rng=None, max_slices: int = 12):
         if hilbert_data(sliced).dimension != 0:
             continue  # the hyperplane contains a component
         try:
-            bt, A = multiplication_data(sliced, rng)
+            A, columns = multiplication_data(sliced, rng)
         except SamplingError:
             continue
-        gb = sliced.groebner_basis()
         cp = linalg.charpoly(A, QQ)
         slice_degrees.append(len(cp) - 1)
         af = np.array([[float(c) for c in row] for row in A])
@@ -551,9 +499,9 @@ def real_legs(bundle, count: int, rng=None, max_slices: int = 12):
             _u, s, vh = np.linalg.svd((af - lam * np.eye(len(af))).T)
             if s[-1] > 1e-6 * max(1.0, s[0]):
                 continue
-            v = vh[-1]  # the point's evaluation functional on bt
-            vecs = _coordinate_vectors(bt, int(np.argmax(np.abs(v))), gb, ring)
-            coords = np.array([[float(c) for c in vec] for vec in vecs]) @ v
+            v = vh[-1]  # the point's evaluation functional
+            cols = columns(int(np.argmax(np.abs(v))))
+            coords = np.array([[float(c) for c in col] for col in cols]) @ v
             try:
                 la, lb, d2 = recover_leg_pairs_float(coords / np.max(np.abs(coords)))
             except (ComplexLegError, DualityError):

@@ -301,6 +301,10 @@ def _write_inputs(tmp_path):
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/wrong_ambient.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/short_basis.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/field_number_subspace.json"],
+        ["construct", "infinity", "--bound", "-1"],
+        ["construct", "conic", "--bound", "-1"],
+        ["construct", "infinity", "--retries", "-1"],
+        ["construct", "cubic", "--retries", "-1"],
     ],
     ids=["verify-missing-file", "dual-missing-file", "verify-bad-json", "verify-bad-number",
          "verify-bad-polynomial", "verify-bad-field-header", "verify-repeated-variable",
@@ -309,7 +313,8 @@ def _write_inputs(tmp_path):
          "verify-span-not-list", "verify-short-vector", "verify-field-number",
          "dual-bad-json", "dual-no-ambient", "field-not-prime", "field-two",
          "legs-unequal-lengths", "legs-non-numeric", "legs-wrong-count", "dual-wrong-ambient",
-         "dual-short-basis", "dual-field-number"],
+         "dual-short-basis", "dual-field-number", "infinity-bound-negative",
+         "conic-bound-negative", "infinity-retries-negative", "cubic-retries-negative"],
 )
 def test_input_error_exit_code(tmp_path, args):
     _write_inputs(tmp_path)

@@ -491,9 +491,24 @@ def test_cubic_certification(cubic3):
 
 
 def test_cubic_lift_bidegree(cubic3):
-    (da, base), (db, plat) = cubic_lift_bidegree(cubic3)
-    assert da == 3 and db == 3
-    assert base == plat  # base and platform cubics coincide
+    # oracle: legs factored exactly from rational points of the leg cubic
+    # anchor on the projected cubic, at the base and at the platform
+    bidegree, cubic = cubic_lift_bidegree(cubic3)
+    assert bidegree == (3, 3) and cubic.homogeneous_degree() == 3
+    legs = []
+    for z00, z11, z22, s01, s02, s12, l in sample_curve_points(
+            cubic3.leg_ideal, 12, random.Random(4)):
+        try:
+            rec = recover_leg_pairs((z11, z22, 0, s12, 0, 0, s01, s02, 0, z00, l), F101)
+        except DualityError:
+            continue  # an anchor at infinity
+        if rec.legs is not None:
+            legs.append(rec.legs[0])
+    assert len(legs) >= 3
+    for leg in legs:
+        assert leg.a[2] == leg.b[2] == 0
+        for anchor in (leg.a, leg.b):
+            assert F101.is_zero(cubic.evaluate([1, anchor[0], anchor[1]]))
 
 
 def test_cubic_pair_vanishing(cubic3):

@@ -125,6 +125,25 @@ def test_solve_zero_dim_never_separated_raises():
         solve_zero_dimensional(I, rng=ScriptedRng([1, 0, 0, 5, 0, 0] * 100))
 
 
+def test_solve_zero_dim_singular_m0_spends_one_draw():
+    # the first form drawn, x2, vanishes at both points, so M0 is singular;
+    # the next draw from the same budget solves the scheme
+    ring = RingContext(("x0", "x1", "x2"), (1, 1, 1), DEGREVLEX, F101)
+    x0, x1, x2 = ring.gens()
+    I = Ideal(ring, [x2, (x1 - x0.scale(2)) * (x1 - x0.scale(3))])
+    pts = solve_zero_dimensional(I, rng=ScriptedRng([0, 0, 1]))
+    assert sorted(pts) == [(1, 2, 0), (1, 3, 0)]
+
+
+def test_solve_zero_dim_always_singular_raises():
+    # every form drawn is x2: M0 is singular on every draw of the budget
+    ring = RingContext(("x0", "x1", "x2"), (1, 1, 1), DEGREVLEX, F101)
+    x0, x1, x2 = ring.gens()
+    I = Ideal(ring, [x2, (x1 - x0.scale(2)) * (x1 - x0.scale(3))])
+    with pytest.raises(SamplingError, match="singular M0"):
+        solve_zero_dimensional(I, rng=ScriptedRng([0, 0, 1] * 100))
+
+
 def test_sample_curve_points_line():
     # a line in P^3 over GF(5): at most 6 distinct points, all on the line
     f5 = GF(5)
@@ -337,7 +356,7 @@ def test_full_leg_curve_slice_eliminant_has_degree_20():
     rng = random.Random(21)
     hyper = sum((g.scale(rng.randint(1, 100)) for g in ring.gens()), ring.zero())
     sliced = bundle.leg_ideal_full + [hyper]
-    _bt, A = multiplication_data(sliced, rng)
+    A, _columns = multiplication_data(sliced, rng)
     cp = linalg.charpoly(A, F101)
     assert len(cp) - 1 == 20
 
