@@ -318,7 +318,7 @@ def cmd_verify(args) -> int:
             print("float verification runs over a rational bundle", file=sys.stderr)
             return EXIT_USAGE
         cfgs = verify.real_configurations(bundle.seed, max(10, args.samples // 2))
-        legs = verify.real_legs(bundle, max(5, args.samples // 5))
+        legs = verify.real_legs(bundle, max(5, args.samples // 5), random.Random(args.seed))
         report = verify.check_pod(
             cfgs, legs, mode="float", tol=args.tol, pod_id=f"seed{bundle.seed.rng_seed}",
             certification=bundle.certification,

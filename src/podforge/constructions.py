@@ -63,7 +63,7 @@ from .duality import (
     sbsc11,
     sbsc_planar7,
 )
-from .rings import DEGREVLEX, EXP_BITS, EXP_MASK, Polynomial, RingContext, RingMap, minors
+from .rings import DEGREVLEX, Polynomial, RingContext, RingMap, minors
 
 
 class DegenerateSeedError(ValueError):
@@ -244,7 +244,7 @@ def rho_preimage(rho: RingMap, F: Polynomial) -> Ideal:
     except ValueError as exc:
         raise CertificationError(f"preimage of (F) below its Hilbert series: {exc}") from None
     out = Ideal(rx, gb)
-    out.seed_groebner_cache(DEGREVLEX, gb)
+    out.seed_groebner_cache(gb)
     hd = hilbert_data(out)
     if (hd.dimension, hd.numerator) != (1, PREIMAGE_NUMERATOR):
         raise CertificationError(
@@ -334,7 +334,7 @@ def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
         ideal_Y_inv(field), [_linear_of_covector(v, ryi) for v in cutting]
     ).groebner_basis()
     out = Ideal(ryi, gb)
-    out.seed_groebner_cache(DEGREVLEX, gb)
+    out.seed_groebner_cache(gb)
     return out
 
 
@@ -734,6 +734,9 @@ def cubic_lift_bidegree(bundle: CubicPodBundle):
     return (d, d), cubic.content_normalized()
 
 
+SYMMETROID_NODE_SAMPLES = 8  # the most nodes `symmetroid_pencil` locates
+
+
 @dataclass(frozen=True)
 class SymmetroidPencil:
     """The pencil of symmetric matrices dual to the configuration span: the
@@ -750,9 +753,11 @@ class SymmetroidPencil:
     field: object
 
 
-def symmetroid_pencil(bundle: CubicPodBundle, node_samples: int = 8) -> SymmetroidPencil:
+def symmetroid_pencil(bundle: CubicPodBundle) -> SymmetroidPencil:
     """Expand det(w0 E + w1 A1 + w2 A2 + w3 A3) = w0 H and locate the nodes
-    of the cubic symmetroid H = 0."""
+    of the cubic symmetroid H = 0.  With E = diag(0, 1, 1, 1) and a zero last
+    row and column in every A_k, the last row is (0, 0, 0, w0), so H is the
+    leading 3 x 3 minor; the expanded determinant is checked against w0 H."""
     field = bundle.field
     xidx = {n: i for i, n in enumerate(XPINV_NAMES)}
     forms11 = []
@@ -802,9 +807,9 @@ def symmetroid_pencil(bundle: CubicPodBundle, node_samples: int = 8) -> Symmetro
         for i in range(4)
     ]
     (det,) = minors(entries, 4)
-    H = _exact_divide_by_var(det, wring, "w0")
-    if H is None:
-        raise CertificationError("determinant is not divisible by w0")
+    (H,) = minors([row[:3] for row in entries[:3]], 3)
+    if det != w[0] * H:
+        raise CertificationError("determinant is not w0 times the leading 3 x 3 minor")
     jac = Ideal(wring, [H.derivative(n) for n in ("w0", "w1", "w2", "w3")])
     hd = hilbert_data(jac)
     nodes = ()
@@ -813,7 +818,7 @@ def symmetroid_pencil(bundle: CubicPodBundle, node_samples: int = 8) -> Symmetro
         node_scheme_degree = hd.degree
         from .verify import solve_zero_dimensional
 
-        nodes = tuple(solve_zero_dimensional(jac, max_points=node_samples))
+        nodes = tuple(solve_zero_dimensional(jac, max_points=SYMMETROID_NODE_SAMPLES))
     elif hd.dimension > 0:
         raise CertificationError("symmetroid singular locus is positive-dimensional")
     node_pts = []
@@ -833,17 +838,6 @@ def symmetroid_pencil(bundle: CubicPodBundle, node_samples: int = 8) -> Symmetro
         node_scheme_degree=node_scheme_degree,
         field=field,
     )
-
-
-def _exact_divide_by_var(f: Polynomial, ring, name):
-    i = ring.var_index[name]
-    shift = 1 << (EXP_BITS * i)
-    out = {}
-    for m, c in f.terms.items():
-        if not (m >> (EXP_BITS * i)) & EXP_MASK:
-            return None
-        out[m - shift] = c
-    return Polynomial(ring, out)
 
 
 # ---------------------------------------------------------------------------

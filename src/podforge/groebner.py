@@ -17,10 +17,11 @@ All reduction goes through one heap-driven kernel, `_reduce`, with one loop
 per field: the run's S-polynomial and generator reductions, the final
 interreduction (each minimal element is its lead plus the normal form of its
 tail modulo the finished basis) and `reduce_by_basis`.  Each term is reduced
-by the first basis element whose lead divides it; in the run that lookup is
-cached per monomial.  Basis elements are kept monic over GF(p) and
-content-normalized over Q during the run.  The reduced basis is unique for a
-fixed order, so output is bit-reproducible regardless of internal scheduling.
+by the first basis element whose lead divides it (`RingContext.first_divisor`);
+in the run that lookup is cached per monomial.  Basis elements are kept monic
+over GF(p) and content-normalized over Q during the run.  The reduced basis is
+unique for a fixed order, so output is bit-reproducible regardless of internal
+scheduling.
 
 Hilbert series numerators are `unipoly` coefficient lists of ints (the unit
 ideal's is [], stored as (0,) in HilbertData).
@@ -37,7 +38,7 @@ from operator import le
 from . import unipoly
 from .fields import QQ, FieldError
 from .rings import (
-    DEGREVLEX, EXP_BITS, EXP_MASK, EXP_MAX, ParseError, Polynomial, RingContext, elim_order,
+    DEGREVLEX, EXP_MAX, ParseError, Polynomial, RingContext, elim_order,
 )
 
 
@@ -46,7 +47,8 @@ class BudgetExceeded(RuntimeError):
 
 
 class Ideal:
-    """A homogeneous ideal with cached reduced Groebner bases per order."""
+    """A homogeneous ideal with its reduced Groebner basis in the ring's order
+    cached in `_gb`, keyed by that order."""
 
     __slots__ = ("ring", "generators", "_gb", "_hilbert", "_bound")
 
@@ -66,16 +68,17 @@ class Ideal:
         self._hilbert = None
         self._bound = None  # a lower bound on the Hilbert series, see __add__
 
-    def groebner_basis(self, order=None):
-        order = tuple(order) if order is not None else self.ring.order
+    def groebner_basis(self):
+        """The reduced basis in the ring's order (others: `buchberger(order=)`)."""
+        order = self.ring.order
         gb = self._gb.get(order)
         if gb is None:
-            gb = buchberger(self, order, hilbert=self._bound)
+            gb = buchberger(self, hilbert=self._bound)
             self._gb[order] = gb
         return gb
 
-    def seed_groebner_cache(self, order, gb):
-        self._gb[tuple(order)] = tuple(gb)
+    def seed_groebner_cache(self, gb):
+        self._gb[self.ring.order] = tuple(gb)
 
     def seed_hilbert_cache(self, data: HilbertData):
         self._hilbert = data
@@ -253,6 +256,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     tails = []      # list of (monomial, coeff) pairs, excluding the lead
     lcoeffs = []    # leading coefficient (1 over GF(p))
     cache = {}      # reducer cache: monomial -> (scanned_upto, index or None)
+    first_divisor = ring.first_divisor
 
     def find_reducer(m):
         """Index of the first lead dividing m, or None; cached, and still
@@ -266,10 +270,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
                 return idx
         nb = len(leads)
         if start < nb:
-            for i in range(start, nb):
-                if ((m | guard) - leads[i]) & guard == guard:
-                    idx = i
-                    break
+            idx = first_divisor(m, leads, start)
             cache[m] = (nb, idx)
         return idx
 
@@ -489,21 +490,20 @@ def reduce_by_basis(f: Polynomial, basis) -> Polynomial:
         return f
     ring = f.ring
     p = ring.field.p if ring.field is not QQ else None
-    guard = ring.guard_mask
     leads = [g.lead_monomial() for g in basis]
     tails = [None] * len(basis)  # split off on first use
     lcoeffs = [None] * len(basis)
+    first_divisor = ring.first_divisor
 
     def find_reducer(m):
-        for i, lm in enumerate(leads):
-            if ((m | guard) - lm) & guard == guard:
-                if tails[i] is None:
-                    tails[i], lcoeffs[i] = _split_lead(basis[i].terms, lm, p)
-                return i
-        return None
+        i = first_divisor(m, leads)
+        if i is not None and tails[i] is None:
+            tails[i], lcoeffs[i] = _split_lead(basis[i].terms, leads[i], p)
+        return i
 
     return Polynomial(
-        ring, _reduce(dict(f.terms), find_reducer, leads, tails, lcoeffs, ring.sort_key, p, guard)
+        ring,
+        _reduce(dict(f.terms), find_reducer, leads, tails, lcoeffs, ring.sort_key, p, ring.guard_mask),
     )
 
 
@@ -537,38 +537,21 @@ def eliminate(ideal: Ideal, drop_vars) -> Ideal:
 
 
 def _eliminate_variable(ideal: Ideal, var) -> Ideal:
+    """Eliminate var: the basis of I with var moved first and dominating; an
+    element whose lead is free of var is free of var (elimination property)."""
     ring = ideal.ring
     k = ring.var_index[var]
     keep = ring.names[:k] + ring.names[k + 1 :]
     keep_weights = ring.weights[:k] + ring.weights[k + 1 :]
-    # var moves to the front: bytes below k shift up one, byte k goes to 0
-    shift = EXP_BITS * k
-    low = (1 << shift) - 1
-    high = ~((1 << (shift + EXP_BITS)) - 1)
     elim_ring = RingContext(
         (var, *keep), (ring.weights[k], *keep_weights), elim_order(1), ring.field
     )
-    gens = [
-        Polynomial(
-            elim_ring,
-            {((m >> shift) & EXP_MASK) | ((m & low) << EXP_BITS) | (m & high): c
-             for m, c in g.terms.items()},
-        )
-        for g in ideal.generators
-    ]
-    gb = ()
-    if gens:
-        # the Hilbert series does not change under a permutation of the variables
-        gb = buchberger(gens, order=elim_ring.order, hilbert=_known_numerator(ideal))
-
     kept_ring = RingContext(keep, keep_weights, DEGREVLEX, ring.field)
-    result = [
-        Polynomial(kept_ring, {m >> EXP_BITS: c for m, c in g.terms.items()})
-        for g in gb
-        if not any(m & EXP_MASK for m in g.terms)
-    ]
+    # the Hilbert series does not change under a permutation of the variables
+    gb = buchberger(Ideal(elim_ring, ideal.generators), hilbert=_known_numerator(ideal))
+    result = [kept_ring.coerce(g) for g in gb if not elim_ring.unpack(g.lead_monomial())[0]]
     out = Ideal(kept_ring, result)
-    out.seed_groebner_cache(DEGREVLEX, tuple(result))
+    out.seed_groebner_cache(result)
     return out
 
 
@@ -582,15 +565,15 @@ def saturate(ideal: Ideal, var) -> Ideal:
     ring = ideal.ring
     if ring.order != DEGREVLEX or ring.names[-1] != var:
         raise ValueError(f"saturate needs {var!r} as the last variable of a degrevlex ring")
-    shift = EXP_BITS * (ring.n - 1)
+    unit = ring.units[-1]
     divided = []
     for g in ideal.groebner_basis():
-        k = min((m >> shift) & EXP_MASK for m in g.terms)
-        divided.append(Polynomial(ring, {m - (k << shift): c for m, c in g.terms.items()}))
+        k = min(ring.unpack(m)[-1] for m in g.terms)
+        divided.append(Polynomial(ring, {m - k * unit: c for m, c in g.terms.items()}))
     num = _lead_numerator(ring, [g.lead_monomial() for g in divided])
     gb = buchberger(Ideal(ring, divided), hilbert=num)
     out = Ideal(ring, gb)
-    out.seed_groebner_cache(DEGREVLEX, gb)
+    out.seed_groebner_cache(gb)
     return out
 
 
@@ -617,7 +600,7 @@ def cut_cohen_macaulay(ideal: Ideal, forms) -> Ideal:
         gb = None
     if gb is None or _lead_numerator(ring, [g.lead_monomial() for g in gb]) != unipoly.trim(series):
         gb = buchberger(out)
-    out.seed_groebner_cache(ring.order, gb)
+    out.seed_groebner_cache(gb)
     return out
 
 
@@ -803,23 +786,18 @@ def standard_monomials(ideal: Ideal, t: int):
 
 def _standard_monomials(ring, leads, t):
     n = ring.n
-    guard = ring.guard_mask
-
-    def is_std(m):
-        for lm in leads:
-            if ((m | guard) - lm) & guard == guard:
-                return False
-        return True
+    units = ring.units
+    first_divisor = ring.first_divisor
 
     def rec(i, rem, m):
         if i == n - 1:
-            mm = m | (rem << (EXP_BITS * i))
-            if rem <= EXP_MAX and is_std(mm):
+            mm = m + rem * units[i]
+            if rem <= EXP_MAX and first_divisor(mm, leads) is None:
                 yield mm
             return
         for e in range(rem + 1):
-            mm = m | (e << (EXP_BITS * i))
-            if not is_std(mm):
+            mm = m + e * units[i]
+            if first_divisor(mm, leads) is not None:
                 continue
             yield from rec(i + 1, rem - e, mm)
 

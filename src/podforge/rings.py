@@ -6,6 +6,11 @@ trick.  Exponents are therefore capped at 127, far beyond anything the ideals
 here produce.  Monomial orders are weighted degree-reverse-lexicographic, with
 an optional two-block elimination variant; order keys are memoized per ring so
 comparisons inside Buchberger loops are plain int comparisons.
+
+Only this module knows the byte layout.  Other modules handle monomials
+through `RingContext`: `pack`/`unpack` and `units` (one per variable), `+`/`-`
+to multiply and divide, `guard_mask` to catch an exponent above the cap,
+`first_divisor` for the lead scan, and `coerce` between rings by name.
 """
 
 from __future__ import annotations
@@ -66,11 +71,14 @@ class RingContext:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
+    def units(self) -> tuple:
+        """The packed monomial of each variable."""
+        return tuple(1 << (EXP_BITS * i) for i in range(self.n))
+
+    @cached_property
     def guard_mask(self) -> int:
-        g = 0
-        for i in range(self.n):
-            g |= 0x80 << (EXP_BITS * i)
-        return g
+        """Bit 7 of every byte: set in a product iff an exponent passed the cap."""
+        return sum(self.units) << 7
 
     @cached_property
     def _key_blocks(self):
@@ -126,6 +134,15 @@ class RingContext:
         g = self.guard_mask
         return ((b | g) - a) & g == g
 
+    def first_divisor(self, m: int, leads, start: int = 0):
+        """Index of the first monomial in leads[start:] that divides m, or None."""
+        g = self.guard_mask
+        mg = m | g
+        for i in range(start, len(leads)):
+            if (mg - leads[i]) & g == g:
+                return i
+        return None
+
     def monomial_lcm(self, a: int, b: int) -> int:
         g = self.guard_mask
         a_wins = ((((a | g) - b) & g) >> 7) * EXP_MASK  # 0xFF where a_i >= b_i
@@ -150,7 +167,7 @@ class RingContext:
 
     def gen(self, name_or_index) -> "Polynomial":
         i = name_or_index if isinstance(name_or_index, int) else self.var_index[name_or_index]
-        return Polynomial(self, {1 << (EXP_BITS * i): self.field.one})
+        return Polynomial(self, {self.units[i]: self.field.one})
 
     def gens(self) -> tuple:
         return tuple(self.gen(i) for i in range(self.n))
@@ -170,18 +187,29 @@ class RingContext:
         return Polynomial(self, terms)
 
     def coerce(self, f: "Polynomial") -> "Polynomial":
-        """Reinterpret a polynomial from a ring with the same variable names
-        (possibly different weights/order/field) in this ring."""
-        if f.ring == self:
+        """The polynomial f of another ring in this ring, each variable mapped
+        to the variable of the same name (weights, order and field may
+        differ).  Raises FieldError when a variable that occurs in f is not a
+        variable of this ring."""
+        src = f.ring
+        if src == self:
             return f
-        if f.ring.names != self.names:
-            raise FieldError("cannot coerce: variable names differ")
         fld = self.field
+        place = self.var_index
+        by_name = src.names != self.names
         terms = {}
         for m, c in f.terms.items():
-            c2 = fld.of(c)
-            if not fld.is_zero(c2):
-                terms[m] = c2
+            if by_name:
+                exps = [0] * self.n
+                for name, e in zip(src.names, src.unpack(m)):
+                    if e:
+                        if name not in place:
+                            raise FieldError(f"cannot coerce: {name} is not a variable of {self!r}")
+                        exps[place[name]] = e
+                m = self.pack(exps)
+            c = fld.of(c)
+            if not fld.is_zero(c):
+                terms[m] = c
         return Polynomial(self, terms)
 
     # -- canonical text format -------------------------------------------------
@@ -228,12 +256,11 @@ class RingContext:
     def format_term(self, m: int, c) -> str:
         fld = self.field
         facs = []
-        for i in range(self.n):
-            e = (m >> (EXP_BITS * i)) & EXP_MASK
+        for name, e in zip(self.names, m.to_bytes(self.n, "little")):
             if e == 1:
-                facs.append(self.names[i])
+                facs.append(name)
             elif e > 1:
-                facs.append(f"{self.names[i]}^{e}")
+                facs.append(f"{name}^{e}")
         cs = fld.to_str(c)
         if not facs:
             return cs
@@ -438,23 +465,20 @@ class Polynomial:
         total = fld.zero
         for m, c in self.terms.items():
             t = c
-            for i in range(ring.n):
-                e = (m >> (EXP_BITS * i)) & EXP_MASK
-                if e:
-                    v = vals[i]
-                    for _ in range(e):
-                        t = fld.mul(t, v)
+            for v, e in zip(vals, m.to_bytes(ring.n, "little")):
+                for _ in range(e):
+                    t = fld.mul(t, v)
             total = fld.add(total, t)
         return total
 
     def evaluate_float(self, values) -> float:
+        n = self.ring.n
         total = 0.0
         for m, c in self.terms.items():
             t = float(c)
-            for i in range(self.ring.n):
-                e = (m >> (EXP_BITS * i)) & EXP_MASK
+            for v, e in zip(values, m.to_bytes(n, "little")):
                 if e:
-                    t *= float(values[i]) ** e
+                    t *= float(v) ** e
             total += t
         return total
 
@@ -592,8 +616,7 @@ class RingMap:
         acc = tgt.zero()
         for m, c in f.terms.items():
             t = tgt.constant(c)
-            for i in range(self.source.n):
-                e = (m >> (EXP_BITS * i)) & EXP_MASK
+            for i, e in enumerate(self.source.unpack(m)):
                 if e:
                     t = t * self._power(i, e)
             acc = acc + t

@@ -140,6 +140,9 @@ def multiplication_data(ideal: Ideal, rng=None):
 
 
 _FORM_DRAWS = 20  # draws of the two random forms before a solve gives up
+REFINE_WIDTH = Fraction(1, 10 ** 12)  # width of the intervals refine_root returns
+NEWTON_STEPS = 6  # Newton steps of polish_float_root
+REAL_LEG_SLICES = 12  # slices real_legs draws before it gives up
 
 
 def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
@@ -319,8 +322,8 @@ def isolate_real_roots(coeffs):
     return out
 
 
-def refine_root(coeffs, interval, eps=Fraction(1, 10 ** 12)):
-    """Shrink an isolating interval by exact bisection to width <= eps.
+def refine_root(coeffs, interval):
+    """Shrink an isolating interval by exact bisection to width <= REFINE_WIDTH.
 
     When f changes sign across the interval its root there has odd
     multiplicity, and f is its square-free part times a factor of constant
@@ -334,7 +337,7 @@ def refine_root(coeffs, interval, eps=Fraction(1, 10 ** 12)):
     if fa * unipoly.evaluate(f, b) >= 0:
         f = _squarefree_part(f)
         fa = unipoly.evaluate(f, a)
-    while b - a > eps:
+    while b - a > REFINE_WIDTH:
         mid = (a + b) / 2
         fm = unipoly.evaluate(f, mid)
         if fm == 0:
@@ -347,11 +350,11 @@ def refine_root(coeffs, interval, eps=Fraction(1, 10 ** 12)):
     return (a, b)
 
 
-def polish_float_root(coeffs, x0: float, iterations: int = 6) -> float:
+def polish_float_root(coeffs, x0: float) -> float:
     c = [float(x) for x in coeffs]
     dc = unipoly.derivative(c)
     x = x0
-    for _ in range(iterations):
+    for _ in range(NEWTON_STEPS):
         d = unipoly.evaluate(dc, x)
         if d == 0:
             break
@@ -454,7 +457,7 @@ def _real_leg(a, b, d2):
     return RealLeg(at[1:], bt[1:], d2, d2 > 0, tuple(x * y for x in at for y in bt) + (l,))
 
 
-def real_legs(bundle, count: int, rng=None, max_slices: int = 12):
+def real_legs(bundle, count: int, rng=None):
     """At least `count` real legs of a bundle over Q, in (a, b), (b, a) pairs.
 
     Random rational hyperplanes slice the degree-10 symmetric leg curve, and
@@ -477,7 +480,7 @@ def real_legs(bundle, count: int, rng=None, max_slices: int = 12):
     ring = ideal.ring
     legs = []
     slice_degrees = []
-    for _ in range(max_slices):
+    for _ in range(REAL_LEG_SLICES):
         if len(legs) >= count:
             break
         hyper = _random_form(ring, rng, -9, 9)
@@ -511,7 +514,7 @@ def real_legs(bundle, count: int, rng=None, max_slices: int = 12):
                 break
     if len(legs) < count:
         raise SamplingError(
-            f"found {len(legs)} real legs after {max_slices} slices "
+            f"found {len(legs)} real legs after {REAL_LEG_SLICES} slices "
             f"(slice degrees {slice_degrees})"
         )
     return legs

@@ -139,6 +139,30 @@ def test_construct_then_verify_float(tmp_path):
     assert json.loads(report.read_text())["ok"] is True
 
 
+def test_verify_float_reads_seed(tmp_path):
+    # float mode draws its leg slices from --seed: the report is the one of
+    # real_legs(bundle, n, random.Random(seed))
+    import random
+
+    from podforge import verify
+    from podforge.cli import _bundle_from_json
+
+    bundle_path = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    run_cli("construct", "infinity", "--seed", "2", "--field", "q", "--out", str(bundle_path))
+    run_cli("verify", str(bundle_path), "--mode", "float", "--seed", "3", "--out", str(report))
+    bundle = _bundle_from_json(json.loads(bundle_path.read_text()))
+    cfgs = verify.real_configurations(bundle.seed, 12)
+
+    def residuals(rng):
+        legs = verify.real_legs(bundle, 5, rng)
+        return verify.check_pod(cfgs, legs, mode="float").to_json()["residuals"]
+
+    got = json.loads(report.read_text())["residuals"]
+    assert got == residuals(random.Random(3))
+    assert got != residuals(None)  # the fallback draw gives other legs
+
+
 def test_verify_float_on_finite_field_bundle_usage_error(tmp_path):
     bundle = tmp_path / "b.json"
     run_cli("construct", "infinity", "--seed", "1", "--field", "fp:101", "--out", str(bundle))

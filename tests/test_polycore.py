@@ -92,9 +92,15 @@ def test_weighted_degree():
 
 def test_packed_monomial_ops_match_exponentwise():
     # unpack, wdeg, lcm, coprime and divides act on all packed bytes at once;
-    # compare them with the exponent-by-exponent definitions
+    # compare them with the exponent-by-exponent definitions, the lead scan
+    # first_divisor with monomial_divides, and coerce with a move by name
     ring = RingContext(tuple(f"v{i}" for i in range(7)), (1, 2, 1, 3, 1, 1, 2), DEGREVLEX, QQ)
-    rng = random.Random(5)
+    perm = (3, 0, 6, 2, 5, 1, 4)  # position in `shuffled` of each variable of `ring`
+    inv = [perm.index(j) for j in range(7)]
+    shuffled = RingContext(tuple(f"v{i}" for i in inv), tuple(ring.weights[i] for i in inv))
+    no_v3 = RingContext(ring.names[:3] + ring.names[4:], ring.weights[:3] + ring.weights[4:])
+    rng, pick = random.Random(5), random.Random(6)
+    leads = [ring.pack([pick.choice([0, 0, 0, 1, 2]) for _ in range(7)]) for _ in range(10)]
     for _ in range(2000):
         a, b = ([rng.choice([0, 0, 1, 2, 127, rng.randint(0, 127)]) for _ in range(7)]
                 for _ in range(2))
@@ -104,6 +110,19 @@ def test_packed_monomial_ops_match_exponentwise():
         assert ring.unpack(ring.monomial_lcm(ma, mb)) == tuple(map(max, a, b))
         assert ring.monomials_coprime(ma, mb) == all(not (x and y) for x, y in zip(a, b))
         assert ring.monomial_divides(ma, mb) == all(x <= y for x, y in zip(a, b))
+        start = pick.randrange(len(leads) + 1)
+        divisors = [i for i in range(start, len(leads)) if ring.monomial_divides(leads[i], mb)]
+        assert ring.first_divisor(mb, leads, start) == (divisors[0] if divisors else None)
+        f = ring.from_terms([(a, Fraction(3, 2)), (b, -5)])
+        g = shuffled.coerce(f)
+        assert {tuple(shuffled.unpack(m)[j] for j in perm): c for m, c in g.terms.items()} == {
+            ring.unpack(m): c for m, c in f.terms.items()}
+        assert ring.coerce(g) == f
+        if a[3] == 0 and b[3] == 0:
+            assert ring.coerce(no_v3.coerce(f)) == f
+        else:
+            with pytest.raises(FieldError):
+                no_v3.coerce(f)
 
 
 def test_parse_print_roundtrip(ring_xyz):
