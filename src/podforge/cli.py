@@ -330,12 +330,11 @@ def cmd_verify(args) -> int:
 
 def _fp_configs(bundle, count):
     """Exact configuration points via the quartic parametrization."""
-    from .models import euler_rho, rho_isometry_point
+    from .models import rho_isometry_point
 
     seed = bundle.seed
     field = seed.field
-    quarter = field.div(field.one, field.of(4))
-    rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
+    rho = seed.lift()
     out = []
     p = field.p
     for e2 in range(p):

@@ -22,6 +22,7 @@ from .groebner import (
     hilbert_data,
     linear_part,
     normal_form,
+    reduce_by_basis,
     saturate,
 )
 from .models import (
@@ -36,6 +37,7 @@ from .models import (
     Leg,
     LegPoint,
     euler_rho,
+    ideal_X,
     ideal_X_p,
     ideal_X_pinv,
     ideal_Y,
@@ -93,6 +95,13 @@ class ConstructionSeed:
     bound: int
     field: object
     f_smooth: bool
+
+    def lift(self) -> RingMap:
+        """The lift map rho from the X coordinate ring to the Euler plane."""
+        field = self.field
+        # the r-slot takes U/4: with x = P/2 the relation r h = <x,x> forces
+        # 4 r h = sum P_i^2 = U h + F, so r = U/4 on the curve F = 0
+        return euler_rho(*self.P, self.U.scale(field.div(field.one, field.of(4))))
 
 
 def _rand_poly(ring, rng, degree, bound):
@@ -208,34 +217,31 @@ PREIMAGE_NUMERATOR = (1, 4, 3)
 
 
 def rho_preimage(rho: RingMap, F: Polynomial) -> Ideal:
-    """Preimage P of the principal ideal (F) under the lift map, from its
-    pieces of degrees 1 and 2, certified by its Hilbert series.
+    """Preimage P of the principal ideal (F) under the lift map: the model X
+    cut by P_1, the 11 kernel forms of `rho_quadric_matrix`.
 
-    P_1 is the kernel of `rho_quadric_matrix`, 11 linear forms; the 6 pivot
-    coordinates of that matrix are free modulo P_1.  P_2 is spanned by the
-    quadrics q in those coordinates with rho(q) a multiple of F: the kernel
-    of their 21 products, together with F, in the 15 quartics of the Euler
-    plane (7 quadrics).  The nine m_ij images span all six quadrics of the
-    plane, so rho maps onto its even-degree Veronese subring, which is
-    presented by quadrics; with deg F = 4 that makes P generated by P_1 and
-    P_2.  The certificate does not lean on this argument: J = (P_1, P_2) lies
-    in P, so HS(R/P) = sum_k dim (k[e]/F)_{2k} t^k (PREIMAGE_NUMERATOR) is a
-    lower bound for J, and J = P exactly when J's lead ideal reaches it.
-    Raises CertificationError otherwise.  The result has its reduced
-    degrevlex basis as generators and cached."""
+    Three exact checks certify it, each raising CertificationError:
+    1. The kernel has 11 forms, so rho has rank 6 on linear forms and maps
+       onto the even-degree Veronese subring of the Euler plane.  So R/P is
+       k[e]/(F) in even degrees, and HS(R/P) = sum_k dim (k[e]/F)_{2k} t^k
+       (PREIMAGE_NUMERATOR).
+    2. rho maps every equation of X into (F): nineteen to 0 and the two r
+       relations to -F/4.  So J = I(X) + P_1 lies in P, and HS(R/P) is a
+       lower bound for J's series.
+    3. The Buchberger run on that bound reaches it, so J = P.
+    The result has its reduced degrevlex basis as generators and cached."""
     field = F.ring.field
     rx = rho.source
-    lift = rho_quadric_matrix(rho)
-    _, pivots = linalg.rref(lift, field)
-    gens = [_linear_of_covector(v, rx) for v in linalg.matrix_kernel(lift, field)]
-    products = list(itertools.combinations_with_replacement(pivots, 2))
-    quartics = [F.ring.pack(e) for e in _degree_monomials(3, 4)]
-    images = [rho.images[i] * rho.images[j] for i, j in products] + [F]
-    cols = [[img.terms.get(m, field.zero) for m in quartics] for img in images]
-    for v in linalg.matrix_kernel([list(row) for row in zip(*cols)], field):
-        gens.append(rx.from_terms(
-            (tuple((k == i) + (k == j) for k in range(rx.n)), c) for (i, j), c in zip(products, v)
-        ))
+    kernel = linalg.matrix_kernel(rho_quadric_matrix(rho), field)
+    if len(kernel) != 11:
+        raise CertificationError(
+            f"preimage of (F) below its Hilbert series: {len(kernel)} kernel forms, not 11"
+        )
+    equations = list(ideal_X(field).generators)
+    for q in equations:
+        if not reduce_by_basis(rho(q), [F] if F else []).is_zero():
+            raise CertificationError(f"preimage of (F) misses X: the lift maps {q} outside (F)")
+    gens = equations + [_linear_of_covector(v, rx) for v in kernel]
     bound = list(PREIMAGE_NUMERATOR)
     for _ in range(rx.n - 2):
         bound = unipoly.mul(bound, [1, -1])
@@ -248,7 +254,7 @@ def rho_preimage(rho: RingMap, F: Polynomial) -> Ideal:
     hd = hilbert_data(out)
     if (hd.dimension, hd.numerator) != (1, PREIMAGE_NUMERATOR):
         raise CertificationError(
-            f"preimage of (F) from degrees 1 and 2 has Hilbert numerator {list(hd.numerator)} "
+            f"preimage of (F) has Hilbert numerator {list(hd.numerator)} "
             f"in dimension {hd.dimension}, not {list(PREIMAGE_NUMERATOR)} in dimension 1"
         )
     return out
@@ -347,10 +353,10 @@ def create_infinity_pod(
     """Run the construction end to end from a seed.
 
     The configuration ideal is the involution model plus P, the preimage of
-    (F) under the lift map (`rho_preimage`: generated in degrees 1 and 2,
-    certified by its Hilbert series).  P's 11 linear forms span the
-    configuration forms; the compatible legs are cut out of the leg cone Y by
-    the forms dual to them.  Y is determinantal, hence Cohen-Macaulay
+    (F) under the seed's lift map (`rho_preimage`: X cut by the lift's 11
+    kernel forms, certified by three exact checks).  Those forms span the
+    configuration forms; the compatible legs are cut out of the leg cone Y
+    by the forms dual to them.  Y is determinantal, hence Cohen-Macaulay
     (Hochster-Eagon 1971), so that cut runs on the series (1 - t)^6 HS(Y)
     (`cut_cohen_macaulay`); reaching it shows that the six forms cut Y in
     dimension 1, and the full curve is certified (1, 20, 11).  Its symmetric
@@ -360,13 +366,8 @@ def create_infinity_pod(
     naming the seed.  The field must not have characteristic 2."""
     field = field or GF(101)
     seed = draw_seed(rng_seed, field, bound, retries)
-    quarter = field.div(field.one, field.of(4))
-    # the r-slot takes U/4: with x = P/2 the relation r h = <x,x> forces
-    # 4 r h = sum P_i^2 = U h + F, so r = U/4 on the curve F = 0
-    rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
-
     try:
-        preimage = rho_preimage(rho, seed.F)
+        preimage = rho_preimage(seed.lift(), seed.F)
         config = ideal_X_inv(field) + preimage.generators
         span_forms = linalg.row_space_basis(
             [list(_covector_of_linear(g)) for g in linear_part(preimage)], field
@@ -498,7 +499,6 @@ def pentapod_config_ideal(legs) -> Ideal:
     h = 0, so no pose is lost.  J's reduced degrevlex basis is its generator
     set and is cached, so its slices get a Hilbert-series bound for free."""
     field = legs[0].field
-    from .models import ideal_X
     from .duality import leg_to_point
 
     B = bsc17()

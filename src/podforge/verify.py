@@ -381,12 +381,9 @@ def real_configurations(seed, count: int, grid: int = 40):
     """Real points of the plane quartic, swept on a rational grid in e2 with
     e3 = 1 and exact Sturm isolation in e1, lifted through the construction
     map and normalized to affine half-turns."""
-    from .models import euler_rho
-
     if seed.field is not QQ:
         raise ValueError("real extraction requires a rational seed")
-    quarter = Fraction(1, 4)
-    rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
+    rho = seed.lift()
     ring = seed.F.ring
     e1n, e2n, e3n = EULER_NAMES
     out = []

@@ -12,7 +12,6 @@ from podforge.groebner import Ideal, eliminate, hilbert_data
 from podforge.models import (
     Y_NAMES,
     Leg,
-    euler_rho,
     project_model,
     rho_isometry_point,
     ring_euler,
@@ -134,8 +133,7 @@ def test_bundle_pair_vanishing(bundle7):
     # 5 parametrized configurations x 5 sampled leg points
     field = F101
     seed = bundle7.seed
-    quarter = field.inv(field.of(4))
-    rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
+    rho = seed.lift()
     configs = []
     for e2 in range(101):
         for e1 in range(101):
@@ -160,8 +158,7 @@ def test_bundle_points_on_ideals(bundle7):
     for pt in legs:
         assert bundle7.leg_ideal_full.contains_point(pt)
     seed = bundle7.seed
-    quarter = field.inv(field.of(4))
-    rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
+    rho = seed.lift()
     for e2 in range(30):
         for e1 in range(101):
             if field.is_zero(seed.F.evaluate([e1, e2, 1])):

@@ -127,7 +127,7 @@ def test_rho_respects_r_relation_mod_F():
     for s in (1, 6):
         seed = draw_seed(s, QQ)
         field = seed.field
-        rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(Fraction(1, 4)))
+        rho = seed.lift()
         rx = ring_X(QQ)
         gv = {n: rx.gen(n) for n in rx.names}
         rel = gv["r"] * gv["h"] - sum((gv[f"x{i}"] * gv[f"x{i}"] for i in (1, 2, 3)), rx.zero())
@@ -182,8 +182,7 @@ def test_eliminate_veronese_graph_gives_catalecticant_minors():
 def seed_lift(s, field):
     """The lift map and quartic F of `create_infinity_pod`'s seed s."""
     seed = draw_seed(s, field)
-    quarter = field.inv(field.of(4))
-    return euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter)), seed.F
+    return seed.lift(), seed.F
 
 
 def preimage_by_elimination(rho, F):
@@ -220,16 +219,33 @@ def test_rho_preimage_matches_graph_elimination(field, s):
     assert hilbert_data(pre).triple() == (1, 8, 3)
 
 
-def test_rho_preimage_missed_series_raises():
+def test_rho_preimage_missed_series_raises(monkeypatch):
+    from podforge import constructions
+
     field = GF(101)
     rho, F = seed_lift(1, field)
-    # F = 0: the preimage is the kernel of rho, above the series
-    with pytest.raises(CertificationError, match="Hilbert numerator"):
+    # F = 0: the r relations map to -F/4 of the true quartic, outside (0)
+    with pytest.raises(CertificationError, match="misses X"):
         rho_preimage(rho, F - F)
     # the zero map: every coordinate lies in the preimage, below the series
     zero = RingMap(rho.source, rho.target, [rho.target.zero()] * rho.source.n)
     with pytest.raises(CertificationError, match="below its Hilbert series"):
         rho_preimage(zero, F)
+    # a strict lower bound: the run completes and the post-check sees (1, 4, 3)
+    monkeypatch.setattr(constructions, "PREIMAGE_NUMERATOR", (1, 4, 2))
+    with pytest.raises(CertificationError, match=r"Hilbert numerator \[1, 4, 3\]"):
+        rho_preimage(rho, F)
+
+
+def test_rho_preimage_rejects_a_lift_off_X():
+    # a wrong r-slot keeps the lift's rank but sends the r relations outside
+    # (F), so X does not lie in the preimage
+    field = GF(101)
+    seed = draw_seed(1, field)
+    e1 = seed.F.ring.gen("e1")
+    wrong = euler_rho(*seed.P, seed.U.scale(field.inv(field.of(4))) + e1 * e1)
+    with pytest.raises(CertificationError, match="misses X"):
+        rho_preimage(wrong, seed.F)
 
 
 def test_preimage_linear_part_matches_kernel_route():

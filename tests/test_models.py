@@ -204,8 +204,7 @@ def test_rho_images_land_on_X_inv_modulo_F():
     field = F101
     for s in (2, 4):
         seed = draw_seed(s, field)
-        quarter = field.inv(field.of(4))
-        rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
+        rho = seed.lift()
         I = ideal_X_inv(field)
         found = 0
         for e2 in range(101):
@@ -224,8 +223,7 @@ def test_x_inv_samples_are_half_turns():
     rng = random.Random(47)
     field = F101
     seed = draw_seed(3, field)
-    quarter = field.inv(field.of(4))
-    rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
+    rho = seed.lift()
     checked = 0
     for e2 in range(101):
         for e1 in range(101):

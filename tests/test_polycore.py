@@ -286,8 +286,7 @@ def test_rho_linear_matrix_kernel_dim_11():
     for s in (1, 4, 9):
         seed = draw_seed(s, GF(101))
         field = seed.field
-        quarter = field.inv(field.of(4))
-        rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
+        rho = seed.lift()
         mat = rho_quadric_matrix(rho)
         assert len(mat) == 6 and len(mat[0]) == 17
         assert rank(mat, field) == 6

@@ -300,10 +300,9 @@ def test_check_pod_exact_on_bundle():
     bundle = create_infinity_pod(7, F101)
     pts = sample_curve_points(bundle.leg_ideal_full, 5, random.Random(3))
     seed = bundle.seed
-    from podforge.models import euler_rho, rho_isometry_point
+    from podforge.models import rho_isometry_point
 
-    quarter = F101.inv(F101.of(4))
-    rho = euler_rho(seed.P[0], seed.P[1], seed.P[2], seed.U.scale(quarter))
+    rho = seed.lift()
     cfgs = []
     for e2 in range(101):
         for e1 in range(101):
