@@ -33,7 +33,7 @@ from .duality import (
     bsc17,
     dual_space,
     form_determinant,
-    leg_sym_coords,
+    leg_pinv_coords,
     same_subspace,
     sphere_value,
 )
@@ -270,8 +270,7 @@ def run_all(fast: bool = False, seed: int = 0, tol: float = 1e-9):
             av = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(2)]
             bv = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(2)]
             leg = Leg((av[0], av[1], Fraction(0)), (bv[0], bv[1], Fraction(0)), Fraction(1), QQ)
-            sym = leg_sym_coords(leg)
-            coords = (sym[9], sym[0], sym[1], sym[6], sym[7], sym[3], sym[10])
+            coords = leg_pinv_coords(leg)
             if cubic.evaluate(coords) != 0:
                 return False, "a quotient image violates the determinant cubic"
             if printed.evaluate(coords) != 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -304,14 +305,12 @@ def cmd_verify(args) -> int:
         if field is QQ:
             print("exact verification runs over a finite field bundle", file=sys.stderr)
             return EXIT_USAGE
-        rng = random.Random(args.seed)
-        legs = verify.sample_curve_points(bundle.leg_ideal_full, max(5, args.samples // 5), rng)
-        configs = _fp_configs(bundle, max(5, args.samples // 5))
-        configs = [(c, field) for c in configs]
-        leg_pts = [(pt, field) for pt in legs]
+        count = max(5, args.samples // 5)
+        legs = verify.sample_curve_points(bundle.leg_ideal_full, count, random.Random(args.seed))
+        configs = [(c.coords, field) for c in bundle.seed.config_points(count)]
         report = verify.check_pod(
-            configs, leg_pts, mode="exact", pod_id=f"seed{bundle.seed.rng_seed}",
-            certification=bundle.certification,
+            configs, [(pt, field) for pt in legs], mode="exact",
+            pod_id=f"seed{bundle.seed.rng_seed}", certification=bundle.certification,
         )
     else:
         if field is not QQ:
@@ -326,24 +325,6 @@ def cmd_verify(args) -> int:
     _write_json(args.out, report.to_json())
     _print_report(report)
     return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
-
-
-def _fp_configs(bundle, count):
-    """Exact configuration points via the quartic parametrization."""
-    from .models import rho_isometry_point
-
-    seed = bundle.seed
-    field = seed.field
-    rho = seed.lift()
-    out = []
-    p = field.p
-    for e2 in range(p):
-        for e1 in range(p):
-            if field.is_zero(seed.F.evaluate([e1, e2, 1])):
-                out.append(rho_isometry_point(rho, [e1, e2, 1]).coords)
-                if len(out) >= count:
-                    return out
-    return out
 
 
 def _print_report(report):
@@ -389,6 +370,18 @@ def _count(flag):
     return parse
 
 
+def _tolerance(text):
+    """An argparse type for --tol: a finite non-negative number, or
+    InputError as in `_count`."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not (math.isfinite(value) and value >= 0):
+        raise InputError(f"--tol must be a finite non-negative number, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="podforge",
@@ -426,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a bundle's sphere conditions")
     p.add_argument("bundle")
     p.add_argument("--mode", choices=["exact", "float"], default="exact")
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--samples", type=_count("--samples"), default=25)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_verify)
@@ -435,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the acceptance suite")
     p.add_argument("--fast", action="store_true", help="reduced seed counts for a quick pass")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=cmd_reproduce)
 
     return ap

@@ -20,7 +20,6 @@ from .groebner import (
     buchberger,
     cut_cohen_macaulay,
     hilbert_data,
-    linear_part,
     normal_form,
     reduce_by_basis,
     saturate,
@@ -45,8 +44,11 @@ from .models import (
     ideal_Y_p,
     ideal_Y_pinv,
     ideal_X_inv,
+    rho_isometry_point,
     ring_euler,
     ring_X,
+    ring_X_p,
+    ring_X_pinv,
     ring_Y,
     ring_Y_inv,
     ring_Y_p,
@@ -61,6 +63,7 @@ from .duality import (
     bsc_planar10,
     dual_space,
     leg_p_coords,
+    leg_to_point,
     point_to_leg,
     sbsc11,
     sbsc_planar7,
@@ -102,6 +105,18 @@ class ConstructionSeed:
         # the r-slot takes U/4: with x = P/2 the relation r h = <x,x> forces
         # 4 r h = sum P_i^2 = U h + F, so r = U/4 on the curve F = 0
         return euler_rho(*self.P, self.U.scale(field.div(field.one, field.of(4))))
+
+    def config_points(self, count=None) -> list:
+        """The first `count` GF(p) points (e1, e2, 1) of the quartic F, all of
+        them when count is None, in (e2, e1) order, lifted to isometry points
+        by `lift()`."""
+        p = self.field.p
+        rho = self.lift()
+        zeros = (
+            (e1, e2, 1) for e2 in range(p) for e1 in range(p)
+            if self.field.is_zero(self.F.evaluate([e1, e2, 1]))
+        )
+        return [rho_isometry_point(rho, e) for e in itertools.islice(zeros, count)]
 
 
 def _rand_poly(ring, rng, degree, bound):
@@ -211,6 +226,14 @@ def rho_quadric_matrix(rho: RingMap):
     return [list(row) for row in zip(*cols)]
 
 
+def lift_kernel(rho: RingMap) -> LinearSubspace:
+    """P_1, the linear forms on the isometry P^16 that the lift map sends to
+    zero: the kernel of `rho_quadric_matrix`."""
+    field = rho.target.field
+    kernel = linalg.matrix_kernel(rho_quadric_matrix(rho), field)
+    return LinearSubspace(rho.source.names, "forms", tuple(tuple(v) for v in kernel), field)
+
+
 # HS(R/P) = (1 + 4t + 3t^2) / (1 - t)^2 = 1 + sum_{k>=1} (8k - 2) t^k: a
 # configuration curve of degree 8 (and arithmetic genus 3) in P^16
 PREIMAGE_NUMERATOR = (1, 4, 3)
@@ -232,16 +255,16 @@ def rho_preimage(rho: RingMap, F: Polynomial) -> Ideal:
     The result has its reduced degrevlex basis as generators and cached."""
     field = F.ring.field
     rx = rho.source
-    kernel = linalg.matrix_kernel(rho_quadric_matrix(rho), field)
-    if len(kernel) != 11:
+    kernel = lift_kernel(rho)
+    if len(kernel.basis) != 11:
         raise CertificationError(
-            f"preimage of (F) below its Hilbert series: {len(kernel)} kernel forms, not 11"
+            f"preimage of (F) below its Hilbert series: {len(kernel.basis)} kernel forms, not 11"
         )
     equations = list(ideal_X(field).generators)
     for q in equations:
         if not reduce_by_basis(rho(q), [F] if F else []).is_zero():
             raise CertificationError(f"preimage of (F) misses X: the lift maps {q} outside (F)")
-    gens = equations + [_linear_of_covector(v, rx) for v in kernel]
+    gens = equations + kernel.linear_forms(rx)
     bound = list(PREIMAGE_NUMERATOR)
     for _ in range(rx.n - 2):
         bound = unipoly.mul(bound, [1, -1])
@@ -258,25 +281,6 @@ def rho_preimage(rho: RingMap, F: Polynomial) -> Ideal:
             f"in dimension {hd.dimension}, not {list(PREIMAGE_NUMERATOR)} in dimension 1"
         )
     return out
-
-
-def _covector_of_linear(f: Polynomial) -> tuple:
-    ring = f.ring
-    field = ring.field
-    out = [field.zero] * ring.n
-    for m, c in f.terms.items():
-        exps = ring.unpack(m)
-        i = next(k for k, e in enumerate(exps) if e)
-        out[i] = c
-    return tuple(out)
-
-
-def _linear_of_covector(vec, ring) -> Polynomial:
-    return ring.from_terms(
-        (tuple(1 if k == i else 0 for k in range(ring.n)), c)
-        for i, c in enumerate(vec)
-        if not ring.field.is_zero(ring.field.of(c))
-    )
 
 
 def _fold_name(n: str) -> str:
@@ -325,10 +329,9 @@ def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
         rows.append(row)
     basis = linalg.row_space_basis(rows, field)
     forms = LinearSubspace(XINV_NAMES, "forms", tuple(tuple(r) for r in basis), field)
-    points = dual_space(forms, sbsc11(), "left")
-    cutting = linalg.matrix_kernel([list(v) for v in points.basis], field)
+    cutting = dual_space(forms, sbsc11(), "left").converted()
     yidx = {n: i for i, n in enumerate(YINV_NAMES)}
-    pulled = [[v[yidx[_pi_name(n)]] for n in Y_NAMES] for v in cutting]
+    pulled = [[v[yidx[_pi_name(n)]] for n in Y_NAMES] for v in cutting.basis]
     if linalg.row_space_basis(pulled, field) != linalg.row_space_basis(
         [list(v) for v in leg_cutting], field
     ):
@@ -336,9 +339,7 @@ def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
             "the leg P^10 is not the symmetrization preimage of the dual P^4"
         )
     ryi = ring_Y_inv(field)
-    gb = cut_cohen_macaulay(
-        ideal_Y_inv(field), [_linear_of_covector(v, ryi) for v in cutting]
-    ).groebner_basis()
+    gb = cut_cohen_macaulay(ideal_Y_inv(field), cutting.linear_forms(ryi)).groebner_basis()
     out = Ideal(ryi, gb)
     out.seed_groebner_cache(gb)
     return out
@@ -367,24 +368,21 @@ def create_infinity_pod(
     field = field or GF(101)
     seed = draw_seed(rng_seed, field, bound, retries)
     try:
-        preimage = rho_preimage(seed.lift(), seed.F)
+        rho = seed.lift()
+        preimage = rho_preimage(rho, seed.F)
         config = ideal_X_inv(field) + preimage.generators
-        span_forms = linalg.row_space_basis(
-            [list(_covector_of_linear(g)) for g in linear_part(preimage)], field
-        )
-
-        # dual side: the 11 forms become 11 leg points spanning a P^10
-        i_lin = LinearSubspace(X_NAMES, "forms", tuple(tuple(v) for v in span_forms), field)
+        # P has no forms beyond P_1 ((F) is zero in degree 2), so P_1 is the
+        # configuration span; its 11 forms become 11 leg points spanning a P^10
+        i_lin = lift_kernel(rho).reduced()
         l_lin = dual_space(i_lin, bsc17(), "left")
-        cutting = linalg.matrix_kernel([list(v) for v in l_lin.basis], field)
-        ry = ring_Y(field)
-        leg_full = cut_cohen_macaulay(ideal_Y(field), [_linear_of_covector(v, ry) for v in cutting])
-        leg_sym = _symmetric_leg_ideal(span_forms, cutting, field)
+        cutting = l_lin.converted()
+        leg_full = cut_cohen_macaulay(ideal_Y(field), cutting.linear_forms(ring_Y(field)))
+        leg_sym = _symmetric_leg_ideal(i_lin.basis, cutting.basis, field)
     except CertificationError as exc:
         raise CertificationError(f"seed {rng_seed}: {exc}") from None
 
     certification = {
-        "i_lin_dim": len(span_forms),
+        "i_lin_dim": len(i_lin.basis),
         "f_smooth": seed.f_smooth,
         "leg_sym": hilbert_data(leg_sym).triple(),
         "leg_full": hilbert_data(leg_full).triple(),
@@ -394,8 +392,8 @@ def create_infinity_pod(
         config_ideal=config,
         leg_ideal_full=leg_full,
         leg_ideal_sym=leg_sym,
-        config_span_forms=tuple(tuple(v) for v in span_forms),
-        leg_span_points=tuple(tuple(v) for v in l_lin.basis),
+        config_span_forms=i_lin.basis,
+        leg_span_points=l_lin.basis,
         certification=certification,
     )
 
@@ -499,15 +497,9 @@ def pentapod_config_ideal(legs) -> Ideal:
     h = 0, so no pose is lost.  J's reduced degrevlex basis is its generator
     set and is cached, so its slices get a Hilbert-series bound for free."""
     field = legs[0].field
-    from .duality import leg_to_point
-
-    B = bsc17()
-    rx = ring_X(field)
-    forms = []
-    for leg in legs:
-        cov = B.left_form_of_point(leg_to_point(leg).coords(), field)
-        forms.append(_linear_of_covector(cov, rx))
-    return saturate(ideal_X(field) + forms, "h")
+    points = tuple(leg_to_point(leg).coords() for leg in legs)
+    forms = dual_space(LinearSubspace(Y_NAMES, "points", points, field), bsc17(), "right")
+    return saturate(ideal_X(field) + forms.linear_forms(ring_X(field)), "h")
 
 
 def legs_span_subspace(legs, field) -> LinearSubspace:
@@ -530,9 +522,8 @@ def hexapod_leg_curve(legs) -> Ideal:
     vecs = [leg_p_coords(leg) for leg in legs]
     if linalg.rank([list(v) for v in vecs], field) != 6:
         raise DualityError("legs do not span a P^5")
-    cutting = linalg.matrix_kernel([list(v) for v in vecs], field)
-    ryp = ring_Y_p(field)
-    curve = ideal_Y_p(field) + [_linear_of_covector(v, ryp) for v in cutting]
+    span = LinearSubspace(YP_NAMES, "points", tuple(vecs), field)
+    curve = ideal_Y_p(field) + span.linear_forms(ring_Y_p(field))
     hd = hilbert_data(curve)
     if hd.dimension != 1:
         raise CertificationError(f"hexapod curve has dimension {hd.dimension}, expected 1")
@@ -589,19 +580,10 @@ def conic_product_legs(f_coeffs, g_coeffs, field=QQ, rng=None) -> ConicProductPo
     span_rank = linalg.rank([list(q) for q in quartics], field)
     if span_rank != 5:
         raise DegenerateSeedError(f"lift spans a P^{span_rank - 1}, expected exactly a P^4")
-    cutting = linalg.matrix_kernel([list(col) for col in zip(*quartics)], field)
-    # cutting: covectors phi with phi . coords(s,t) = 0 for all (s,t)
-    ryp = ring_Y_p(field)
-    leg_ideal = ideal_Y_p(field) + [_linear_of_covector(v, ryp) for v in cutting]
-    point_basis = [list(col) for col in zip(*quartics)]
-    span = LinearSubspace(YP_NAMES, "points", tuple(tuple(r) for r in point_basis), field)
+    span = LinearSubspace(YP_NAMES, "points", tuple(zip(*quartics)), field)
+    leg_ideal = ideal_Y_p(field) + span.linear_forms(ring_Y_p(field))
     config_forms = dual_space(span, bsc_planar10(), "right")
-    from .models import ring_X_p
-
-    rxp = ring_X_p(field)
-    config_ideal = ideal_X_p(field) + [
-        _linear_of_covector(v, rxp) for v in config_forms.basis
-    ]
+    config_ideal = ideal_X_p(field) + config_forms.linear_forms(ring_X_p(field))
     hd = hilbert_data(config_ideal)
     cert = {"config": hd.triple(), "span_rank": span_rank}
     if hd.dimension != 1:
@@ -637,9 +619,8 @@ def cubic_line_symmetric(rng_seed: int, field=None, bound: int = 10, retries: in
             last = "plane points dependent"
             continue
         plane = LinearSubspace(YPINV_NAMES, "points", tuple(tuple(r) for r in pts), field)
-        cutting = linalg.matrix_kernel(pts, field)
         rypi = ring_Y_pinv(field)
-        leg_ideal = ideal_Y_pinv(field) + [_linear_of_covector(v, rypi) for v in cutting]
+        leg_ideal = ideal_Y_pinv(field) + plane.linear_forms(rypi)
         hd_leg = hilbert_data(leg_ideal)
         if hd_leg.triple() != (1, 3, 1):
             last = f"leg section not a plane cubic: {hd_leg.triple()}"
@@ -664,12 +645,7 @@ def cubic_line_symmetric(rng_seed: int, field=None, bound: int = 10, retries: in
             last = "plane section is a singular cubic"
             continue
         config_forms = dual_space(plane, sbsc_planar7(), "right")
-        from .models import ring_X_pinv
-
-        rxpi = ring_X_pinv(field)
-        config_ideal = ideal_X_pinv(field) + [
-            _linear_of_covector(v, rxpi) for v in config_forms.basis
-        ]
+        config_ideal = ideal_X_pinv(field) + config_forms.linear_forms(ring_X_pinv(field))
         hd_cfg = hilbert_data(config_ideal)
         if hd_cfg.dimension != 1 or hd_cfg.degree != 6:
             last = f"configuration curve not (1, 6): {hd_cfg.triple()}"

@@ -68,13 +68,6 @@ class BilinearForm:
                     acc = field.add(acc, field.mul(li, field.mul(field.of(c), field.of(right_coords[j]))))
         return acc
 
-    def left_form_of_point(self, right_coords, field):
-        """The covector B(. , w) on the left space induced by a right point."""
-        return tuple(
-            sum_(field, (field.mul(field.of(c), field.of(right_coords[j])) for j, c in enumerate(row) if c))
-            for row in self.entries
-        )
-
 
 def _pair_matrix(left, right, pairs):
     rows = [[0] * len(right) for _ in left]
@@ -280,6 +273,21 @@ class LinearSubspace:
 
     def point_basis(self):
         return self.basis if self.kind == "points" else self.converted().basis
+
+    def linear_forms(self, ring) -> list:
+        """The linear forms of `ring` cutting the subspace out: the basis of a
+        forms subspace, the basis of `converted()` for a points subspace.
+        This is the one way a subspace becomes ring forms.  Raises
+        DualityError unless the ring's variables are the ambient coordinates
+        in order and its field is the subspace's."""
+        if ring.names != self.ambient or ring.field is not self.field:
+            raise DualityError(
+                f"ring {ring.names} over {ring.field} does not carry the subspace's "
+                f"coordinates {self.ambient} over {self.field}"
+            )
+        forms = self if self.kind == "forms" else self.converted()
+        units = [tuple(int(k == i) for k in range(ring.n)) for i in range(ring.n)]
+        return [ring.from_terms(zip(units, v)) for v in forms.basis]
 
 
 def same_subspace(s1: LinearSubspace, s2: LinearSubspace) -> bool:

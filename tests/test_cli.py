@@ -117,17 +117,36 @@ def test_construct_output_pinned(tmp_path, what, seed, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_construct_hexapod_output_pinned(tmp_path):
+    # POD plus a sixth planar leg, over GF(101)
+    pod = tmp_path / "pod.json"
+    pod.write_text(json.dumps({
+        "base": POD["base"] + [["3", "1", "0"]],
+        "platform": POD["platform"] + [["2", "-4", "0"]],
+        "lengths_squared": POD["lengths_squared"] + ["9"],
+    }))
+    out = tmp_path / "hexapod.json"
+    run_cli("construct", "hexapod", "--field", "fp:101", "--legs", str(pod), "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f9cf856aec98d582d0f6fde1883e20892a25bc6bc170051b02c45ee3fdac605b"
+    )
+
+
 def test_construct_then_verify_exact(tmp_path):
     bundle = tmp_path / "b.json"
     report = tmp_path / "r.json"
     run_cli("construct", "infinity", "--seed", "7", "--field", "fp:101", "--out", str(bundle))
     proc = run_cli(
-        "verify", str(bundle), "--mode", "exact", "--samples", "25", "--out", str(report)
+        "verify", str(bundle), "--mode", "exact", "--samples", "25", "--seed", "0",
+        "--out", str(report),
     )
     assert proc.returncode == 0
     data = json.loads(report.read_text())
     assert data["ok"] is True
     assert all(r["ok"] for r in data["residuals"])
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "08de8ad4117c4c8d62f38cb0727a4e61cdcfb14f12d6ceab093b26d6a137196f"
+    )
 
 
 def test_construct_then_verify_float(tmp_path):
@@ -329,6 +348,11 @@ def _write_inputs(tmp_path):
         ["construct", "conic", "--bound", "-1"],
         ["construct", "infinity", "--retries", "-1"],
         ["construct", "cubic", "--retries", "-1"],
+        ["verify", "{tmp}/pod.json", "--samples", "-40"],
+        ["verify", "{tmp}/pod.json", "--tol", "-1"],
+        ["verify", "{tmp}/pod.json", "--tol", "inf"],
+        ["reproduce", "--tol", "-1"],
+        ["reproduce", "--tol", "nan"],
     ],
     ids=["verify-missing-file", "dual-missing-file", "verify-bad-json", "verify-bad-number",
          "verify-bad-polynomial", "verify-bad-field-header", "verify-repeated-variable",
@@ -338,7 +362,9 @@ def _write_inputs(tmp_path):
          "dual-bad-json", "dual-no-ambient", "field-not-prime", "field-two",
          "legs-unequal-lengths", "legs-non-numeric", "legs-wrong-count", "dual-wrong-ambient",
          "dual-short-basis", "dual-field-number", "infinity-bound-negative",
-         "conic-bound-negative", "infinity-retries-negative", "cubic-retries-negative"],
+         "conic-bound-negative", "infinity-retries-negative", "cubic-retries-negative",
+         "verify-samples-negative", "verify-tol-negative", "verify-tol-infinite",
+         "reproduce-tol-negative", "reproduce-tol-nan"],
 )
 def test_input_error_exit_code(tmp_path, args):
     _write_inputs(tmp_path)

@@ -13,7 +13,6 @@ from podforge.models import (
     Y_NAMES,
     Leg,
     project_model,
-    rho_isometry_point,
     ring_euler,
     ring_Y,
     ring_Y_inv,
@@ -132,20 +131,12 @@ def test_bundle_pair_vanishing(bundle7):
     # the sphere pairing vanishes exactly on (config curve) x (leg curve):
     # 5 parametrized configurations x 5 sampled leg points
     field = F101
-    seed = bundle7.seed
-    rho = seed.lift()
-    configs = []
-    for e2 in range(101):
-        for e1 in range(101):
-            if field.is_zero(seed.F.evaluate([e1, e2, 1])):
-                configs.append(rho_isometry_point(rho, [e1, e2, 1]))
-        if len(configs) >= 5:
-            break
+    configs = bundle7.seed.config_points(5)
     legs = sample_curve_points(bundle7.leg_ideal_full, 5, random.Random(3))
-    assert len(configs) >= 5 and len(legs) == 5
+    assert len(configs) == 5 and len(legs) == 5
     B = bsc17()
     count = 0
-    for c in configs[:5]:
+    for c in configs:
         for pt in legs:
             assert field.is_zero(B.evaluate(c.coords, pt, field))
             count += 1
@@ -153,18 +144,13 @@ def test_bundle_pair_vanishing(bundle7):
 
 
 def test_bundle_points_on_ideals(bundle7):
-    field = F101
     legs = sample_curve_points(bundle7.leg_ideal_full, 4, random.Random(8))
     for pt in legs:
         assert bundle7.leg_ideal_full.contains_point(pt)
-    seed = bundle7.seed
-    rho = seed.lift()
-    for e2 in range(30):
-        for e1 in range(101):
-            if field.is_zero(seed.F.evaluate([e1, e2, 1])):
-                assert bundle7.config_ideal.contains_point(
-                    rho_isometry_point(rho, [e1, e2, 1]).coords
-                )
+    configs = bundle7.seed.config_points(30)
+    assert configs
+    for c in configs:
+        assert bundle7.config_ideal.contains_point(c.coords)
 
 
 SPLIT_NAMES = (
@@ -437,7 +423,6 @@ def test_conic_product_identity_configuration():
     fc = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
     from podforge.constructions import _binary_quadratic_product
     from podforge.models import ring_Y_p
-    from podforge.constructions import _linear_of_covector
     from podforge.models import ideal_X_p, ideal_Y_p
     from podforge import linalg
 
@@ -461,7 +446,7 @@ def test_conic_product_identity_configuration():
     from podforge.models import ring_X_p
 
     rxp = ring_X_p(field)
-    config = ideal_X_p(field) + [_linear_of_covector(v, rxp) for v in forms.basis]
+    config = ideal_X_p(field) + forms.linear_forms(rxp)
     identity = [field.one, field.zero, field.zero, field.one,
                 field.zero, field.zero, field.zero, field.zero, field.zero, field.one]
     assert config.contains_point(identity)
@@ -583,7 +568,6 @@ def test_hexapod_rigid_configs_pair_with_leg_curve():
     # the finitely many hexapod configurations pair to zero with every point
     # of the added leg curve
     from podforge import linalg
-    from podforge.constructions import _linear_of_covector
     from podforge.duality import dual_space, LinearSubspace
     from podforge.models import YP_NAMES, ideal_X_p, ring_X_p
     from podforge.verify import solve_zero_dimensional
@@ -600,7 +584,7 @@ def test_hexapod_rigid_configs_pair_with_leg_curve():
         )
         forms = dual_space(span, bsc_planar10(), "right")
         rxp = ring_X_p(F101)
-        cfg_ideal = ideal_X_p(F101) + [_linear_of_covector(v, rxp) for v in forms.basis]
+        cfg_ideal = ideal_X_p(F101) + forms.linear_forms(rxp)
         try:
             cfgs = solve_zero_dimensional(cfg_ideal, max_points=4)
         except Exception:

@@ -7,7 +7,7 @@ import pytest
 
 from podforge.fields import GF, QQ
 from podforge.linalg import mat_inverse, mat_mul, rank
-from podforge.models import IsometryPoint, Leg
+from podforge.models import X_NAMES, YP_NAMES, IsometryPoint, Leg, ring_X, ring_Y, ring_Y_p
 from podforge.duality import (
     ComplexLegError,
     DualityError,
@@ -253,6 +253,36 @@ def test_subspace_representation_conversion():
         twice = sub.converted().converted()
         assert same_subspace(sub, twice)
         assert sub.dim() == sub.converted().dim()
+
+
+def test_linear_forms_cut_out_the_subspace():
+    # a rank-k points subspace of n coordinates is cut out by n - k forms,
+    # each vanishing on every basis point; its forms representation gives
+    # the same forms
+    rng = random.Random(5)
+    n = len(YP_NAMES)
+    for field in (QQ, F101):
+        ring = ring_Y_p(field)
+        for k in (1, 5, n - 1):
+            basis = []
+            while rank(basis, field) < k:
+                basis = [[field.of(rng.randint(-9, 9)) for _ in range(n)] for _ in range(k)]
+            sub = LinearSubspace(YP_NAMES, "points", tuple(tuple(r) for r in basis), field)
+            forms = sub.linear_forms(ring)
+            assert len(forms) == n - k
+            for f in forms:
+                assert f.homogeneous_degree() == 1
+                assert all(field.is_zero(f.evaluate(v)) for v in basis)
+            assert sub.converted().linear_forms(ring) == forms
+
+
+def test_linear_forms_need_the_subspace_coordinates():
+    sub = LinearSubspace(X_NAMES, "points", (tuple(F101.of(int(i == 16)) for i in range(17)),), F101)
+    with pytest.raises(DualityError, match="does not carry"):
+        sub.linear_forms(ring_Y(F101))
+    with pytest.raises(DualityError, match="does not carry"):
+        sub.linear_forms(ring_X(QQ))
+    assert len(sub.linear_forms(ring_X(F101))) == 16
 
 
 # -- rank-two recovery -------------------------------------------------------------

@@ -37,7 +37,6 @@ from podforge.models import (
 )
 from podforge.constructions import (
     CertificationError,
-    _covector_of_linear,
     draw_seed,
     rho_preimage,
     rho_quadric_matrix,
@@ -200,7 +199,9 @@ def preimage_by_elimination(rho, F):
 
 
 def _linear_span(ideal, field):
-    return row_space_basis([list(_covector_of_linear(g)) for g in linear_part(ideal)], field)
+    n = ideal.ring.n
+    units = [[int(k == i) for k in range(n)] for i in range(n)]
+    return row_space_basis([[g.coefficient(u) for u in units] for g in linear_part(ideal)], field)
 
 
 @pytest.mark.parametrize(

@@ -203,44 +203,24 @@ def test_rho_images_land_on_X_inv_modulo_F():
     # rho-images of points on the quartic satisfy every involution equation
     field = F101
     for s in (2, 4):
-        seed = draw_seed(s, field)
-        rho = seed.lift()
         I = ideal_X_inv(field)
-        found = 0
-        for e2 in range(101):
-            for e1 in range(101):
-                if field.is_zero(seed.F.evaluate([e1, e2, 1])):
-                    pt = rho_isometry_point(rho, [e1, e2, 1])
-                    assert I.contains_point(pt.coords)
-                    found += 1
-            if found >= 8:
-                break
-        assert found >= 1
+        pts = draw_seed(s, field).config_points(8)
+        assert pts
+        for pt in pts:
+            assert I.contains_point(pt.coords)
 
 
 def test_x_inv_samples_are_half_turns():
     # normalized involution points have symmetric rotation with trace -1
     rng = random.Random(47)
     field = F101
-    seed = draw_seed(3, field)
-    rho = seed.lift()
-    checked = 0
-    for e2 in range(101):
-        for e1 in range(101):
-            if not field.is_zero(seed.F.evaluate([e1, e2, 1])):
-                continue
-            pt = rho_isometry_point(rho, [e1, e2, 1])
-            m = pt.matrix()
-            h = pt.h
-            if field.is_zero(h):
-                continue
-            assert m[0][1] == m[1][0] and m[0][2] == m[2][0] and m[1][2] == m[2][1]
-            trace = field.add(field.add(m[0][0], m[1][1]), m[2][2])
-            assert field.is_zero(field.add(trace, h))
-            checked += 1
-        if checked >= 10:
-            break
-    assert checked >= 1
+    pts = [pt for pt in draw_seed(3, field).config_points() if not field.is_zero(pt.h)][:10]
+    assert pts
+    for pt in pts:
+        m = pt.matrix()
+        assert m[0][1] == m[1][0] and m[0][2] == m[2][0] and m[1][2] == m[2][1]
+        trace = field.add(field.add(m[0][0], m[1][1]), m[2][2])
+        assert field.is_zero(field.add(trace, pt.h))
 
 
 def test_euler_rho_rejects_nonquadratic():

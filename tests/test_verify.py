@@ -299,18 +299,8 @@ def test_real_configuration_is_involution(bundle_q):
 def test_check_pod_exact_on_bundle():
     bundle = create_infinity_pod(7, F101)
     pts = sample_curve_points(bundle.leg_ideal_full, 5, random.Random(3))
-    seed = bundle.seed
-    from podforge.models import rho_isometry_point
-
-    rho = seed.lift()
-    cfgs = []
-    for e2 in range(101):
-        for e1 in range(101):
-            if F101.is_zero(seed.F.evaluate([e1, e2, 1])):
-                cfgs.append((rho_isometry_point(rho, [e1, e2, 1]).coords, F101))
-        if len(cfgs) >= 5:
-            break
-    report = check_pod(cfgs[:5], [(pt, F101) for pt in pts], mode="exact")
+    cfgs = [(c.coords, F101) for c in bundle.seed.config_points(5)]
+    report = check_pod(cfgs, [(pt, F101) for pt in pts], mode="exact")
     assert report.ok and report.exact_zero
     assert len(report.residuals) == 25
 
