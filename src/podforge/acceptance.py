@@ -31,6 +31,7 @@ from .duality import (
     FORMS,
     LinearSubspace,
     bsc17,
+    bsc_planar10,
     dual_space,
     form_determinant,
     leg_pinv_coords,
@@ -166,8 +167,6 @@ def run_all(fast: bool = False, seed: int = 0, tol: float = 1e-9):
                 continue  # measure-zero special pentapod: redraw
             s5 = constructions.legs_span_subspace(legs, QQ)
             s6 = constructions.legs_span_subspace(legs + [sixth], QQ)
-            from .duality import bsc_planar10
-
             d5 = dual_space(s5, bsc_planar10(), "right").reduced()
             d6 = dual_space(s6, bsc_planar10(), "right").reduced()
             if d5.basis != d6.basis:

@@ -55,6 +55,7 @@ from .models import (
     y_pinv_cubic,
     ring_Y_pinv,
     sum_,
+    symmetric_matrix,
 )
 from .duality import (
     DualityError,
@@ -62,13 +63,19 @@ from .duality import (
     bsc17,
     bsc_planar10,
     dual_space,
+    fold_name,
     leg_p_coords,
     leg_to_point,
+    pi_name,
     point_to_leg,
+    pull,
+    push,
+    same_name,
     sbsc11,
     sbsc_planar7,
 )
 from .rings import DEGREVLEX, Polynomial, RingContext, RingMap, minors
+from .verify import roots_mod_p, solve_zero_dimensional, substitute_e2
 
 
 class DegenerateSeedError(ValueError):
@@ -109,14 +116,18 @@ class ConstructionSeed:
     def config_points(self, count=None) -> list:
         """The first `count` GF(p) points (e1, e2, 1) of the quartic F, all of
         them when count is None, in (e2, e1) order, lifted to isometry points
-        by `lift()`."""
+        by `lift()`.  Each line e2 = c gives its e1 values as the roots of F
+        restricted to it, or all of GF(p) when F vanishes on the line."""
         p = self.field.p
         rho = self.lift()
-        zeros = (
-            (e1, e2, 1) for e2 in range(p) for e1 in range(p)
-            if self.field.is_zero(self.F.evaluate([e1, e2, 1]))
-        )
-        return [rho_isometry_point(rho, e) for e in itertools.islice(zeros, count)]
+
+        def zeros():
+            for e2 in range(p):
+                line = substitute_e2(self.F, e2)
+                for e1 in roots_mod_p(line, p) if line else range(p):
+                    yield (e1, e2, 1)
+
+        return [rho_isometry_point(rho, e) for e in itertools.islice(zeros(), count)]
 
 
 def _rand_poly(ring, rng, degree, bound):
@@ -283,24 +294,6 @@ def rho_preimage(rho: RingMap, F: Polynomial) -> Ideal:
     return out
 
 
-def _fold_name(n: str) -> str:
-    """The involution-side coordinate that an isometry coordinate restricts
-    to on W = {M = M^t, x = y}: m_ij, m_ji -> m_ij (i < j), y_i -> x_i."""
-    if n[0] == "y":
-        return "x" + n[1]
-    if n[0] == "m":
-        return f"m{min(n[1:])}{max(n[1:])}"
-    return n
-
-
-def _pi_name(n: str) -> str:
-    """The symmetric coordinate that a leg coordinate feeds under the
-    symmetrization pi: z_ii -> z_ii, z_ij and z_ji -> s_ij, l -> l."""
-    if n == "l" or n[1] == n[2]:
-        return n
-    return f"s{min(n[1:])}{max(n[1:])}"
-
-
 def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
     """The symmetric leg curve by the duality: Y_inv cut by the P^4 dual,
     under sbsc11, to the configuration span, checked exactly to be the image
@@ -319,19 +312,11 @@ def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
     reduced degrevlex basis as generators and cached."""
     # restrict the span forms to W: substituting m_ji = m_ij and y = x folds
     # the covector entries pairwise
-    xidx = {n: i for i, n in enumerate(XINV_NAMES)}
-    rows = []
-    for v in span_forms:
-        row = [field.zero] * len(XINV_NAMES)
-        for n, c in zip(X_NAMES, v):
-            k = xidx[_fold_name(n)]
-            row[k] = field.add(row[k], field.of(c))
-        rows.append(row)
+    rows = [push(v, X_NAMES, XINV_NAMES, fold_name, field) for v in span_forms]
     basis = linalg.row_space_basis(rows, field)
     forms = LinearSubspace(XINV_NAMES, "forms", tuple(tuple(r) for r in basis), field)
     cutting = dual_space(forms, sbsc11(), "left").converted()
-    yidx = {n: i for i, n in enumerate(YINV_NAMES)}
-    pulled = [[v[yidx[_pi_name(n)]] for n in Y_NAMES] for v in cutting.basis]
+    pulled = [pull(v, YINV_NAMES, Y_NAMES, pi_name) for v in cutting.basis]
     if linalg.row_space_basis(pulled, field) != linalg.row_space_basis(
         [list(v) for v in leg_cutting], field
     ):
@@ -477,14 +462,10 @@ def duporcq_sixth_leg(legs) -> Leg:
         raise DualityError("special pentapod: residual point not recoverable from products")
     coords = [
         sum_(field, (field.mul(lam[k], field.of(vecs[k][i])) for k in range(5)))
-        for i in range(10)
+        for i in range(len(YP_NAMES))
     ]
-    z = [[field.zero] * 4 for _ in range(4)]
-    for i in range(3):
-        for j in range(3):
-            z[i][j] = coords[3 * i + j]
-    pt = LegPoint(tuple(tuple(row) for row in z), coords[9], field)
-    return point_to_leg(pt)
+    full = push(coords, YP_NAMES, Y_NAMES, same_name, field)
+    return point_to_leg(LegPoint(tuple(full[i:i + 4] for i in range(0, 16, 4)), full[16], field))
 
 
 def pentapod_config_ideal(legs) -> Ideal:
@@ -692,12 +673,9 @@ def cubic_lift_bidegree(bundle: CubicPodBundle):
     u = ring3.gens()
     # alpha pullback: z00 -> a0 b0, z11 -> a1 b1, z22 -> a2 b2,
     # s01 -> a0 b1 + a1 b0, s02 -> a0 b2 + a2 b0, s12 -> a1 b2 + a2 b1;
-    # each lifted form is sum_ij C_ij a_i b_j with C symmetric
-    def coeff_matrix(vec):
-        z00, z11, z22, s01, s02, s12 = vec[:6]
-        return [[z00, s01, s02], [s01, z11, s12], [s02, s12, z22]]
-
-    mats = [coeff_matrix(vec) for vec in lfree]
+    # each lifted form is sum_ij C_ij a_i b_j with C symmetric, C_ii the z_ii
+    # coefficient and C_ij the s_ij one
+    mats = [symmetric_matrix(vec, lambda c: c, YPINV_NAMES) for vec in lfree]
     # row c: the b-coefficients of the c-th form, linear in a
     rows = [
         [sum((u[i].scale(mats[c][i][j]) for i in range(3)), ring3.zero()) for j in range(3)]
@@ -735,29 +713,23 @@ def symmetroid_pencil(bundle: CubicPodBundle) -> SymmetroidPencil:
     row and column in every A_k, the last row is (0, 0, 0, w0), so H is the
     leading 3 x 3 minor; the expanded determinant is checked against w0 H."""
     field = bundle.field
-    xidx = {n: i for i, n in enumerate(XPINV_NAMES)}
-    forms11 = []
-    for v in bundle.config_forms:
-        vec = [field.zero] * 11
-        for n in XPINV_NAMES:
-            vec[XINV_NAMES.index(n)] = field.of(v[xidx[n]])
-        forms11.append(vec)
-    trace = [field.zero] * 11
-    for n in ("m11", "m22", "m33", "h"):
-        trace[XINV_NAMES.index(n)] = field.one
+    forms11 = [push(v, XPINV_NAMES, XINV_NAMES, same_name, field) for v in bundle.config_forms]
+    trace = tuple(field.one if n in ("m11", "m22", "m33", "h") else field.zero for n in XINV_NAMES)
     basis_forms = [trace] + forms11
     forms = LinearSubspace(XINV_NAMES, "forms", tuple(tuple(v) for v in basis_forms), field)
     gamma = dual_space(forms, sbsc11(), "left")
-    from .duality import _sym_matrix_from_coords
+
+    def sym(p):
+        return symmetric_matrix(p, lambda c: field.add(c, c), YINV_NAMES)
 
     pts = [list(p) for p in gamma.basis]
     # normalize the first point to the printed corner matrix diag(0,1,1,1)
-    e_mat = _sym_matrix_from_coords(pts[0], field)
+    e_mat = sym(pts[0])
     if not field.is_zero(e_mat[0][0]):
         raise CertificationError("dual of the trace form has a corner entry")
     scale = field.inv(e_mat[1][1])
     pts[0] = [field.mul(scale, c) for c in pts[0]]
-    mats = [_sym_matrix_from_coords(p, field) for p in pts]
+    mats = [sym(p) for p in pts]
     E, A = mats[0], mats[1:]
     expected_e = [[field.zero] * 4 for _ in range(4)]
     for i in (1, 2, 3):
@@ -792,8 +764,6 @@ def symmetroid_pencil(bundle: CubicPodBundle) -> SymmetroidPencil:
     node_scheme_degree = 0
     if hd.dimension == 0:
         node_scheme_degree = hd.degree
-        from .verify import solve_zero_dimensional
-
         nodes = tuple(solve_zero_dimensional(jac, max_points=SYMMETROID_NODE_SAMPLES))
     elif hd.dimension > 0:
         raise CertificationError("symmetroid singular locus is positive-dimensional")
@@ -801,7 +771,7 @@ def symmetroid_pencil(bundle: CubicPodBundle) -> SymmetroidPencil:
     for nd in nodes:
         coords = [
             sum_(field, (field.mul(nd[k], field.of(pts[k][i])) for k in range(4)))
-            for i in range(11)
+            for i in range(len(YINV_NAMES))
         ]
         node_pts.append(tuple(coords))
     return SymmetroidPencil(

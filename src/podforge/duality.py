@@ -10,6 +10,12 @@ This is the corrected form: re-deriving ||sigma(a) - b||^2 = d^2 through
 x = -M^t y gives -2<b, y> where older write-ups print -2<b, x>, and the m_ij
 coordinate pairs with z_ji (base index contracts with M's column).  The
 Cayley-transform oracle in the test suite is the arbiter for both signs.
+
+`bsc17` is the only written pairing.  The symmetric and planar pairings are
+induced from it by coordinate name (`_induced`): through `fold_name` on the
+configuration side and `pi_name` on the leg side, or by keeping the planar
+coordinates.  `push` and `pull` are the coordinate maps between the named
+spaces, so a sign fixed in `bsc17` reaches every pairing.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .models import (
     YINV_NAMES,
     YPINV_NAMES,
     sum_,
+    symmetric_matrix,
 )
 
 
@@ -90,41 +97,95 @@ def bsc17() -> BilinearForm:
     return BilinearForm("bsc17", X_NAMES, Y_NAMES, _pair_matrix(X_NAMES, Y_NAMES, pairs))
 
 
+# ---------------------------------------------------------------------------
+# Coordinate maps between the named spaces
+# ---------------------------------------------------------------------------
+
+
+def same_name(n: str) -> str:
+    """The identity name map: a coordinate keeps its name."""
+    return n
+
+
+def fold_name(n: str) -> str:
+    """The involution-side coordinate that an isometry coordinate restricts
+    to on W = {M = M^t, x = y}: m_ij, m_ji -> m_ij (i < j), y_i -> x_i."""
+    if n[0] == "y":
+        return "x" + n[1]
+    if n[0] == "m":
+        return f"m{min(n[1:])}{max(n[1:])}"
+    return n
+
+
+def pi_name(n: str) -> str:
+    """The symmetric coordinate that a leg coordinate feeds under the
+    symmetrization pi: z_ii -> z_ii, z_ij and z_ji -> s_ij, l -> l."""
+    if n == "l" or n[1] == n[2]:
+        return n
+    return f"s{min(n[1:])}{max(n[1:])}"
+
+
+def push(vec, src, dst, name_map, field) -> tuple:
+    """The vector on `dst` whose entry d is the sum of the entries of `vec`
+    (on `src`) at the names that `name_map` sends to d: the image of a point
+    under pi, or a form restricted along W.  A nonzero entry whose image is
+    not in `dst` raises DualityError."""
+    idx = {d: k for k, d in enumerate(dst)}
+    out = [field.zero] * len(dst)
+    for n, c in zip(src, vec, strict=True):
+        k = idx.get(name_map(n))
+        if k is not None:
+            out[k] = field.add(out[k], c)
+        elif not field.is_zero(c):
+            raise DualityError(f"the {n} entry {c} has no image among {dst}")
+    return tuple(out)
+
+
+def pull(vec, src, dst, name_map=same_name) -> tuple:
+    """The vector on `dst` whose entry d is the entry of `vec` (on `src`) at
+    name_map(d): a form pulled back along pi, or a point projected onto a
+    subset of its coordinates."""
+    idx = {n: k for k, n in enumerate(src)}
+    return tuple(vec[idx[name_map(d)]] for d in dst)
+
+
+def _induced(form, kind, left, right, left_map=same_name, right_map=same_name) -> BilinearForm:
+    """The pairing that `form` induces between `left` and `right`: a left
+    point sigma' reads as sigma_n = sigma'_{left_map(n)}, and a right point
+    is pushed along `right_map`, keeping the coordinates whose image is in
+    `right`.  Each kept column is pushed along `left_map`; unless two kept
+    columns with one image carry the same entries and no row off `left` has
+    a nonzero entry in a kept column, the form does not factor and
+    DualityError is raised."""
+    columns = {}
+    for m, col in zip(form.right_names, zip(*form.entries)):
+        k = right_map(m)
+        if k not in right:
+            continue
+        pushed = push(col, form.left_names, left, left_map, QQ)
+        if columns.setdefault(k, pushed) != pushed:
+            raise DualityError(f"{form.kind} does not factor through {kind}: the columns onto {k} differ")
+    rows = zip(*(columns[k] for k in right))
+    # sums of integer entries: the induced entries are integers too
+    return BilinearForm(kind, left, right, tuple(tuple(map(int, row)) for row in rows))
+
+
 def sbsc11() -> BilinearForm:
-    """The symmetric bilinear sphere condition between the two P^10."""
-    pairs = [("h", "l", 1), ("r", "z00", 1)]
-    for i in (1, 2, 3):
-        pairs.append((f"x{i}", f"s0{i}", -2))
-        pairs.append((f"m{i}{i}", f"z{i}{i}", -2))
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        pairs.append((f"m{i}{j}", f"s{i}{j}", -2))
-    return BilinearForm("sbsc11", XINV_NAMES, YINV_NAMES, _pair_matrix(XINV_NAMES, YINV_NAMES, pairs))
+    """The symmetric bilinear sphere condition between the two P^10: bsc17 on
+    W, read through the symmetrization pi."""
+    return _induced(bsc17(), "sbsc11", XINV_NAMES, YINV_NAMES, fold_name, pi_name)
 
 
 def bsc_planar10() -> BilinearForm:
-    """The planar bilinear sphere condition between the two P^9."""
-    pairs = [("h", "l", 1), ("r", "z00", 1)]
-    for i in (1, 2):
-        pairs.append((f"x{i}", f"z{i}0", -2))
-        pairs.append((f"y{i}", f"z0{i}", -2))
-    for i in (1, 2):
-        for j in (1, 2):
-            pairs.append((f"m{i}{j}", f"z{j}{i}", -2))
-    return BilinearForm("bsc_planar10", XP_NAMES, YP_NAMES, _pair_matrix(XP_NAMES, YP_NAMES, pairs))
+    """The planar bilinear sphere condition between the two P^9: bsc17 on the
+    planar coordinates."""
+    return _induced(bsc17(), "bsc_planar10", XP_NAMES, YP_NAMES)
 
 
 def sbsc_planar7() -> BilinearForm:
-    """The planar symmetric sphere condition between the two P^6."""
-    pairs = [
-        ("h", "l", 1),
-        ("r", "z00", 1),
-        ("x1", "s01", -2),
-        ("x2", "s02", -2),
-        ("m11", "z11", -2),
-        ("m22", "z22", -2),
-        ("m12", "s12", -2),
-    ]
-    return BilinearForm("sbsc_planar7", XPINV_NAMES, YPINV_NAMES, _pair_matrix(XPINV_NAMES, YPINV_NAMES, pairs))
+    """The planar symmetric sphere condition between the two P^6: sbsc11 on
+    the planar coordinates."""
+    return _induced(sbsc11(), "sbsc_planar7", XPINV_NAMES, YPINV_NAMES)
 
 
 FORMS = {
@@ -189,28 +250,9 @@ def point_to_leg(pt: LegPoint) -> Leg:
 
 
 def leg_sym_coords(leg: Leg) -> tuple:
-    """Coordinates of the leg on the symmetric P^10:
-    (z11, z22, z33, s12, s13, s23, s01, s02, s03, z00, l)."""
-    f = leg.field
-    at = (f.one,) + tuple(f.of(v) for v in leg.a)
-    bt = (f.one,) + tuple(f.of(v) for v in leg.b)
-
-    def s(i, j):
-        return f.add(f.mul(at[i], bt[j]), f.mul(at[j], bt[i]))
-
-    return (
-        f.mul(at[1], bt[1]),
-        f.mul(at[2], bt[2]),
-        f.mul(at[3], bt[3]),
-        s(1, 2),
-        s(1, 3),
-        s(2, 3),
-        s(0, 1),
-        s(0, 2),
-        s(0, 3),
-        f.mul(at[0], bt[0]),
-        leg.corrected_length(),
-    )
+    """Coordinates of the leg on the symmetric P^10 (YINV_NAMES): its point
+    pushed along the symmetrization pi."""
+    return push(leg_to_point(leg).coords(), Y_NAMES, YINV_NAMES, pi_name, leg.field)
 
 
 def leg_p_coords(leg: Leg) -> tuple:
@@ -222,13 +264,11 @@ def leg_p_coords(leg: Leg) -> tuple:
 
 
 def leg_pinv_coords(leg: Leg) -> tuple:
-    """Coordinates of a planar leg on the planar symmetric cone P^6:
-    (z00, z11, z22, s01, s02, s12, l)."""
+    """Coordinates of a planar leg on the planar symmetric cone P^6
+    (YPINV_NAMES)."""
     if not leg.is_planar():
         raise DualityError("leg is not planar (a3 = b3 = 0 required)")
-    sym = leg_sym_coords(leg)
-    z11, z22, _, s12, _, _, s01, s02, _, z00, l = sym
-    return (z00, z11, z22, s01, s02, s12, l)
+    return pull(leg_sym_coords(leg), YINV_NAMES, YPINV_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +396,6 @@ class LegPairRecovery:
     extension_disc: object = None  # discriminant when no rational square root
 
 
-def _sym_matrix_from_coords(coords, field):
-    z11, z22, z33, s12, s13, s23, s01, s02, s03, z00, _l = [field.of(c) for c in coords]
-    two = field.of(2)
-    return [
-        [field.mul(two, z00), s01, s02, s03],
-        [s01, field.mul(two, z11), s12, s13],
-        [s02, s12, field.mul(two, z22), s23],
-        [s03, s13, s23, field.mul(two, z33)],
-    ]
-
-
 def _qq_sqrt(x: Fraction):
     if x < 0:
         return None
@@ -389,7 +418,7 @@ def recover_leg_pairs(sym_coords, field=QQ) -> LegPairRecovery:
     the pair is complex."""
     f = field
     coords = [f.of(c) for c in sym_coords]
-    S = _sym_matrix_from_coords(coords, f)
+    S = symmetric_matrix(coords, lambda c: f.add(c, c), YINV_NAMES)
     if all(f.is_zero(S[i][j]) for i in range(4) for j in range(4)):
         raise DualityError("zero matrix: the cone vertex carries no legs")
     if linalg.rank(S, f) > 2:
@@ -399,7 +428,7 @@ def recover_leg_pairs(sym_coords, field=QQ) -> LegPairRecovery:
     # normalize projective scale so that a~_0 = b~_0 = 1, i.e. S_00 = 2
     scale = f.div(f.of(2), S[0][0])
     S = [[f.mul(scale, S[i][j]) for j in range(4)] for i in range(4)]
-    l_affine = f.mul(scale, coords[10])
+    l_affine = f.mul(scale, coords[YINV_NAMES.index("l")])
     u = [S[0][j] for j in (1, 2, 3)]  # a + b
     # T_ij = v_i v_j with v = a - b
     T = [
@@ -451,14 +480,7 @@ def recover_leg_pairs_float(sym_coords) -> tuple:
     import numpy as np
 
     c = [float(v) for v in sym_coords]
-    S = np.array(
-        [
-            [2 * c[9], c[6], c[7], c[8]],
-            [c[6], 2 * c[0], c[3], c[4]],
-            [c[7], c[3], 2 * c[1], c[5]],
-            [c[8], c[4], c[5], 2 * c[2]],
-        ]
-    )
+    S = np.array(symmetric_matrix(c, lambda v: 2 * v, YINV_NAMES))
     scale = max(1.0, float(np.max(np.abs(S))))
     w, V = np.linalg.eigh(S)
     idx = np.argsort(-np.abs(w))
@@ -479,6 +501,6 @@ def recover_leg_pairs_float(sym_coords) -> tuple:
         raise DualityError("anchor at infinity (float)")
     a = at[1:] / at[0]
     b = bt[1:] / bt[0]
-    l_affine = c[10] * 2.0 / S[0][0]
+    l_affine = c[YINV_NAMES.index("l")] * 2.0 / S[0][0]
     d2 = float(a @ a + b @ b - l_affine)
     return a, b, d2

@@ -818,18 +818,25 @@ def ideal_to_json(ideal: Ideal) -> dict:
 
 
 def ideal_from_json(data: dict) -> Ideal:
-    """The ideal of `ideal_to_json`'s format; a bad field descriptor or ring
-    header raises ParseError, as a malformed generator does."""
+    """The ideal of `ideal_to_json`'s format.  An entry of the wrong JSON type,
+    a bad field descriptor or ring header raises ParseError, as a malformed
+    generator does; a missing key raises KeyError."""
     from .fields import field_from_descriptor
 
+    def listed(value, kind):  # a JSON list of `kind` entries (a bool is no int)
+        return isinstance(value, list) and all(type(v) is kind for v in value)
+
+    if not isinstance(data, dict) or not isinstance(data["ring"], dict):
+        raise ParseError(f"an ideal and its ring must be JSON objects: {data!r}")
+    header, generators, desc = data["ring"], data["generators"], data.get("field", "q")
+    if not (listed(header["vars"], str) and listed(header.get("weights") or [], int) and isinstance(desc, str)):
+        raise ParseError(f"bad ring header: field {desc!r}, ring {header!r}")
+    if not listed(generators, str):
+        raise ParseError(f"generators must be a list of strings, not {generators!r}")
     try:
-        field = field_from_descriptor(data.get("field", "q"))
-        ring = RingContext(
-            tuple(data["ring"]["vars"]),
-            tuple(data["ring"].get("weights") or [1] * len(data["ring"]["vars"])),
-            DEGREVLEX,
-            field,
-        )
+        field = field_from_descriptor(desc)
+        names = tuple(header["vars"])
+        ring = RingContext(names, tuple(header.get("weights") or [1] * len(names)), DEGREVLEX, field)
     except ValueError as exc:
         raise ParseError(f"bad ring header: {exc}") from None
-    return Ideal(ring, [ring.parse(s) for s in data["generators"]])
+    return Ideal(ring, [ring.parse(g) for g in generators])

@@ -283,12 +283,17 @@ def ideal_Y_p(field=QQ) -> Ideal:
     return _cached(("Yp", field.descriptor), build)
 
 
-def symmetric_matrix_entries(ring):
-    """The symmetric 4x4 matrix S over the Y_inv ring: S_ii = 2 z_ii and
-    S_ij = s_ij, as a nested list of ring elements."""
+def symmetric_matrix(coords, double, names) -> list:
+    """The symmetric matrix of a vector given on `names`: 4 x 4 on YINV_NAMES,
+    3 x 3 on YPINV_NAMES (or its first six names), with S_ii = double(z_ii)
+    and S_ij = s_ij.  This is the one reader of the symmetric layout; `double`
+    doubles a point's entry, or is the identity for the coefficient matrix
+    of a form."""
+    at = dict(zip(names, coords, strict=True))
+    n = sum(1 for k in names if k[0] == "z")
     return [
-        [ring.gen(f"z{i}{i}") * 2 if i == j else ring.gen(f"s{min(i, j)}{max(i, j)}") for j in range(4)]
-        for i in range(4)
+        [double(at[f"z{i}{i}"]) if i == j else at[f"s{min(i, j)}{max(i, j)}"] for j in range(n)]
+        for i in range(n)
     ]
 
 
@@ -297,7 +302,8 @@ def ideal_Y_inv(field=QQ) -> Ideal:
     Dimension 7, degree 10 in P^10."""
     def build():
         ring = ring_Y_inv(field)
-        return Ideal(ring, minors(symmetric_matrix_entries(ring), 3))
+        S = symmetric_matrix(ring.gens(), lambda g: g * 2, YINV_NAMES)
+        return Ideal(ring, minors(S, 3))
 
     return _cached(("Yinv", field.descriptor), build)
 
@@ -308,14 +314,10 @@ def y_pinv_cubic(ring) -> Polynomial:
 
     Only the six matrix coordinates are read, so any ring naming them works
     (claim 10's elimination ring has no l)."""
-    z00, z11, z22, s01, s02, s12 = (ring.gen(n) for n in YPINV_NAMES[:6])
-    return (
-        z00 * z11 * z22 * 4
-        + s01 * s02 * s12
-        - z00 * s12 * s12
-        - z11 * s02 * s02
-        - z22 * s01 * s01
-    )
+    names = YPINV_NAMES[:6]
+    S = symmetric_matrix([ring.gen(n) for n in names], lambda g: g * 2, names)
+    (det,) = minors(S, 3)
+    return det.scale(ring.field.div(ring.field.one, ring.field.of(2)))
 
 
 def ideal_Y_pinv(field=QQ) -> Ideal:

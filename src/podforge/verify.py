@@ -391,8 +391,8 @@ def real_configurations(seed, count: int, grid: int = 40):
         if len(out) >= count:
             break
         e2 = Fraction(k, max(1, grid // 8))
-        uni = _substitute_e2(seed.F, e2)
-        if len(unipoly.trim(uni)) <= 1:
+        uni = substitute_e2(seed.F, e2)
+        if len(uni) <= 1:
             continue
         for interval in isolate_real_roots(uni):
             a, b = refine_root(uni, interval)
@@ -412,17 +412,16 @@ def real_configurations(seed, count: int, grid: int = 40):
     return out
 
 
-def _substitute_e2(F: Polynomial, e2: Fraction):
-    """F(e1, e2=const, e3=1) as ascending univariate coefficients in e1."""
-    ring = F.ring
+def substitute_e2(F: Polynomial, e2):
+    """F(e1, e2, 1) for a ternary form F in (e1, e2, e3) as ascending
+    coefficients in e1, field scalars of F's field, trimmed ([] when F
+    vanishes on the line)."""
+    f = F.ring.field
     coeffs = {}
     for m, c in F.terms.items():
-        exps = ring.unpack(m)
-        d1 = exps[0]
-        val = Fraction(c) * (e2 ** exps[1])
-        coeffs[d1] = coeffs.get(d1, Fraction(0)) + val
-    deg = max(coeffs) if coeffs else 0
-    return [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
+        d1, d2, _ = F.ring.unpack(m)
+        coeffs[d1] = f.add(coeffs.get(d1, f.zero), f.mul(c, f.of(e2 ** d2)))
+    return unipoly.trim([coeffs.get(i, f.zero) for i in range(max(coeffs, default=-1) + 1)])
 
 
 def _config_from_euler(rho, e_values):

@@ -311,6 +311,14 @@ def _write_inputs(tmp_path):
         ("span_not_list", "config_span_forms", 5),
         ("short_vector", "leg_span_points", [["1"]]),
         ("field_number", "field", 5),
+        ("ideal_number", "config_ideal", 5),
+        ("generators_number", "config_ideal", {"ring": {"vars": ["l"]}, "generators": 5}),
+        ("generator_number", "config_ideal", {"ring": {"vars": ["l"]}, "generators": [3]}),
+        ("ideal_field_number", "config_ideal", {"field": 101, "ring": {"vars": ["l"]}, "generators": []}),
+        ("vars_number", "config_ideal", {"ring": {"vars": 5}, "generators": []}),
+        ("ring_number", "config_ideal", {"ring": 5, "generators": []}),
+        ("var_number", "config_ideal", {"ring": {"vars": [5]}, "generators": []}),
+        ("weight_string", "config_ideal", {"ring": {"vars": ["l"], "weights": ["a"]}, "generators": []}),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(bundle, **{key: value})))
 
@@ -334,6 +342,14 @@ def _write_inputs(tmp_path):
         ["verify", "{tmp}/span_not_list.json"],
         ["verify", "{tmp}/short_vector.json"],
         ["verify", "{tmp}/field_number.json"],
+        ["verify", "{tmp}/ideal_number.json"],
+        ["verify", "{tmp}/generators_number.json"],
+        ["verify", "{tmp}/generator_number.json"],
+        ["verify", "{tmp}/ideal_field_number.json"],
+        ["verify", "{tmp}/vars_number.json"],
+        ["verify", "{tmp}/ring_number.json"],
+        ["verify", "{tmp}/var_number.json"],
+        ["verify", "{tmp}/weight_string.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/bad.json"],
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/no_ambient.json"],
         ["construct", "infinity", "--field", "fp:100"],
@@ -359,6 +375,9 @@ def _write_inputs(tmp_path):
          "verify-seed-string", "verify-seed-null", "verify-seed-bool", "verify-bound-string",
          "verify-bound-negative", "verify-certification-list",
          "verify-span-not-list", "verify-short-vector", "verify-field-number",
+         "verify-ideal-number", "verify-generators-number", "verify-generator-number",
+         "verify-ideal-field-number", "verify-vars-number", "verify-ring-number",
+         "verify-var-number", "verify-weight-string",
          "dual-bad-json", "dual-no-ambient", "field-not-prime", "field-two",
          "legs-unequal-lengths", "legs-non-numeric", "legs-wrong-count", "dual-wrong-ambient",
          "dual-short-basis", "dual-field-number", "infinity-bound-negative",

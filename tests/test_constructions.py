@@ -13,6 +13,7 @@ from podforge.models import (
     Y_NAMES,
     Leg,
     project_model,
+    rho_isometry_point,
     ring_euler,
     ring_Y,
     ring_Y_inv,
@@ -111,6 +112,36 @@ def test_seed_f_is_quartic():
     for s in (1, 2, 3):
         seed = draw_seed(s, F101)
         assert seed.F.homogeneous_degree() == 4
+
+
+def _brute_config_points(seed):
+    """Every GF(p) point (e1, e2, 1) of F by evaluating F at all p^2 of them,
+    in (e2, e1) order, lifted like `config_points`: the oracle of the per-line
+    root search."""
+    p, rho = seed.field.p, seed.lift()
+    return [
+        rho_isometry_point(rho, (e1, e2, 1)) for e2 in range(p) for e1 in range(p)
+        if seed.field.is_zero(seed.F.evaluate([e1, e2, 1]))
+    ]
+
+
+def test_config_points_match_the_brute_force_scan():
+    seed = draw_seed(3, F101)
+    brute = _brute_config_points(seed)
+    assert seed.config_points() == brute
+    assert seed.config_points(7) == brute[:7]
+
+
+def test_config_points_take_a_whole_line_of_f():
+    # L = (e2, 0, 0), U = e2^2 give F = -e1^2 e2^2, which vanishes on all of
+    # e2 = 0: 101 + 101 - 1 points
+    ring = ring_euler(F101)
+    e1, e2, e3 = ring.gens()
+    seed = build_seed(e2, ring.zero(), ring.zero(), e2 * e2)
+    assert seed.F == -(e1 * e1 * e2 * e2)
+    brute = _brute_config_points(seed)
+    assert len(brute) == 201
+    assert seed.config_points() == brute
 
 
 # -- the infinity-pod pipeline ----------------------------------------------------

@@ -7,7 +7,21 @@ import pytest
 
 from podforge.fields import GF, QQ
 from podforge.linalg import mat_inverse, mat_mul, rank
-from podforge.models import X_NAMES, YP_NAMES, IsometryPoint, Leg, ring_X, ring_Y, ring_Y_p
+from podforge.models import (
+    X_NAMES,
+    XINV_NAMES,
+    XP_NAMES,
+    XPINV_NAMES,
+    Y_NAMES,
+    YINV_NAMES,
+    YP_NAMES,
+    YPINV_NAMES,
+    IsometryPoint,
+    Leg,
+    ring_X,
+    ring_Y,
+    ring_Y_p,
+)
 from podforge.duality import (
     ComplexLegError,
     DualityError,
@@ -104,6 +118,81 @@ def test_bsc17_nondegenerate():
 def test_all_forms_nondegenerate():
     for factory in FORMS.values():
         assert form_determinant(factory(), QQ) != 0
+
+
+def _table(left, right, pairs):
+    rows = [[0] * len(right) for _ in left]
+    for ln, rn, c in pairs:
+        rows[left.index(ln)][right.index(rn)] = c
+    return tuple(tuple(r) for r in rows)
+
+
+# the symmetric and planar pairings as written out by hand before they were
+# induced from bsc17: the -2<b, y> term and the m_ij <-> z_ji transpose
+SBSC11_PAIRS = [
+    ("h", "l", 1), ("r", "z00", 1),
+    ("x1", "s01", -2), ("m11", "z11", -2),
+    ("x2", "s02", -2), ("m22", "z22", -2),
+    ("x3", "s03", -2), ("m33", "z33", -2),
+    ("m12", "s12", -2), ("m13", "s13", -2), ("m23", "s23", -2),
+]
+BSC_PLANAR10_PAIRS = [
+    ("h", "l", 1), ("r", "z00", 1),
+    ("x1", "z10", -2), ("y1", "z01", -2),
+    ("x2", "z20", -2), ("y2", "z02", -2),
+    ("m11", "z11", -2), ("m12", "z21", -2),
+    ("m21", "z12", -2), ("m22", "z22", -2),
+]
+SBSC_PLANAR7_PAIRS = [
+    ("h", "l", 1), ("r", "z00", 1),
+    ("x1", "s01", -2), ("x2", "s02", -2),
+    ("m11", "z11", -2), ("m22", "z22", -2),
+    ("m12", "s12", -2),
+]
+
+
+@pytest.mark.parametrize(
+    "factory, left, right, pairs",
+    [
+        (sbsc11, XINV_NAMES, YINV_NAMES, SBSC11_PAIRS),
+        (bsc_planar10, XP_NAMES, YP_NAMES, BSC_PLANAR10_PAIRS),
+        (sbsc_planar7, XPINV_NAMES, YPINV_NAMES, SBSC_PLANAR7_PAIRS),
+    ],
+    ids=["sbsc11", "bsc_planar10", "sbsc_planar7"],
+)
+def test_pairing_equals_the_written_table(factory, left, right, pairs):
+    form = factory()
+    assert form.kind == factory.__name__
+    assert (form.left_names, form.right_names) == (left, right)
+    assert form.entries == _table(left, right, pairs)
+    assert all(type(c) is int for row in form.entries for c in row)
+
+
+def _bsc17_with(left_name, right_name, value):
+    from podforge.duality import BilinearForm
+
+    rows = [list(r) for r in bsc17().entries]
+    rows[X_NAMES.index(left_name)][Y_NAMES.index(right_name)] = value
+    return BilinearForm("bsc17", X_NAMES, Y_NAMES, tuple(tuple(r) for r in rows))
+
+
+def test_induced_rejects_columns_that_differ_under_pi():
+    # m21 pairing z12 with -3 and m12 pairing z21 with -2: the columns z12
+    # and z21, which pi sends to s12, fold to different covectors on W
+    from podforge.duality import _induced, fold_name, pi_name
+
+    bad = _bsc17_with("m21", "z12", -3)
+    with pytest.raises(DualityError, match="s12"):
+        _induced(bad, "sbsc11", XINV_NAMES, YINV_NAMES, fold_name, pi_name)
+
+
+def test_induced_rejects_a_row_off_the_planar_coordinates():
+    # x3 is no planar coordinate, but z10 is: the form does not restrict
+    from podforge.duality import _induced
+
+    bad = _bsc17_with("x3", "z10", -2)
+    with pytest.raises(DualityError, match="x3"):
+        _induced(bad, "bsc_planar10", XP_NAMES, YP_NAMES)
 
 
 def test_symmetric_form_restricts_the_full_form():
