@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .fields import QQ, field_from_descriptor
 from .groebner import hilbert_data, ideal_from_json, ideal_to_json
-from .models import MODEL_BUILDERS, Leg
+from .models import MODEL_BUILDERS, X_NAMES, Leg, ring_X, ring_Y, ring_Y_inv
 from .rings import ParseError
 from .duality import FORMS, DualityError, LinearSubspace, dual_space
 from . import constructions, verify
@@ -268,15 +268,25 @@ def _vectors(data, key, field):
     return tuple(tuple(_scalar(field, c) for c in v) for v in vecs)
 
 
+def _bundle_ideal(data, key, ring):
+    """A bundle's ideal, which must live in the ring the construction writes
+    it in: those variables and weights, over the bundle's field."""
+    ideal = ideal_from_json(data[key])
+    if ideal.ring != ring:
+        raise InputError(f"{key} must be over {ring.field.descriptor} in the unit-weight "
+                         f"variables {' '.join(ring.names)}")
+    return ideal
+
+
 def _bundle_from_json(data):
     field = _field(data["field"])
     seed = constructions.draw_seed(
         _integer("rng_seed", data["rng_seed"]), field,
         _integer("bound", data.get("bound", 10), minimum=0),
     )
-    config = ideal_from_json(data["config_ideal"])
-    leg_full = ideal_from_json(data["leg_ideal_full"])
-    leg_sym = ideal_from_json(data["leg_ideal_sym"])
+    config = _bundle_ideal(data, "config_ideal", ring_X(field))
+    leg_full = _bundle_ideal(data, "leg_ideal_full", ring_Y(field))
+    leg_sym = _bundle_ideal(data, "leg_ideal_sym", ring_Y_inv(field))
     certification = data.get("certification", {})
     if not isinstance(certification, dict):
         raise InputError("certification must be an object")
@@ -305,6 +315,8 @@ def cmd_verify(args) -> int:
         if field is QQ:
             print("exact verification runs over a finite field bundle", file=sys.stderr)
             return EXIT_USAGE
+        if hilbert_data(bundle.leg_ideal_full).dimension != 1:
+            raise InputError(f"{args.bundle}: leg_ideal_full is not a curve")
         count = max(5, args.samples // 5)
         legs = verify.sample_curve_points(bundle.leg_ideal_full, count, random.Random(args.seed))
         configs = [(c.coords, field) for c in bundle.seed.config_points(count)]
@@ -312,6 +324,11 @@ def cmd_verify(args) -> int:
             configs, [(pt, field) for pt in legs], mode="exact",
             pod_id=f"seed{bundle.seed.rng_seed}", certification=bundle.certification,
         )
+        # the seed's configurations must lie on the bundle's configuration
+        # ideal and span, or the bundle's ideals are not the seed's
+        span = LinearSubspace(X_NAMES, "forms", bundle.config_span_forms, field)
+        on_bundle = bundle.config_ideal + span.linear_forms(bundle.config_ideal.ring)
+        report.configs_off_bundle = [i for i, (c, _) in enumerate(configs) if not on_bundle.contains_point(c)]
     else:
         if field is not QQ:
             print("float verification runs over a rational bundle", file=sys.stderr)
@@ -333,6 +350,8 @@ def _print_report(report):
         print(f"  certification {key}: {val}")
     if report.mode == "exact":
         print(f"  exact residuals all zero: {report.exact_zero}")
+        if report.configs_off_bundle:
+            print(f"  configurations off config_ideal or config_span_forms: {report.configs_off_bundle}")
     else:
         print(f"  max |residual| = {report.max_abs:.3e} (tol {report.tol})")
     print("  PASS" if report.ok else "  FAIL")

@@ -475,8 +475,10 @@ def pentapod_config_ideal(legs) -> Ideal:
     The cut I carries boundary points on h = 0 (X is a closure, so they
     satisfy it); a pose has h != 0.  The result is J = I : h^infinity, whose
     points are the closure of the poses: V(I) and V(J) differ only inside
-    h = 0, so no pose is lost.  J's reduced degrevlex basis is its generator
-    set and is cached, so its slices get a Hilbert-series bound for free."""
+    h = 0, so no pose is lost.  `saturate` finds J in one Groebner run that
+    divides out h as each basis element is found, and never finishes I's
+    own basis.  J's reduced degrevlex basis is its generator set and is
+    cached, so its slices get a Hilbert-series bound for free."""
     field = legs[0].field
     points = tuple(leg_to_point(leg).coords() for leg in legs)
     forms = dual_space(LinearSubspace(Y_NAMES, "points", points, field), bsc17(), "right")

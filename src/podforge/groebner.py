@@ -10,15 +10,18 @@ Buchberger algorithm).  Elimination supplies the exact series for free, and
 `Ideal + [f]` supplies (1 - t^deg f) times the parent's series, a bound for
 every slice.  `cut_cohen_macaulay` runs a cut of a Cohen-Macaulay ring on the
 series a regular sequence would give and keeps the result only if it reaches
-that series.  `saturate` computes I : x^infinity for the last variable x by
-Bayer's trick (Bayer-Stillman 1987).
+that series.  `saturate` computes I : x^infinity for the last degrevlex
+variable x in one run that divides each new basis element by its largest
+power of x (Bayer's lemma, Bayer-Stillman 1987), so the basis of I itself is
+never finished.
 
 All reduction goes through one heap-driven kernel, `_reduce`, with one loop
 per field: the run's S-polynomial and generator reductions, the final
 interreduction (each minimal element is its lead plus the normal form of its
-tail modulo the finished basis) and `reduce_by_basis`.  Each term is reduced
-by the first basis element whose lead divides it (`RingContext.first_divisor`);
-in the run that lookup is cached per monomial.  Basis elements are kept monic
+tail modulo the finished basis) and `reducer` / `reduce_by_basis`.  Each term
+is reduced by the first basis element whose lead divides it
+(`RingContext.first_divisor`); the run and each `reducer` cache that lookup
+per monomial.  Basis elements are kept monic
 over GF(p) and content-normalized over Q during the run.  The reduced basis is
 unique for a fixed order, so output is bit-reproducible regardless of internal
 scheduling.
@@ -227,8 +230,10 @@ def _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard):
     return out
 
 
-def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
-    """Compute the reduced Groebner basis of homogeneous seed polynomials.
+def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False):
+    """Compute the reduced Groebner basis of homogeneous seed polynomials, or
+    when `saturating` (with no `hilbert`) that of their ideal saturated at the
+    last variable of a degrevlex ring (see `saturate`).
 
     `hilbert`, when given, is the numerator over prod(1 - t^w) (the ring's
     weights) of a lower bound on the Hilbert series of R/I: its Hilbert
@@ -250,7 +255,9 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     p = ring.field.p if modp else None
     guard = ring.guard_mask
     if hilbert is not None:
+        assert not saturating, "the saturation's Hilbert series is unknown"
         hilbert = unipoly.trim(hilbert)
+    h = ring.units[-1]  # the packed last variable: m // h is its exponent in m
 
     leads = []      # leading monomial per basis element
     tails = []      # list of (monomial, coeff) pairs, excluding the lead
@@ -361,6 +368,9 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
         red = full_reduce(terms)
         if not red:
             return 0
+        if saturating:
+            k = min(m // h for m in red)
+            red = {m - k * h: c for m, c in red.items()}
         gm_update(insert(red))
         return 1
 
@@ -455,10 +465,7 @@ def buchberger(ideal_or_polys, order=None, max_steps=None, hilbert=None):
     if not work_gens:
         return ()
     dicts = _gb_engine(work_gens, work_ring, max_steps=max_steps, hilbert=hilbert)
-    key = work_ring.sort_key
-    polys = [Polynomial(work_ring, d) for d in dicts]
-    polys.sort(key=lambda f: key(f.lead_monomial()))
-    return tuple(polys)
+    return tuple(Polynomial(work_ring, d) for d in dicts)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -488,23 +495,34 @@ def reduce_by_basis(f: Polynomial, basis) -> Polynomial:
     Raises OverflowError when a reduction step needs an exponent above 127."""
     if not basis or f.is_zero():
         return f
-    ring = f.ring
+    return reducer(basis)(f)
+
+
+def reducer(basis):
+    """`reduce_by_basis` against a fixed nonempty basis, as a function of f:
+    the leads, the split tails and each monomial's first divisor are found
+    once and shared by every call."""
+    ring = basis[0].ring
     p = ring.field.p if ring.field is not QQ else None
     leads = [g.lead_monomial() for g in basis]
     tails = [None] * len(basis)  # split off on first use
     lcoeffs = [None] * len(basis)
     first_divisor = ring.first_divisor
+    cache = {}
 
     def find_reducer(m):
-        i = first_divisor(m, leads)
+        if m in cache:
+            return cache[m]
+        i = cache[m] = first_divisor(m, leads)
         if i is not None and tails[i] is None:
             tails[i], lcoeffs[i] = _split_lead(basis[i].terms, leads[i], p)
         return i
 
-    return Polynomial(
-        ring,
-        _reduce(dict(f.terms), find_reducer, leads, tails, lcoeffs, ring.sort_key, p, ring.guard_mask),
-    )
+    def nf(f):
+        return Polynomial(ring, _reduce(dict(f.terms), find_reducer, leads, tails, lcoeffs,
+                                        ring.sort_key, p, ring.guard_mask))
+
+    return nf
 
 
 # ---------------------------------------------------------------------------
@@ -556,22 +574,23 @@ def _eliminate_variable(ideal: Ideal, var) -> Ideal:
 
 
 def saturate(ideal: Ideal, var) -> Ideal:
-    """I : var^infinity, for var the last variable of a degrevlex ring, by
-    Bayer's trick: in that order a homogeneous f is divisible by var^k exactly
-    when its lead is, so dividing each element of the degrevlex basis of I by
-    its largest power of var gives a Groebner basis of the saturation.  One
-    engine run reduces it, driven by the exact series those divided leads
-    give.  The result has that reduced basis as generators and cached."""
+    """I : var^infinity, for var the last variable of a degrevlex ring, in one
+    engine run that divides each new basis element by its largest power of
+    var as it is found, so the basis of I itself is never finished.
+
+    In that order a homogeneous f is divisible by var^k exactly when its lead
+    is.  Every element the run keeps lies in J = I : var^infinity (J is
+    saturated), and every generator of I reduces to a multiple of a kept
+    element, so I is inside K, the ideal of the final basis G, and K is
+    inside J.  No lead of G is divisible by var, so var is a nonzerodivisor
+    modulo K (Bayer's lemma, Bayer-Stillman 1987): K = K : var^infinity,
+    which contains I : var^infinity = J.  So K = J, and the run's final
+    interreduction gives J's unique reduced basis.  The result has that basis
+    as generators and cached."""
     ring = ideal.ring
     if ring.order != DEGREVLEX or ring.names[-1] != var:
         raise ValueError(f"saturate needs {var!r} as the last variable of a degrevlex ring")
-    unit = ring.units[-1]
-    divided = []
-    for g in ideal.groebner_basis():
-        k = min(ring.unpack(m)[-1] for m in g.terms)
-        divided.append(Polynomial(ring, {m - k * unit: c for m, c in g.terms.items()}))
-    num = _lead_numerator(ring, [g.lead_monomial() for g in divided])
-    gb = buchberger(Ideal(ring, divided), hilbert=num)
+    gb = tuple(Polynomial(ring, d) for d in _gb_engine(ideal.generators, ring, saturating=True))
     out = Ideal(ring, gb)
     out.seed_groebner_cache(gb)
     return out

@@ -25,7 +25,7 @@ from itertools import accumulate
 
 from . import linalg, unipoly
 from .fields import QQ
-from .groebner import Ideal, hilbert_data, reduce_by_basis, standard_monomials
+from .groebner import Ideal, hilbert_data, reducer, standard_monomials
 from .models import EULER_NAMES, IsometryPoint, Leg
 from .duality import ComplexLegError, DualityError, bsc17, leg_to_point, recover_leg_pairs_float
 from .rings import Polynomial
@@ -114,14 +114,14 @@ def multiplication_data(ideal: Ideal, rng=None):
     d = hd.degree
     hf = list(accumulate(hd.numerator)) + [d, d]
     t = next(s for s in range(1, len(hf) - 1) if hf[s] == hf[s + 1] == d)
-    gb = ideal.groebner_basis()
+    reduce = reducer(ideal.groebner_basis())
     bt = standard_monomials(ideal, t)
     idx1 = {m: i for i, m in enumerate(standard_monomials(ideal, t + 1))}
 
     def nf(f, m):
         """The coordinates of NF(f * m) over the degree-(t + 1) basis."""
         vec = [field.zero] * d
-        for mm, c in reduce_by_basis(f.mul_term(m, field.one), gb).terms.items():
+        for mm, c in reduce(f.mul_term(m, field.one)).terms.items():
             vec[idx1[mm]] = c
         return vec
 
@@ -535,9 +535,12 @@ class PodReport:
     n_legs: int = 0
     n_real_legs: int = 0
     certification: dict = dc_field(default_factory=dict)
+    configs_off_bundle: list = dc_field(default_factory=list)  # off the bundle's config ideal
 
     @property
     def ok(self) -> bool:
+        if self.configs_off_bundle:
+            return False
         return self.exact_zero if self.mode == "exact" else self.max_abs_within
 
     @property
@@ -545,7 +548,8 @@ class PodReport:
         return all(entry[3] for entry in self.residuals) if self.residuals else True
 
     def to_json(self) -> dict:
-        return {
+        """The report; `configs_off_bundle` appears only when it is nonempty."""
+        out = {
             "pod_id": self.pod_id,
             "mode": self.mode,
             "ok": self.ok,
@@ -560,6 +564,9 @@ class PodReport:
                 for i, j, v, ok in self.residuals
             ],
         }
+        if self.configs_off_bundle:
+            out["configs_off_bundle"] = self.configs_off_bundle
+        return out
 
 
 def check_pod(configs, legs, mode: str = "exact", tol: float = 1e-9, pod_id: str = "pod",

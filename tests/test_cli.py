@@ -253,6 +253,57 @@ def test_verify_tampered_bundle_fails(tmp_path):
     assert proc.returncode == 1
 
 
+@pytest.fixture(scope="module")
+def fp_bundles(tmp_path_factory):
+    """The GF(101) infinity bundles of seeds 8 and 1, as loaded JSON."""
+    tmp = tmp_path_factory.mktemp("bundles")
+    out = {}
+    for seed in (8, 1):
+        path = tmp / f"fp{seed}.json"
+        run_cli("construct", "infinity", "--seed", str(seed), "--field", "fp:101", "--out", str(path))
+        out[seed] = json.loads(path.read_text())
+    return out
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"field": "fp:103"}, {"generators": []}, {"ring": {"vars": ["l"]}, "generators": []}],
+    ids=["other-field", "no-generators", "one-variable-ring"],
+)
+def test_verify_bad_leg_ideal_is_an_input_error(tmp_path, fp_bundles, change):
+    # a well-typed bundle whose leg curve is over another field, or no curve
+    data = json.loads(json.dumps(fp_bundles[8]))
+    data["leg_ideal_full"].update(change)
+    bundle = tmp_path / "b.json"
+    bundle.write_text(json.dumps(data))
+    proc = run_cli("verify", str(bundle), "--mode", "exact", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [("config_ideal",), ("config_span_forms",), ("config_ideal", "leg_ideal_sym", "config_span_forms")],
+    ids=["ideal", "span", "all-three"],
+)
+def test_verify_bundle_with_another_seeds_configurations_fails(tmp_path, fp_bundles, keys):
+    # seed 8's bundle carrying seed 1's configuration ideal or span (or both
+    # and its symmetric leg curve): seed 8's configurations are off them
+    data = dict(fp_bundles[8])
+    for key in keys:
+        data[key] = fp_bundles[1][key]
+    bundle = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    bundle.write_text(json.dumps(data))
+    proc = run_cli("verify", str(bundle), "--mode", "exact", "--out", str(report), check=False)
+    assert proc.returncode == 1
+    out = json.loads(report.read_text())
+    assert out["ok"] is False and out["configs_off_bundle"]
+    assert all(r["ok"] for r in out["residuals"])  # the leg curve is seed 8's own
+    assert proc.stdout.rstrip().endswith("FAIL")
+
+
 def _write_inputs(tmp_path):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "no_ambient.json").write_text(

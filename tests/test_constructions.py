@@ -12,15 +12,18 @@ from podforge.groebner import Ideal, eliminate, hilbert_data
 from podforge.models import (
     Y_NAMES,
     Leg,
+    ideal_X,
     project_model,
     rho_isometry_point,
     ring_euler,
+    ring_X,
     ring_Y,
     ring_Y_inv,
 )
-from podforge.rings import DEGREVLEX, RingContext, RingMap
+from podforge.rings import DEGREVLEX, Polynomial, RingContext, RingMap
 from podforge.duality import (
     DualityError,
+    LinearSubspace,
     bsc17,
     bsc_planar10,
     dual_space,
@@ -362,12 +365,10 @@ def test_duporcq_sixth_leg_sphere_condition_on_configs():
         assert F101.is_zero(B.evaluate(c, lp, F101))
 
 
-def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
-    # a planar pentapod built around a known pose (home), sliced by a
-    # hyperplane through it.  Unsaturated, the curve carries a fat point on
-    # h = 0 that this slice meets, and no draw of forms separated its points
+def _home_pose_pentapod():
+    """A planar pentapod over GF(101) built around a known pose (home)."""
     field = F101
-    legs = [
+    return [
         Leg((field.of(a1), field.of(a2), field.zero), (field.of(b1), field.of(b2), field.zero),
             field.of(d2), field)
         for (a1, a2), (b1, b2), d2 in [
@@ -375,6 +376,14 @@ def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
             ((44, 72), (92, 71), 29), ((92, 58), (62, 84), 87),
         ]
     ]
+
+
+def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
+    # the home-pose pentapod sliced by a hyperplane through its pose.
+    # Unsaturated, the curve carries a fat point on h = 0 that this slice
+    # meets, and no draw of forms separated its points
+    field = F101
+    legs = _home_pose_pentapod()
     home = (1, 89, 82, 90, 21, 34, 92, 74, 91, 91, 94, 59, 37, 51, 8, 95, 1)
     coeffs = (78, 75, 52, 39, 93, 26, 62, 65, 46, 87, 79, 9, 100, 43, 92, 1, 80)
     cfg = pentapod_config_ideal(legs)
@@ -383,6 +392,33 @@ def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
     hyper = sum((g.scale(field.of(c)) for g, c in zip(ring.gens(), coeffs)), ring.zero())
     pts = solve_zero_dimensional(cfg + [hyper], rng=random.Random(0))
     assert tuple(field.of(v) for v in home) in pts
+
+
+def _saturate_two_runs(ideal, var):
+    """I : var^infinity by Bayer's two-run route: finish the degrevlex basis
+    of I, divide each element by its largest power of var (var last), and
+    reduce the result in a second run."""
+    ring = ideal.ring
+    unit = ring.units[-1]
+    divided = []
+    for g in ideal.groebner_basis():
+        k = min(ring.unpack(m)[-1] for m in g.terms)
+        divided.append(Polynomial(ring, {m - k * unit: c for m, c in g.terms.items()}))
+    return groebner.buchberger(Ideal(ring, divided))
+
+
+@pytest.mark.parametrize("which", ["random-1", "home-pose"])
+def test_pentapod_config_ideal_matches_the_two_run_saturation(which):
+    # the one-run saturation against the route that finishes the cut's basis
+    if which == "home-pose":
+        legs = _home_pose_pentapod()
+    else:
+        rng = random.Random(1)
+        legs = [_rand_planar_leg(rng, F101) for _ in range(5)]
+    points = tuple(leg_to_point(leg).coords() for leg in legs)
+    forms = dual_space(LinearSubspace(Y_NAMES, "points", points, F101), bsc17(), "right")
+    cut = ideal_X(F101) + forms.linear_forms(ring_X(F101))
+    assert pentapod_config_ideal(legs).generators == _saturate_two_runs(cut, "h")
 
 
 def test_duporcq_shared_base_point_rejected():

@@ -1,6 +1,9 @@
 """Saturation and the slice series bound against an independent oracle:
-sympy's bases over GF(p).  I : h^infinity is the h-free part of a lex basis of
-I + (1 - t h) with t first (the Rabinowitsch trick), re-reduced in grevlex."""
+sympy's bases over GF(p) and Q.  I : h^infinity is the h-free part of a lex
+basis of I + (1 - t h) with t first (the Rabinowitsch trick), re-reduced in
+grevlex."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from podforge import unipoly  # noqa: E402
-from podforge.fields import GF  # noqa: E402
+from podforge.fields import GF, QQ  # noqa: E402
 from podforge.groebner import Ideal, _lead_numerator, hilbert_data, saturate  # noqa: E402
 from podforge.rings import DEGREVLEX, Polynomial, RingContext  # noqa: E402
 
@@ -18,6 +21,7 @@ P = 101
 NAMES = ("x0", "x1", "x2", "h")
 SYMS = sympy.symbols(NAMES)
 RING = RingContext(NAMES, (1,) * 4, DEGREVLEX, GF(P))
+RING_QQ = RingContext(NAMES, (1,) * 4, DEGREVLEX, QQ)
 
 
 def _exponents(degree):
@@ -41,44 +45,65 @@ def _expr(f):
                for m, c in f.terms.items())
 
 
-def _canonical_basis(exprs):
-    """Our view of sympy's reduced grevlex basis: monic exponent/coefficient
-    tuples."""
+def _canonical_basis(exprs, modp=True):
+    """Our view of sympy's reduced grevlex basis over GF(P), or over Q:
+    monic exponent/coefficient tuples."""
     out = set()
     if not exprs:
         return out
-    for g in sympy.groebner(exprs, *SYMS, order="grevlex", modulus=P).exprs:
-        poly = sympy.Poly(g, *SYMS, modulus=P)
-        inv = pow(int(poly.LC(order="grevlex")) % P, P - 2, P)
-        out.add(tuple(sorted((m, int(c) * inv % P) for m, c in poly.terms())))
+    modulus = {"modulus": P} if modp else {}
+    for g in sympy.groebner(exprs, *SYMS, order="grevlex", **modulus).exprs:
+        poly = sympy.Poly(g, *SYMS, **modulus)
+        if modp:
+            inv = pow(int(poly.LC(order="grevlex")) % P, P - 2, P)
+            out.add(tuple(sorted((m, int(c) * inv % P) for m, c in poly.terms())))
+        else:
+            lc = Fraction(str(poly.LC(order="grevlex")))
+            out.add(tuple(sorted((m, Fraction(str(c)) / lc) for m, c in poly.terms())))
     return out
 
 
 def _ours(gb):
-    return {tuple(sorted((RING.unpack(m), int(c)) for m, c in g.terms.items())) for g in gb}
+    return {tuple(sorted((g.ring.unpack(m), c) for m, c in g.terms.items())) for g in gb}
 
 
-def _rabinowitsch(gens):
+def _rabinowitsch(gens, modp=True):
     t = sympy.Symbol("t")
+    modulus = {"modulus": P} if modp else {}
     lex = sympy.groebner([_expr(g) for g in gens] + [1 - t * SYMS[-1]], t, *SYMS,
-                         order="lex", modulus=P)
-    return _canonical_basis([g for g in lex.exprs if t not in g.free_symbols])
+                         order="lex", **modulus)
+    return _canonical_basis([g for g in lex.exprs if t not in g.free_symbols], modp)
+
+
+SATURATION_CASES = dict(
+    forms=st.lists(homogeneous_form(), min_size=1, max_size=2),
+    extra=homogeneous_form(max_degree=1),
+    power=st.integers(0, 3),
+)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(
-    forms=st.lists(homogeneous_form(), min_size=1, max_size=2),
-    extra=homogeneous_form(max_degree=1),
-    power=st.integers(0, 2),
-)
+@given(**SATURATION_CASES)
 def test_saturate_matches_rabinowitsch(forms, extra, power):
-    # K (h^power, g): for power >= 1 the product carries a component in h = 0
-    K = [RING.from_terms(f) for f in forms]
-    g = RING.from_terms(extra)
-    hp = RING.gens()[-1] ** power
-    I = Ideal(RING, [f * hp for f in K] + [f * g for f in K])
+    _check_saturate(RING, forms, extra, power)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**SATURATION_CASES)
+def test_saturate_matches_rabinowitsch_over_qq(forms, extra, power):
+    _check_saturate(RING_QQ, forms, extra, power)
+
+
+def _check_saturate(ring, forms, extra, power):
+    # K (h^power, g): for power >= 1 the product carries a component in
+    # h = 0, and for power 3 the run meets elements it divides by h^2 or more
+    K = [ring.from_terms(f) for f in forms]
+    g = ring.from_terms(extra)
+    hp = ring.gens()[-1] ** power
+    I = Ideal(ring, [f * hp for f in K] + [f * g for f in K])
     J = saturate(I, "h")
-    assert _ours(J.groebner_basis()) == _rabinowitsch(I.generators)
+    assert not I._gb  # the basis of I itself is never computed
+    assert _ours(J.groebner_basis()) == _rabinowitsch(I.generators, ring is RING)
     assert J.generators == J.groebner_basis()
 
 
