@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .fields import QQ, field_from_descriptor
 from .groebner import hilbert_data, ideal_from_json, ideal_to_json
-from .models import MODEL_BUILDERS, X_NAMES, Leg, ring_X, ring_Y, ring_Y_inv
+from .models import MODEL_BUILDERS, X_NAMES, Y_NAMES, YINV_NAMES, Leg, ring_X, ring_Y, ring_Y_inv
 from .rings import ParseError
-from .duality import FORMS, DualityError, LinearSubspace, dual_space
+from .duality import FORMS, DualityError, LinearSubspace, dual_space, pi_name, push
 from . import constructions, verify
 
 EXIT_OK = 0
@@ -329,6 +329,11 @@ def cmd_verify(args) -> int:
         span = LinearSubspace(X_NAMES, "forms", bundle.config_span_forms, field)
         on_bundle = bundle.config_ideal + span.linear_forms(bundle.config_ideal.ring)
         report.configs_off_bundle = [i for i, (c, _) in enumerate(configs) if not on_bundle.contains_point(c)]
+        # and each sampled leg, pushed along pi, on the bundle's symmetric leg curve
+        report.legs_off_bundle = [
+            j for j, pt in enumerate(legs)
+            if not bundle.leg_ideal_sym.contains_point(push(pt, Y_NAMES, YINV_NAMES, pi_name, field))
+        ]
     else:
         if field is not QQ:
             print("float verification runs over a rational bundle", file=sys.stderr)
@@ -352,6 +357,8 @@ def _print_report(report):
         print(f"  exact residuals all zero: {report.exact_zero}")
         if report.configs_off_bundle:
             print(f"  configurations off config_ideal or config_span_forms: {report.configs_off_bundle}")
+        if report.legs_off_bundle:
+            print(f"  legs off leg_ideal_sym: {report.legs_off_bundle}")
     else:
         print(f"  max |residual| = {report.max_abs:.3e} (tol {report.tol})")
     print("  PASS" if report.ok else "  FAIL")

@@ -250,9 +250,10 @@ def lift_kernel(rho: RingMap) -> LinearSubspace:
 PREIMAGE_NUMERATOR = (1, 4, 3)
 
 
-def rho_preimage(rho: RingMap, F: Polynomial) -> Ideal:
+def rho_preimage(rho: RingMap, F: Polynomial, kernel: LinearSubspace) -> Ideal:
     """Preimage P of the principal ideal (F) under the lift map: the model X
-    cut by P_1, the 11 kernel forms of `rho_quadric_matrix`.
+    cut by P_1, the 11 kernel forms of `rho_quadric_matrix`, given as
+    `kernel` = `lift_kernel(rho)` (reduced or not).
 
     Three exact checks certify it, each raising CertificationError:
     1. The kernel has 11 forms, so rho has rank 6 on linear forms and maps
@@ -266,7 +267,6 @@ def rho_preimage(rho: RingMap, F: Polynomial) -> Ideal:
     The result has its reduced degrevlex basis as generators and cached."""
     field = F.ring.field
     rx = rho.source
-    kernel = lift_kernel(rho)
     if len(kernel.basis) != 11:
         raise CertificationError(
             f"preimage of (F) below its Hilbert series: {len(kernel.basis)} kernel forms, not 11"
@@ -354,11 +354,11 @@ def create_infinity_pod(
     seed = draw_seed(rng_seed, field, bound, retries)
     try:
         rho = seed.lift()
-        preimage = rho_preimage(rho, seed.F)
-        config = ideal_X_inv(field) + preimage.generators
         # P has no forms beyond P_1 ((F) is zero in degree 2), so P_1 is the
         # configuration span; its 11 forms become 11 leg points spanning a P^10
         i_lin = lift_kernel(rho).reduced()
+        preimage = rho_preimage(rho, seed.F, i_lin)
+        config = ideal_X_inv(field) + preimage.generators
         l_lin = dual_space(i_lin, bsc17(), "left")
         cutting = l_lin.converted()
         leg_full = cut_cohen_macaulay(ideal_Y(field), cutting.linear_forms(ring_Y(field)))

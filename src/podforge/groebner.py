@@ -1,12 +1,12 @@
 """Reduced Groebner bases, normal forms, elimination, and Hilbert data.
 
 Buchberger with the Gebauer-Moeller pair criteria, run degree by degree:
-S-pairs are taken by (weighted degree, order key) and each input generator is
-reduced at its own degree.  Given a lower bound on the Hilbert series of the
-ideal (which does not depend on the monomial order), the run skips the rest of
-a degree once the lead ideal's Hilbert function matches the bound there, and
-stops once the two series agree (Traverso 1996, Hilbert functions and the
-Buchberger algorithm).  Elimination supplies the exact series for free, and
+S-pairs are taken lowest weighted degree first and, within a degree, largest
+lcm first, and each input generator is reduced at its own degree.  Given a
+lower bound on the Hilbert series of the ideal (which does not depend on the
+monomial order), the run skips the rest of a degree once the lead ideal's
+Hilbert function matches the bound there, and stops once the two series agree
+(Traverso 1996, Hilbert functions and the Buchberger algorithm).  Elimination supplies the exact series for free, and
 `Ideal + [f]` supplies (1 - t^deg f) times the parent's series, a bound for
 every slice.  `cut_cohen_macaulay` runs a cut of a Cohen-Macaulay ring on the
 series a regular sequence would give and keeps the result only if it reaches
@@ -173,9 +173,11 @@ def _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard):
     heap = [(-key(m), m) for m in work]
     heapify(heap)
     if p:
+        # the accumulators stay nonnegative and unreduced until their monomial
+        # is popped, so a monomial is never deleted and enters the heap once
         while heap:
             m = heappop(heap)[1]
-            c = work.pop(m, 0)
+            c = work.pop(m) % p
             if not c:
                 continue
             idx = find_reducer(m)
@@ -183,22 +185,17 @@ def _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard):
                 out[m] = c
                 continue
             shift = m - leads[idx]
+            minus_c = p - c
             for e, ce in tails[idx]:
                 mm = e + shift
                 prev = work.get(mm)
                 if prev is None:
-                    v = -c * ce % p
-                    if v:
-                        if mm & guard:
-                            raise OverflowError(f"monomial exponent above the cap {EXP_MAX}")
-                        work[mm] = v
-                        heappush(heap, (-key(mm), mm))
+                    if mm & guard:
+                        raise OverflowError(f"monomial exponent above the cap {EXP_MAX}")
+                    work[mm] = minus_c * ce
+                    heappush(heap, (-key(mm), mm))
                 else:
-                    v = (prev - c * ce) % p
-                    if v:
-                        work[mm] = v
-                    else:
-                        del work[mm]
+                    work[mm] = prev + minus_c * ce
     else:
         while heap:
             m = heappop(heap)[1]
@@ -246,6 +243,17 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     degree (an input generator included) or when an input generator is
     outside the basis it proves finished; so a returned basis always
     generates I.
+
+    Degrees are taken lowest first and, within a degree, S-pairs largest lcm
+    first (Gebauer-Moeller 1988; Giovini et al. 1991 on selection
+    strategies).  An S-polynomial's terms all lie below its pair's lcm, so a
+    new lead can come only from a pair whose lcm is above it: taken from the
+    top, the pairs meet the degree's new elements early, and the later pairs
+    reduce against them, mostly to zero, or are skipped once a bound shows
+    the degree complete.  The pentapod curve's saturation
+    (`constructions.pentapod_config_ideal`) makes 624 reductions this way
+    against 858 smallest lcm first.  The reduced basis is unique, so the
+    order changes the work, never the result.
 
     Returns a list of term dicts, monic, sorted by increasing leading
     monomial; deterministic.
@@ -300,7 +308,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
         lm = max(f.terms, key=key)
         seeds.append((ring.wdeg(lm), key(lm), dict(f.terms)))
     seeds.sort(key=lambda s: s[:2], reverse=True)  # popped from the end
-    pairs = []  # heap of (lcm degree, lcm key, i, j, lcm)
+    pairs = []  # heap of (lcm degree, -lcm key, i, j, lcm)
 
     def gm_update(t):
         """Gebauer-Moeller pair update for the new element with index t."""
@@ -336,7 +344,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
         for lij, i in kept:
             if ring.monomials_coprime(leads[i], lt):
                 continue
-            survivors.append((ring.wdeg(lij), key(lij), i, t, lij))
+            survivors.append((ring.wdeg(lij), -key(lij), i, t, lij))
         pairs[:] = survivors
         heapify(pairs)
 

@@ -536,10 +536,11 @@ class PodReport:
     n_real_legs: int = 0
     certification: dict = dc_field(default_factory=dict)
     configs_off_bundle: list = dc_field(default_factory=list)  # off the bundle's config ideal
+    legs_off_bundle: list = dc_field(default_factory=list)  # off the bundle's leg_ideal_sym
 
     @property
     def ok(self) -> bool:
-        if self.configs_off_bundle:
+        if self.configs_off_bundle or self.legs_off_bundle:
             return False
         return self.exact_zero if self.mode == "exact" else self.max_abs_within
 
@@ -548,7 +549,8 @@ class PodReport:
         return all(entry[3] for entry in self.residuals) if self.residuals else True
 
     def to_json(self) -> dict:
-        """The report; `configs_off_bundle` appears only when it is nonempty."""
+        """The report; `configs_off_bundle` and `legs_off_bundle` appear only
+        when they are nonempty."""
         out = {
             "pod_id": self.pod_id,
             "mode": self.mode,
@@ -566,6 +568,8 @@ class PodReport:
         }
         if self.configs_off_bundle:
             out["configs_off_bundle"] = self.configs_off_bundle
+        if self.legs_off_bundle:
+            out["legs_off_bundle"] = self.legs_off_bundle
         return out
 
 

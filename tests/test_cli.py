@@ -300,8 +300,24 @@ def test_verify_bundle_with_another_seeds_configurations_fails(tmp_path, fp_bund
     assert proc.returncode == 1
     out = json.loads(report.read_text())
     assert out["ok"] is False and out["configs_off_bundle"]
+    assert ("legs_off_bundle" in out) == ("leg_ideal_sym" in keys)
     assert all(r["ok"] for r in out["residuals"])  # the leg curve is seed 8's own
     assert proc.stdout.rstrip().endswith("FAIL")
+
+
+def test_verify_bundle_with_another_seeds_symmetric_leg_curve_fails(tmp_path, fp_bundles):
+    # seed 8's bundle carrying only seed 1's leg_ideal_sym: seed 8's legs,
+    # pushed along pi, are off it
+    data = dict(fp_bundles[8], leg_ideal_sym=fp_bundles[1]["leg_ideal_sym"])
+    bundle = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    bundle.write_text(json.dumps(data))
+    proc = run_cli("verify", str(bundle), "--mode", "exact", "--out", str(report), check=False)
+    assert proc.returncode == 1
+    out = json.loads(report.read_text())
+    assert out["ok"] is False and out["legs_off_bundle"] and "configs_off_bundle" not in out
+    assert all(r["ok"] for r in out["residuals"])
+    assert "legs off leg_ideal_sym" in proc.stdout and proc.stdout.rstrip().endswith("FAIL")
 
 
 def _write_inputs(tmp_path):

@@ -394,6 +394,22 @@ def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
     assert tuple(field.of(v) for v in home) in pts
 
 
+def test_pentapod_saturation_reduction_count(monkeypatch):
+    # a work guard on the engine's pair selection: the home-pose pentapod's
+    # saturation makes 624 reductions with each degree's pairs taken largest
+    # lcm first, against 858 smallest first; the count repeats exactly
+    calls = []
+    reduce = groebner._reduce
+
+    def counting(*args):
+        calls.append(1)
+        return reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    pentapod_config_ideal(_home_pose_pentapod())
+    assert len(calls) <= 700
+
+
 def _saturate_two_runs(ideal, var):
     """I : var^infinity by Bayer's two-run route: finish the degrevlex basis
     of I, divide each element by its largest power of var (var last), and

@@ -38,6 +38,7 @@ from podforge.models import (
 from podforge.constructions import (
     CertificationError,
     draw_seed,
+    lift_kernel,
     rho_preimage,
     rho_quadric_matrix,
 )
@@ -213,7 +214,7 @@ def test_rho_preimage_matches_graph_elimination(field, s):
     # degrees 1 and 2 plus the series certificate give the reduced basis of
     # the elimination, element for element
     rho, F = seed_lift(s, field)
-    pre = rho_preimage(rho, F)
+    pre = rho_preimage(rho, F, lift_kernel(rho))
     assert [str(g) for g in pre.generators] == [
         str(g) for g in preimage_by_elimination(rho, F).groebner_basis()
     ]
@@ -227,15 +228,15 @@ def test_rho_preimage_missed_series_raises(monkeypatch):
     rho, F = seed_lift(1, field)
     # F = 0: the r relations map to -F/4 of the true quartic, outside (0)
     with pytest.raises(CertificationError, match="misses X"):
-        rho_preimage(rho, F - F)
+        rho_preimage(rho, F - F, lift_kernel(rho))
     # the zero map: every coordinate lies in the preimage, below the series
     zero = RingMap(rho.source, rho.target, [rho.target.zero()] * rho.source.n)
     with pytest.raises(CertificationError, match="below its Hilbert series"):
-        rho_preimage(zero, F)
+        rho_preimage(zero, F, lift_kernel(zero))
     # a strict lower bound: the run completes and the post-check sees (1, 4, 3)
     monkeypatch.setattr(constructions, "PREIMAGE_NUMERATOR", (1, 4, 2))
     with pytest.raises(CertificationError, match=r"Hilbert numerator \[1, 4, 3\]"):
-        rho_preimage(rho, F)
+        rho_preimage(rho, F, lift_kernel(rho))
 
 
 def test_rho_preimage_rejects_a_lift_off_X():
@@ -246,7 +247,7 @@ def test_rho_preimage_rejects_a_lift_off_X():
     e1 = seed.F.ring.gen("e1")
     wrong = euler_rho(*seed.P, seed.U.scale(field.inv(field.of(4))) + e1 * e1)
     with pytest.raises(CertificationError, match="misses X"):
-        rho_preimage(wrong, seed.F)
+        rho_preimage(wrong, seed.F, lift_kernel(wrong))
 
 
 def test_preimage_linear_part_matches_kernel_route():
@@ -255,7 +256,7 @@ def test_preimage_linear_part_matches_kernel_route():
     rho, F = seed_lift(4, field)
     span = _linear_span(preimage_by_elimination(rho, F), field)
     assert len(span) == 11
-    assert span == _linear_span(rho_preimage(rho, F), field)
+    assert span == _linear_span(rho_preimage(rho, F, lift_kernel(rho)), field)
 
 
 def test_eliminate_agrees_with_kernel_on_linear_part():

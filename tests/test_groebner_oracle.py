@@ -1,5 +1,10 @@
 """The reduction kernel against an independent oracle: sympy's grevlex
-Groebner bases and its multivariate division, over GF(p) and over Q."""
+Groebner bases and its multivariate division, over GF(p) and over Q.
+
+GF(2147483647) is there for the kernel's unreduced accumulators: at that
+prime a coefficient times a reducer coefficient is near 2^62, and their sums
+pass it before the one reduction mod p.  sympy writes GF(p) coefficients as
+symmetric residues; `_scalar` maps them into [0, p)."""
 
 from fractions import Fraction
 
@@ -15,9 +20,10 @@ from podforge.groebner import buchberger, reduce_by_basis  # noqa: E402
 from podforge.rings import DEGREVLEX, RingContext  # noqa: E402
 
 P = 101
+LARGE_P = 2147483647  # 2^31 - 1
 NAMES = ("x0", "x1", "x2", "x3")
 SYMS = sympy.symbols(NAMES)
-FIELDS = {"fp": GF(P), "q": QQ}
+FIELDS = {"fp": GF(P), "fp-large": GF(LARGE_P), "q": QQ}
 
 
 def _exponents(degree):
@@ -54,12 +60,15 @@ def _ring(field):
 
 
 def _ours(f):
-    """Exponent/coefficient pairs of one of our polynomials, sorted."""
+    """Exponent/coefficient pairs of one of our polynomials, sorted; over
+    GF(p) every coefficient must be a residue in [0, p)."""
+    if f.ring.field is not QQ:
+        assert all(0 <= c < f.ring.field.p for c in f.terms.values())
     return tuple(sorted((f.ring.unpack(m), c) for m, c in f.terms.items()))
 
 
 def _domain(field):
-    return {"modulus": P} if field is not QQ else {"domain": "QQ"}
+    return {"modulus": field.p} if field is not QQ else {"domain": "QQ"}
 
 
 def _expr(pairs):
