@@ -12,7 +12,6 @@ from .groebner import (
     buchberger,
     eliminate,
     hilbert_data,
-    linear_part,
     normal_form,
     saturate,
 )

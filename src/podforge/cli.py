@@ -19,7 +19,7 @@ from .groebner import hilbert_data, ideal_from_json, ideal_to_json
 from .models import MODEL_BUILDERS, X_NAMES, Y_NAMES, YINV_NAMES, Leg, ring_X, ring_Y, ring_Y_inv
 from .rings import ParseError
 from .duality import FORMS, DualityError, LinearSubspace, dual_space, pi_name, push
-from . import constructions, verify
+from . import constructions, linalg, verify
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -315,7 +315,8 @@ def cmd_verify(args) -> int:
         if field is QQ:
             print("exact verification runs over a finite field bundle", file=sys.stderr)
             return EXIT_USAGE
-        if hilbert_data(bundle.leg_ideal_full).dimension != 1:
+        leg_full = hilbert_data(bundle.leg_ideal_full)
+        if leg_full.dimension != 1:
             raise InputError(f"{args.bundle}: leg_ideal_full is not a curve")
         count = max(5, args.samples // 5)
         legs = verify.sample_curve_points(bundle.leg_ideal_full, count, random.Random(args.seed))
@@ -334,6 +335,20 @@ def cmd_verify(args) -> int:
             j for j, pt in enumerate(legs)
             if not bundle.leg_ideal_sym.contains_point(push(pt, Y_NAMES, YINV_NAMES, pi_name, field))
         ]
+        # and the certification it prints must be recomputed from the bundle:
+        # a key that is missing, extra or different (as JSON) fails it
+        given = bundle.certification
+        recomputed = {
+            "i_lin_dim": linalg.rank([list(v) for v in bundle.config_span_forms], field),
+            "f_smooth": bundle.seed.f_smooth,
+            "leg_sym": hilbert_data(bundle.leg_ideal_sym).triple(),
+            "leg_full": leg_full.triple(),
+        }
+        report.certification_mismatch = sorted(
+            key for key in recomputed.keys() | given.keys()
+            if key not in given or key not in recomputed
+            or json.dumps(given[key]) != json.dumps(recomputed[key])
+        )
     else:
         if field is not QQ:
             print("float verification runs over a rational bundle", file=sys.stderr)
@@ -359,6 +374,8 @@ def _print_report(report):
             print(f"  configurations off config_ideal or config_span_forms: {report.configs_off_bundle}")
         if report.legs_off_bundle:
             print(f"  legs off leg_ideal_sym: {report.legs_off_bundle}")
+        if report.certification_mismatch:
+            print(f"  certification differs from the bundle's ideals and seed: {report.certification_mismatch}")
     else:
         print(f"  max |residual| = {report.max_abs:.3e} (tol {report.tol})")
     print("  PASS" if report.ok else "  FAIL")

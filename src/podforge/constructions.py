@@ -434,30 +434,30 @@ def duporcq_sixth_leg(legs) -> Leg:
     def wval(i, j):
         return w[pair_idx[(min(i, j), max(i, j))]]
 
+    # lambda is read off one triple (i0; j0, k0) with w_{i0 j0}, w_{i0 k0} and
+    # w_{j0 k0} nonzero.  The product check passes for one such triple exactly
+    # when w_st = c lam_s lam_t for all s < t, and then it passes for every
+    # triple, so the first triple decides.
+    triples = (
+        (i0, j0, k0)
+        for i0 in range(5)
+        for j0, k0 in itertools.combinations([m for m in range(5) if m != i0], 2)
+        if not any(field.is_zero(wval(s, t)) for s, t in ((i0, j0), (i0, k0), (j0, k0)))
+    )
+    i0, j0, k0 = next(triples, (None, None, None))
     lam = None
-    for i0 in range(5):
-        partners = [j for j in range(5) if j != i0 and not field.is_zero(wval(i0, j))]
-        found = False
-        for j0, k0 in itertools.combinations(partners, 2):
-            if field.is_zero(wval(j0, k0)):
-                continue
-            cand = [field.zero] * 5
-            cand[i0] = field.div(field.mul(wval(i0, j0), wval(i0, k0)), wval(j0, k0))
-            for m in range(5):
-                if m != i0:
-                    cand[m] = wval(i0, m)
-            # candidate equals lam_{i0} * lambda; verify all products match
-            scale = field.div(field.mul(cand[i0], cand[j0]), wval(i0, j0))
-            ok = all(
-                field.is_zero(field.sub(field.mul(cand[s], cand[t]), field.mul(scale, wval(s, t))))
-                for s, t in pairs
-            )
-            if ok:
-                lam = cand
-                found = True
-                break
-        if found:
-            break
+    if i0 is not None:
+        # lam_{i0} times lambda
+        cand = [
+            field.div(field.mul(wval(i0, j0), wval(i0, k0)), wval(j0, k0)) if m == i0 else wval(i0, m)
+            for m in range(5)
+        ]
+        scale = field.div(field.mul(cand[i0], cand[j0]), wval(i0, j0))
+        if all(
+            field.is_zero(field.sub(field.mul(cand[s], cand[t]), field.mul(scale, wval(s, t))))
+            for s, t in pairs
+        ):
+            lam = cand
     if lam is None:
         raise DualityError("special pentapod: residual point not recoverable from products")
     coords = [
@@ -657,39 +657,6 @@ def _lfree_cutting_forms(points, field) -> list:
     return [linalg.mat_vec(columns, c, field) for c in combos]
 
 
-def cubic_lift_bidegree(bundle: CubicPodBundle):
-    """Bidegree data of the lift of the leg cubic to the product of the base
-    and platform planes.
-
-    The l-free plane forms pull back through the quotient map to three
-    bidegree-(1,1) forms a^t C_c b, so the lift has bidegree (3, 3).  A base
-    point a lies under the lift when the three forms share a zero b, that is
-    on the plane cubic det[C_c^t a]_c of the 3 x 3 coefficient rows.  The
-    platform projection is det[C_c b]_c, and since every C_c is symmetric it
-    is the same cubic in the platform coordinates.  Returns ((3, 3), cubic)."""
-    field = bundle.field
-    lfree = _lfree_cutting_forms(bundle.plane.basis, field)
-    if len(lfree) != 3:
-        raise DegenerateSeedError("plane meets the cone vertex: no l-free slice")
-    ring3 = RingContext(("u0", "u1", "u2"), (1, 1, 1), DEGREVLEX, field)
-    u = ring3.gens()
-    # alpha pullback: z00 -> a0 b0, z11 -> a1 b1, z22 -> a2 b2,
-    # s01 -> a0 b1 + a1 b0, s02 -> a0 b2 + a2 b0, s12 -> a1 b2 + a2 b1;
-    # each lifted form is sum_ij C_ij a_i b_j with C symmetric, C_ii the z_ii
-    # coefficient and C_ij the s_ij one
-    mats = [symmetric_matrix(vec, lambda c: c, YPINV_NAMES) for vec in lfree]
-    # row c: the b-coefficients of the c-th form, linear in a
-    rows = [
-        [sum((u[i].scale(mats[c][i][j]) for i in range(3)), ring3.zero()) for j in range(3)]
-        for c in range(3)
-    ]
-    (cubic,) = minors(rows, 3)
-    if cubic.is_zero():
-        raise CertificationError("lifted curve projects degenerately")
-    d = cubic.homogeneous_degree()
-    return (d, d), cubic.content_normalized()
-
-
 SYMMETROID_NODE_SAMPLES = 8  # the most nodes `symmetroid_pencil` locates
 
 
@@ -793,9 +760,8 @@ def symmetroid_pencil(bundle: CubicPodBundle) -> SymmetroidPencil:
 # ---------------------------------------------------------------------------
 
 
-def base_curve(bundle: InfinityPodBundle, platform: bool = False) -> Ideal:
-    """Project the full leg curve to its base anchor points in P^3 (or the
-    platform anchors).
+def base_curve(bundle: InfinityPodBundle) -> Ideal:
+    """Project the full leg curve to its base anchor points in P^3.
 
     The l-free span forms pull back through the rank-one factorization
     z_ij = a_i b_j to five bilinear forms sum_j L_cj(a) b_j; eliminating the
@@ -809,11 +775,7 @@ def base_curve(bundle: InfinityPodBundle, platform: bool = False) -> Ideal:
         raise CertificationError("leg span does not project cleanly (vertex issue)")
     ring3 = RingContext(("a0", "a1", "a2", "a3"), (1,) * 4, DEGREVLEX, field)
     a = [ring3.gen(f"a{i}") for i in range(4)]
-    # row c, column j: the linear form multiplying b_j (or a_j in platform mode)
-    if platform:
-        rows = [[sum((a[j].scale(v[4 * i + j]) for j in range(4)), ring3.zero()) for i in range(4)]
-                for v in lfree]
-    else:
-        rows = [[sum((a[i].scale(v[4 * i + j]) for i in range(4)), ring3.zero()) for j in range(4)]
-                for v in lfree]
+    # row c, column j: the linear form multiplying b_j
+    rows = [[sum((a[i].scale(v[4 * i + j]) for i in range(4)), ring3.zero()) for j in range(4)]
+            for v in lfree]
     return Ideal(ring3, minors(rows, 4))

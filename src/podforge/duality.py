@@ -202,24 +202,13 @@ FORMS = {
 
 
 def sphere_value(leg: Leg, sigma: IsometryPoint):
-    """l h + r - 2<a,x> - 2<b,y> - 2<Ma,b>; zero iff the leg fits the
-    configuration (exactly, when h is normalized to 1)."""
+    """bsc17 on (sigma, the leg's point): l h + r - 2<a,x> - 2<b,y> - 2<Ma,b>;
+    zero iff the leg fits the configuration (exactly, when h is normalized
+    to 1)."""
     f = sigma.field
     if leg.field is not f:
         raise FieldError("leg and isometry over different fields")
-    c = sigma.coords
-    M = [[c[3 * i + j] for j in range(3)] for i in range(3)]
-    x, y, r, h = c[9:12], c[12:15], c[15], c[16]
-    a = [f.of(v) for v in leg.a]
-    b = [f.of(v) for v in leg.b]
-    l = leg.corrected_length()
-    ax = sum_(f, (f.mul(a[i], x[i]) for i in range(3)))
-    by = sum_(f, (f.mul(b[i], y[i]) for i in range(3)))
-    Mab = sum_(f, (f.mul(f.mul(M[i][j], a[j]), b[i]) for i in range(3) for j in range(3)))
-    total = f.add(f.mul(l, h), r)
-    for t in (ax, by, Mab):
-        total = f.sub(total, f.add(t, t))
-    return total
+    return bsc17().evaluate(sigma.coords, leg_to_point(leg).coords(), f)
 
 
 def leg_to_point(leg: Leg) -> LegPoint:
@@ -292,13 +281,6 @@ class LinearSubspace:
         for v in self.basis:
             if len(v) != len(self.ambient):
                 raise DualityError("basis vector length mismatch")
-
-    def dim(self) -> int:
-        """Projective-space-free dimension of the subspace as a vector space."""
-        r = linalg.rank([list(v) for v in self.basis], self.field)
-        if r != len(self.basis):
-            raise DualityError("basis is not linearly independent")
-        return r if self.kind == "points" else len(self.ambient) - r
 
     def reduced(self) -> "LinearSubspace":
         """Canonical RREF basis (deterministic representative)."""

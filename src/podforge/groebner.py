@@ -72,7 +72,7 @@ class Ideal:
         self._bound = None  # a lower bound on the Hilbert series, see __add__
 
     def groebner_basis(self):
-        """The reduced basis in the ring's order (others: `buchberger(order=)`)."""
+        """The reduced basis in the ring's order."""
         order = self.ring.order
         gb = self._gb.get(order)
         if gb is None:
@@ -82,9 +82,6 @@ class Ideal:
 
     def seed_groebner_cache(self, gb):
         self._gb[self.ring.order] = tuple(gb)
-
-    def seed_hilbert_cache(self, data: HilbertData):
-        self._hilbert = data
 
     def __add__(self, other):
         """The sum ideal.  When it adds exactly one form f of degree e and this
@@ -450,43 +447,24 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     return final
 
 
-def buchberger(ideal_or_polys, order=None, max_steps=None, hilbert=None):
-    """Reduced Groebner basis as a tuple of monic Polynomials, sorted by
-    increasing leading monomial.  `order` defaults to the ring's own order.
-    `hilbert` is the numerator over prod(1 - t^w) of a lower bound on the
-    ideal's Hilbert series (see `_gb_engine`); the exact series is the best
-    bound.  A bound that is too large raises ValueError."""
-    if isinstance(ideal_or_polys, Ideal):
-        ring = ideal_or_polys.ring
-        gens = ideal_or_polys.generators
-    else:
+def buchberger(ideal_or_polys, max_steps=None, hilbert=None):
+    """Reduced Groebner basis, in the ring's order, as a tuple of monic
+    Polynomials sorted by increasing leading monomial.  A list of polynomials
+    is read as the Ideal they generate in the ring of the first.  `hilbert` is
+    the numerator over prod(1 - t^w) of a lower bound on the ideal's Hilbert
+    series (see `_gb_engine`); the exact series is the best bound.  A bound
+    that is too large raises ValueError."""
+    ideal = ideal_or_polys
+    if not isinstance(ideal, Ideal):
         gens = tuple(ideal_or_polys)
         if not gens:
             raise ValueError("cannot infer ring from an empty generator list")
-        ring = gens[0].ring
-    order = tuple(order) if order is not None else ring.order
-    work_ring = ring if order == ring.order else RingContext(ring.names, ring.weights, order, ring.field)
-    work_gens = [work_ring.coerce(g) for g in gens if not g.is_zero()]
-    for g in work_gens:
-        if not g.is_homogeneous():
-            raise ValueError("buchberger requires homogeneous generators")
-    if not work_gens:
+        ideal = Ideal(gens[0].ring, gens)
+    if not ideal.generators:
         return ()
-    dicts = _gb_engine(work_gens, work_ring, max_steps=max_steps, hilbert=hilbert)
-    return tuple(Polynomial(work_ring, d) for d in dicts)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The S-polynomial of two nonzero polynomials in the same ring."""
-    if f.ring != g.ring:
-        raise FieldError("polynomials from different rings")
-    ring = f.ring
-    fld = ring.field
-    lf, lg = f.lead_monomial(), g.lead_monomial()
-    lcm = ring.monomial_lcm(lf, lg)
-    return f.mul_term(lcm - lf, fld.inv(f.lead_coeff())) - g.mul_term(
-        lcm - lg, fld.inv(g.lead_coeff())
-    )
+    ring = ideal.ring
+    dicts = _gb_engine(list(ideal.generators), ring, max_steps=max_steps, hilbert=hilbert)
+    return tuple(Polynomial(ring, d) for d in dicts)
 
 
 def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
@@ -629,13 +607,6 @@ def cut_cohen_macaulay(ideal: Ideal, forms) -> Ideal:
         gb = buchberger(out)
     out.seed_groebner_cache(gb)
     return out
-
-
-def linear_part(ideal: Ideal):
-    """Basis of the degree-1 graded piece: the weighted-degree-1 elements of
-    the reduced Groebner basis."""
-    gb = ideal.groebner_basis()
-    return [g for g in gb if g.homogeneous_degree() == 1]
 
 
 # ---------------------------------------------------------------------------

@@ -111,23 +111,6 @@ class IsometryPoint:
         coords = tuple(mat[0] + mat[1] + mat[2] + x + y + [r, f.one])
         return cls(coords, f)
 
-    @classmethod
-    def identity(cls, field=QQ):
-        return cls.from_affine(
-            [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], field
-        )
-
-    def coord(self, name):
-        return self.coords[X_NAMES.index(name)]
-
-    @property
-    def h(self):
-        return self.coords[16]
-
-    def matrix(self):
-        c = self.coords
-        return [list(c[0:3]), list(c[3:6]), list(c[6:9])]
-
 
 @dataclass(frozen=True)
 class Leg:
@@ -149,10 +132,6 @@ class Leg:
 
     def is_planar(self) -> bool:
         return self.field.is_zero(self.a[2]) and self.field.is_zero(self.b[2])
-
-    def is_complex(self) -> bool:
-        """Negative squared length over an ordered field flags a complex leg."""
-        return self.field is QQ and self.d2 < 0
 
 
 @dataclass(frozen=True)

@@ -496,26 +496,6 @@ class Polynomial:
                     out[m - (1 << shift)] = c2
         return Polynomial(ring, out)
 
-    def content_normalized(self):
-        """Over Q: scale so coefficients are coprime integers with positive
-        leading coefficient.  Over GF(p): monic."""
-        if not self.terms:
-            return self
-        fld = self.ring.field
-        if fld is not QQ:
-            return self.monic()
-        from math import gcd
-
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        scale = Fraction(den, num)
-        if self.lead_coeff() < 0:
-            scale = -scale
-        return self.scale(scale)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -578,22 +558,6 @@ class RingMap:
         self.target = target
         self.images = tuple(images)
         self._pow_cache = {}
-
-    def graded_degree(self):
-        """If every image is homogeneous of degree k*weight(source var), return k."""
-        k = None
-        for i, img in enumerate(self.images):
-            if img.is_zero():
-                continue
-            d = img.homogeneous_degree()
-            w = self.source.weights[i]
-            if d % w:
-                return None
-            if k is None:
-                k = d // w
-            elif k != d // w:
-                return None
-        return k
 
     def _power(self, i: int, e: int) -> Polynomial:
         key = (i, e)

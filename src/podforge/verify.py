@@ -26,8 +26,7 @@ from itertools import accumulate
 from . import linalg, unipoly
 from .fields import QQ
 from .groebner import Ideal, hilbert_data, reducer, standard_monomials
-from .models import EULER_NAMES, IsometryPoint, Leg
-from .duality import ComplexLegError, DualityError, bsc17, leg_to_point, recover_leg_pairs_float
+from .duality import ComplexLegError, DualityError, bsc17, recover_leg_pairs_float
 from .rings import Polynomial
 
 
@@ -143,6 +142,8 @@ _FORM_DRAWS = 20  # draws of the two random forms before a solve gives up
 REFINE_WIDTH = Fraction(1, 10 ** 12)  # width of the intervals refine_root returns
 NEWTON_STEPS = 6  # Newton steps of polish_float_root
 REAL_LEG_SLICES = 12  # slices real_legs draws before it gives up
+CURVE_SLICES = 25  # slices sample_curve_points draws before it gives up
+REAL_CONFIG_GRID = 40  # real_configurations sweeps e2 over 2 * REAL_CONFIG_GRID + 1 values
 
 
 def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
@@ -193,7 +194,7 @@ def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
     )
 
 
-def sample_curve_points(ideal: Ideal, count: int, rng=None, max_slices: int = 25):
+def sample_curve_points(ideal: Ideal, count: int, rng=None):
     """Points on a one-dimensional scheme over GF(p): slice with random
     hyperplanes, solve the zero-dimensional slices exactly, deduplicate.
 
@@ -211,7 +212,7 @@ def sample_curve_points(ideal: Ideal, count: int, rng=None, max_slices: int = 25
         raise ValueError(f"expected a curve, got dimension {hd.dimension}")
     points = []
     seen = set()
-    for _ in range(max_slices):
+    for _ in range(CURVE_SLICES):
         hyper = _random_form(ring, rng, 0, field.p - 1)
         if hyper.is_zero():
             continue
@@ -377,20 +378,19 @@ class RealConfiguration:
     coords: tuple  # 17 floats, h-normalized
 
 
-def real_configurations(seed, count: int, grid: int = 40):
+def real_configurations(seed, count: int):
     """Real points of the plane quartic, swept on a rational grid in e2 with
     e3 = 1 and exact Sturm isolation in e1, lifted through the construction
     map and normalized to affine half-turns."""
     if seed.field is not QQ:
         raise ValueError("real extraction requires a rational seed")
     rho = seed.lift()
-    ring = seed.F.ring
-    e1n, e2n, e3n = EULER_NAMES
+    grid = REAL_CONFIG_GRID
     out = []
     for k in range(-grid, grid + 1):
         if len(out) >= count:
             break
-        e2 = Fraction(k, max(1, grid // 8))
+        e2 = Fraction(k, grid // 8)
         uni = substitute_e2(seed.F, e2)
         if len(uni) <= 1:
             continue
@@ -537,10 +537,11 @@ class PodReport:
     certification: dict = dc_field(default_factory=dict)
     configs_off_bundle: list = dc_field(default_factory=list)  # off the bundle's config ideal
     legs_off_bundle: list = dc_field(default_factory=list)  # off the bundle's leg_ideal_sym
+    certification_mismatch: list = dc_field(default_factory=list)  # keys not recomputed as given
 
     @property
     def ok(self) -> bool:
-        if self.configs_off_bundle or self.legs_off_bundle:
+        if self.configs_off_bundle or self.legs_off_bundle or self.certification_mismatch:
             return False
         return self.exact_zero if self.mode == "exact" else self.max_abs_within
 
@@ -549,8 +550,8 @@ class PodReport:
         return all(entry[3] for entry in self.residuals) if self.residuals else True
 
     def to_json(self) -> dict:
-        """The report; `configs_off_bundle` and `legs_off_bundle` appear only
-        when they are nonempty."""
+        """The report; `configs_off_bundle`, `legs_off_bundle` and
+        `certification_mismatch` appear only when they are nonempty."""
         out = {
             "pod_id": self.pod_id,
             "mode": self.mode,
@@ -570,6 +571,8 @@ class PodReport:
             out["configs_off_bundle"] = self.configs_off_bundle
         if self.legs_off_bundle:
             out["legs_off_bundle"] = self.legs_off_bundle
+        if self.certification_mismatch:
+            out["certification_mismatch"] = self.certification_mismatch
         return out
 
 
@@ -577,18 +580,16 @@ def check_pod(configs, legs, mode: str = "exact", tol: float = 1e-9, pod_id: str
               certification=None) -> PodReport:
     """Evaluate the sphere pairing on every (configuration, leg) pair.
 
-    exact mode: entries are coordinate tuples over one exact field and every
-    residual must be identically zero.  float mode: entries are float
+    exact mode: entries are (coordinate tuple, field) pairs over one exact
+    field and every residual must be identically zero.  float mode: entries are float
     coordinate tuples and |value| <= tol * (1 + |l h| + |r|)."""
     report = PodReport(pod_id=pod_id, mode=mode, tol=tol,
                        n_configs=len(configs), n_legs=len(legs),
                        certification=certification or {})
     B = bsc17()
     if mode == "exact":
-        for i, cfg in enumerate(configs):
-            cfg_coords, field = _exact_coords(cfg)
-            for j, leg in enumerate(legs):
-                leg_coords, f2 = _exact_leg_coords(leg)
+        for i, (cfg_coords, field) in enumerate(configs):
+            for j, (leg_coords, f2) in enumerate(legs):
                 if f2 is not field:
                     raise ValueError("mixed fields in exact check")
                 val = B.evaluate(cfg_coords, leg_coords, field)
@@ -618,18 +619,3 @@ def check_pod(configs, legs, mode: str = "exact", tol: float = 1e-9, pod_id: str
         report.n_real_legs = sum(1 for leg in legs if isinstance(leg, RealLeg) and leg.realizable)
     return report
 
-
-def _exact_coords(cfg):
-    if isinstance(cfg, IsometryPoint):
-        return cfg.coords, cfg.field
-    if isinstance(cfg, tuple) and len(cfg) == 2:
-        return cfg  # (coords, field)
-    raise ValueError("exact configuration must be an IsometryPoint or (coords, field)")
-
-
-def _exact_leg_coords(leg):
-    if isinstance(leg, Leg):
-        return leg_to_point(leg).coords(), leg.field
-    if isinstance(leg, tuple) and len(leg) == 2:
-        return leg
-    raise ValueError("exact leg must be a Leg or (coords, field)")

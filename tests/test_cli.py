@@ -320,6 +320,38 @@ def test_verify_bundle_with_another_seeds_symmetric_leg_curve_fails(tmp_path, fp
     assert "legs off leg_ideal_sym" in proc.stdout and proc.stdout.rstrip().endswith("FAIL")
 
 
+@pytest.mark.parametrize(
+    "falsify, named",
+    [
+        ({"leg_sym": [1, 12, 9], "leg_full": [2, 7, 0]}, ["leg_full", "leg_sym"]),
+        ({"i_lin_dim": None, "genus": 6}, ["genus", "i_lin_dim"]),
+        ({"f_smooth": 1}, ["f_smooth"]),
+    ],
+    ids=["leg-triples", "missing-and-extra", "json-type"],
+)
+def test_verify_falsified_certification_fails(tmp_path, fp_bundles, falsify, named):
+    # verify recomputes the certification it prints from the bundle's ideals,
+    # span and seed: a key that is different (as JSON), missing (None here
+    # deletes it) or extra fails the report and is named
+    data = json.loads(json.dumps(fp_bundles[8]))
+    for key, value in falsify.items():
+        if value is None:
+            del data["certification"][key]
+        else:
+            data["certification"][key] = value
+    bundle = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    bundle.write_text(json.dumps(data))
+    proc = run_cli("verify", str(bundle), "--mode", "exact", "--out", str(report), check=False)
+    assert proc.returncode == 1
+    out = json.loads(report.read_text())
+    assert out["ok"] is False and out["certification_mismatch"] == named
+    assert "configs_off_bundle" not in out and "legs_off_bundle" not in out
+    assert all(r["ok"] for r in out["residuals"])
+    assert f"certification differs from the bundle's ideals and seed: {named}" in proc.stdout
+    assert proc.stdout.rstrip().endswith("FAIL")
+
+
 def _write_inputs(tmp_path):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "no_ambient.json").write_text(

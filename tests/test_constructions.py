@@ -40,7 +40,6 @@ from podforge.constructions import (
     build_seed,
     conic_product_legs,
     create_infinity_pod,
-    cubic_lift_bidegree,
     cubic_line_symmetric,
     draw_seed,
     duporcq_sixth_leg,
@@ -215,7 +214,7 @@ def sym_image_by_elimination(leg_full):
             images[f"z{j}{i}"] = (s - a).scale(half)
     split = RingMap(ring_Y(field), W, [images[n] for n in Y_NAMES])
     split_ideal = Ideal(W, [split(g) for g in leg_full.generators])
-    split_ideal.seed_hilbert_cache(hilbert_data(Ideal(leg_full.ring, leg_full.generators)))
+    split_ideal._hilbert = hilbert_data(Ideal(leg_full.ring, leg_full.generators))
     out = eliminate(split_ideal, ["a01", "a02", "a03", "a12", "a13", "a23"])
     ryi = ring_Y_inv(field)
     return Ideal(ryi, [ryi.parse(str(g)) for g in out.generators])
@@ -309,12 +308,6 @@ def test_base_curve_certified(bundle7):
     assert (hd.dimension, hd.degree) == (1, 10)
 
 
-def test_base_platform_same_ideal(bundle7):
-    bc = base_curve(bundle7)
-    pc = base_curve(bundle7, platform=True)
-    assert set(bc.groebner_basis()) == set(pc.groebner_basis())
-
-
 def test_base_anchors_on_base_curve(bundle7):
     bc = base_curve(bundle7)
     pts = sample_curve_points(bundle7.leg_ideal_full, 4, random.Random(6))
@@ -349,7 +342,7 @@ def test_duporcq_sixth_leg_rational_and_dual_equal():
     d6 = dual_space(s6, bsc_planar10(), "right").reduced()
     assert d5.basis == d6.basis
     # the dual of five generic legs is a P^4 of configurations
-    assert d5.dim() == 5
+    assert d5.kind == "forms" and len(d5.ambient) - linalg.rank(d5.basis, QQ) == 5
 
 
 def test_duporcq_sixth_leg_sphere_condition_on_configs():
@@ -553,27 +546,6 @@ def cubic3():
 def test_cubic_certification(cubic3):
     assert cubic3.certification["leg"] == (1, 3, 1)
     assert cubic3.certification["config"][:2] == (1, 6)
-
-
-def test_cubic_lift_bidegree(cubic3):
-    # oracle: legs factored exactly from rational points of the leg cubic
-    # anchor on the projected cubic, at the base and at the platform
-    bidegree, cubic = cubic_lift_bidegree(cubic3)
-    assert bidegree == (3, 3) and cubic.homogeneous_degree() == 3
-    legs = []
-    for z00, z11, z22, s01, s02, s12, l in sample_curve_points(
-            cubic3.leg_ideal, 12, random.Random(4)):
-        try:
-            rec = recover_leg_pairs((z11, z22, 0, s12, 0, 0, s01, s02, 0, z00, l), F101)
-        except DualityError:
-            continue  # an anchor at infinity
-        if rec.legs is not None:
-            legs.append(rec.legs[0])
-    assert len(legs) >= 3
-    for leg in legs:
-        assert leg.a[2] == leg.b[2] == 0
-        for anchor in (leg.a, leg.b):
-            assert F101.is_zero(cubic.evaluate([1, anchor[0], anchor[1]]))
 
 
 def test_cubic_pair_vanishing(cubic3):

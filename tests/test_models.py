@@ -29,6 +29,12 @@ from podforge.duality import leg_to_point, leg_sym_coords, leg_p_coords, leg_pin
 from podforge.constructions import draw_seed
 
 F101 = GF(101)
+IDENTITY = IsometryPoint.from_affine([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
+
+
+def _rotation(pt):
+    """The 3x3 block M of an isometry point (M : x : y : r : h)."""
+    return [list(pt.coords[3 * i:3 * i + 3]) for i in range(3)]
 
 
 def _cayley(rng, field=QQ):
@@ -41,7 +47,7 @@ def _cayley(rng, field=QQ):
 
 
 def test_identity_on_X():
-    assert ideal_X(QQ).contains_point(IsometryPoint.identity().coords)
+    assert ideal_X(QQ).contains_point(IDENTITY.coords)
 
 
 def test_boundary_point_only_r_on_X():
@@ -72,7 +78,7 @@ def test_half_turn_on_X_inv():
 
 
 def test_identity_not_on_X_inv():
-    assert not ideal_X_inv(QQ).contains_point(IsometryPoint.identity().coords)
+    assert not ideal_X_inv(QQ).contains_point(IDENTITY.coords)
 
 
 def test_z_inv_membership():
@@ -195,8 +201,8 @@ def test_rho_point_half_turn():
     zero = ring.zero()
     rho = euler_rho(zero, zero, zero, zero)
     pt = rho_isometry_point(rho, [1, 0, 0])
-    assert pt.matrix() == [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
-    assert pt.h == 1
+    assert _rotation(pt) == [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    assert pt.coords[16] == 1  # h
 
 
 def test_rho_images_land_on_X_inv_modulo_F():
@@ -214,13 +220,13 @@ def test_x_inv_samples_are_half_turns():
     # normalized involution points have symmetric rotation with trace -1
     rng = random.Random(47)
     field = F101
-    pts = [pt for pt in draw_seed(3, field).config_points() if not field.is_zero(pt.h)][:10]
+    pts = [pt for pt in draw_seed(3, field).config_points() if not field.is_zero(pt.coords[16])][:10]
     assert pts
     for pt in pts:
-        m = pt.matrix()
+        m = _rotation(pt)
         assert m[0][1] == m[1][0] and m[0][2] == m[2][0] and m[1][2] == m[2][1]
         trace = field.add(field.add(m[0][0], m[1][1]), m[2][2])
-        assert field.is_zero(field.add(trace, pt.h))
+        assert field.is_zero(field.add(trace, pt.coords[16]))
 
 
 def test_euler_rho_rejects_nonquadratic():

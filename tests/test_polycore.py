@@ -257,12 +257,6 @@ def test_ring_map_is_homomorphism(ring_xyz):
         assert phi(f + g) == phi(f) + phi(g)
 
 
-def test_graded_degree_of_rho():
-    seed = draw_seed(3, QQ)
-    rho = euler_rho(*seed.P, seed.U)
-    assert rho.graded_degree() == 2
-
-
 # -- kernels -----------------------------------------------------------------
 
 

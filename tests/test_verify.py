@@ -8,6 +8,7 @@ import pytest
 from podforge.fields import GF, QQ
 from podforge.groebner import Ideal, hilbert_data
 from podforge.models import IsometryPoint, Leg
+from podforge.duality import leg_to_point
 from podforge.rings import DEGREVLEX, RingContext
 from podforge.constructions import create_infinity_pod
 from podforge.verify import (
@@ -150,7 +151,7 @@ def test_sample_curve_points_line():
     ring = RingContext(("x0", "x1", "x2", "x3"), (1,) * 4, DEGREVLEX, f5)
     g = ring.gens()
     I = Ideal(ring, [g[2], g[3]])
-    pts = sample_curve_points(I, 6, random.Random(1), max_slices=40)
+    pts = sample_curve_points(I, 6, random.Random(1))
     assert 1 <= len(pts) <= 6
     for pt in pts:
         assert pt[2] == 0 and pt[3] == 0
@@ -306,14 +307,21 @@ def test_check_pod_exact_on_bundle():
 
 
 def test_check_pod_perturbed_leg_fails():
-    sigma = IsometryPoint.identity()
+    sigma = IsometryPoint.from_affine([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
     good = Leg((Fraction(1), Fraction(0), Fraction(0)),
                (Fraction(1), Fraction(0), Fraction(0)), Fraction(0), QQ)
     bad = Leg(good.a, good.b, good.d2 + 1, QQ)
-    report = check_pod([sigma], [good, bad], mode="exact")
+    legs = [(leg_to_point(leg).coords(), QQ) for leg in (good, bad)]
+    report = check_pod([(sigma.coords, QQ)], legs, mode="exact")
     assert not report.ok
     flags = [ok for (_i, _j, _v, ok) in report.residuals]
     assert flags == [True, False]
+
+
+def test_check_pod_exact_rejects_mixed_fields():
+    coords = (QQ.one,) + (QQ.zero,) * 16
+    with pytest.raises(ValueError, match="mixed fields"):
+        check_pod([(coords, QQ)], [(tuple(F101.of(c) for c in coords), F101)], mode="exact")
 
 
 def test_check_pod_empty_inputs():
@@ -357,7 +365,7 @@ def test_sample_curve_points_partial_list_warns():
     g = ring.gens()
     I = Ideal(ring, [g[2], g[3]])
     with pytest.warns(UserWarning, match="slice budget"):
-        pts = sample_curve_points(I, 12, random.Random(5), max_slices=60)
+        pts = sample_curve_points(I, 12, random.Random(5))
     assert 1 <= len(pts) <= 6
 
 
@@ -430,5 +438,5 @@ def test_real_configurations_definite_quartic_warns_empty():
     q = e1 * e1 + e2 * e2 + e3 * e3
     seed = build_seed(e2, e3, e1, -q)
     with pytest.warns(UserWarning, match="no real configurations"):
-        cfgs = real_configurations(seed, 5, grid=24)
+        cfgs = real_configurations(seed, 5)
     assert cfgs == []
