@@ -86,7 +86,11 @@ def cmd_invariants(args) -> int:
     if builder is None:
         print(f"unknown model {args.model!r}; choose from {sorted(MODEL_BUILDERS)}", file=sys.stderr)
         return EXIT_USAGE
-    hd = hilbert_data(builder(field))
+    ideal = builder(field)
+    if any(w != 1 for w in ideal.ring.weights):
+        raise InputError(f"model {args.model} lives in a weighted ring (weights {ideal.ring.weights}); "
+                         "invariants needs unit weights")
+    hd = hilbert_data(ideal)
     line = f"dim {hd.dimension} deg {hd.degree}"
     if hd.arithmetic_genus is not None:
         line += f" genus {hd.arithmetic_genus}"
@@ -369,7 +373,7 @@ def _print_report(report):
     for key, val in sorted(report.certification.items()):
         print(f"  certification {key}: {val}")
     if report.mode == "exact":
-        print(f"  exact residuals all zero: {report.exact_zero}")
+        print(f"  exact residuals all zero: {report.residuals_ok}")
         if report.configs_off_bundle:
             print(f"  configurations off config_ideal or config_span_forms: {report.configs_off_bundle}")
         if report.legs_off_bundle:

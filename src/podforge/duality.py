@@ -62,17 +62,18 @@ class BilinearForm:
     def matrix(self, field):
         return [[field.of(c) for c in row] for row in self.entries]
 
-    def evaluate(self, left_coords, right_coords, field):
+    def evaluate(self, left_coords, right_coords):
+        """The pairing in the coordinates' own arithmetic, summed row by row
+        over each row's nonzero entries: exact callers bring the value into
+        their field with `field.of`, float callers get a float."""
         if len(left_coords) != len(self.left_names) or len(right_coords) != len(self.right_names):
             raise DualityError("coordinate length mismatch")
-        acc = field.zero
-        for i, row in enumerate(self.entries):
-            li = field.of(left_coords[i])
-            if field.is_zero(li):
-                continue
-            for j, c in enumerate(row):
-                if c:
-                    acc = field.add(acc, field.mul(li, field.mul(field.of(c), field.of(right_coords[j]))))
+        acc = 0
+        for li, row in zip(left_coords, self.entries):
+            if li:
+                for c, r in zip(row, right_coords):
+                    if c:
+                        acc += li * c * r
         return acc
 
 
@@ -208,7 +209,7 @@ def sphere_value(leg: Leg, sigma: IsometryPoint):
     f = sigma.field
     if leg.field is not f:
         raise FieldError("leg and isometry over different fields")
-    return bsc17().evaluate(sigma.coords, leg_to_point(leg).coords(), f)
+    return f.of(bsc17().evaluate(sigma.coords, leg_to_point(leg).coords()))
 
 
 def leg_to_point(leg: Leg) -> LegPoint:

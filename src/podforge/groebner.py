@@ -15,8 +15,9 @@ variable x in one run that divides each new basis element by its largest
 power of x (Bayer's lemma, Bayer-Stillman 1987), so the basis of I itself is
 never finished.
 
-All reduction goes through one heap-driven kernel, `_reduce`, with one loop
-per field: the run's S-polynomial and generator reductions, the final
+All reduction goes through one heap-driven kernel, `_reduce`, whose loop
+serves both fields (only the reduction mod p and the reducer's factor depend
+on the field): the run's S-polynomial and generator reductions, the final
 interreduction (each minimal element is its lead plus the normal form of its
 tail modulo the finished basis) and `reducer` / `reduce_by_basis`.  Each term
 is reduced by the first basis element whose lead divides it
@@ -163,64 +164,37 @@ def _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard):
 
     Reducer i is leads[i] plus the (monomial, coeff) pairs tails[i] with lead
     coefficient lcoeffs[i]; find_reducer(m) picks the reducer of monomial m.
-    Over GF(p) (p given) every reducer must be monic; over Q (p None) the
-    coefficients are Fractions.  Raises OverflowError when a new monomial
-    needs an exponent above the cap."""
+    Over GF(p) (p given) every reducer must be monic and the coefficients are
+    ints, reduced mod p only when their monomial is popped; over Q (p None)
+    they are Fractions.  The loop is the same for both fields: a monomial's
+    accumulator is never deleted, so it enters the heap once.  Raises
+    OverflowError when a new monomial needs an exponent above the cap."""
     out = {}
     heap = [(-key(m), m) for m in work]
     heapify(heap)
-    if p:
-        # the accumulators stay nonnegative and unreduced until their monomial
-        # is popped, so a monomial is never deleted and enters the heap once
-        while heap:
-            m = heappop(heap)[1]
-            c = work.pop(m) % p
-            if not c:
-                continue
-            idx = find_reducer(m)
-            if idx is None:
-                out[m] = c
-                continue
-            shift = m - leads[idx]
-            minus_c = p - c
-            for e, ce in tails[idx]:
-                mm = e + shift
-                prev = work.get(mm)
-                if prev is None:
-                    if mm & guard:
-                        raise OverflowError(f"monomial exponent above the cap {EXP_MAX}")
-                    work[mm] = minus_c * ce
-                    heappush(heap, (-key(mm), mm))
-                else:
-                    work[mm] = prev + minus_c * ce
-    else:
-        while heap:
-            m = heappop(heap)[1]
-            c = work.pop(m, 0)
-            if not c:
-                continue
-            idx = find_reducer(m)
-            if idx is None:
-                out[m] = c
-                continue
-            t = c / lcoeffs[idx]
-            shift = m - leads[idx]
-            for e, ce in tails[idx]:
-                mm = e + shift
-                prev = work.get(mm)
-                if prev is None:
-                    v = -t * ce
-                    if v:
-                        if mm & guard:
-                            raise OverflowError(f"monomial exponent above the cap {EXP_MAX}")
-                        work[mm] = v
-                        heappush(heap, (-key(mm), mm))
-                else:
-                    v = prev - t * ce
-                    if v:
-                        work[mm] = v
-                    else:
-                        del work[mm]
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m)
+        if p:
+            c %= p
+        if not c:
+            continue
+        idx = find_reducer(m)
+        if idx is None:
+            out[m] = c
+            continue
+        shift = m - leads[idx]
+        f = p - c if p else -c / lcoeffs[idx]
+        for e, ce in tails[idx]:
+            mm = e + shift
+            prev = work.get(mm)
+            if prev is None:
+                if mm & guard:
+                    raise OverflowError(f"monomial exponent above the cap {EXP_MAX}")
+                work[mm] = f * ce
+                heappush(heap, (-key(mm), mm))
+            else:
+                work[mm] = prev + f * ce
     return out
 
 
@@ -256,8 +230,8 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     monomial; deterministic.
     """
     key = ring.sort_key
-    modp = ring.field is not QQ
-    p = ring.field.p if modp else None
+    field = ring.field
+    p = field.p if field is not QQ else None
     guard = ring.guard_mask
     if hilbert is not None:
         assert not saturating, "the saturation's Hilbert series is unknown"
@@ -293,7 +267,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     def insert(terms):
         """Normalize and append a new basis element; return its index."""
         lm = max(terms, key=key)
-        tail, lc = _split_lead(terms if modp else _normalize_qq(terms), lm, p)
+        tail, lc = _split_lead(terms if p else _normalize_qq(terms), lm, p)
         leads.append(lm)
         tails.append(tail)
         lcoeffs.append(lc)
@@ -346,26 +320,20 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
         heapify(pairs)
 
     def s_polynomial_terms(i, j, lij):
+        # reduced mod p here: left unreduced for `_reduce`, the negative
+        # coefficients raised construct-fp's peak memory by about 0.2 MB
         si, sj = lij - leads[i], lij - leads[j]
-        if modp:
-            s = {e + si: c for e, c in tails[i]}
-            for e, c in tails[j]:
-                mm = e + sj
-                v = (s.get(mm, 0) - c) % p
-                if v:
-                    s[mm] = v
-                else:
-                    s.pop(mm, None)
-        else:
-            ci, cj = lcoeffs[i], lcoeffs[j]
-            s = {e + si: c * cj for e, c in tails[i]}
-            for e, c in tails[j]:
-                mm = e + sj
-                v = s.get(mm, 0) - c * ci
-                if v:
-                    s[mm] = v
-                else:
-                    s.pop(mm, None)
+        ci, cj = lcoeffs[i], lcoeffs[j]
+        s = {e + si: c * cj for e, c in tails[i]}
+        for e, c in tails[j]:
+            mm = e + sj
+            v = s.get(mm, 0) - c * ci
+            if p:
+                v %= p
+            if v:
+                s[mm] = v
+            else:
+                s.pop(mm, None)
         return s
 
     def add(terms):
@@ -436,13 +404,9 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     final = []
     for i in minimal:
         tail = full_reduce(dict(tails[i]))
-        if modp:
-            out = {leads[i]: 1}
-            out.update(tail)
-        else:
-            inv = 1 / lcoeffs[i]
-            out = {leads[i]: Fraction(1)}
-            out.update((m, c * inv) for m, c in tail.items())
+        inv = field.inv(lcoeffs[i])
+        out = {leads[i]: field.one}
+        out.update((m, c * inv) for m, c in tail.items())
         final.append(out)
     return final
 

@@ -529,7 +529,6 @@ class PodReport:
     mode: str
     residuals: list = dc_field(default_factory=list)  # (i, j, value or float)
     max_abs: float = 0.0
-    exact_zero: bool = True
     tol: float = 0.0
     n_configs: int = 0
     n_legs: int = 0
@@ -543,11 +542,12 @@ class PodReport:
     def ok(self) -> bool:
         if self.configs_off_bundle or self.legs_off_bundle or self.certification_mismatch:
             return False
-        return self.exact_zero if self.mode == "exact" else self.max_abs_within
+        return self.residuals_ok
 
     @property
-    def max_abs_within(self) -> bool:
-        return all(entry[3] for entry in self.residuals) if self.residuals else True
+    def residuals_ok(self) -> bool:
+        """Every residual is zero (exact mode) or within tolerance (float mode)."""
+        return all(entry[3] for entry in self.residuals)
 
     def to_json(self) -> dict:
         """The report; `configs_off_bundle`, `legs_off_bundle` and
@@ -592,11 +592,8 @@ def check_pod(configs, legs, mode: str = "exact", tol: float = 1e-9, pod_id: str
             for j, (leg_coords, f2) in enumerate(legs):
                 if f2 is not field:
                     raise ValueError("mixed fields in exact check")
-                val = B.evaluate(cfg_coords, leg_coords, field)
-                ok = field.is_zero(val)
-                report.residuals.append((i, j, val, ok))
-                if not ok:
-                    report.exact_zero = False
+                val = field.of(B.evaluate(cfg_coords, leg_coords))
+                report.residuals.append((i, j, val, field.is_zero(val)))
         return report
     if mode != "float":
         raise ValueError("mode must be 'exact' or 'float'")
@@ -604,13 +601,7 @@ def check_pod(configs, legs, mode: str = "exact", tol: float = 1e-9, pod_id: str
         c = cfg.coords if isinstance(cfg, RealConfiguration) else tuple(float(v) for v in cfg)
         for j, leg in enumerate(legs):
             z = leg.coords if isinstance(leg, RealLeg) else tuple(float(v) for v in leg)
-            val = 0.0
-            for a, row in enumerate(B.entries):
-                ca = c[a]
-                if ca:
-                    for bcol, coef in enumerate(row):
-                        if coef:
-                            val += ca * coef * z[bcol]
+            val = float(B.evaluate(c, z))  # 0.0, not 0, when every row is skipped
             scale = 1.0 + abs(z[16] * c[16]) + abs(c[15])
             ok = abs(val) <= tol * scale
             report.residuals.append((i, j, val, ok))

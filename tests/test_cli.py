@@ -468,6 +468,7 @@ def _write_inputs(tmp_path):
         ["verify", "{tmp}/pod.json", "--tol", "inf"],
         ["reproduce", "--tol", "-1"],
         ["reproduce", "--tol", "nan"],
+        ["invariants", "--model", "Zinv"],
     ],
     ids=["verify-missing-file", "dual-missing-file", "verify-bad-json", "verify-bad-number",
          "verify-bad-polynomial", "verify-bad-field-header", "verify-repeated-variable",
@@ -482,7 +483,7 @@ def _write_inputs(tmp_path):
          "dual-short-basis", "dual-field-number", "infinity-bound-negative",
          "conic-bound-negative", "infinity-retries-negative", "cubic-retries-negative",
          "verify-samples-negative", "verify-tol-negative", "verify-tol-infinite",
-         "reproduce-tol-negative", "reproduce-tol-nan"],
+         "reproduce-tol-negative", "reproduce-tol-nan", "invariants-weighted-model"],
 )
 def test_input_error_exit_code(tmp_path, args):
     _write_inputs(tmp_path)

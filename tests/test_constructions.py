@@ -30,7 +30,6 @@ from podforge.duality import (
     leg_p_coords,
     leg_to_point,
     recover_leg_pairs,
-    sphere_value,
 )
 from podforge.constructions import (
     CertificationError,
@@ -171,7 +170,7 @@ def test_bundle_pair_vanishing(bundle7):
     count = 0
     for c in configs:
         for pt in legs:
-            assert field.is_zero(B.evaluate(c.coords, pt, field))
+            assert field.is_zero(B.evaluate(c.coords, pt))
             count += 1
     assert count == 25
 
@@ -355,7 +354,7 @@ def test_duporcq_sixth_leg_sphere_condition_on_configs():
     B = bsc17()
     lp = leg_to_point(sixth).coords()
     for c in pts:
-        assert F101.is_zero(B.evaluate(c, lp, F101))
+        assert F101.is_zero(B.evaluate(c, lp))
 
 
 def _home_pose_pentapod():
@@ -498,8 +497,7 @@ def test_conic_product_identity_configuration():
     rng = random.Random(9)
     fc = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
     from podforge.constructions import _binary_quadratic_product
-    from podforge.models import ring_Y_p
-    from podforge.models import ideal_X_p, ideal_Y_p
+    from podforge.models import ideal_X_p
     from podforge import linalg
 
     f = [[field.of(c) for c in row] for row in fc]
@@ -514,7 +512,6 @@ def test_conic_product_identity_configuration():
     quartics.append(lq)
     point_basis = [list(col) for col in zip(*quartics)]
     from podforge.duality import LinearSubspace
-    from podforge.models import XP_NAMES
 
     span = LinearSubspace(tuple(f"z{i}{j}" for i in range(3) for j in range(3)) + ("l",),
                           "points", tuple(tuple(r) for r in point_basis), field)
@@ -558,7 +555,7 @@ def test_cubic_pair_vanishing(cubic3):
     S = sbsc_planar7()
     for c in cfgs:
         for leg in legs:
-            assert F101.is_zero(S.evaluate(c, leg, F101))
+            assert F101.is_zero(S.evaluate(c, leg))
 
 
 def test_symmetroid_structure(cubic3):
@@ -616,7 +613,7 @@ def test_conic_product_pair_vanishing():
     B = bsc_planar10()
     for c in cfgs:
         for pt in leg_pts:
-            assert F101.is_zero(B.evaluate(c, pt, F101))
+            assert F101.is_zero(B.evaluate(c, pt))
 
 
 def test_hexapod_rigid_configs_pair_with_leg_curve():
@@ -650,9 +647,9 @@ def test_hexapod_rigid_configs_pair_with_leg_curve():
         B = bsc_planar10()
         for c in cfgs:
             for leg in legs:
-                assert F101.is_zero(B.evaluate(c, leg_p_coords(leg), F101))
+                assert F101.is_zero(B.evaluate(c, leg_p_coords(leg)))
             for pt in pts:
-                assert F101.is_zero(B.evaluate(c, pt, F101))
+                assert F101.is_zero(B.evaluate(c, pt))
         return
     raise AssertionError("no hexapod with rational configurations found in 4 draws")
 

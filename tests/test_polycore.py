@@ -9,7 +9,7 @@ import pytest
 from podforge.fields import GF, QQ, FieldError, field_from_descriptor
 from podforge.rings import DEGREVLEX, ParseError, RingContext, RingMap, minors
 from podforge.linalg import det, matrix_kernel, rank
-from podforge.models import EULER_NAMES, X_NAMES, ring_euler, ring_X
+from podforge.models import ring_euler, ring_X
 from podforge.constructions import draw_seed, rho_quadric_matrix
 from podforge.models import euler_rho
 
