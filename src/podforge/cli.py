@@ -315,6 +315,7 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         raise InputError(f"{args.bundle} has no {exc} key") from None
     field = bundle.seed.field
+    given = bundle.certification
     if args.mode == "exact":
         if field is QQ:
             print("exact verification runs over a finite field bundle", file=sys.stderr)
@@ -327,7 +328,7 @@ def cmd_verify(args) -> int:
         configs = [(c.coords, field) for c in bundle.seed.config_points(count)]
         report = verify.check_pod(
             configs, [(pt, field) for pt in legs], mode="exact",
-            pod_id=f"seed{bundle.seed.rng_seed}", certification=bundle.certification,
+            pod_id=f"seed{bundle.seed.rng_seed}", certification=given,
         )
         # the seed's configurations must lie on the bundle's configuration
         # ideal and span, or the bundle's ideals are not the seed's
@@ -339,20 +340,7 @@ def cmd_verify(args) -> int:
             j for j, pt in enumerate(legs)
             if not bundle.leg_ideal_sym.contains_point(push(pt, Y_NAMES, YINV_NAMES, pi_name, field))
         ]
-        # and the certification it prints must be recomputed from the bundle:
-        # a key that is missing, extra or different (as JSON) fails it
-        given = bundle.certification
-        recomputed = {
-            "i_lin_dim": linalg.rank([list(v) for v in bundle.config_span_forms], field),
-            "f_smooth": bundle.seed.f_smooth,
-            "leg_sym": hilbert_data(bundle.leg_ideal_sym).triple(),
-            "leg_full": leg_full.triple(),
-        }
-        report.certification_mismatch = sorted(
-            key for key in recomputed.keys() | given.keys()
-            if key not in given or key not in recomputed
-            or json.dumps(given[key]) != json.dumps(recomputed[key])
-        )
+        full_triple = leg_full.triple()
     else:
         if field is not QQ:
             print("float verification runs over a rational bundle", file=sys.stderr)
@@ -361,8 +349,22 @@ def cmd_verify(args) -> int:
         legs = verify.real_legs(bundle, max(5, args.samples // 5), random.Random(args.seed))
         report = verify.check_pod(
             cfgs, legs, mode="float", tol=args.tol, pod_id=f"seed{bundle.seed.rng_seed}",
-            certification=bundle.certification,
+            certification=given,
         )
+        full_triple = given.get("leg_full")  # echoed: its basis over Q takes seconds
+    # the certification it prints must be recomputed from the bundle: a key
+    # that is missing, extra or different (as JSON) fails it
+    recomputed = {
+        "i_lin_dim": linalg.rank([list(v) for v in bundle.config_span_forms], field),
+        "f_smooth": bundle.seed.f_smooth,
+        "leg_sym": hilbert_data(bundle.leg_ideal_sym).triple(),
+        "leg_full": full_triple,
+    }
+    report.certification_mismatch = sorted(
+        key for key in recomputed.keys() | given.keys()
+        if key not in given or key not in recomputed
+        or json.dumps(given[key]) != json.dumps(recomputed[key])
+    )
     _write_json(args.out, report.to_json())
     _print_report(report)
     return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
@@ -378,10 +380,10 @@ def _print_report(report):
             print(f"  configurations off config_ideal or config_span_forms: {report.configs_off_bundle}")
         if report.legs_off_bundle:
             print(f"  legs off leg_ideal_sym: {report.legs_off_bundle}")
-        if report.certification_mismatch:
-            print(f"  certification differs from the bundle's ideals and seed: {report.certification_mismatch}")
     else:
         print(f"  max |residual| = {report.max_abs:.3e} (tol {report.tol})")
+    if report.certification_mismatch:
+        print(f"  certification differs from the bundle's ideals and seed: {report.certification_mismatch}")
     print("  PASS" if report.ok else "  FAIL")
 
 

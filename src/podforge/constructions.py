@@ -13,15 +13,15 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import linalg, unipoly
+from . import linalg
 from .fields import QQ, GF
 from .groebner import (
     Ideal,
-    buchberger,
     cut_cohen_macaulay,
     hilbert_data,
     normal_form,
     reduce_by_basis,
+    ring_numerator,
     saturate,
 )
 from .models import (
@@ -275,17 +275,12 @@ def rho_preimage(rho: RingMap, F: Polynomial, kernel: LinearSubspace) -> Ideal:
     for q in equations:
         if not reduce_by_basis(rho(q), [F] if F else []).is_zero():
             raise CertificationError(f"preimage of (F) misses X: the lift maps {q} outside (F)")
-    gens = equations + kernel.linear_forms(rx)
-    bound = list(PREIMAGE_NUMERATOR)
-    for _ in range(rx.n - 2):
-        bound = unipoly.mul(bound, [1, -1])
+    bound = ring_numerator(rx, PREIMAGE_NUMERATOR, 1)
     try:
-        gb = buchberger(gens, hilbert=bound)
+        out = Ideal(rx, equations + kernel.linear_forms(rx), hilbert=bound).reduced()
     except ValueError as exc:
         raise CertificationError(f"preimage of (F) below its Hilbert series: {exc}") from None
-    out = Ideal(rx, gb)
-    out.seed_groebner_cache(gb)
-    hd = hilbert_data(out)
+    hd = hilbert_data(out)  # read from the numerator the run left with its basis
     if (hd.dimension, hd.numerator) != (1, PREIMAGE_NUMERATOR):
         raise CertificationError(
             f"preimage of (F) has Hilbert numerator {list(hd.numerator)} "
@@ -323,11 +318,7 @@ def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
         raise CertificationError(
             "the leg P^10 is not the symmetrization preimage of the dual P^4"
         )
-    ryi = ring_Y_inv(field)
-    gb = cut_cohen_macaulay(ideal_Y_inv(field), cutting.linear_forms(ryi)).groebner_basis()
-    out = Ideal(ryi, gb)
-    out.seed_groebner_cache(gb)
-    return out
+    return cut_cohen_macaulay(ideal_Y_inv(field), cutting.linear_forms(ring_Y_inv(field))).reduced()
 
 
 def create_infinity_pod(

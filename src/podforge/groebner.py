@@ -2,18 +2,22 @@
 
 Buchberger with the Gebauer-Moeller pair criteria, run degree by degree:
 S-pairs are taken lowest weighted degree first and, within a degree, largest
-lcm first, and each input generator is reduced at its own degree.  Given a
+lcm first, and each input generator is reduced at its own degree.  The pair
+update for a new element is batched: one `RingContext.lcms_with` call gives
+its lcm with every lead, which serves both criterion B and the new pairs, and
+`RingContext.minimal_monomials` keeps the minimal new lcms (M/F).  Given a
 lower bound on the Hilbert series of the ideal (which does not depend on the
 monomial order), the run skips the rest of a degree once the lead ideal's
 Hilbert function matches the bound there, and stops once the two series agree
-(Traverso 1996, Hilbert functions and the Buchberger algorithm).  Elimination supplies the exact series for free, and
-`Ideal + [f]` supplies (1 - t^deg f) times the parent's series, a bound for
-every slice.  `cut_cohen_macaulay` runs a cut of a Cohen-Macaulay ring on the
-series a regular sequence would give and keeps the result only if it reaches
-that series.  `saturate` computes I : x^infinity for the last degrevlex
-variable x in one run that divides each new basis element by its largest
-power of x (Bayer's lemma, Bayer-Stillman 1987), so the basis of I itself is
-never finished.
+(Traverso 1996, Hilbert functions and the Buchberger algorithm).  Elimination
+supplies the exact series for free, `Ideal + [f]` supplies (1 - t^deg f) times
+the parent's series, a bound for every slice, and a model ideal may carry a
+proven bound of its own (`models.ideal_Y`).  `cut_cohen_macaulay` runs a cut
+of a Cohen-Macaulay ring on the series a regular sequence would give and
+keeps the result only if it reaches that series.  `saturate` computes
+I : x^infinity for the last degrevlex variable x in one run that divides each
+new basis element by its largest power of x (Bayer's lemma, Bayer-Stillman
+1987), so the basis of I itself is never finished.
 
 All reduction goes through one heap-driven kernel, `_reduce`, whose loop
 serves both fields (only the reduction mod p and the reducer's factor depend
@@ -28,7 +32,12 @@ unique for a fixed order, so output is bit-reproducible regardless of internal
 scheduling.
 
 Hilbert series numerators are `unipoly` coefficient lists of ints (the unit
-ideal's is [], stored as (0,) in HilbertData).
+ideal's is [], stored as (0,) in HilbertData), computed on packed lead
+monomials by Bigatti's pivot recursion.  A lead set's numerator is computed
+at most once and kept with the basis it describes: a run given a series ends
+with the numerator of its final leads, which the minimal basis does not
+change, so the CM cut's check, `hilbert_data` and the series of a slice read
+it instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import inf
-from operator import le
 
 from . import unipoly
 from .fields import QQ, FieldError
@@ -50,13 +58,28 @@ class BudgetExceeded(RuntimeError):
     """Raised when a Groebner run exceeds its step budget."""
 
 
+class GroebnerBasis(tuple):
+    """A reduced Groebner basis: monic Polynomials sorted by increasing
+    leading monomial.  `numerator` is the Hilbert numerator over
+    prod(1 - t^w) of its lead ideal once known: left by a run given a series,
+    else computed on first use (`_basis_numerator`), so at most once per
+    basis."""
+
+    numerator = None
+
+
 class Ideal:
     """A homogeneous ideal with its reduced Groebner basis in the ring's order
-    cached in `_gb`, keyed by that order."""
+    cached in `_gb`, keyed by that order; an ideal generated by that basis
+    shares it, numerator included (`reduced`).
+
+    `hilbert`, when given, is the numerator over prod(1 - t^w) of a lower
+    bound on the ideal's Hilbert series; it drives the ideal's Groebner run
+    (see `_gb_engine`)."""
 
     __slots__ = ("ring", "generators", "_gb", "_hilbert", "_bound")
 
-    def __init__(self, ring: RingContext, generators):
+    def __init__(self, ring: RingContext, generators, hilbert=None):
         gens = []
         for g in generators:
             if g.ring != ring:
@@ -70,7 +93,7 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb = {}
         self._hilbert = None
-        self._bound = None  # a lower bound on the Hilbert series, see __add__
+        self._bound = hilbert
 
     def groebner_basis(self):
         """The reduced basis in the ring's order."""
@@ -82,7 +105,16 @@ class Ideal:
         return gb
 
     def seed_groebner_cache(self, gb):
-        self._gb[self.ring.order] = tuple(gb)
+        """Cache gb as the reduced basis in the ring's order."""
+        self._gb[self.ring.order] = gb if isinstance(gb, GroebnerBasis) else GroebnerBasis(gb)
+
+    def reduced(self) -> "Ideal":
+        """The same ideal with its reduced basis in the ring's order as
+        generators, and that basis (with its numerator) cached."""
+        gb = self.groebner_basis()
+        out = Ideal(self.ring, gb)
+        out.seed_groebner_cache(gb)
+        return out
 
     def __add__(self, other):
         """The sum ideal.  When it adds exactly one form f of degree e and this
@@ -101,7 +133,7 @@ class Ideal:
         if len(added) == 1:
             num = _known_numerator(self)
             if num is not None:
-                out._bound = unipoly.mul(num, _one_minus_t_power(added[0].homogeneous_degree()))
+                out._bound = _times_one_minus_t_power(num, added[0].homogeneous_degree())
         return out
 
     def contains_point(self, coords) -> bool:
@@ -213,7 +245,14 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     is too large raises ValueError when the lead ideal passes it in some
     degree (an input generator included) or when an input generator is
     outside the basis it proves finished; so a returned basis always
-    generates I.
+    generates I.  The lead numerator is computed once per lead set, at the
+    start of each degree with new leads.
+
+    Each new element updates the pairs in one batch: the lcms of its lead
+    with every lead (`RingContext.lcms_with`) decide criterion B for the old
+    pairs and give the candidate new pairs, of which the minimal lcms are
+    kept (`RingContext.minimal_monomials`, the M/F criterion) and then those
+    whose lcm is not the product of the two leads (coprime leads).
 
     Degrees are taken lowest first and, within a degree, S-pairs largest lcm
     first (Gebauer-Moeller 1988; Giovini et al. 1991 on selection
@@ -226,8 +265,9 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     against 858 smallest lcm first.  The reduced basis is unique, so the
     order changes the work, never the result.
 
-    Returns a list of term dicts, monic, sorted by increasing leading
-    monomial; deterministic.
+    Returns (a list of term dicts, monic, sorted by increasing leading
+    monomial; deterministic, the Hilbert numerator of their lead ideal when
+    `hilbert` was given, else None).
     """
     key = ring.sort_key
     field = ring.field
@@ -281,41 +321,29 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     seeds.sort(key=lambda s: s[:2], reverse=True)  # popped from the end
     pairs = []  # heap of (lcm degree, -lcm key, i, j, lcm)
 
+    divides = ring.monomial_divides
+
     def gm_update(t):
-        """Gebauer-Moeller pair update for the new element with index t."""
+        """Gebauer-Moeller pair update for the new element with index t: one
+        batch of lcms serves criterion B and the new pairs."""
         lt = leads[t]
-        lcm = ring.monomial_lcm
-        # prune old pairs (criterion B)
-        survivors = []
-        for entry in pairs:
-            _, _, i, j, lij = entry
-            if i == t or j == t:
-                survivors.append(entry)
-                continue
-            if (
-                ring.monomial_divides(lt, lij)
-                and lcm(leads[i], lt) != lij
-                and lcm(leads[j], lt) != lij
-            ):
-                continue
-            survivors.append(entry)
-        # candidate new pairs, pruned by M/F, then the coprime criterion
-        cands = {}
+        lcms = ring.lcms_with(leads, lt)
+        # criterion B: drop an old pair (i, j) whose lcm lt divides, unless
+        # lt's lcm with leads[i] or leads[j] is that lcm
+        survivors = [
+            e for e in pairs
+            if not (lcms[e[2]] != e[4] != lcms[e[3]] and divides(lt, e[4]))
+        ]
+        # new pairs: per lcm the one with the smallest i, only for the lcms
+        # no other candidate's lcm divides (M/F), and not when that i's lead is
+        # coprime to lt (their lcm is then their product)
+        first = {}
         for i in range(t):
-            lij = lcm(leads[i], lt)
-            cands.setdefault(lij, []).append(i)
-        kept = []
-        lijs = list(cands)
-        for lij in lijs:
-            for other in lijs:
-                if other != lij and ring.monomial_divides(other, lij):
-                    break
-            else:
-                kept.append((lij, min(cands[lij])))
-        for lij, i in kept:
-            if ring.monomials_coprime(leads[i], lt):
-                continue
-            survivors.append((ring.wdeg(lij), -key(lij), i, t, lij))
+            first.setdefault(lcms[i], i)
+        for lij in ring.minimal_monomials(first):
+            i = first[lij]
+            if lij != leads[i] + lt:
+                survivors.append((ring.wdeg(lij), -key(lij), i, t, lij))
         pairs[:] = survivors
         heapify(pairs)
 
@@ -336,6 +364,13 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
                 s.pop(mm, None)
         return s
 
+    # A new element's lead is reduced, so all its pairs lie above its degree
+    # and criterion B for it keeps every pair of its degree: the pair updates
+    # of a degree wait until the degree is done, and are skipped when a
+    # series shows the basis finished.  A saturating run divides leads down
+    # to lower degrees, so it updates at once.
+    pending = []
+
     def add(terms):
         """Reduce and insert; return the number of new basis elements (0 or 1)."""
         red = full_reduce(terms)
@@ -344,14 +379,18 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
         if saturating:
             k = min(m // h for m in red)
             red = {m - k * h: c for m, c in red.items()}
-        gm_update(insert(red))
+            gm_update(insert(red))
+        else:
+            pending.append(insert(red))
         return 1
 
     def wrong_series(why):
         return ValueError(f"the given Hilbert series is wrong: {why}")
 
     steps = 0
-    num, num_size = None, -1  # lead ideal numerator, and the basis size it is for
+    # lead ideal numerator, and the basis size it is for: computed once per
+    # lead set, and on exit always the one of the final leads
+    num, num_size = ([1], 0) if hilbert is not None else (None, -1)
     while True:
         if hilbert is not None and num_size != len(leads):
             num, num_size = _lead_numerator(ring, leads), len(leads)
@@ -361,6 +400,9 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
             if any(full_reduce(s[2]) for s in seeds):
                 raise wrong_series("an input generator is outside the finished basis")
             break
+        for t in pending:
+            gm_update(t)
+        pending.clear()
         if not seeds and not pairs:
             break
         d = min(s[0] for s in seeds[-1:] + pairs[:1])
@@ -390,30 +432,29 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
                 )
             missing -= add(s_polynomial_terms(i, j, lij))
 
-    # minimal basis: drop elements whose lead is divisible by another lead
-    order_idx = sorted(range(len(leads)), key=lambda i: key(leads[i]))
-    minimal = []
-    for i in order_idx:
-        if any(ring.monomial_divides(leads[k], leads[i]) for k in minimal if k != i):
-            continue
-        minimal.append(i)
+    # minimal basis: the elements whose lead no other lead divides (the
+    # leads are distinct), in increasing lead order
+    index = {m: i for i, m in enumerate(leads)}
+    minimal = sorted(ring.minimal_monomials(leads), key=key)
 
     # reduced basis: each minimal lead plus the normal form of its tail, made
     # monic.  The normal form modulo a Groebner basis is unique, so the whole
     # basis of the run and its warm reducer cache give the reduced tails.
     final = []
-    for i in minimal:
+    for lm in minimal:
+        i = index[lm]
         tail = full_reduce(dict(tails[i]))
         inv = field.inv(lcoeffs[i])
-        out = {leads[i]: field.one}
+        out = {lm: field.one}
         out.update((m, c * inv) for m, c in tail.items())
         final.append(out)
-    return final
+    return final, num
 
 
 def buchberger(ideal_or_polys, max_steps=None, hilbert=None):
-    """Reduced Groebner basis, in the ring's order, as a tuple of monic
-    Polynomials sorted by increasing leading monomial.  A list of polynomials
+    """Reduced Groebner basis, in the ring's order, as a GroebnerBasis (a
+    tuple of monic Polynomials sorted by increasing leading monomial; given a
+    series, with the numerator of its lead ideal).  A list of polynomials
     is read as the Ideal they generate in the ring of the first.  `hilbert` is
     the numerator over prod(1 - t^w) of a lower bound on the ideal's Hilbert
     series (see `_gb_engine`); the exact series is the best bound.  A bound
@@ -425,10 +466,12 @@ def buchberger(ideal_or_polys, max_steps=None, hilbert=None):
             raise ValueError("cannot infer ring from an empty generator list")
         ideal = Ideal(gens[0].ring, gens)
     if not ideal.generators:
-        return ()
+        return GroebnerBasis()
     ring = ideal.ring
-    dicts = _gb_engine(list(ideal.generators), ring, max_steps=max_steps, hilbert=hilbert)
-    return tuple(Polynomial(ring, d) for d in dicts)
+    dicts, num = _gb_engine(list(ideal.generators), ring, max_steps=max_steps, hilbert=hilbert)
+    gb = GroebnerBasis(Polynomial(ring, d) for d in dicts)
+    gb.numerator = num
+    return gb
 
 
 def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
@@ -540,7 +583,7 @@ def saturate(ideal: Ideal, var) -> Ideal:
     ring = ideal.ring
     if ring.order != DEGREVLEX or ring.names[-1] != var:
         raise ValueError(f"saturate needs {var!r} as the last variable of a degrevlex ring")
-    gb = tuple(Polynomial(ring, d) for d in _gb_engine(ideal.generators, ring, saturating=True))
+    gb = tuple(Polynomial(ring, d) for d in _gb_engine(ideal.generators, ring, saturating=True)[0])
     out = Ideal(ring, gb)
     out.seed_groebner_cache(gb)
     return out
@@ -557,17 +600,18 @@ def cut_cohen_macaulay(ideal: Ideal, forms) -> Ideal:
     part of a system of parameters, on a Cohen-Macaulay ring a regular
     sequence, hence HS(R/J) = H and the basis is complete.  Otherwise
     (including a ValueError for a series that is too large) the run is
-    repeated with no series."""
-    ring = ideal.ring
+    repeated with no series.  The check reads the run's own numerator of
+    its final leads, which the result keeps with its basis."""
     out = ideal + forms
-    series = _lead_numerator(ring, [g.lead_monomial() for g in ideal.groebner_basis()])
+    series = _basis_numerator(ideal)
     for f in out.generators[len(ideal.generators):]:
-        series = unipoly.mul(series, _one_minus_t_power(f.homogeneous_degree()))
+        series = _times_one_minus_t_power(series, f.homogeneous_degree())
+    series = unipoly.trim(series)
     try:
         gb = buchberger(out, hilbert=series)
     except ValueError:
         gb = None
-    if gb is None or _lead_numerator(ring, [g.lead_monomial() for g in gb]) != unipoly.trim(series):
+    if gb is None or gb.numerator != series:
         gb = buchberger(out)
     out.seed_groebner_cache(gb)
     return out
@@ -578,82 +622,53 @@ def cut_cohen_macaulay(ideal: Ideal, forms) -> Ideal:
 # ---------------------------------------------------------------------------
 
 
-def _minimalize(gens):
-    """Minimal generators of a monomial ideal given as exponent tuples."""
-    out = []
-    for g in sorted(set(gens), key=lambda g: (sum(g), g)):
-        for h in out:
-            if all(map(le, h, g)):
-                break
-        else:
-            out.append(g)
-    return out
-
-
-def _one_minus_t_power(d):
-    return unipoly.add([1], [1], scale=-1, shift=d)
-
-
-def _hilbert_numerator(gens, weights):
-    """Numerator of the Hilbert series of R/I for a monomial ideal I, graded
-    by the variable weights: HS = N(t) / prod(1 - t^w).  gens: exponent
-    tuples.  Returned with trailing zeros trimmed."""
-    return unipoly.trim(_hilbert_numerator_rec(_minimalize(gens), weights))
-
-
-def _hilbert_numerator_rec(gens, weights):
-    """_hilbert_numerator for minimal generators."""
-
-    def deg(g):
-        return sum(w * e for w, e in zip(weights, g))
-
-    if not gens:
-        return [1]
-    if any(sum(g) == 0 for g in gens):
-        return []  # unit ideal
-    pure = []
-    mixed = []
-    for g in gens:
-        nz = [e for e in g if e]
-        (pure if len(nz) == 1 else mixed).append(g)
-    if len(mixed) <= 1:
-        num = [1]
-        for g in pure:
-            num = unipoly.mul(num, _one_minus_t_power(deg(g)))
-        if mixed:
-            m = mixed[0]
-            colon = [1]
-            for g in pure:
-                # pure powers: g / gcd(g, m) is again a pure power
-                d = deg(tuple(max(a - b, 0) for a, b in zip(g, m)))
-                colon = unipoly.mul(colon, _one_minus_t_power(d))
-            num = unipoly.add(num, colon, scale=-1, shift=deg(m))
-        return num
-    # pivot: most frequent variable among mixed generators, median exponent
-    n = len(gens[0])
-    counts = [0] * n
-    for g in mixed:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
-    j = max(range(n), key=lambda i: counts[i])
-    exps = sorted(g[j] for g in mixed if g[j])
-    e = exps[len(exps) // 2]
-    # I + <x_j^e> (minimal as built: e is below any pure power of x_j), and I : x_j^e
-    plus = [g for g in gens if g[j] < e]
-    plus.append(tuple(e if i == j else 0 for i in range(n)))
-    colon = _minimalize([g[:j] + (max(g[j] - e, 0),) + g[j + 1 :] for g in gens])
-    return unipoly.add(
-        _hilbert_numerator_rec(plus, weights),
-        _hilbert_numerator_rec(colon, weights),
-        shift=weights[j] * e,
-    )
+def _times_one_minus_t_power(num, d):
+    """num * (1 - t^d)."""
+    return unipoly.add(num, num, scale=-1, shift=d)
 
 
 def _lead_numerator(ring, leads):
     """Hilbert series numerator over prod(1 - t^w) of the monomial ideal
-    generated by packed lead monomials."""
-    return _hilbert_numerator([ring.unpack(m) for m in leads], ring.weights)
+    generated by packed monomials, trailing zeros trimmed."""
+    return unipoly.trim(_numerator(ring, ring.minimal_monomials(leads)))
+
+
+def _numerator(ring, gens):
+    """_lead_numerator for minimal generators, by the pivot recursion
+    N(I) = N(I + p) + t^deg p N(I : p) on a power p = x_j^e (Bigatti 1997),
+    down to ideals with at most one generator that is not a pure power."""
+    if not gens:
+        return [1]
+    if 0 in gens:
+        return []  # unit ideal
+    wdeg = ring.wdeg
+    pure, mixed = ring.split_pure_powers(gens)
+    if len(mixed) <= 1:
+        num = [1]
+        for g in pure:
+            num = _times_one_minus_t_power(num, wdeg(g))
+        if mixed:
+            # (pure) : m is generated by the pure powers lcm(g, m) / m
+            m = mixed[0]
+            colon = [1]
+            for q in ring.lcms_with(pure, m):
+                colon = _times_one_minus_t_power(colon, wdeg(q - m))
+            num = unipoly.add(num, colon, scale=-1, shift=wdeg(m))
+        return num
+    # pivot: the variable in most mixed generators, at its median exponent
+    # there.  I : p is generated by the lcm(g, p) / p, and p divides g iff
+    # lcm(g, p) = g; I + p is minimal as built, since p is below every pure
+    # power of x_j in I
+    exps = [ring.unpack(g) for g in mixed]
+    counts = [len(col) - col.count(0) for col in zip(*exps)]
+    j = counts.index(max(counts))
+    col = sorted(e[j] for e in exps if e[j])
+    pivot = col[len(col) // 2] * ring.units[j]
+    lcms = ring.lcms_with(gens, pivot)
+    plus = [g for g, q in zip(gens, lcms) if q != g]
+    plus.append(pivot)
+    colon = ring.minimal_monomials([q - pivot for q in lcms])
+    return unipoly.add(_numerator(ring, plus), _numerator(ring, colon), shift=wdeg(pivot))
 
 
 def _hilbert_gap(ring, num, known, d):
@@ -669,20 +684,34 @@ def _hilbert_gap(ring, num, known, d):
     return diff[d]
 
 
+def ring_numerator(ring, numerator, dimension):
+    """The Hilbert numerator over (1 - t)^n, for a weight-1 ring of n
+    variables, of the series numerator / (1 - t)^(dimension + 1) of a scheme
+    of projective dimension `dimension`."""
+    num = list(numerator)
+    for _ in range(ring.n - dimension - 1):
+        num = _times_one_minus_t_power(num, 1)
+    return unipoly.trim(num)
+
+
+def _basis_numerator(ideal: Ideal):
+    """The `numerator` of the ideal's reduced basis in the ring's order,
+    computed here when its run left none (see GroebnerBasis)."""
+    gb = ideal.groebner_basis()
+    if gb.numerator is None:
+        gb.numerator = _lead_numerator(ideal.ring, [g.lead_monomial() for g in gb])
+    return gb.numerator
+
+
 def _known_numerator(ideal: Ideal):
     """The ideal's Hilbert series numerator over prod(1 - t^w), when it is
-    known without a Groebner run: from its Hilbert data or from the lead
-    monomials of its cached basis in the ring's order.  None otherwise."""
-    ring = ideal.ring
+    known without a Groebner run: from its Hilbert data or from its cached
+    basis in the ring's order.  None otherwise."""
     hd = ideal._hilbert
     if hd is not None:
-        num = list(hd.numerator)
-        for _ in range(ring.n - hd.dimension - 1):
-            num = unipoly.mul(num, [1, -1])
-        return unipoly.trim(num)
-    gb = ideal._gb.get(ring.order)
-    if gb is not None:
-        return _lead_numerator(ring, [g.lead_monomial() for g in gb])
+        return ring_numerator(ideal.ring, hd.numerator, hd.dimension)
+    if ideal.ring.order in ideal._gb:
+        return _basis_numerator(ideal)
     return None
 
 
@@ -695,8 +724,7 @@ def hilbert_data(ideal: Ideal) -> HilbertData:
     if ideal._hilbert is not None:
         return ideal._hilbert
     n = ring.n
-    gb = ideal.groebner_basis()
-    num = _lead_numerator(ring, [g.lead_monomial() for g in gb])
+    num = _basis_numerator(ideal)
     # strip factors of (1 - t); num(1) == 0 iff divisible
     s = 0
     while num and sum(num) == 0:

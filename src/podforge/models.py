@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import QQ
-from .groebner import Ideal, eliminate
+from .groebner import Ideal, eliminate, ring_numerator
 from .rings import DEGREVLEX, Polynomial, RingContext, RingMap, minors
 
 X_NAMES = (
@@ -242,12 +242,24 @@ def ideal_Z_inv(field=QQ) -> Ideal:
     return _cached(("Zinv", field.descriptor), build)
 
 
+# HS of the Segre cone over P^3 x P^3 in the z_ij: (1 + 9t + 9t^2 + t^3) / (1 - t)^7
+SEGRE_NUMERATOR = (1, 9, 9, 1)
+
+
 def ideal_Y(field=QQ) -> Ideal:
-    """Cone over the Segre variety of P^3 x P^3: all 2x2 minors of (z_ij)."""
+    """Cone over the Segre variety of P^3 x P^3: all 2x2 minors of (z_ij).
+
+    Its Groebner run is driven by the series (1 + 9t + 9t^2 + t^3) / (1 - t)^8,
+    a lower bound on HS(R/I) over any field: the minors lie in the kernel K
+    of z_ij -> a_i b_j, l -> l, so HF(R/I) >= HF(R/K) in every degree, and
+    R/K is the span of the monomials a^u b^v l^m with |u| = |v| = k, which
+    number sum_{k <= d} C(k + 3, 3)^2 in degree d (l is free), the
+    coefficients of that series.  The minors are a Groebner basis, so the
+    run reaches the bound in degree 2 and reduces no S-pair."""
     def build():
         ring = ring_Y(field)
         z = [[ring.gen(f"z{i}{j}") for j in range(4)] for i in range(4)]
-        return Ideal(ring, minors(z, 2))
+        return Ideal(ring, minors(z, 2), hilbert=ring_numerator(ring, SEGRE_NUMERATOR, 7))
 
     return _cached(("Y", field.descriptor), build)
 

@@ -10,7 +10,9 @@ comparisons inside Buchberger loops are plain int comparisons.
 Only this module knows the byte layout.  Other modules handle monomials
 through `RingContext`: `pack`/`unpack` and `units` (one per variable), `+`/`-`
 to multiply and divide, `guard_mask` to catch an exponent above the cap,
-`first_divisor` for the lead scan, and `coerce` between rings by name.
+`first_divisor` for the lead scan, `lcms_with`, `minimal_monomials` and
+`split_pure_powers` for the pair update and the Hilbert numerator, and
+`coerce` between rings by name.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class RingContext:
 
     # -- derived helpers (cached per instance) --------------------------------
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.names)
 
@@ -125,9 +127,9 @@ class RingContext:
     def wdeg(self, m: int) -> int:
         return sum(map(mul, self.weights, m.to_bytes(self.n, "little")))
 
-    # The three tests below work on all bytes at once: with every exponent at
-    # most 127, (b | guard) - a borrows within no byte, and its bit 7 in a
-    # byte is set iff that exponent of b is at least the one of a.
+    # The tests below work on all bytes at once: with every exponent at most
+    # 127, (b | guard) - a borrows within no byte, and its bit 7 in a byte is
+    # set iff that exponent of b is at least the one of a.
 
     def monomial_divides(self, a: int, b: int) -> bool:
         """True iff monomial a divides monomial b."""
@@ -143,15 +145,32 @@ class RingContext:
                 return i
         return None
 
-    def monomial_lcm(self, a: int, b: int) -> int:
+    def lcms_with(self, monos, m: int) -> list:
+        """lcm(a, m) for each monomial a of monos, in order.  Two monomials
+        are coprime exactly when their lcm is their product a + m."""
         g = self.guard_mask
-        a_wins = ((((a | g) - b) & g) >> 7) * EXP_MASK  # 0xFF where a_i >= b_i
-        return (a & a_wins) | (b & ~a_wins)
+        # t holds a_i - m_i in the low bits of each byte where a_i >= m_i
+        return [m + (t & ((t & g) >> 7) * 0x7F) for t in [(a | g) - m for a in monos]]
 
-    def monomials_coprime(self, a: int, b: int) -> bool:
+    def minimal_monomials(self, monos) -> list:
+        """The minimal elements of a collection of monomials under
+        divisibility, each once, in increasing packed value: a divisor is
+        never the larger int, so one pass in that order finds them."""
+        out = []
+        for m in sorted(set(monos)):
+            if self.first_divisor(m, out) is None:
+                out.append(m)
+        return out
+
+    def split_pure_powers(self, monos) -> tuple:
+        """(the powers of a single variable, the rest) among nonconstant monomials."""
         g = self.guard_mask
         ones = g >> 7
-        return not (((a | g) - ones) & ((b | g) - ones) & g)
+        pure, mixed = [], []
+        for m in monos:
+            s = ((m | g) - ones) & g  # bit 7 of each byte whose exponent is nonzero
+            (mixed if s & (s - 1) else pure).append(m)
+        return pure, mixed
 
     # -- element constructors --------------------------------------------------
 

@@ -5,8 +5,11 @@ Runs the shared reproduction suite once (full mode: 20 infinity-pod seeds,
 rational real demo) and asserts each claim, printing one line per criterion.
 """
 
+import dataclasses
+
 import pytest
 
+from podforge import acceptance, constructions
 from podforge.acceptance import run_all
 
 CRITERIA = [
@@ -37,3 +40,24 @@ def results():
 def test_acceptance_criterion(results, name):
     row = results[name]
     assert row.ok, f"{name}: {row.detail}"
+
+
+@pytest.mark.parametrize(
+    "key, value", [("leg_sym", (1, 12, 9)), ("leg_full", (1, 20, 10)), ("i_lin_dim", 10)]
+)
+def test_claim6_fails_on_a_wrong_certification(monkeypatch, key, value):
+    # claim 6 reads the certification of create_infinity_pod(2, QQ): one
+    # wrong value fails it (only claim 6 runs here)
+    construct = constructions.create_infinity_pod
+
+    def falsified(*args, **kwargs):
+        bundle = construct(*args, **kwargs)
+        return dataclasses.replace(bundle, certification={**bundle.certification, key: value})
+
+    claim = acceptance._claim
+    monkeypatch.setattr(constructions, "create_infinity_pod", falsified)
+    monkeypatch.setattr(acceptance, "_claim", lambda results, name, fn: (
+        claim(results, name, fn) if name == "6 real demo over Q/float" else None))
+    (row,) = run_all(fast=True)
+    assert not row.ok
+    assert row.detail.startswith("QQ seed 2: ") and str(value) in row.detail

@@ -182,6 +182,43 @@ def test_verify_float_reads_seed(tmp_path):
     assert got != residuals(None)  # the fallback draw gives other legs
 
 
+@pytest.fixture(scope="module")
+def qq2_bundle(tmp_path_factory):
+    """The QQ infinity bundle of seed 2, as loaded JSON."""
+    path = tmp_path_factory.mktemp("bundles") / "qq2.json"
+    run_cli("construct", "infinity", "--seed", "2", "--field", "q", "--out", str(path))
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "falsify, named",
+    [
+        ({"leg_sym": [1, 12, 9]}, ["leg_sym"]),
+        ({"i_lin_dim": 10, "f_smooth": False, "leg_full": None}, ["f_smooth", "i_lin_dim", "leg_full"]),
+    ],
+    ids=["leg-sym", "span-smooth-and-missing"],
+)
+def test_verify_float_falsified_certification_fails(tmp_path, qq2_bundle, falsify, named):
+    # float mode recomputes leg_sym, i_lin_dim and f_smooth from the QQ
+    # bundle and echoes leg_full, which must still be there (None deletes)
+    bundle = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    data = json.loads(json.dumps(qq2_bundle))
+    for key, value in falsify.items():
+        if value is None:
+            del data["certification"][key]
+        else:
+            data["certification"][key] = value
+    bundle.write_text(json.dumps(data))
+    proc = run_cli("verify", str(bundle), "--mode", "float", "--out", str(report), check=False)
+    assert proc.returncode == 1
+    out = json.loads(report.read_text())
+    assert out["ok"] is False and out["certification_mismatch"] == named
+    assert all(r["ok"] for r in out["residuals"])
+    assert f"certification differs from the bundle's ideals and seed: {named}" in proc.stdout
+    assert proc.stdout.rstrip().endswith("FAIL")
+
+
 def test_verify_float_on_finite_field_bundle_usage_error(tmp_path):
     bundle = tmp_path / "b.json"
     run_cli("construct", "infinity", "--seed", "1", "--field", "fp:101", "--out", str(bundle))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from podforge import groebner, linalg
+from podforge import constructions, groebner, linalg, unipoly
 from podforge.fields import GF, QQ
 from podforge.groebner import Ideal, eliminate, hilbert_data
 from podforge.models import (
@@ -267,8 +267,6 @@ def test_sym_leg_points_recover_leg_pairs(bundle7):
 def test_missed_preimage_series_names_the_seed(monkeypatch):
     # a series the degree-1 and degree-2 generators cannot reach is an error,
     # never a basis
-    from podforge import constructions
-
     monkeypatch.setattr(constructions, "PREIMAGE_NUMERATOR", (1, 4, 4))
     with pytest.raises(CertificationError, match=r"^seed 7: preimage of \(F\)"):
         create_infinity_pod(7, F101)
@@ -402,6 +400,56 @@ def test_pentapod_saturation_reduction_count(monkeypatch):
     assert len(calls) <= 700
 
 
+def test_infinity_pod_computes_each_lead_numerator_once(monkeypatch):
+    # a lead set's Hilbert numerator is kept with the basis it describes: the
+    # cut's post-check, the certification's Hilbert data and the preimage's
+    # check read it, and no run or caller computes it again
+    keys = []
+    numerator = groebner._lead_numerator
+
+    def recording(ring, leads):
+        tuples = {ring.unpack(m) for m in leads}
+        minimal = frozenset(t for t in tuples if not any(
+            s != t and all(map(int.__le__, s, t)) for s in tuples))
+        keys.append((ring, minimal))
+        return numerator(ring, leads)
+
+    monkeypatch.setattr(groebner, "_lead_numerator", recording)
+    create_infinity_pod(3, F101)
+    assert keys and len(keys) == len(set(keys))
+
+
+def test_leg_cone_cut_reduction_count(monkeypatch):
+    # a work guard on Y's Cohen-Macaulay cut for seed 1: 42 generators, 15
+    # S-pairs and 51 tails of the final interreduction, 108 reductions in all
+    cuts = []
+    cut = groebner.cut_cohen_macaulay
+
+    def recording(ideal, forms):
+        cuts.append((ideal, list(forms)))
+        return cut(ideal, forms)
+
+    monkeypatch.setattr(constructions, "cut_cohen_macaulay", recording)
+    create_infinity_pod(1, F101)
+    ((Y, forms),) = [(i, f) for i, f in cuts if i.ring == ring_Y(F101)]
+    series = groebner._basis_numerator(Y)
+    for _ in forms:
+        series = unipoly.mul(series, [1, -1])
+    groebner.buchberger(Y + forms, hilbert=series, max_steps=15)
+    with pytest.raises(groebner.BudgetExceeded):
+        groebner.buchberger(Y + forms, hilbert=series, max_steps=14)
+    calls = []
+    reduce = groebner._reduce
+
+    def counting(*args):
+        calls.append(1)
+        return reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    assert len(cut(Y, forms).groebner_basis()) == 51
+    assert len(calls) == 108
+
+
 def _saturate_two_runs(ideal, var):
     """I : var^infinity by Bayer's two-run route: finish the degrevlex basis
     of I, divide each element by its largest power of var (var last), and
@@ -498,7 +546,6 @@ def test_conic_product_identity_configuration():
     fc = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
     from podforge.constructions import _binary_quadratic_product
     from podforge.models import ideal_X_p
-    from podforge import linalg
 
     f = [[field.of(c) for c in row] for row in fc]
     quartics = []
@@ -511,8 +558,6 @@ def test_conic_product_identity_configuration():
         lq[d] = field.mul(field.of(2), field.add(quartics[4][d], quartics[8][d]))
     quartics.append(lq)
     point_basis = [list(col) for col in zip(*quartics)]
-    from podforge.duality import LinearSubspace
-
     span = LinearSubspace(tuple(f"z{i}{j}" for i in range(3) for j in range(3)) + ("l",),
                           "points", tuple(tuple(r) for r in point_basis), field)
     forms = dual_space(span, bsc_planar10(), "right")
@@ -619,10 +664,7 @@ def test_conic_product_pair_vanishing():
 def test_hexapod_rigid_configs_pair_with_leg_curve():
     # the finitely many hexapod configurations pair to zero with every point
     # of the added leg curve
-    from podforge import linalg
-    from podforge.duality import dual_space, LinearSubspace
     from podforge.models import YP_NAMES, ideal_X_p, ring_X_p
-    from podforge.verify import solve_zero_dimensional
 
     rng = random.Random(8)
     for attempt in range(4):

@@ -48,7 +48,7 @@ def s_polynomial(f, g):
     ring = f.ring
     fld = ring.field
     lf, lg = f.lead_monomial(), g.lead_monomial()
-    lcm = ring.monomial_lcm(lf, lg)
+    lcm = ring.pack(map(max, ring.unpack(lf), ring.unpack(lg)))
     return f.mul_term(lcm - lf, fld.inv(f.lead_coeff())) - g.mul_term(
         lcm - lg, fld.inv(g.lead_coeff())
     )
@@ -89,6 +89,17 @@ def test_segre_minors_are_a_groebner_basis():
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
             assert reduce_by_basis(s_polynomial(gb[i], gb[j]), list(gb)).is_zero()
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(32003), QQ], ids=["fp101", "fp32003", "q"])
+def test_segre_series_gives_the_unbounded_basis_of_y(field):
+    # ideal_Y's run is driven by the Segre series, a lower bound over any
+    # field (see its docstring): the run reaches it in degree 2 and reduces
+    # no S-pair, and its basis is the one of a run with no series
+    Y = ideal_Y(field)
+    bounded = buchberger(Y.generators, hilbert=Y._bound, max_steps=0)
+    assert bounded == buchberger(Y.generators)
+    assert _lead_numerator(Y.ring, [g.lead_monomial() for g in bounded]) == unipoly.trim(Y._bound)
 
 
 def test_spolys_reduce_to_zero_sampled():

@@ -91,8 +91,9 @@ def test_weighted_degree():
 
 
 def test_packed_monomial_ops_match_exponentwise():
-    # unpack, wdeg, lcm, coprime and divides act on all packed bytes at once;
-    # compare them with the exponent-by-exponent definitions, the lead scan
+    # unpack, wdeg, lcms_with (coprime when the lcm is the product) and
+    # divides act on all packed bytes at once; compare them with the
+    # exponent-by-exponent definitions, the lead scan
     # first_divisor with monomial_divides, and coerce with a move by name
     ring = RingContext(tuple(f"v{i}" for i in range(7)), (1, 2, 1, 3, 1, 1, 2), DEGREVLEX, QQ)
     perm = (3, 0, 6, 2, 5, 1, 4)  # position in `shuffled` of each variable of `ring`
@@ -107,8 +108,9 @@ def test_packed_monomial_ops_match_exponentwise():
         ma, mb = ring.pack(a), ring.pack(b)
         assert ring.unpack(ma) == tuple(a)
         assert ring.wdeg(ma) == sum(w * e for w, e in zip(ring.weights, a))
-        assert ring.unpack(ring.monomial_lcm(ma, mb)) == tuple(map(max, a, b))
-        assert ring.monomials_coprime(ma, mb) == all(not (x and y) for x, y in zip(a, b))
+        (lcm,) = ring.lcms_with([ma], mb)
+        assert ring.unpack(lcm) == tuple(map(max, a, b))
+        assert (lcm == ma + mb) == all(not (x and y) for x, y in zip(a, b))
         assert ring.monomial_divides(ma, mb) == all(x <= y for x, y in zip(a, b))
         start = pick.randrange(len(leads) + 1)
         divisors = [i for i in range(start, len(leads)) if ring.monomial_divides(leads[i], mb)]

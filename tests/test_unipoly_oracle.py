@@ -17,7 +17,8 @@ from sympy.polys.galoistools import gf_pow_mod  # noqa: E402
 
 from podforge import linalg, unipoly  # noqa: E402
 from podforge.fields import GF, QQ  # noqa: E402
-from podforge.groebner import _hilbert_numerator  # noqa: E402
+from podforge.groebner import _lead_numerator  # noqa: E402
+from podforge.rings import RingContext  # noqa: E402
 
 X = sympy.Symbol("x")
 PRIMES = {"fp:101": 101, "fp:32003": 32003, "q": None}
@@ -149,31 +150,42 @@ def test_charpoly_matches_sympy(case):
 
 @st.composite
 def weighted_monomial_ideal(draw):
-    nv = draw(st.integers(1, 3))
-    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=nv, max_size=nv)))
-    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nv), max_size=5))
+    """(weights, exponent tuples): up to 5 variables, unit or drawn weights."""
+    nv = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        weights = (1,) * nv
+    else:
+        weights = tuple(draw(st.lists(st.integers(1, 3), min_size=nv, max_size=nv)))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nv), max_size=7))
     return weights, gens
 
 
 def _brute_force_numerator(weights, gens):
-    """Count the standard monomials of each weighted degree up to the degree
-    of the lcm of the generators (which bounds the numerator's degree), then
-    multiply that truncated series by prod(1 - t^w)."""
-    top = sum(w * max((g[i] for g in gens), default=0) for i, w in enumerate(weights))
-    series = [0] * (top + 1)
-    for e in product(*[range(top // w + 1) for w in weights]):
-        d = sum(w * x for w, x in zip(weights, e))
-        if d <= top and not any(all(x >= y for x, y in zip(e, g)) for g in gens):
-            series[d] += 1
-    for w in weights:
-        series = [c - (series[k - w] if k >= w else 0) for k, c in enumerate(series)]
-    return unipoly.trim(series)
+    """Count the standard monomials in the box of exponents up to the
+    generators' maxima M.  A monomial is standard iff its exponents cut at M
+    are, so a standard box point e stands for the monomials that agree with
+    it where e_i < M_i and are free above M_i elsewhere: series
+    t^deg(e) / prod_{e_i = M_i} (1 - t^w_i).  Times prod (1 - t^w), the
+    numerator is the sum of t^deg(e) prod_{e_i < M_i} (1 - t^w_i)."""
+    top = [max((g[i] for g in gens), default=0) for i in range(len(weights))]
+    num = []
+    for e in product(*[range(m + 1) for m in top]):
+        if any(all(x >= y for x, y in zip(e, g)) for g in gens):
+            continue
+        term = [0] * sum(w * x for w, x in zip(weights, e)) + [1]
+        for x, m, w in zip(e, top, weights):
+            if x < m:
+                term = unipoly.add(term, term, scale=-1, shift=w)
+        num = unipoly.add(num, term)
+    return unipoly.trim(num)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(ideal=weighted_monomial_ideal())
 def test_hilbert_numerator_matches_brute_force(ideal):
+    # the packed pivot recursion against a count over exponent tuples
     weights, gens = ideal
-    ours = _hilbert_numerator(gens, weights)
+    ring = RingContext(tuple(f"x{i}" for i in range(len(weights))), weights)
+    ours = _lead_numerator(ring, [ring.pack(g) for g in gens])
     assert all(type(c) is int for c in ours)
     assert ours == _brute_force_numerator(weights, gens)
