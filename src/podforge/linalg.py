@@ -137,7 +137,15 @@ def _dot(u, v, field):
 
 
 def mat_vec(a, v, field):
-    return [_dot(r, v, field) for r in a]
+    """a times the column vector v, skipping the zero entries of v."""
+    nonzero = [(k, x) for k, x in enumerate(v) if not field.is_zero(x)]
+    out = []
+    for r in a:
+        acc = field.zero
+        for k, x in nonzero:
+            acc = field.add(acc, field.mul(r[k], x))
+        out.append(acc)
+    return out
 
 
 def mat_inverse(rows, field):

@@ -149,16 +149,24 @@ def test_construct_then_verify_exact(tmp_path):
     )
 
 
-def test_construct_then_verify_float(tmp_path):
+@pytest.fixture(scope="module")
+def qq2_bundle(tmp_path_factory):
+    """The QQ infinity bundle of seed 2, as loaded JSON."""
+    path = tmp_path_factory.mktemp("bundles") / "qq2.json"
+    run_cli("construct", "infinity", "--seed", "2", "--field", "q", "--out", str(path))
+    return json.loads(path.read_text())
+
+
+def test_construct_then_verify_float(tmp_path, qq2_bundle):
     bundle = tmp_path / "b.json"
     report = tmp_path / "r.json"
-    run_cli("construct", "infinity", "--seed", "2", "--field", "q", "--out", str(bundle))
+    bundle.write_text(json.dumps(qq2_bundle))
     proc = run_cli("verify", str(bundle), "--mode", "float", "--out", str(report))
     assert proc.returncode == 0
     assert json.loads(report.read_text())["ok"] is True
 
 
-def test_verify_float_reads_seed(tmp_path):
+def test_verify_float_reads_seed(tmp_path, qq2_bundle):
     # float mode draws its leg slices from --seed: the report is the one of
     # real_legs(bundle, n, random.Random(seed))
     import random
@@ -168,7 +176,7 @@ def test_verify_float_reads_seed(tmp_path):
 
     bundle_path = tmp_path / "b.json"
     report = tmp_path / "r.json"
-    run_cli("construct", "infinity", "--seed", "2", "--field", "q", "--out", str(bundle_path))
+    bundle_path.write_text(json.dumps(qq2_bundle))
     run_cli("verify", str(bundle_path), "--mode", "float", "--seed", "3", "--out", str(report))
     bundle = _bundle_from_json(json.loads(bundle_path.read_text()))
     cfgs = verify.real_configurations(bundle.seed, 12)
@@ -180,14 +188,6 @@ def test_verify_float_reads_seed(tmp_path):
     got = json.loads(report.read_text())["residuals"]
     assert got == residuals(random.Random(3))
     assert got != residuals(None)  # the fallback draw gives other legs
-
-
-@pytest.fixture(scope="module")
-def qq2_bundle(tmp_path_factory):
-    """The QQ infinity bundle of seed 2, as loaded JSON."""
-    path = tmp_path_factory.mktemp("bundles") / "qq2.json"
-    run_cli("construct", "infinity", "--seed", "2", "--field", "q", "--out", str(path))
-    return json.loads(path.read_text())
 
 
 @pytest.mark.parametrize(

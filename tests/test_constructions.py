@@ -1,6 +1,7 @@
 """Pod constructions: seeds, the infinity-pod pipeline, sixth legs, hexapods,
 conic products, cubic sections, and the symmetroid pencil."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -384,20 +385,33 @@ def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
     assert tuple(field.of(v) for v in home) in pts
 
 
-def test_pentapod_saturation_reduction_count(monkeypatch):
-    # a work guard on the engine's pair selection: the home-pose pentapod's
-    # saturation makes 624 reductions with each degree's pairs taken largest
-    # lcm first, against 858 smallest first; the count repeats exactly
-    calls = []
-    reduce = groebner._reduce
+def test_pentapod_saturation_step_budget(monkeypatch):
+    # a work guard on the home-pose pentapod's saturation: the run pops 652
+    # S-pairs, largest lcm first within a degree, 651 of them in six degrees
+    # reduced as one matrix each, so it finishes in a budget of 652 steps and
+    # not in 651
+    cut = []
+    saturate = constructions.saturate
 
-    def counting(*args):
-        calls.append(1)
-        return reduce(*args)
+    def recording(ideal, var):
+        cut.append(ideal)
+        return saturate(ideal, var)
 
-    monkeypatch.setattr(groebner, "_reduce", counting)
+    monkeypatch.setattr(constructions, "saturate", recording)
     pentapod_config_ideal(_home_pose_pentapod())
-    assert len(calls) <= 700
+    ((ideal,),) = [cut]
+    batches = []
+    reduce_rows = groebner._reduce_rows
+
+    def counting(rows, *args):
+        batches.append(1)
+        return reduce_rows(rows, *args)
+
+    monkeypatch.setattr(groebner, "_reduce_rows", counting)
+    groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=652)
+    assert batches
+    with pytest.raises(groebner.BudgetExceeded):
+        groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=651)
 
 
 def test_infinity_pod_computes_each_lead_numerator_once(monkeypatch):
@@ -461,6 +475,38 @@ def _saturate_two_runs(ideal, var):
         k = min(ring.unpack(m)[-1] for m in g.terms)
         divided.append(Polynomial(ring, {m - k * unit: c for m, c in g.terms.items()}))
     return groebner.buchberger(Ideal(ring, divided))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dense_saturation_matches_the_two_run_saturation(monkeypatch, seed):
+    # the one-run saturation of dense forms, whose degrees go through the
+    # matrix kernel, against the two-run route on the heap loop alone (no
+    # batch is dense once DENSE_FILL is infinite).  The generators divisible
+    # by h and h^2 make the run divide new rows within a batch.
+    rng = random.Random(seed)
+    ring = RingContext(("x0", "x1", "x2", "x3", "h"), (1,) * 5, DEGREVLEX, F101)
+
+    def form(d):
+        exps = [e for e in itertools.product(range(d + 1), repeat=5) if sum(e) == d]
+        return ring.from_terms([(e, rng.randrange(1, 101)) for e in exps if rng.random() < 0.6])
+
+    h = ring.gen("h")
+    ideal = Ideal(ring, [form(2) * h, form(2) * h, form(3) * h * h, form(3) + form(2) * h])
+    batches = []
+    reduce_rows = groebner._reduce_rows
+
+    def recording(rows, *args):
+        rows = [r for r in rows if r]
+        batches.append(len(rows))
+        return reduce_rows(rows, *args)
+
+    monkeypatch.setattr(groebner, "_reduce_rows", recording)
+    one_run = groebner.saturate(ideal, "h").generators
+    assert max(batches) > 1
+    monkeypatch.setattr(groebner, "DENSE_FILL", float("inf"))
+    batches.clear()
+    assert one_run == _saturate_two_runs(Ideal(ring, ideal.generators), "h")
+    assert not batches
 
 
 @pytest.mark.parametrize("which", ["random-1", "home-pose"])

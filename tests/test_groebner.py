@@ -11,6 +11,7 @@ from podforge.groebner import (
     BudgetExceeded,
     Ideal,
     _lead_numerator,
+    _reduce_rows,
     buchberger,
     cut_cohen_macaulay,
     eliminate,
@@ -22,7 +23,7 @@ from podforge.groebner import (
     ideal_to_json,
 )
 from podforge.linalg import matrix_kernel, row_space_basis
-from podforge.rings import DEGREVLEX, RingContext, RingMap, elim_order
+from podforge.rings import DEGREVLEX, Polynomial, RingContext, RingMap, elim_order
 from podforge.models import (
     EULER_NAMES,
     X_NAMES,
@@ -567,3 +568,36 @@ def test_reduce_by_basis_exponent_cap_raises():
     x, y = ring.gens()
     with pytest.raises(OverflowError):
         reduce_by_basis(ring.parse("x*y^127"), [x - y])
+
+
+def _reduce_rows_against(basis, rows):
+    """`_reduce_rows` on term dicts against a monic basis, as Polynomials."""
+    ring = basis[0].ring
+    leads = [g.lead_monomial() for g in basis]
+    tails = [[(m, c) for m, c in g.terms.items() if m != lm] for g, lm in zip(basis, leads)]
+    out = _reduce_rows(rows, set().union(*rows), lambda m: ring.first_divisor(m, leads),
+                       leads, tails, ring.sort_key, ring.field.p, ring.guard_mask)
+    return [Polynomial(ring, t) for t in out]
+
+
+def test_matrix_kernel_reduces_later_rows_by_earlier_results():
+    # x^2 reduces by the basis element x^2 - y*z.  r1 becomes the pivot of its
+    # lead x*y; r2 shares that lead and reduces by r1's result to
+    # y^2 - 6*y*z - 3*z^2; r1 + r2 then reduces to zero by the two results
+    ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, GF(101))
+    r1, r2 = ring.parse("x*y + 2*x^2 + z^2"), ring.parse("3*x*y + y^2")
+    rows = [dict(r.terms) for r in (r1, r2, r1 + r2)]
+    assert _reduce_rows_against([ring.parse("x^2 - y*z")], rows) == [
+        ring.parse("x*y + 2*y*z + z^2"), ring.parse("y^2 - 6*y*z - 3*z^2"),
+    ]
+
+
+def test_matrix_kernel_exponent_cap_raises():
+    ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, GF(101))
+    basis = [ring.parse("y^2 - x*z")]
+    # a row monomial one past the packed cap: x^128
+    with pytest.raises(OverflowError):
+        _reduce_rows_against(basis, [{128 * ring.units[0]: 1}])
+    # x^127*y^2 is in range, but its reducer row x^127 * (y^2 - x*z) has x^128*z
+    with pytest.raises(OverflowError):
+        _reduce_rows_against(basis, [dict(ring.parse("x^127*y^2").terms)])

@@ -7,14 +7,16 @@ pass it before the one reduction mod p.  sympy writes GF(p) coefficients as
 symmetric residues; `_scalar` maps them into [0, p)."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from podforge import groebner  # noqa: E402
 from podforge.fields import GF, QQ  # noqa: E402
 from podforge.groebner import buchberger, reduce_by_basis  # noqa: E402
 from podforge.rings import DEGREVLEX, RingContext  # noqa: E402
@@ -90,6 +92,15 @@ forms_st = st.lists(homogeneous_form(), min_size=1, max_size=3)
 field_st = st.sampled_from(sorted(FIELDS))
 
 
+@st.composite
+def dense_quadric(draw):
+    """A quadric with at least half of the ten monomials."""
+    exps = _exponents(2)
+    mons = draw(st.lists(st.sampled_from(exps), min_size=len(exps) // 2, max_size=len(exps),
+                         unique=True))
+    return [(m, draw(coefficient)) for m in mons]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(field=field_st, forms=forms_st)
 def test_buchberger_matches_sympy(field, forms):
@@ -135,3 +146,28 @@ def test_reduce_by_basis_ignores_reducer_scaling(field, forms, f, scales):
     scaled = [g.scale(field.of(scales[i % len(scales)])) for i, g in enumerate(gb)]
     poly = ring.from_terms(f)
     assert reduce_by_basis(poly, scaled) == reduce_by_basis(poly, gb)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(field=st.sampled_from(["fp", "fp-large"]),
+       forms=st.lists(dense_quadric(), min_size=3, max_size=4))
+def test_matrix_kernel_matches_sympy(field, forms):
+    # dense quadrics over GF(p): the run reduces its degrees as matrices
+    # (`groebner._reduce_rows`), and its basis is sympy's
+    field = FIELDS[field]
+    ring = _ring(field)
+    batches = []
+    reduce_rows = groebner._reduce_rows
+
+    def recording(rows, *args):
+        batches.append(1)
+        return reduce_rows(rows, *args)
+
+    with patch.object(groebner, "_reduce_rows", recording):
+        gb = buchberger([ring.from_terms(form) for form in forms])
+    assume(batches)  # some degree went through the matrix kernel
+    theirs = sympy.groebner([_expr(form) for form in forms], *SYMS, order="grevlex",
+                            **_domain(field))
+    assert sorted(_ours(g) for g in gb) == sorted(
+        _theirs(g, field, monic=True) for g in theirs.exprs
+    )
