@@ -89,10 +89,10 @@ def run_all(fast: bool = False, seed: int = 0, tol: float = 1e-9):
         n_runs = 3 if fast else 20
         for k in range(n_runs):
             bundle = constructions.create_infinity_pod(seed + 7 * k + 1, field)
-            wrong = _certification_wrong(bundle.certification)
+            wrong = _certification_wrong(bundle)
             if wrong:
                 return False, f"run {k}: {wrong}"
-        return True, f"{n_runs} runs: span P^5, legs (1,10,6), full curve (1,20,11)"
+        return True, f"{n_runs} runs: span P^5, configuration curve (1,8,3), legs (1,10,6), full curve (1,20,11)"
 
     _claim(results, "4 infinity-pod certification", c4)
 
@@ -105,7 +105,7 @@ def run_all(fast: bool = False, seed: int = 0, tol: float = 1e-9):
 
     def c6():
         bundle = constructions.create_infinity_pod(2, QQ)
-        wrong = _certification_wrong(bundle.certification)
+        wrong = _certification_wrong(bundle)
         if wrong:
             return False, f"QQ seed 2: {wrong}"
         cfgs = verify.real_configurations(bundle.seed, 10)
@@ -134,7 +134,8 @@ def run_all(fast: bool = False, seed: int = 0, tol: float = 1e-9):
                     return False, f"base anchor misses the base curve ({val:.2e})"
         ok = report.ok and len(legs) >= 5
         return ok, (
-            f"QQ seed 2: span P^5, legs (1,10,6), full curve (1,20,11); "
+            f"QQ seed 2: span P^5, configuration curve (1,8,3), legs (1,10,6), "
+            f"full curve (1,20,11); "
             f"{len(cfgs)} half-turns, {len(legs)} legs ({n_real} with d^2 > 0), "
             f"max residual {report.max_abs:.2e} (tol {tol})"
         )
@@ -286,14 +287,20 @@ def run_all(fast: bool = False, seed: int = 0, tol: float = 1e-9):
     return results
 
 
-def _certification_wrong(cert):
-    """Why an infinity pod's certification is not the paper's, or None."""
+def _certification_wrong(bundle):
+    """Why an infinity pod's certification, or its configuration curve, is
+    not the paper's, or None.  The curve stays out of the certification
+    object, whose bytes the construct output pins."""
+    cert = bundle.certification
     if cert["i_lin_dim"] != 11:
         return f"span dim {cert['i_lin_dim']} (want 11)"
     if cert["leg_sym"] != (1, 10, 6):
         return f"symmetric leg curve {cert['leg_sym']} (want (1, 10, 6))"
     if cert["leg_full"] != (1, 20, 11):
         return f"full leg curve {cert['leg_full']} (want (1, 20, 11))"
+    config = hilbert_data(bundle.config_ideal).triple()
+    if config != (1, 8, 3):
+        return f"configuration curve {config} (want (1, 8, 3))"
     return None
 
 

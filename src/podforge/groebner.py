@@ -151,14 +151,12 @@ class Ideal:
 
 @dataclass(frozen=True)
 class HilbertData:
-    """Projective dimension, degree, Hilbert polynomial (ascending rational
-    coefficients), the arithmetic genus when the scheme is a curve, and the
-    Hilbert series numerator: HS(t) = numerator(t) / (1 - t)^(dimension + 1),
-    ascending integer coefficients."""
+    """Projective dimension, degree, the arithmetic genus when the scheme is a
+    curve, and the Hilbert series numerator: HS(t) = numerator(t) / (1 -
+    t)^(dimension + 1), ascending integer coefficients."""
 
     dimension: int
     degree: int
-    hilbert_polynomial: tuple
     arithmetic_genus: int | None = None
     numerator: tuple = ()
 
@@ -866,14 +864,13 @@ def _known_numerator(ideal: Ideal):
 
 
 def hilbert_data(ideal: Ideal) -> HilbertData:
-    """Dimension, degree, Hilbert polynomial and (for curves) arithmetic genus
-    of a homogeneous ideal in a weight-1 ring."""
+    """Dimension, degree and (for curves) arithmetic genus of a homogeneous
+    ideal in a weight-1 ring."""
     ring = ideal.ring
     if any(w != 1 for w in ring.weights):
         raise ValueError("hilbert_data requires a weight-1 ring")
     if ideal._hilbert is not None:
         return ideal._hilbert
-    n = ring.n
     num = _basis_numerator(ideal)
     # strip factors of (1 - t); num(1) == 0 iff divisible
     s = 0
@@ -882,34 +879,14 @@ def hilbert_data(ideal: Ideal) -> HilbertData:
         s += 1
     if not num:
         # unit ideal: empty projective scheme
-        data = HilbertData(-1, 0, (Fraction(0),), None, (0,))
-        ideal._hilbert = data
-        return data
-    dim_affine = n - s
-    degree = sum(num)
-    proj_dim = dim_affine - 1
-    # Hilbert polynomial: HS = num(t)/(1-t)^dim_affine,
-    # HP(t) = sum_j num_j * binom(t - j + D - 1, D - 1) with D = dim_affine
-    D = dim_affine
-    hp = [Fraction(0)] * max(D, 1)
-    if D >= 1:
-        for j, c in enumerate(num):
-            if c == 0:
-                continue
-            # binom(t - j + D - 1, D - 1) as a polynomial in t
-            term = [Fraction(1)]
-            for i in range(D - 1):
-                term = unipoly.mul(term, [Fraction(D - 1 - i - j), 1])
-            scale = Fraction(c, 1)
-            for i in range(1, D):
-                scale /= i
-            for i, v in enumerate(term):
-                hp[i] += scale * v
-    genus = None
-    if proj_dim == 1:
-        hp0 = hp[0] if hp else Fraction(0)
-        genus = int(1 - hp0)
-    data = HilbertData(proj_dim, degree, tuple(hp), genus, tuple(num))
+        data = HilbertData(-1, 0, None, (0,))
+    else:
+        proj_dim = ring.n - s - 1
+        degree = sum(num)
+        # a curve's HS = num(t) / (1 - t)^2 has HP(t) = sum_j c_j (t - j + 1)
+        # = deg * t + 1 - g, so g = 1 - deg + sum_j j * c_j
+        genus = 1 - degree + sum(j * c for j, c in enumerate(num)) if proj_dim == 1 else None
+        data = HilbertData(proj_dim, degree, genus, tuple(num))
     ideal._hilbert = data
     return data
 

@@ -3,8 +3,15 @@
 Matrices are lists of equal-length rows of field scalars.  Everything is
 deterministic: pivots are chosen first-nonzero, kernel bases follow the
 standard free-column convention, so results are reproducible bit for bit.
-The characteristic polynomial's Hessenberg recurrence runs on `unipoly`
-coefficient lists (ints mod p over GF(p), Fractions over Q).
+
+One Gauss-Jordan loop (`_gauss_jordan`) is the only elimination: `rref`,
+`rank`, `row_space_basis`, `matrix_kernel` and `mat_inverse` read its RREF,
+`det` the signed product of the pivots it divides by.  Arithmetic is plain
+`a - f * b`, the same for both fields; a value enters the field (`field.of`,
+`field.inv`) only where it is read as a pivot or a factor, or returned.  Over
+GF(p) every factor and every pivot row is reduced, so an entry grows by less
+than p^2 per pivot.  The characteristic polynomial's Hessenberg recurrence
+runs on `unipoly` coefficient lists (ints mod p over GF(p), Fractions over Q).
 """
 
 from __future__ import annotations
@@ -25,60 +32,59 @@ def _coerce_matrix(rows, field):
     return out
 
 
-def rref(rows, field):
-    """Reduced row echelon form.  Returns (rref rows, pivot column indices)."""
-    m = _coerce_matrix(rows, field)
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _gauss_jordan(m, field):
+    """Reduce the coerced matrix m in place.  Returns (RREF rows, pivot
+    column indices, signed product of the pivots)."""
+    of = field.of
     pivots = []
+    scale = field.one
     row = 0
-    for col in range(ncols):
-        if row >= len(m):
-            break
-        sel = None
-        for i in range(row, len(m)):
-            if not field.is_zero(m[i][col]):
-                sel = i
-                break
+    for col in range(len(m[0]) if m else 0):
+        sel = next((i for i in range(row, len(m)) if of(m[i][col])), None)
         if sel is None:
             continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = field.inv(m[row][col])
-        m[row] = [field.mul(c, inv) for c in m[row]]
-        for i in range(len(m)):
-            if i != row and not field.is_zero(m[i][col]):
-                f = m[i][col]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[row])]
+        if sel != row:
+            m[row], m[sel] = m[sel], m[row]
+            scale = -scale
+        piv = of(m[row][col])
+        scale = of(scale * piv)
+        inv = field.inv(piv)
+        prow = m[row] = [of(c * inv) if c else c for c in m[row]]
+        for i, r in enumerate(m):
+            if r[col] and i != row:
+                f = of(r[col])
+                m[i] = [a - f * b if b else a for a, b in zip(r, prow)]
         pivots.append(col)
         row += 1
-    return m[:row], pivots
+        if row == len(m):
+            break
+    return [[of(c) for c in r] for r in m[:row]], pivots, scale
+
+
+def rref(rows, field):
+    """Reduced row echelon form.  Returns (rref rows, pivot column indices)."""
+    red, pivots, _ = _gauss_jordan(_coerce_matrix(rows, field), field)
+    return red, pivots
 
 
 def rank(rows, field) -> int:
     return len(rref(rows, field)[1])
 
 
-def matrix_kernel(rows, field=QQ):
+def matrix_kernel(rows, field):
     """Exact basis of the right kernel of the matrix; [] if injective.
 
     Kernel vectors follow the RREF free-column convention: one basis vector
     per non-pivot column, with a 1 in that column.
     """
-    m = _coerce_matrix(rows, field)
-    if not m:
-        return []
-    ncols = len(m[0])
-    red, pivots = rref(m, field)
-    pivot_set = set(pivots)
+    red, pivots = rref(rows, field)
+    ncols = len(rows[0]) if rows else 0
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(ncols)) - set(pivots)):
         v = [field.zero] * ncols
         v[free] = field.one
         for r, pc in zip(red, pivots):
-            v[pc] = field.neg(r[free])
+            v[pc] = field.of(-r[free])
         basis.append(v)
     return basis
 
@@ -94,66 +100,33 @@ def _transpose(rows):
 
 
 def det(rows, field):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant: the signed product of the Gauss-Jordan pivots, or 0
+    below full rank."""
     m = _coerce_matrix(rows, field)
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    acc = field.one
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if not field.is_zero(m[i][col]):
-                sel = i
-                break
-        if sel is None:
-            return field.zero
-        if sel != col:
-            m[col], m[sel] = m[sel], m[col]
-            sign = -sign
-        piv = m[col][col]
-        acc = field.mul(acc, piv)
-        inv = field.inv(piv)
-        for i in range(col + 1, n):
-            if not field.is_zero(m[i][col]):
-                f = field.mul(m[i][col], inv)
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[col])]
-    if sign < 0:
-        acc = field.neg(acc)
-    return acc
+    _, pivots, scale = _gauss_jordan(m, field)
+    return scale if len(pivots) == n else field.zero
 
 
 def mat_mul(a, b, field):
     bt = _transpose(b)
-    return [[_dot(r, c, field) for c in bt] for r in a]
-
-
-def _dot(u, v, field):
-    acc = field.zero
-    for x, y in zip(u, v):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
+    return [[field.of(sum(x * y for x, y in zip(r, c))) for c in bt] for r in a]
 
 
 def mat_vec(a, v, field):
     """a times the column vector v, skipping the zero entries of v."""
     nonzero = [(k, x) for k, x in enumerate(v) if not field.is_zero(x)]
-    out = []
-    for r in a:
-        acc = field.zero
-        for k, x in nonzero:
-            acc = field.add(acc, field.mul(r[k], x))
-        out.append(acc)
-    return out
+    return [field.of(sum(r[k] * x for k, x in nonzero)) for r in a]
 
 
 def mat_inverse(rows, field):
     """Exact inverse; raises on singular input."""
-    m = _coerce_matrix(rows, field)
-    n = len(m)
-    aug = [m[i] + [field.one if j == i else field.zero for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug, field)
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("inverse of a non-square matrix")
+    red, pivots = rref([list(r) + [int(j == i) for j in range(n)] for i, r in enumerate(rows)], field)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [r[n:] for r in red]
@@ -162,6 +135,7 @@ def mat_inverse(rows, field):
 def charpoly(rows, field):
     """Characteristic polynomial det(xI - A) as a coefficient list, ascending
     powers, monic.  Hessenberg reduction followed by the standard recurrence."""
+    of = field.of
     a = _coerce_matrix(rows, field)
     n = len(a)
     if any(len(r) != n for r in a):
@@ -170,11 +144,7 @@ def charpoly(rows, field):
         return [field.one]
     # reduce to upper Hessenberg form by similarity transforms
     for col in range(n - 2):
-        piv = None
-        for i in range(col + 1, n):
-            if not field.is_zero(a[i][col]):
-                piv = i
-                break
+        piv = next((i for i in range(col + 1, n) if a[i][col]), None)
         if piv is None:
             continue
         if piv != col + 1:
@@ -183,22 +153,23 @@ def charpoly(rows, field):
                 r[col + 1], r[piv] = r[piv], r[col + 1]
         inv = field.inv(a[col + 1][col])
         for i in range(col + 2, n):
-            if not field.is_zero(a[i][col]):
-                f = field.mul(a[i][col], inv)
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[col + 1])]
+            if a[i][col]:
+                f = of(a[i][col] * inv)
+                a[i] = [of(x - f * y) for x, y in zip(a[i], a[col + 1])]
                 for r in a:
-                    r[col + 1] = field.add(r[col + 1], field.mul(f, r[i]))
-    # charpoly of Hessenberg matrix: p_0 = 1, p_k = charpoly of leading k x k block
+                    r[col + 1] = of(r[col + 1] + f * r[i])
+    # charpoly of Hessenberg matrix: p_0 = 1, p_k = charpoly of leading k x k
+    # block; unipoly reduces mod p
     p = None if field is QQ else field.p
     polys = [[field.one]]
     for k in range(1, n + 1):
         # p_k(x) = (x - a[k-1][k-1]) p_{k-1}(x) - sum_{i} a[i-1][k-1] * (prod subdiag) p_{i-1}(x)
-        pk = unipoly.mul(polys[k - 1], [field.neg(a[k - 1][k - 1]), field.one], p)
+        pk = unipoly.mul(polys[k - 1], [-a[k - 1][k - 1], field.one], p)
         prod = field.one
         for i in range(k - 1, 0, -1):
-            prod = field.mul(prod, a[i][i - 1])
-            term = field.mul(prod, a[i - 1][k - 1])
-            if not field.is_zero(term):
-                pk = unipoly.add(pk, polys[i - 1], scale=field.neg(term), p=p)
+            prod = of(prod * a[i][i - 1])
+            term = prod * a[i - 1][k - 1]
+            if term:
+                pk = unipoly.add(pk, polys[i - 1], scale=-term, p=p)
         polys.append(pk)
     return polys[n]

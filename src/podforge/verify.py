@@ -166,7 +166,7 @@ def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
             A, columns = multiplication_data(ideal, form_rng)
         except SamplingError:
             continue  # M0 is singular
-        lambdas = roots_mod_p([int(c) % p for c in linalg.charpoly(A, field)], p, rng)
+        lambdas = roots_mod_p(linalg.charpoly(A, field), p, rng)
         at = linalg._transpose(A)
         points = []
         for lam in lambdas:

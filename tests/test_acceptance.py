@@ -11,6 +11,7 @@ import pytest
 
 from podforge import acceptance, constructions
 from podforge.acceptance import run_all
+from podforge.groebner import Ideal
 
 CRITERIA = [
     "1 isometry model dim/deg",
@@ -61,3 +62,26 @@ def test_claim6_fails_on_a_wrong_certification(monkeypatch, key, value):
     (row,) = run_all(fast=True)
     assert not row.ok
     assert row.detail.startswith("QQ seed 2: ") and str(value) in row.detail
+
+
+@pytest.mark.parametrize(
+    "name, prefix",
+    [("4 infinity-pod certification", "run 0: "), ("6 real demo over Q/float", "QQ seed 2: ")],
+)
+def test_claims_4_and_6_fail_off_the_configuration_curve(monkeypatch, name, prefix):
+    # claims 4 and 6 read the configuration ideal of each bundle: a line in
+    # its place, not the curve (1, 8, 3), fails them (only that claim runs here)
+    construct = constructions.create_infinity_pod
+
+    def falsified(*args, **kwargs):
+        bundle = construct(*args, **kwargs)
+        ring = bundle.config_ideal.ring
+        return dataclasses.replace(bundle, config_ideal=Ideal(ring, ring.gens()[2:]))
+
+    claim = acceptance._claim
+    monkeypatch.setattr(constructions, "create_infinity_pod", falsified)
+    monkeypatch.setattr(acceptance, "_claim", lambda results, claim_name, fn: (
+        claim(results, claim_name, fn) if claim_name == name else None))
+    (row,) = run_all(fast=True)
+    assert not row.ok
+    assert row.detail == f"{prefix}configuration curve (1, 1, 0) (want (1, 8, 3))"

@@ -19,6 +19,7 @@ from podforge.groebner import (
     normal_form,
     reduce_by_basis,
     saturate,
+    standard_monomials,
     ideal_from_json,
     ideal_to_json,
 )
@@ -36,6 +37,7 @@ from podforge.models import (
 )
 from podforge.constructions import (
     CertificationError,
+    create_infinity_pod,
     draw_seed,
     lift_kernel,
     rho_preimage,
@@ -377,15 +379,22 @@ def test_hilbert_rejects_weighted_ring():
         hilbert_data(Ideal(ring, [e * e + p]))
 
 
+def _assert_curve_hilbert_function(ideal, triple):
+    """Oracle for a curve's Hilbert data: past the numerator's degree its
+    Hilbert function is the Hilbert polynomial deg * t + 1 - g, counted here
+    as the degree-t standard monomials."""
+    hd = hilbert_data(ideal)
+    assert hd.triple() == triple
+    _, deg, genus = triple
+    for t in range(len(hd.numerator), len(hd.numerator) + 3):
+        assert len(standard_monomials(ideal, t)) == deg * t + 1 - genus
+
+
 def test_hilbert_curve_polynomial_shape():
-    # for a curve, HP(t) = deg * t + (1 - genus)
+    # twisted cubic in P^3: degree 3, genus 0
     ring = RingContext(("x", "y", "z", "w"), (1,) * 4, DEGREVLEX, GF(101))
     x, y, z, w = ring.gens()
-    # twisted cubic in P^3: degree 3, genus 0
-    I = Ideal(ring, [x * z - y * y, y * w - z * z, x * w - y * z])
-    hd = hilbert_data(I)
-    assert hd.triple() == (1, 3, 0)
-    assert hd.hilbert_polynomial == (Fraction(1), Fraction(3))
+    _assert_curve_hilbert_function(Ideal(ring, [x * z - y * y, y * w - z * z, x * w - y * z]), (1, 3, 0))
 
 
 def test_linear_part_of_involution_model():
@@ -427,22 +436,13 @@ def test_hilbert_unit_like_ideal_is_empty_scheme():
 
 
 def test_hilbert_polynomial_identities():
-    # curve: HP(t) = deg * t + (1 - genus); general: deg = dim! * lead coeff
-    from math import factorial
-
-    from podforge.models import ideal_Y_inv
-
-    I = ideal_Y_inv(GF(101))
-    hd = hilbert_data(I)
-    lead = hd.hilbert_polynomial[-1]
-    assert lead * factorial(hd.dimension) == hd.degree
-
-    ring = RingContext(("x", "y", "z", "w"), (1,) * 4, DEGREVLEX, GF(101))
-    x, y, z, w = ring.gens()
-    curve = Ideal(ring, [x * z - y * y, y * w - z * z, x * w - y * z])
-    hc = hilbert_data(curve)
-    assert hc.hilbert_polynomial[1] == hc.degree
-    assert hc.hilbert_polynomial[0] == 1 - hc.arithmetic_genus
+    # a plane quartic has arithmetic genus 3, an infinity pod's symmetric leg
+    # curve genus 6
+    ring = RingContext(("x", "y", "z"), (1,) * 3, DEGREVLEX, QQ)
+    x, y, z = ring.gens()
+    _assert_curve_hilbert_function(Ideal(ring, [x ** 4 + y ** 4 + z ** 4 + x * y * z * z]), (1, 4, 3))
+    legs = create_infinity_pod(1, GF(101)).leg_ideal_sym
+    _assert_curve_hilbert_function(legs, (1, 10, 6))
 
 
 def test_buchberger_explicit_elimination_order():
