@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import linalg
+from . import linalg, unipoly
 from .fields import QQ, GF
 from .groebner import (
     Ideal,
@@ -54,7 +54,6 @@ from .models import (
     ring_Y_p,
     y_pinv_cubic,
     ring_Y_pinv,
-    sum_,
     symmetric_matrix,
 )
 from .duality import (
@@ -111,7 +110,7 @@ class ConstructionSeed:
         field = self.field
         # the r-slot takes U/4: with x = P/2 the relation r h = <x,x> forces
         # 4 r h = sum P_i^2 = U h + F, so r = U/4 on the curve F = 0
-        return euler_rho(*self.P, self.U.scale(field.div(field.one, field.of(4))))
+        return euler_rho(*self.P, self.U.scale(field.inv(4)))
 
     def config_points(self, count=None) -> list:
         """The first `count` GF(p) points (e1, e2, 1) of the quartic F, all of
@@ -440,21 +439,15 @@ def duporcq_sixth_leg(legs) -> Leg:
     if i0 is not None:
         # lam_{i0} times lambda
         cand = [
-            field.div(field.mul(wval(i0, j0), wval(i0, k0)), wval(j0, k0)) if m == i0 else wval(i0, m)
+            field.of(wval(i0, j0) * wval(i0, k0) * field.inv(wval(j0, k0))) if m == i0 else wval(i0, m)
             for m in range(5)
         ]
-        scale = field.div(field.mul(cand[i0], cand[j0]), wval(i0, j0))
-        if all(
-            field.is_zero(field.sub(field.mul(cand[s], cand[t]), field.mul(scale, wval(s, t))))
-            for s, t in pairs
-        ):
+        scale = cand[i0] * cand[j0] * field.inv(wval(i0, j0))
+        if all(field.is_zero(cand[s] * cand[t] - scale * wval(s, t)) for s, t in pairs):
             lam = cand
     if lam is None:
         raise DualityError("special pentapod: residual point not recoverable from products")
-    coords = [
-        sum_(field, (field.mul(lam[k], field.of(vecs[k][i])) for k in range(5)))
-        for i in range(len(YP_NAMES))
-    ]
+    coords = linalg.mat_vec(list(zip(*vecs)), lam, field)
     full = push(coords, YP_NAMES, Y_NAMES, same_name, field)
     return point_to_leg(LegPoint(tuple(full[i:i + 4] for i in range(0, 16, 4)), full[16], field))
 
@@ -518,15 +511,6 @@ class ConicProductPod:
     certification: dict
 
 
-def _binary_quadratic_product(fc, gc, field):
-    """Coefficient 5-vector of the product of two binary quadratics."""
-    out = [field.zero] * 5
-    for i, a in enumerate(fc):
-        for j, b in enumerate(gc):
-            out[i + j] = field.add(out[i + j], field.mul(a, b))
-    return out
-
-
 def conic_product_legs(f_coeffs, g_coeffs, field=QQ, rng=None) -> ConicProductPod:
     """Legs from the product of two rationally parametrized plane conics.
 
@@ -541,16 +525,14 @@ def conic_product_legs(f_coeffs, g_coeffs, field=QQ, rng=None) -> ConicProductPo
             raise DegenerateSeedError(f"degenerate conic: parametrization {tag} has rank < 3")
     rng = rng or random.Random(0)
     # ten coordinate functions: z_ij = f_i g_j (binary quartics), then l
+    # mod p the product is trimmed, so a zero top coefficient is padded back
     quartics = []
     for i in range(3):
         for j in range(3):
-            quartics.append(_binary_quadratic_product(f[i], g[j], field))
+            q = unipoly.mul(f[i], g[j], field.characteristic)
+            quartics.append(q + [field.zero] * (5 - len(q)))
     lvec = [field.of(rng.randint(-10, 10)) for _ in range(9)]
-    lq = [field.zero] * 5
-    for k in range(9):
-        for d in range(5):
-            lq[d] = field.add(lq[d], field.mul(lvec[k], quartics[k][d]))
-    quartics.append(lq)
+    quartics.append(linalg.mat_vec(list(zip(*quartics)), lvec, field))
     span_rank = linalg.rank([list(q) for q in quartics], field)
     if span_rank != 5:
         raise DegenerateSeedError(f"lift spans a P^{span_rank - 1}, expected exactly a P^4")
@@ -680,7 +662,7 @@ def symmetroid_pencil(bundle: CubicPodBundle) -> SymmetroidPencil:
     gamma = dual_space(forms, sbsc11(), "left")
 
     def sym(p):
-        return symmetric_matrix(p, lambda c: field.add(c, c), YINV_NAMES)
+        return [[field.of(c) for c in row] for row in symmetric_matrix(p, YINV_NAMES)]
 
     pts = [list(p) for p in gamma.basis]
     # normalize the first point to the printed corner matrix diag(0,1,1,1)
@@ -688,7 +670,7 @@ def symmetroid_pencil(bundle: CubicPodBundle) -> SymmetroidPencil:
     if not field.is_zero(e_mat[0][0]):
         raise CertificationError("dual of the trace form has a corner entry")
     scale = field.inv(e_mat[1][1])
-    pts[0] = [field.mul(scale, c) for c in pts[0]]
+    pts[0] = [field.of(scale * c) for c in pts[0]]
     mats = [sym(p) for p in pts]
     E, A = mats[0], mats[1:]
     expected_e = [[field.zero] * 4 for _ in range(4)]
@@ -727,13 +709,8 @@ def symmetroid_pencil(bundle: CubicPodBundle) -> SymmetroidPencil:
         nodes = tuple(solve_zero_dimensional(jac, max_points=SYMMETROID_NODE_SAMPLES))
     elif hd.dimension > 0:
         raise CertificationError("symmetroid singular locus is positive-dimensional")
-    node_pts = []
-    for nd in nodes:
-        coords = [
-            sum_(field, (field.mul(nd[k], field.of(pts[k][i])) for k in range(4)))
-            for i in range(len(YINV_NAMES))
-        ]
-        node_pts.append(tuple(coords))
+    columns = list(zip(*pts))
+    node_pts = [tuple(linalg.mat_vec(columns, nd, field)) for nd in nodes]
     return SymmetroidPencil(
         E=tuple(tuple(r) for r in E),
         A=tuple(tuple(tuple(r) for r in mat) for mat in A),

@@ -37,7 +37,6 @@ from .models import (
     YP_NAMES,
     YINV_NAMES,
     YPINV_NAMES,
-    sum_,
     symmetric_matrix,
 )
 
@@ -132,14 +131,14 @@ def push(vec, src, dst, name_map, field) -> tuple:
     under pi, or a form restricted along W.  A nonzero entry whose image is
     not in `dst` raises DualityError."""
     idx = {d: k for k, d in enumerate(dst)}
-    out = [field.zero] * len(dst)
+    out = [0] * len(dst)
     for n, c in zip(src, vec, strict=True):
         k = idx.get(name_map(n))
         if k is not None:
-            out[k] = field.add(out[k], c)
+            out[k] += c
         elif not field.is_zero(c):
             raise DualityError(f"the {n} entry {c} has no image among {dst}")
-    return tuple(out)
+    return tuple(map(field.of, out))
 
 
 def pull(vec, src, dst, name_map=same_name) -> tuple:
@@ -217,7 +216,7 @@ def leg_to_point(leg: Leg) -> LegPoint:
     f = leg.field
     at = (f.one,) + tuple(f.of(v) for v in leg.a)
     bt = (f.one,) + tuple(f.of(v) for v in leg.b)
-    z = tuple(tuple(f.mul(at[i], bt[j]) for j in range(4)) for i in range(4))
+    z = tuple(tuple(f.of(x * y) for y in bt) for x in at)
     return LegPoint(z, leg.corrected_length(), f)
 
 
@@ -231,12 +230,9 @@ def point_to_leg(pt: LegPoint) -> Leg:
     if linalg.rank(z, f) > 1:
         raise DualityError("not a leg point (rank > 1)")
     inv00 = f.inv(z[0][0])
-    a = tuple(f.mul(z[i][0], inv00) for i in (1, 2, 3))
-    b = tuple(f.mul(z[0][j], inv00) for j in (1, 2, 3))
-    l_affine = f.mul(pt.l, inv00)
-    aa = sum_(f, (f.mul(v, v) for v in a))
-    bb = sum_(f, (f.mul(v, v) for v in b))
-    return Leg(a, b, f.sub(f.add(aa, bb), l_affine), f)
+    a = tuple(f.of(z[i][0] * inv00) for i in (1, 2, 3))
+    b = tuple(f.of(z[0][j] * inv00) for j in (1, 2, 3))
+    return Leg(a, b, f.of(sum(v * v for v in a + b) - pt.l * inv00), f)
 
 
 def leg_sym_coords(leg: Leg) -> tuple:
@@ -400,8 +396,9 @@ def recover_leg_pairs(sym_coords, field=QQ) -> LegPairRecovery:
     anchors are flagged degenerate.  A negative rational discriminant means
     the pair is complex."""
     f = field
-    coords = [f.of(c) for c in sym_coords]
-    S = symmetric_matrix(coords, lambda c: f.add(c, c), YINV_NAMES)
+    of = f.of
+    coords = [of(c) for c in sym_coords]
+    S = symmetric_matrix(coords, YINV_NAMES)
     if all(f.is_zero(S[i][j]) for i in range(4) for j in range(4)):
         raise DualityError("zero matrix: the cone vertex carries no legs")
     if linalg.rank(S, f) > 2:
@@ -409,20 +406,16 @@ def recover_leg_pairs(sym_coords, field=QQ) -> LegPairRecovery:
     if f.is_zero(S[0][0]):
         raise DualityError("anchor at infinity (z00 = 0)")
     # normalize projective scale so that a~_0 = b~_0 = 1, i.e. S_00 = 2
-    scale = f.div(f.of(2), S[0][0])
-    S = [[f.mul(scale, S[i][j]) for j in range(4)] for i in range(4)]
-    l_affine = f.mul(scale, coords[YINV_NAMES.index("l")])
-    u = [S[0][j] for j in (1, 2, 3)]  # a + b
+    scale = 2 * f.inv(S[0][0])
+    S = [[of(scale * c) for c in row] for row in S]
+    l_affine = scale * coords[YINV_NAMES.index("l")]
+    u = S[0][1:]  # a + b
     # T_ij = v_i v_j with v = a - b
-    T = [
-        [f.sub(f.mul(u[i], u[j]), f.mul(f.of(2), S[i + 1][j + 1])) for j in range(3)]
-        for i in range(3)
-    ]
+    T = [[of(u[i] * u[j] - 2 * S[i + 1][j + 1]) for j in range(3)] for i in range(3)]
+    half = f.inv(2)
     if all(f.is_zero(T[i][j]) for i in range(3) for j in range(3)):
-        a = tuple(f.div(ui, f.of(2)) for ui in u)
-        aa = sum_(f, (f.mul(v, v) for v in a))
-        d2 = f.sub(f.add(aa, aa), l_affine)
-        leg = Leg(a, a, d2, f)
+        a = tuple(of(half * ui) for ui in u)
+        leg = Leg(a, a, of(2 * sum(v * v for v in a) - l_affine), f)
         return LegPairRecovery((leg, leg), degenerate=True)
     k = next(i for i in range(3) if not f.is_zero(T[i][i]))
     disc = T[k][k]
@@ -438,18 +431,16 @@ def recover_leg_pairs(sym_coords, field=QQ) -> LegPairRecovery:
             return LegPairRecovery(None, extension_disc=disc)
         if root == 0:
             raise DualityError("inconsistent rank data")
-    v = [f.div(T[k][j], root) for j in range(3)]
+    inv_root = f.inv(root)
+    v = [T[k][j] * inv_root for j in range(3)]
     # consistency: T must be exactly v v^t
     for i in range(3):
         for j in range(3):
-            if not f.is_zero(f.sub(T[i][j], f.mul(v[i], v[j]))):
+            if not f.is_zero(T[i][j] - v[i] * v[j]):
                 raise DualityError("matrix is not a leg-pair point (T not rank one)")
-    half = f.div(f.one, f.of(2))
-    a = tuple(f.mul(half, f.add(u[i], v[i])) for i in range(3))
-    b = tuple(f.mul(half, f.sub(u[i], v[i])) for i in range(3))
-    aa = sum_(f, (f.mul(c, c) for c in a))
-    bb = sum_(f, (f.mul(c, c) for c in b))
-    d2 = f.sub(f.add(aa, bb), l_affine)
+    a = tuple(of(half * (x + y)) for x, y in zip(u, v))
+    b = tuple(of(half * (x - y)) for x, y in zip(u, v))
+    d2 = of(sum(c * c for c in a + b) - l_affine)
     return LegPairRecovery((Leg(a, b, d2, f), Leg(b, a, d2, f)))
 
 
@@ -463,7 +454,7 @@ def recover_leg_pairs_float(sym_coords) -> tuple:
     import numpy as np
 
     c = [float(v) for v in sym_coords]
-    S = np.array(symmetric_matrix(c, lambda v: 2 * v, YINV_NAMES))
+    S = np.array(symmetric_matrix(c, YINV_NAMES))
     scale = max(1.0, float(np.max(np.abs(S))))
     w, V = np.linalg.eigh(S)
     idx = np.argsort(-np.abs(w))

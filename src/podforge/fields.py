@@ -1,9 +1,12 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
 Scalars are plain Python values: `fractions.Fraction` over the rationals and
-canonical int representatives in [0, p) over GF(p).  The field objects carry
-the arithmetic, sympy-domain style, so polynomial code can branch on the field
-once and keep its hot loops free of wrapper objects.
+canonical int representatives in [0, p) over GF(p).  Arithmetic is plain
+`+ - *` on those values, the same code for both fields; a field object only
+brings a value into the field (`of`), inverts it (`inv`, so a division is
+`x * field.inv(b)`), tests it (`is_zero`, which also reads an unreduced
+value), takes a square root over GF(p) (`sqrt`) and prints it (`to_str`).
+A value goes through `of` where it is stored or returned.
 """
 
 from __future__ import annotations
@@ -59,25 +62,11 @@ class Rationals:
             return Fraction(x)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
+        a = self.of(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / a
-
-    def div(self, a, b):
-        return a / Fraction(b)
 
     def is_zero(self, a):
         return a == 0
@@ -119,25 +108,11 @@ class PrimeField:
             return self.of(Fraction(x))
         raise FieldError(f"cannot coerce {x!r} into GF({p})")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
-        if a % self.p == 0:
+        a = self.of(a)
+        if a == 0:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def is_zero(self, a):
         return a % self.p == 0

@@ -106,8 +106,8 @@ class IsometryPoint:
         f = field
         mat = [[f.of(c) for c in row] for row in mat]
         y = [f.of(c) for c in y]
-        x = [f.neg(sum_(f, (f.mul(mat[j][i], y[j]) for j in range(3)))) for i in range(3)]
-        r = sum_(f, (f.mul(v, v) for v in y))
+        x = [f.of(-sum(mat[j][i] * y[j] for j in range(3))) for i in range(3)]
+        r = f.of(sum(v * v for v in y))
         coords = tuple(mat[0] + mat[1] + mat[2] + x + y + [r, f.one])
         return cls(coords, f)
 
@@ -125,10 +125,7 @@ class Leg:
     field: object = QQ
 
     def corrected_length(self):
-        f = self.field
-        aa = sum_(f, (f.mul(v, v) for v in self.a))
-        bb = sum_(f, (f.mul(v, v) for v in self.b))
-        return f.sub(f.add(aa, bb), self.d2)
+        return self.field.of(sum(v * v for v in (*self.a, *self.b)) - self.d2)
 
     def is_planar(self) -> bool:
         return self.field.is_zero(self.a[2]) and self.field.is_zero(self.b[2])
@@ -148,13 +145,6 @@ class LegPoint:
     def planar_coords(self):
         """The 10 coordinates ({z_ij}_{i,j<=2} : l) of the planar cone."""
         return tuple(self.z[i][j] for i in range(3) for j in range(3)) + (self.l,)
-
-
-def sum_(field, it):
-    acc = field.zero
-    for v in it:
-        acc = field.add(acc, v)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +264,16 @@ def ideal_Y_p(field=QQ) -> Ideal:
     return _cached(("Yp", field.descriptor), build)
 
 
-def symmetric_matrix(coords, double, names) -> list:
+def symmetric_matrix(coords, names) -> list:
     """The symmetric matrix of a vector given on `names`: 4 x 4 on YINV_NAMES,
-    3 x 3 on YPINV_NAMES (or its first six names), with S_ii = double(z_ii)
-    and S_ij = s_ij.  This is the one reader of the symmetric layout; `double`
-    doubles a point's entry, or is the identity for the coefficient matrix
-    of a form."""
+    3 x 3 on YPINV_NAMES (or its first six names), with S_ii = 2 z_ii and
+    S_ij = s_ij.  This is the one reader of the symmetric layout.  The
+    doubled diagonal is not reduced into a field: a caller that compares or
+    keeps the entries brings them in with `field.of`."""
     at = dict(zip(names, coords, strict=True))
     n = sum(1 for k in names if k[0] == "z")
     return [
-        [double(at[f"z{i}{i}"]) if i == j else at[f"s{min(i, j)}{max(i, j)}"] for j in range(n)]
+        [2 * at[f"z{i}{i}"] if i == j else at[f"s{min(i, j)}{max(i, j)}"] for j in range(n)]
         for i in range(n)
     ]
 
@@ -293,7 +283,7 @@ def ideal_Y_inv(field=QQ) -> Ideal:
     Dimension 7, degree 10 in P^10."""
     def build():
         ring = ring_Y_inv(field)
-        S = symmetric_matrix(ring.gens(), lambda g: g * 2, YINV_NAMES)
+        S = symmetric_matrix(ring.gens(), YINV_NAMES)
         return Ideal(ring, minors(S, 3))
 
     return _cached(("Yinv", field.descriptor), build)
@@ -306,9 +296,9 @@ def y_pinv_cubic(ring) -> Polynomial:
     Only the six matrix coordinates are read, so any ring naming them works
     (claim 10's elimination ring has no l)."""
     names = YPINV_NAMES[:6]
-    S = symmetric_matrix([ring.gen(n) for n in names], lambda g: g * 2, names)
+    S = symmetric_matrix([ring.gen(n) for n in names], names)
     (det,) = minors(S, 3)
-    return det.scale(ring.field.div(ring.field.one, ring.field.of(2)))
+    return det.scale(ring.field.inv(2))
 
 
 def ideal_Y_pinv(field=QQ) -> Ideal:
@@ -378,7 +368,7 @@ def euler_rho(P1: Polynomial, P2: Polynomial, P3: Polynomial, U: Polynomial) -> 
             raise ValueError("P1, P2, P3, U must be homogeneous quadratics")
     e1, e2, e3 = (ring_e.gen(n) for n in EULER_NAMES)
     sq1, sq2, sq3 = e1 * e1, e2 * e2, e3 * e3
-    half = field.div(field.one, field.of(2))
+    half = field.inv(2)
     images = {
         "m11": sq1 - sq2 - sq3,
         "m12": e1 * e2 * 2,

@@ -193,16 +193,18 @@ class RingContext:
 
     def from_terms(self, pairs) -> "Polynomial":
         """Build from (exponent tuple, coefficient) pairs; repeats accumulate."""
-        fld = self.field
+        of = self.field.of
+        p = self.field.characteristic
         terms = {}
         for exps, c in pairs:
-            c = fld.of(c)
             m = self.pack(exps)
-            acc = fld.add(terms.get(m, fld.zero), c)
-            if fld.is_zero(acc):
-                terms.pop(m, None)
+            c = terms.get(m, 0) + of(c)
+            if p:
+                c %= p
+            if c:
+                terms[m] = c
             else:
-                terms[m] = acc
+                terms.pop(m, None)
         return Polynomial(self, terms)
 
     def coerce(self, f: "Polynomial") -> "Polynomial":
@@ -361,22 +363,24 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self + self.ring.constant(other)
         self._check(other)
-        fld = self.ring.field
+        p = self.ring.field.characteristic
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
         for m, c in b.items():
-            acc = fld.add(out.get(m, fld.zero), c)
-            if fld.is_zero(acc):
-                out.pop(m, None)
+            c += out.get(m, 0)
+            if p:
+                c %= p
+            if c:
+                out[m] = c
             else:
-                out[m] = acc
+                out.pop(m, None)
         return Polynomial(self.ring, out)
 
     def __neg__(self):
-        fld = self.ring.field
-        return Polynomial(self.ring, {m: fld.neg(c) for m, c in self.terms.items()})
+        p = self.ring.field.characteristic
+        return Polynomial(self.ring, {m: -c % p if p else -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -417,11 +421,11 @@ class Polynomial:
         return (-self) + other
 
     def scale(self, c):
-        fld = self.ring.field
-        c = fld.of(c)
-        if fld.is_zero(c):
+        c = self.ring.field.of(c)
+        if not c:
             return self.ring.zero()
-        return Polynomial(self.ring, {m: fld.mul(v, c) for m, v in self.terms.items()})
+        p = self.ring.field.characteristic
+        return Polynomial(self.ring, {m: v * c % p if p else v * c for m, v in self.terms.items()})
 
     def monic(self):
         if not self.terms:
@@ -443,14 +447,14 @@ class Polynomial:
 
     def mul_term(self, m_shift: int, c):
         """Multiply by the single term c*x^m_shift."""
-        fld = self.ring.field
+        p = self.ring.field.characteristic
         guard = self.ring.guard_mask
         out = {}
         for m, v in self.terms.items():
             mm = m + m_shift
             if mm & guard:
                 raise OverflowError("monomial exponent overflow (cap 127)")
-            out[mm] = fld.mul(v, c)
+            out[mm] = v * c % p if p else v * c
         return Polynomial(self.ring, out)
 
     def __eq__(self, other):
@@ -469,17 +473,19 @@ class Polynomial:
         """Evaluate at a full vector of field scalars."""
         ring = self.ring
         fld = ring.field
+        p = fld.characteristic
         if len(values) != ring.n:
             raise ValueError("need one value per variable")
         vals = [fld.of(v) for v in values]
-        total = fld.zero
+        total = 0
         for m, c in self.terms.items():
-            t = c
             for v, e in zip(vals, m.to_bytes(ring.n, "little")):
-                for _ in range(e):
-                    t = fld.mul(t, v)
-            total = fld.add(total, t)
-        return total
+                if e:
+                    c *= v ** e
+            total += c
+            if p:
+                total %= p
+        return fld.of(total)
 
     def evaluate_float(self, values) -> float:
         n = self.ring.n
@@ -494,16 +500,18 @@ class Polynomial:
 
     def derivative(self, var) -> "Polynomial":
         ring = self.ring
-        fld = ring.field
+        p = ring.field.characteristic
         i = var if isinstance(var, int) else ring.var_index[var]
         shift = EXP_BITS * i
         out = {}
         for m, c in self.terms.items():
             e = (m >> shift) & EXP_MASK
             if e:
-                c2 = fld.mul(c, fld.of(e))
-                if not fld.is_zero(c2):
-                    out[m - (1 << shift)] = c2
+                c *= e
+                if p:
+                    c %= p
+                if c:
+                    out[m - (1 << shift)] = c
         return Polynomial(ring, out)
 
     def __str__(self):

@@ -170,7 +170,7 @@ def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
         at = linalg._transpose(A)
         points = []
         for lam in lambdas:
-            shifted = [[field.sub(x, lam) if i == j else x for j, x in enumerate(row)]
+            shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
                        for i, row in enumerate(at)]
             kernel = linalg.matrix_kernel(shifted, field)
             if len(kernel) > 1:
@@ -181,7 +181,7 @@ def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
                 if all(field.is_zero(c) for c in pt) or not ideal.contains_point(pt):
                     continue
                 lead = field.inv(next(c for c in pt if not field.is_zero(c)))
-                norm = tuple(field.mul(lead, c) for c in pt)
+                norm = tuple(field.of(lead * c) for c in pt)
                 if norm not in points:
                     points.append(norm)
                     if max_points is not None and len(points) >= max_points:
@@ -416,12 +416,12 @@ def substitute_e2(F: Polynomial, e2):
     """F(e1, e2, 1) for a ternary form F in (e1, e2, e3) as ascending
     coefficients in e1, field scalars of F's field, trimmed ([] when F
     vanishes on the line)."""
-    f = F.ring.field
     coeffs = {}
     for m, c in F.terms.items():
         d1, d2, _ = F.ring.unpack(m)
-        coeffs[d1] = f.add(coeffs.get(d1, f.zero), f.mul(c, f.of(e2 ** d2)))
-    return unipoly.trim([coeffs.get(i, f.zero) for i in range(max(coeffs, default=-1) + 1)])
+        coeffs[d1] = coeffs.get(d1, 0) + c * e2 ** d2
+    of = F.ring.field.of
+    return unipoly.trim([of(coeffs.get(i, 0)) for i in range(max(coeffs, default=-1) + 1)])
 
 
 def _config_from_euler(rho, e_values):

@@ -246,7 +246,7 @@ def test_symmetric_cut_mismatch_raises(bundle7):
     for name in ("z01", "l"):
         bad = [list(v) for v in cutting]
         k = Y_NAMES.index(name)
-        bad[0][k] = field.add(bad[0][k], field.one)
+        bad[0][k] = field.of(bad[0][k] + 1)
         with pytest.raises(CertificationError, match="symmetrization preimage"):
             _symmetric_leg_ideal(bundle7.config_span_forms, bad, field)
 
@@ -566,6 +566,11 @@ def test_hexapod_nonplanar_rejected():
 # -- conic products ----------------------------------------------------------------
 
 
+def _conic_leg_point(pod, s, t):
+    """The planar leg point of a GF(101) conic-product pod at (s : t)."""
+    return [F101.of(sum(c * s ** (4 - d) * t ** d for d, c in enumerate(q))) for q in pod.parametrization]
+
+
 def test_conic_product_pod():
     rng = random.Random(5)
     fc = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
@@ -575,13 +580,7 @@ def test_conic_product_pod():
     assert pod.certification["config"][0] == 1
     # parametrized points lie on the leg ideal: evaluate at several (s, t)
     for s, t in ((1, 0), (0, 1), (1, 1), (2, 3), (5, 7)):
-        coords = []
-        for q in pod.parametrization:
-            val = F101.zero
-            for d, c in enumerate(q):
-                val = F101.add(val, F101.mul(c, F101.of(s ** (4 - d) * t ** d)))
-            coords.append(val)
-        assert pod.leg_ideal.contains_point(coords)
+        assert pod.leg_ideal.contains_point(_conic_leg_point(pod, s, t))
 
 
 def test_conic_product_identity_configuration():
@@ -590,19 +589,16 @@ def test_conic_product_identity_configuration():
     field = F101
     rng = random.Random(9)
     fc = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-    from podforge.constructions import _binary_quadratic_product
     from podforge.models import ideal_X_p
 
     f = [[field.of(c) for c in row] for row in fc]
     quartics = []
     for i in range(3):
         for j in range(3):
-            quartics.append(_binary_quadratic_product(f[i], f[j], field))
+            q = unipoly.mul(f[i], f[j], field.p)
+            quartics.append(q + [0] * (5 - len(q)))
     # l(s,t) = 2 (z11 + z22) corresponds to zero-length legs a = b
-    lq = [field.zero] * 5
-    for d in range(5):
-        lq[d] = field.mul(field.of(2), field.add(quartics[4][d], quartics[8][d]))
-    quartics.append(lq)
+    quartics.append([field.of(2 * (a + b)) for a, b in zip(quartics[4], quartics[8])])
     point_basis = [list(col) for col in zip(*quartics)]
     span = LinearSubspace(tuple(f"z{i}{j}" for i in range(3) for j in range(3)) + ("l",),
                           "points", tuple(tuple(r) for r in point_basis), field)
@@ -692,15 +688,7 @@ def test_conic_product_pair_vanishing():
     pod = conic_product_legs(fc, gc, F101, random.Random(2))
     cfgs = sample_curve_points(pod.config_ideal, 5, random.Random(7))
     assert cfgs
-    leg_pts = []
-    for s, t in ((1, 0), (0, 1), (1, 1), (2, 3), (5, 7)):
-        coords = []
-        for q in pod.parametrization:
-            val = F101.zero
-            for d, c in enumerate(q):
-                val = F101.add(val, F101.mul(c, F101.of(s ** (4 - d) * t ** d)))
-            coords.append(val)
-        leg_pts.append(coords)
+    leg_pts = [_conic_leg_point(pod, s, t) for s, t in ((1, 0), (0, 1), (1, 1), (2, 3), (5, 7))]
     B = bsc_planar10()
     for c in cfgs:
         for pt in leg_pts:

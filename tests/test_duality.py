@@ -276,7 +276,7 @@ def test_point_to_leg_rejects_sum_of_two_legs(field):
     checked = 0
     for _ in range(20):
         p1, p2 = (leg_to_point(_rand_leg(rng)) for _ in range(2))
-        z = [[field.add(field.of(u), field.of(v)) for u, v in zip(r1, r2)]
+        z = [[field.of(u + v) for u, v in zip(r1, r2)]
              for r1, r2 in zip(p1.z, p2.z)]
         if rank(z, field) != 2:
             continue

@@ -85,7 +85,8 @@ def _theirs(expr, field, monic=False):
     """Exponent/coefficient pairs of a sympy expression in our scalars, sorted."""
     poly = sympy.Poly(expr, *SYMS, **_domain(field))
     lc = _scalar(poly.LC(order="grevlex"), field) if monic else field.one
-    return tuple(sorted((m, field.div(_scalar(c, field), lc)) for m, c in poly.terms() if c))
+    inv = field.inv(lc)
+    return tuple(sorted((m, field.of(_scalar(c, field) * inv)) for m, c in poly.terms() if c))
 
 
 forms_st = st.lists(homogeneous_form(), min_size=1, max_size=3)

@@ -225,8 +225,7 @@ def test_x_inv_samples_are_half_turns():
     for pt in pts:
         m = _rotation(pt)
         assert m[0][1] == m[1][0] and m[0][2] == m[2][0] and m[1][2] == m[2][1]
-        trace = field.add(field.add(m[0][0], m[1][1]), m[2][2])
-        assert field.is_zero(field.add(trace, pt.coords[16]))
+        assert field.is_zero(m[0][0] + m[1][1] + m[2][2] + pt.coords[16])
 
 
 def test_euler_rho_rejects_nonquadratic():

@@ -66,21 +66,60 @@ def test_homogeneous_sum_stays_homogeneous(ring_xyz):
     assert (f - g).homogeneous_degree() == 2
 
 
-def test_ring_axioms_randomized(ring_xyz):
+def test_ring_axioms_randomized():
+    # the arithmetic is plain + - * with a reduction mod p, so every stored
+    # coefficient must be canonical: a nonzero Fraction over Q, an int in
+    # [1, p) over GF(p); evaluate is checked against the input pairs
+    for field in (QQ, GF(101), GF(2**31 - 1)):
+        _check_ring_axioms(field)
+
+
+def _check_ring_axioms(field):
+    ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, field)
+    p = field.characteristic
     rng = random.Random(5)
 
-    def rand_poly():
-        return ring_xyz.from_terms(
-            ((rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)),
-             Fraction(rng.randint(-5, 5)))
-            for _ in range(4)
-        )
+    def canonical(f):
+        for c in f.terms.values():
+            assert (type(c) is int and 0 < c < p) if p else (type(c) is Fraction and c != 0)
+        return f
 
+    def rand_pairs():
+        return [((rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)),
+                 Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))))
+                for _ in range(4)]
+
+    def at(pairs, vals):  # the pairs' value, summed over Q and then brought into the field
+        return field.of(sum(c * vals[0] ** i * vals[1] ** j * vals[2] ** k for (i, j, k), c in pairs))
+
+    x = ring.gen("x")
     for _ in range(50):
-        f, g, h = rand_poly(), rand_poly(), rand_poly()
+        pairs = [rand_pairs() for _ in range(3)]
+        f, g, h = (canonical(ring.from_terms(pp)) for pp in pairs)
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
         assert f + g == g + f
+        assert (f - f).is_zero() and (f + -f).is_zero()
+        c = field.of(rng.randint(1, 100))
+        for r in (f + g, f - g, -f, f * g, f.scale(c), f.mul_term(x.lead_monomial(), c),
+                  f.derivative("y")):
+            canonical(r)
+        assert canonical(ring.from_terms(pairs[0] + pairs[1])) == f + g
+        assert f.scale(c).scale(field.inv(c)) == f
+        vals = [Fraction(rng.randint(-(p or 50), p or 50), 1 if p else rng.randint(1, 4)) for _ in range(3)]
+        assert f.evaluate(vals) == at(pairs[0], vals)
+        assert (f * g).evaluate(vals) == field.of(at(pairs[0], vals) * at(pairs[1], vals))
+        assert (f - g).evaluate(vals) == field.of(at(pairs[0], vals) - at(pairs[1], vals))
+
+
+def test_inv_takes_every_value_that_of_takes():
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert QQ.inv("2/7") == Fraction(7, 2)
+    assert GF(101).inv(Fraction(1, 2)) == 2
+    assert GF(101).inv(-1) == 100
+    for field, zero in ((QQ, 0), (QQ, Fraction(0)), (GF(101), 0), (GF(101), 101)):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)
 
 
 def test_weighted_degree():
@@ -290,10 +329,7 @@ def test_rho_linear_matrix_kernel_dim_11():
         assert len(kernel) == 11
         for v in kernel:
             for row in mat:
-                acc = field.zero
-                for c, x in zip(row, v):
-                    acc = field.add(acc, field.mul(field.of(c), x))
-                assert field.is_zero(acc)
+                assert field.is_zero(sum(field.of(c) * x for c, x in zip(row, v)))
 
 
 def test_kernel_rank_nullity():
