@@ -62,9 +62,10 @@ from .constructions import (
 from .verify import (
     PodReport,
     check_pod,
+    curve_points,
+    exact_legs,
     real_configurations,
     real_legs,
-    sample_curve_points,
 )
 
 __version__ = "0.1.0"

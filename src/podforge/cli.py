@@ -15,10 +15,10 @@ import sys
 from fractions import Fraction
 
 from .fields import QQ, field_from_descriptor
-from .groebner import hilbert_data, ideal_from_json, ideal_to_json
-from .models import MODEL_BUILDERS, X_NAMES, Y_NAMES, YINV_NAMES, Leg, ring_X, ring_Y, ring_Y_inv
+from .groebner import cut_cohen_macaulay, hilbert_data, ideal_from_json, ideal_to_json
+from .models import MODEL_BUILDERS, X_NAMES, Leg, ideal_Y, ring_X, ring_Y, ring_Y_inv
 from .rings import ParseError
-from .duality import FORMS, DualityError, LinearSubspace, dual_space, pi_name, push
+from .duality import FORMS, DualityError, LinearSubspace, dual_space
 from . import constructions, linalg, verify
 
 EXIT_OK = 0
@@ -179,6 +179,8 @@ def cmd_construct(args) -> int:
         out["certification"] = {"dim": hd.dimension, "deg": hd.degree}
         _write_json(args.out, out)
     elif args.what == "cubic":
+        if field is QQ:
+            raise InputError("construct cubic runs over a finite field: its symmetroid nodes are enumerated over GF(p)")
         bundle = constructions.cubic_line_symmetric(
             args.seed, field, bound=args.bound, retries=args.retries
         )
@@ -289,7 +291,15 @@ def _bundle_from_json(data):
         _integer("bound", data.get("bound", 10), minimum=0),
     )
     config = _bundle_ideal(data, "config_ideal", ring_X(field))
-    leg_full = _bundle_ideal(data, "leg_ideal_full", ring_Y(field))
+    # the full leg curve must have construct's shape, Y's minors in order and
+    # then linear forms; it is loaded as construct reaches it, by the
+    # Cohen-Macaulay cut of Y, whose post-check proves its basis complete
+    minors = ideal_Y(field).generators
+    gens = _bundle_ideal(data, "leg_ideal_full", ring_Y(field)).generators
+    forms = gens[len(minors):]
+    if gens[:len(minors)] != minors or any(f.homogeneous_degree() != 1 for f in forms):
+        raise InputError("leg_ideal_full must be ideal_Y's 36 minors, in order, followed by linear forms")
+    leg_full = cut_cohen_macaulay(ideal_Y(field), forms)
     leg_sym = _bundle_ideal(data, "leg_ideal_sym", ring_Y_inv(field))
     certification = data.get("certification", {})
     if not isinstance(certification, dict):
@@ -316,15 +326,16 @@ def cmd_verify(args) -> int:
         raise InputError(f"{args.bundle} has no {exc} key") from None
     field = bundle.seed.field
     given = bundle.certification
+    if (args.mode == "exact") == (field is QQ):
+        print("exact verification runs over a finite field bundle" if field is QQ
+              else "float verification runs over a rational bundle", file=sys.stderr)
+        return EXIT_USAGE
+    leg_sym = hilbert_data(bundle.leg_ideal_sym)
+    if leg_sym.dimension != 1:
+        raise InputError(f"{args.bundle}: leg_ideal_sym is not a curve")
     if args.mode == "exact":
-        if field is QQ:
-            print("exact verification runs over a finite field bundle", file=sys.stderr)
-            return EXIT_USAGE
-        leg_full = hilbert_data(bundle.leg_ideal_full)
-        if leg_full.dimension != 1:
-            raise InputError(f"{args.bundle}: leg_ideal_full is not a curve")
         count = max(5, args.samples // 5)
-        legs = verify.sample_curve_points(bundle.leg_ideal_full, count, random.Random(args.seed))
+        legs = verify.exact_legs(bundle, count, random.Random(args.seed))
         configs = [(c.coords, field) for c in bundle.seed.config_points(count)]
         report = verify.check_pod(
             configs, [(pt, field) for pt in legs], mode="exact",
@@ -335,30 +346,24 @@ def cmd_verify(args) -> int:
         span = LinearSubspace(X_NAMES, "forms", bundle.config_span_forms, field)
         on_bundle = bundle.config_ideal + span.linear_forms(bundle.config_ideal.ring)
         report.configs_off_bundle = [i for i, (c, _) in enumerate(configs) if not on_bundle.contains_point(c)]
-        # and each sampled leg, pushed along pi, on the bundle's symmetric leg curve
+        # and each sampled leg on the bundle's full leg curve
         report.legs_off_bundle = [
-            j for j, pt in enumerate(legs)
-            if not bundle.leg_ideal_sym.contains_point(push(pt, Y_NAMES, YINV_NAMES, pi_name, field))
+            j for j, pt in enumerate(legs) if not bundle.leg_ideal_full.contains_point(pt)
         ]
-        full_triple = leg_full.triple()
     else:
-        if field is not QQ:
-            print("float verification runs over a rational bundle", file=sys.stderr)
-            return EXIT_USAGE
         cfgs = verify.real_configurations(bundle.seed, max(10, args.samples // 2))
         legs = verify.real_legs(bundle, max(5, args.samples // 5), random.Random(args.seed))
         report = verify.check_pod(
             cfgs, legs, mode="float", tol=args.tol, pod_id=f"seed{bundle.seed.rng_seed}",
             certification=given,
         )
-        full_triple = given.get("leg_full")  # echoed: its basis over Q takes seconds
     # the certification it prints must be recomputed from the bundle: a key
     # that is missing, extra or different (as JSON) fails it
     recomputed = {
         "i_lin_dim": linalg.rank([list(v) for v in bundle.config_span_forms], field),
         "f_smooth": bundle.seed.f_smooth,
-        "leg_sym": hilbert_data(bundle.leg_ideal_sym).triple(),
-        "leg_full": full_triple,
+        "leg_sym": leg_sym.triple(),
+        "leg_full": hilbert_data(bundle.leg_ideal_full).triple(),
     }
     report.certification_mismatch = sorted(
         key for key in recomputed.keys() | given.keys()
@@ -372,6 +377,8 @@ def cmd_verify(args) -> int:
 
 def _print_report(report):
     print(f"pod {report.pod_id}: mode={report.mode} pairs={len(report.residuals)}")
+    if not report.residuals:
+        print("  no (configuration, leg) pair checked")
     for key, val in sorted(report.certification.items()):
         print(f"  certification {key}: {val}")
     if report.mode == "exact":
@@ -379,7 +386,7 @@ def _print_report(report):
         if report.configs_off_bundle:
             print(f"  configurations off config_ideal or config_span_forms: {report.configs_off_bundle}")
         if report.legs_off_bundle:
-            print(f"  legs off leg_ideal_sym: {report.legs_off_bundle}")
+            print(f"  legs off leg_ideal_full: {report.legs_off_bundle}")
     else:
         print(f"  max |residual| = {report.max_abs:.3e} (tol {report.tol})")
     if report.certification_mismatch:

@@ -44,6 +44,7 @@ from .models import (
     ideal_Y_p,
     ideal_Y_pinv,
     ideal_X_inv,
+    involution_linear_forms,
     rho_isometry_point,
     ring_euler,
     ring_X,
@@ -330,7 +331,9 @@ def create_infinity_pod(
 
     The configuration ideal is the involution model plus P, the preimage of
     (F) under the seed's lift map (`rho_preimage`: X cut by the lift's 11
-    kernel forms, certified by three exact checks).  Those forms span the
+    kernel forms, certified by three exact checks).  The involution forms
+    reduce to zero modulo P's basis, so that sum is P and carries P's basis
+    and numerator.  Those forms span the
     configuration forms; the compatible legs are cut out of the leg cone Y
     by the forms dual to them.  Y is determinantal, hence Cohen-Macaulay
     (Hochster-Eagon 1971), so that cut runs on the series (1 - t)^6 HS(Y)
@@ -348,7 +351,11 @@ def create_infinity_pod(
         # configuration span; its 11 forms become 11 leg points spanning a P^10
         i_lin = lift_kernel(rho).reduced()
         preimage = rho_preimage(rho, seed.F, i_lin)
+        p_basis = preimage.groebner_basis()
+        if any(reduce_by_basis(f, p_basis) for f in involution_linear_forms(rho.source)):
+            raise CertificationError("the involution forms are not in the preimage of (F)")
         config = ideal_X_inv(field) + preimage.generators
+        config.seed_groebner_cache(p_basis)
         l_lin = dual_space(i_lin, bsc17(), "left")
         cutting = l_lin.converted()
         leg_full = cut_cohen_macaulay(ideal_Y(field), cutting.linear_forms(ring_Y(field)))

@@ -7,11 +7,11 @@ builds one multiplication map A = M0^-1 M1 on its quotient.  The evaluation
 functionals of the points are the left eigenvectors of A (Auzinger-Stetter),
 and one reader, the columns M0^-1 NF(x_i * b_j), turns each eigenvector into
 its point; over GF(p) every emitted point is verified exactly against all
-generators.  Real legs come from slices of
-the symmetric leg curve over Q: exact Sturm sequences isolate the roots of
-A's characteristic polynomial before any floating refinement, so no real root
-is spurious or missed, and the same columns read the points from A's float
-left eigenvectors, each factored into its leg pair by `recover_leg_pairs_float`.  All univariate
+generators.  Legs come from slices of the symmetric leg curve, each point
+factored into its leg pair: by `recover_leg_pairs` over GF(p), and over Q
+after exact Sturm sequences isolate the roots of A's characteristic
+polynomial, so that no real root is spurious or missed, and the same columns
+read the points from A's float left eigenvectors, by `recover_leg_pairs_float`.  All univariate
 arithmetic (roots over GF(p), Sturm sequences, the Newton polish) runs on the
 coefficient lists of `unipoly`.
 """
@@ -26,7 +26,7 @@ from itertools import accumulate
 from . import linalg, unipoly
 from .fields import QQ
 from .groebner import Ideal, hilbert_data, reducer, standard_monomials
-from .duality import ComplexLegError, DualityError, bsc17, recover_leg_pairs_float
+from .duality import ComplexLegError, DualityError, bsc17, leg_to_point, recover_leg_pairs, recover_leg_pairs_float
 from .rings import Polynomial
 
 
@@ -142,7 +142,7 @@ _FORM_DRAWS = 20  # draws of the two random forms before a solve gives up
 REFINE_WIDTH = Fraction(1, 10 ** 12)  # width of the intervals refine_root returns
 NEWTON_STEPS = 6  # Newton steps of polish_float_root
 REAL_LEG_SLICES = 12  # slices real_legs draws before it gives up
-CURVE_SLICES = 25  # slices sample_curve_points draws before it gives up
+CURVE_SLICES = 25  # slices curve_points draws before it gives up
 REAL_CONFIG_GRID = 40  # real_configurations sweeps e2 over 2 * REAL_CONFIG_GRID + 1 values
 
 
@@ -194,23 +194,20 @@ def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
     )
 
 
-def sample_curve_points(ideal: Ideal, count: int, rng=None):
-    """Points on a one-dimensional scheme over GF(p): slice with random
-    hyperplanes, solve the zero-dimensional slices exactly, deduplicate.
-
-    Returns up to `count` points; fewer (with no error) only if the slice
-    budget runs out, matching the partial-list-with-warning contract.  A slice
-    is skipped when it is not zero-dimensional or when its points are not
-    separated (SamplingError); any other error propagates."""
+def curve_points(ideal: Ideal, rng=None):
+    """The GF(p) points of a one-dimensional scheme, each once, as a
+    generator: random hyperplanes slice it into zero-dimensional schemes,
+    each solved exactly.  A slice is skipped when it is not zero-dimensional
+    or when its points are not separated (SamplingError); any other error
+    propagates.  The points end after CURVE_SLICES slices."""
+    rng = rng or random.Random(1)
     ring = ideal.ring
     field = ring.field
     if field is QQ:
-        raise ValueError("sample_curve_points runs over a finite field")
-    rng = rng or random.Random(1)
+        raise ValueError("curve point sampling runs over a finite field")
     hd = hilbert_data(ideal)
     if hd.dimension != 1:
         raise ValueError(f"expected a curve, got dimension {hd.dimension}")
-    points = []
     seen = set()
     for _ in range(CURVE_SLICES):
         hyper = _random_form(ring, rng, 0, field.p - 1)
@@ -226,16 +223,27 @@ def sample_curve_points(ideal: Ideal, count: int, rng=None):
         for pt in pts:
             if pt not in seen:
                 seen.add(pt)
-                points.append(pt)
-        if len(points) >= count:
-            return points[:count]
-    if points:
-        import warnings
+                yield pt
 
-        warnings.warn(
-            f"slice budget exhausted: found {len(points)} of {count} requested points"
-        )
-    return points
+
+def exact_legs(bundle, count: int, rng):
+    """At least `count` legs of a bundle over GF(p), as points of the full leg
+    cone in (a, b), (b, a) pairs: the exact mirror of `real_legs`.
+    `recover_leg_pairs` factors each point of the symmetric leg curve
+    (`curve_points`); a point whose pair lies over GF(p^2), or that it
+    rejects (an anchor at infinity), is skipped.  SamplingError is raised
+    when the slices run out first."""
+    legs = []
+    for pt in curve_points(bundle.leg_ideal_sym, rng):
+        try:
+            pair = recover_leg_pairs(pt, bundle.seed.field).legs
+        except DualityError:
+            continue
+        if pair is not None:
+            legs += [leg_to_point(leg).coords() for leg in pair]
+            if len(legs) >= count:
+                return legs
+    raise SamplingError(f"found {len(legs)} legs after {CURVE_SLICES} slices")
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +543,13 @@ class PodReport:
     n_real_legs: int = 0
     certification: dict = dc_field(default_factory=dict)
     configs_off_bundle: list = dc_field(default_factory=list)  # off the bundle's config ideal
-    legs_off_bundle: list = dc_field(default_factory=list)  # off the bundle's leg_ideal_sym
+    legs_off_bundle: list = dc_field(default_factory=list)  # off the bundle's leg_ideal_full
     certification_mismatch: list = dc_field(default_factory=list)  # keys not recomputed as given
 
     @property
     def ok(self) -> bool:
-        if self.configs_off_bundle or self.legs_off_bundle or self.certification_mismatch:
+        """No check failed, and at least one (configuration, leg) pair was checked."""
+        if not self.residuals or self.configs_off_bundle or self.legs_off_bundle or self.certification_mismatch:
             return False
         return self.residuals_ok
 

@@ -14,14 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "podforge"
 
-# Kept on purpose although nothing in src/ or perfbench/ calls it.
-ALLOWED = {
-    # the exact half of the paper's leg recovery (leg pairs from the
-    # sphere-condition duality); tests check it against the constructions
-    "recover_leg_pairs",
-}
-
-
 def _scan():
     """(names used in src/ and perfbench/, (qualified name, name) of each
     top-level def/class and non-dunder method defined in src/)."""
@@ -52,11 +44,6 @@ def _scan():
 
 def test_every_src_definition_has_a_caller_outside_tests():
     used, defined = _scan()
-    unused = [qual for qual, name in defined if name not in used and name not in ALLOWED]
+    unused = [qual for qual, name in defined if name not in used]
     assert unused == [], f"defined in src/ but reached only from tests: {unused}"
 
-
-def test_allowlist_is_still_needed():
-    used, defined = _scan()
-    assert ALLOWED <= {name for _, name in defined}, "an allowlisted name is no longer defined"
-    assert not (ALLOWED & used), f"allowlisted names now have a caller: {ALLOWED & used}"

@@ -145,7 +145,7 @@ def test_construct_then_verify_exact(tmp_path):
     assert data["ok"] is True
     assert all(r["ok"] for r in data["residuals"])
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "08de8ad4117c4c8d62f38cb0727a4e61cdcfb14f12d6ceab093b26d6a137196f"
+        "6dcd4ce664422c5272d7b946201dc9ff6fdb2344db82584b6d1cc2857bc08613"
     )
 
 
@@ -194,13 +194,14 @@ def test_verify_float_reads_seed(tmp_path, qq2_bundle):
     "falsify, named",
     [
         ({"leg_sym": [1, 12, 9]}, ["leg_sym"]),
+        ({"leg_full": [1, 20, 12]}, ["leg_full"]),
         ({"i_lin_dim": 10, "f_smooth": False, "leg_full": None}, ["f_smooth", "i_lin_dim", "leg_full"]),
     ],
-    ids=["leg-sym", "span-smooth-and-missing"],
+    ids=["leg-sym", "leg-full", "span-smooth-and-missing"],
 )
 def test_verify_float_falsified_certification_fails(tmp_path, qq2_bundle, falsify, named):
-    # float mode recomputes leg_sym, i_lin_dim and f_smooth from the QQ
-    # bundle and echoes leg_full, which must still be there (None deletes)
+    # float mode recomputes the whole certification from the QQ bundle,
+    # leg_full through the Cohen-Macaulay cut of Y (None deletes a key)
     bundle = tmp_path / "b.json"
     report = tmp_path / "r.json"
     data = json.loads(json.dumps(qq2_bundle))
@@ -216,6 +217,20 @@ def test_verify_float_falsified_certification_fails(tmp_path, qq2_bundle, falsif
     assert out["ok"] is False and out["certification_mismatch"] == named
     assert all(r["ok"] for r in out["residuals"])
     assert f"certification differs from the bundle's ideals and seed: {named}" in proc.stdout
+    assert proc.stdout.rstrip().endswith("FAIL")
+
+
+def test_verify_float_checking_no_pair_fails(tmp_path):
+    # the quartic of QQ seed 1 has no real point on the sweep grid: a report
+    # that checks no (configuration, leg) pair fails
+    bundle = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    run_cli("construct", "infinity", "--seed", "1", "--field", "q", "--out", str(bundle))
+    proc = run_cli("verify", str(bundle), "--mode", "float", "--out", str(report), check=False)
+    assert proc.returncode == 1
+    out = json.loads(report.read_text())
+    assert out["ok"] is False and out["residuals"] == [] and "certification_mismatch" not in out
+    assert "pairs=0" in proc.stdout and "no (configuration, leg) pair checked" in proc.stdout
     assert proc.stdout.rstrip().endswith("FAIL")
 
 
@@ -304,19 +319,52 @@ def fp_bundles(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "change",
-    [{"field": "fp:103"}, {"generators": []}, {"ring": {"vars": ["l"]}, "generators": []}],
-    ids=["other-field", "no-generators", "one-variable-ring"],
+    [
+        lambda gens: {"field": "fp:103"},
+        lambda gens: {"generators": []},
+        lambda gens: {"ring": {"vars": ["l"]}, "generators": []},
+        lambda gens: {"generators": gens[1:]},
+        lambda gens: {"generators": [gens[1], gens[0]] + gens[2:]},
+    ],
+    ids=["other-field", "no-generators", "one-variable-ring", "minor-dropped", "minors-reordered"],
 )
 def test_verify_bad_leg_ideal_is_an_input_error(tmp_path, fp_bundles, change):
-    # a well-typed bundle whose leg curve is over another field, or no curve
+    # a well-typed bundle whose leg curve is over another field, or not in
+    # the shape construct writes: ideal_Y's 36 minors in order, then linear forms
     data = json.loads(json.dumps(fp_bundles[8]))
-    data["leg_ideal_full"].update(change)
+    data["leg_ideal_full"].update(change(data["leg_ideal_full"]["generators"]))
     bundle = tmp_path / "b.json"
     bundle.write_text(json.dumps(data))
     proc = run_cli("verify", str(bundle), "--mode", "exact", check=False)
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_leg_ideal_sym_not_a_curve_is_an_input_error(tmp_path, fp_bundles, qq2_bundle, mode):
+    # both modes slice the symmetric leg curve, which must be a curve
+    data = json.loads(json.dumps(qq2_bundle if mode == "float" else fp_bundles[8]))
+    data["leg_ideal_sym"]["generators"] = []
+    bundle = tmp_path / "b.json"
+    bundle.write_text(json.dumps(data))
+    proc = run_cli("verify", str(bundle), "--mode", mode, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: {bundle}: leg_ideal_sym is not a curve\n"
+
+
+def test_verify_leg_ideal_full_with_a_form_dropped_fails(tmp_path, fp_bundles):
+    # Y cut by five of the six forms keeps the shape: the cut certifies a
+    # surface, which is not the certified leg_full
+    data = json.loads(json.dumps(fp_bundles[8]))
+    del data["leg_ideal_full"]["generators"][-1]
+    bundle = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    bundle.write_text(json.dumps(data))
+    proc = run_cli("verify", str(bundle), "--mode", "exact", "--out", str(report), check=False)
+    assert proc.returncode == 1
+    out = json.loads(report.read_text())
+    assert out["certification_mismatch"] == ["leg_full"] and "legs_off_bundle" not in out
 
 
 @pytest.mark.parametrize(
@@ -326,7 +374,9 @@ def test_verify_bad_leg_ideal_is_an_input_error(tmp_path, fp_bundles, change):
 )
 def test_verify_bundle_with_another_seeds_configurations_fails(tmp_path, fp_bundles, keys):
     # seed 8's bundle carrying seed 1's configuration ideal or span (or both
-    # and its symmetric leg curve): seed 8's configurations are off them
+    # and its symmetric leg curve): seed 8's configurations are off them, and
+    # legs sampled from seed 1's symmetric curve are off seed 8's full curve
+    # and fail the pairing with seed 8's configurations
     data = dict(fp_bundles[8])
     for key in keys:
         data[key] = fp_bundles[1][key]
@@ -338,13 +388,14 @@ def test_verify_bundle_with_another_seeds_configurations_fails(tmp_path, fp_bund
     out = json.loads(report.read_text())
     assert out["ok"] is False and out["configs_off_bundle"]
     assert ("legs_off_bundle" in out) == ("leg_ideal_sym" in keys)
-    assert all(r["ok"] for r in out["residuals"])  # the leg curve is seed 8's own
+    assert all(r["ok"] for r in out["residuals"]) == ("leg_ideal_sym" not in keys)
     assert proc.stdout.rstrip().endswith("FAIL")
 
 
 def test_verify_bundle_with_another_seeds_symmetric_leg_curve_fails(tmp_path, fp_bundles):
-    # seed 8's bundle carrying only seed 1's leg_ideal_sym: seed 8's legs,
-    # pushed along pi, are off it
+    # seed 8's bundle carrying only seed 1's leg_ideal_sym: the legs sampled
+    # from it are off seed 8's leg_ideal_full and fail the pairing with seed
+    # 8's configurations
     data = dict(fp_bundles[8], leg_ideal_sym=fp_bundles[1]["leg_ideal_sym"])
     bundle = tmp_path / "b.json"
     report = tmp_path / "r.json"
@@ -353,8 +404,66 @@ def test_verify_bundle_with_another_seeds_symmetric_leg_curve_fails(tmp_path, fp
     assert proc.returncode == 1
     out = json.loads(report.read_text())
     assert out["ok"] is False and out["legs_off_bundle"] and "configs_off_bundle" not in out
-    assert all(r["ok"] for r in out["residuals"])
-    assert "legs off leg_ideal_sym" in proc.stdout and proc.stdout.rstrip().endswith("FAIL")
+    assert not all(r["ok"] for r in out["residuals"])
+    assert "legs off leg_ideal_full" in proc.stdout and proc.stdout.rstrip().endswith("FAIL")
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_exact_legs_lie_on_the_plain_basis_of_the_full_curve(seed):
+    # oracle: a plain Buchberger run on the loaded leg_ideal_full's
+    # generators gives the triple of the loader's Cohen-Macaulay cut, and
+    # every exact-mode leg lies on its basis, in (a, b), (b, a) pairs
+    import random
+
+    from podforge import verify
+    from podforge.cli import _bundle_from_json, _bundle_to_json
+    from podforge.constructions import create_infinity_pod
+    from podforge.fields import GF
+    from podforge.groebner import Ideal, hilbert_data
+
+    data = json.loads(json.dumps(_bundle_to_json(create_infinity_pod(seed, GF(101)))))
+    bundle = _bundle_from_json(data)
+    plain = Ideal(bundle.leg_ideal_full.ring, bundle.leg_ideal_full.generators)
+    assert hilbert_data(bundle.leg_ideal_full).triple() == hilbert_data(plain).triple() == (1, 20, 11)
+    on_plain = Ideal(plain.ring, plain.groebner_basis())
+    legs = verify.exact_legs(bundle, 5, random.Random(0))
+    assert len(legs) >= 5 and len(legs) % 2 == 0
+    assert all(on_plain.contains_point(pt) for pt in legs)
+    for ab, ba in zip(legs[::2], legs[1::2]):
+        assert [ab[4 * i + j] for i in range(4) for j in range(4)] == [
+            ba[4 * j + i] for i in range(4) for j in range(4)
+        ]
+        assert ab[16] == ba[16]
+
+
+def test_bundle_numbers_run_no_buchberger_without_a_series(monkeypatch, fp_bundles, qq2_bundle):
+    # the configuration ideal keeps P's certified basis, and verify's loader
+    # reaches leg_full by the Cohen-Macaulay cut of Y: neither runs
+    # Buchberger on a bundle ideal without a series
+    from podforge import acceptance, groebner
+    from podforge.cli import _bundle_from_json
+    from podforge.constructions import create_infinity_pod
+    from podforge.fields import GF, QQ
+    from podforge.groebner import hilbert_data
+    from podforge.models import Y_NAMES
+
+    bundles = [create_infinity_pod(8, GF(101)), create_infinity_pod(2, QQ)]
+    runs = []
+    real = groebner.buchberger
+
+    def recording(ideal, max_steps=None, hilbert=None):
+        runs.append((ideal.ring.names, hilbert))
+        return real(ideal, max_steps=max_steps, hilbert=hilbert)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    for bundle in bundles:  # claims 4 and 6
+        assert acceptance._certification_wrong(bundle) is None
+    assert runs == []
+    for data in (fp_bundles[8], qq2_bundle):
+        loaded = _bundle_from_json(json.loads(json.dumps(data)))
+        assert hilbert_data(loaded.leg_ideal_full).triple() == (1, 20, 11)
+    leg_runs = [hilbert for names, hilbert in runs if names == Y_NAMES]
+    assert leg_runs and None not in leg_runs
 
 
 @pytest.mark.parametrize(
@@ -500,6 +609,7 @@ def _write_inputs(tmp_path):
         ["construct", "conic", "--bound", "-1"],
         ["construct", "infinity", "--retries", "-1"],
         ["construct", "cubic", "--retries", "-1"],
+        ["construct", "cubic", "--seed", "3", "--field", "q"],
         ["verify", "{tmp}/pod.json", "--samples", "-40"],
         ["verify", "{tmp}/pod.json", "--tol", "-1"],
         ["verify", "{tmp}/pod.json", "--tol", "inf"],
@@ -518,7 +628,7 @@ def _write_inputs(tmp_path):
          "dual-bad-json", "dual-no-ambient", "field-not-prime", "field-two",
          "legs-unequal-lengths", "legs-non-numeric", "legs-wrong-count", "dual-wrong-ambient",
          "dual-short-basis", "dual-field-number", "infinity-bound-negative",
-         "conic-bound-negative", "infinity-retries-negative", "cubic-retries-negative",
+         "conic-bound-negative", "infinity-retries-negative", "cubic-retries-negative", "cubic-field-q",
          "verify-samples-negative", "verify-tol-negative", "verify-tol-infinite",
          "reproduce-tol-negative", "reproduce-tol-nan", "invariants-weighted-model"],
 )

@@ -49,9 +49,14 @@ from podforge.constructions import (
     symmetroid_pencil,
     syzygy_triple,
 )
-from podforge.verify import sample_curve_points, solve_zero_dimensional
+from podforge.verify import curve_points, solve_zero_dimensional
 
 F101 = GF(101)
+
+
+def sample_curve_points(ideal, count, rng):
+    """The first `count` points of `curve_points`."""
+    return list(itertools.islice(curve_points(ideal, rng), count))
 
 
 # -- seeds ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact sampling, univariate roots, Sturm isolation, and pod reports."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,14 +21,19 @@ from podforge.verify import (
     polish_float_root,
     real_configurations,
     refine_root,
+    curve_points,
     roots_mod_p,
-    sample_curve_points,
     solve_zero_dimensional,
     sturm_count,
     sturm_sequence,
 )
 
 F101 = GF(101)
+
+
+def sample_curve_points(ideal, count, rng=None):
+    """The first `count` points of `curve_points`."""
+    return list(itertools.islice(curve_points(ideal, rng), count))
 
 
 # -- roots over GF(p) ------------------------------------------------------------
@@ -323,9 +329,10 @@ def test_check_pod_exact_rejects_mixed_fields():
 
 
 def test_check_pod_empty_inputs():
+    # a report that checks no (configuration, leg) pair does not pass
     report = check_pod([], [], mode="exact")
-    assert report.ok
-    assert report.residuals == []
+    assert not report.ok
+    assert report.residuals == [] and report.residuals_ok
 
 
 def test_check_pod_float_tolerance_scaling():
@@ -356,15 +363,15 @@ def test_full_leg_curve_slice_eliminant_has_degree_20():
     assert len(cp) - 1 == 20
 
 
-def test_sample_curve_points_partial_list_warns():
-    # the line over GF(5) has only 6 rational points; asking for more warns
+def test_curve_points_end_after_the_slice_budget():
+    # the line over GF(5) has only 6 rational points: the points end, each
+    # drawn once, when the slice budget runs out
     f5 = GF(5)
     ring = RingContext(("x0", "x1", "x2", "x3"), (1,) * 4, DEGREVLEX, f5)
     g = ring.gens()
     I = Ideal(ring, [g[2], g[3]])
-    with pytest.warns(UserWarning, match="slice budget"):
-        pts = sample_curve_points(I, 12, random.Random(5))
-    assert 1 <= len(pts) <= 6
+    pts = list(curve_points(I, random.Random(5)))
+    assert 1 <= len(pts) <= 6 and len(set(pts)) == len(pts)
 
 
 def test_sample_curve_points_skips_only_unsolvable_slices(monkeypatch):
