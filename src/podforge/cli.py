@@ -15,11 +15,10 @@ import sys
 from fractions import Fraction
 
 from .fields import QQ, field_from_descriptor
-from .groebner import cut_cohen_macaulay, hilbert_data, ideal_from_json, ideal_to_json
-from .models import MODEL_BUILDERS, X_NAMES, Leg, ideal_Y, ring_X, ring_Y, ring_Y_inv
-from .rings import ParseError
+from .groebner import hilbert_data, ideal_to_json
+from .models import MODEL_BUILDERS, X_NAMES, Leg
 from .duality import FORMS, DualityError, LinearSubspace, dual_space
-from . import constructions, linalg, verify
+from . import constructions, verify
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -29,8 +28,7 @@ EXIT_DEGENERATE = 3
 
 class InputError(Exception):
     """Malformed user input (a file, its JSON, a field descriptor): exit code
-    2 with a one-line message, as for a malformed polynomial string
-    (`rings.ParseError`)."""
+    2 with a one-line message."""
 
 
 def _field(desc):
@@ -155,9 +153,7 @@ def _bundle_to_json(bundle) -> dict:
 def cmd_construct(args) -> int:
     field = _field(args.field)
     if args.what == "infinity":
-        bundle = constructions.create_infinity_pod(
-            args.seed, field, bound=args.bound, retries=args.retries
-        )
+        bundle = constructions.create_infinity_pod(args.seed, field, bound=args.bound)
         _write_json(args.out, _bundle_to_json(bundle))
     elif args.what == "duporcq":
         legs = _legs_from_pod_json(args.legs, field, 5)
@@ -181,9 +177,7 @@ def cmd_construct(args) -> int:
     elif args.what == "cubic":
         if field is QQ:
             raise InputError("construct cubic runs over a finite field: its symmetroid nodes are enumerated over GF(p)")
-        bundle = constructions.cubic_line_symmetric(
-            args.seed, field, bound=args.bound, retries=args.retries
-        )
+        bundle = constructions.cubic_line_symmetric(args.seed, field, bound=args.bound)
         pencil = constructions.symmetroid_pencil(bundle)
         _write_json(
             args.out,
@@ -266,53 +260,14 @@ def _integer(key, value, minimum=None):
     return value
 
 
-def _vectors(data, key, field):
-    """A bundle's list of 17-entry vectors as field scalars."""
-    vecs = data[key]
-    if not isinstance(vecs, list) or any(not isinstance(v, list) or len(v) != 17 for v in vecs):
-        raise InputError(f"{key} must be a list of 17-entry vectors")
-    return tuple(tuple(_scalar(field, c) for c in v) for v in vecs)
-
-
-def _bundle_ideal(data, key, ring):
-    """A bundle's ideal, which must live in the ring the construction writes
-    it in: those variables and weights, over the bundle's field."""
-    ideal = ideal_from_json(data[key])
-    if ideal.ring != ring:
-        raise InputError(f"{key} must be over {ring.field.descriptor} in the unit-weight "
-                         f"variables {' '.join(ring.names)}")
-    return ideal
-
-
-def _bundle_from_json(data):
-    field = _field(data["field"])
-    seed = constructions.draw_seed(
-        _integer("rng_seed", data["rng_seed"]), field,
-        _integer("bound", data.get("bound", 10), minimum=0),
-    )
-    config = _bundle_ideal(data, "config_ideal", ring_X(field))
-    # the full leg curve must have construct's shape, Y's minors in order and
-    # then linear forms; it is loaded as construct reaches it, by the
-    # Cohen-Macaulay cut of Y, whose post-check proves its basis complete
-    minors = ideal_Y(field).generators
-    gens = _bundle_ideal(data, "leg_ideal_full", ring_Y(field)).generators
-    forms = gens[len(minors):]
-    if gens[:len(minors)] != minors or any(f.homogeneous_degree() != 1 for f in forms):
-        raise InputError("leg_ideal_full must be ideal_Y's 36 minors, in order, followed by linear forms")
-    leg_full = cut_cohen_macaulay(ideal_Y(field), forms)
-    leg_sym = _bundle_ideal(data, "leg_ideal_sym", ring_Y_inv(field))
-    certification = data.get("certification", {})
-    if not isinstance(certification, dict):
-        raise InputError("certification must be an object")
-    return constructions.InfinityPodBundle(
-        seed=seed,
-        config_ideal=config,
-        leg_ideal_full=leg_full,
-        leg_ideal_sym=leg_sym,
-        config_span_forms=_vectors(data, "config_span_forms", field),
-        leg_span_points=_vectors(data, "leg_span_points", field),
-        certification=certification,
-    )
+def _differing(given, rebuilt):
+    """The keys whose entries are missing, extra or different, compared as
+    JSON text (so `1` is not `true`)."""
+    return {
+        key for key in given.keys() | rebuilt.keys()
+        if key not in given or key not in rebuilt
+        or json.dumps(given[key], sort_keys=True) != json.dumps(rebuilt[key], sort_keys=True)
+    }
 
 
 def cmd_verify(args) -> int:
@@ -320,33 +275,33 @@ def cmd_verify(args) -> int:
     if not isinstance(data, dict) or data.get("kind") != "infinity":
         print("verify currently handles infinity bundles", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        bundle = _bundle_from_json(data)
-    except KeyError as exc:
-        raise InputError(f"{args.bundle} has no {exc} key") from None
-    field = bundle.seed.field
-    given = bundle.certification
-    if (args.mode == "exact") == (field is QQ):
-        print("exact verification runs over a finite field bundle" if field is QQ
-              else "float verification runs over a rational bundle", file=sys.stderr)
-        return EXIT_USAGE
-    leg_sym = hilbert_data(bundle.leg_ideal_sym)
-    if leg_sym.dimension != 1:
-        raise InputError(f"{args.bundle}: leg_ideal_sym is not a curve")
-    if args.mode == "exact":
+    # the construction is a function of its seed: verify rebuilds the bundle
+    # from these entries and compares every other entry with the rebuild
+    desc, rng_seed, bound = _keys(data, args.bundle, "field", "rng_seed", "bound")
+    field = _field(desc)
+    bundle = constructions.create_infinity_pod(
+        _integer("rng_seed", rng_seed), field, _integer("bound", bound, minimum=0)
+    )
+    rebuilt = json.loads(json.dumps(_bundle_to_json(bundle)))  # as construct writes it
+    certification = rebuilt["certification"]
+    mismatch = _differing(data, rebuilt)
+    if "certification" in mismatch and isinstance(data.get("certification"), dict):
+        mismatch.remove("certification")
+        mismatch |= _differing(data["certification"], certification)
+    pod_id = f"seed{bundle.seed.rng_seed}"
+    if field is not QQ:
         count = max(5, args.samples // 5)
         legs = verify.exact_legs(bundle, count, random.Random(args.seed))
         configs = [(c.coords, field) for c in bundle.seed.config_points(count)]
         report = verify.check_pod(
-            configs, [(pt, field) for pt in legs], mode="exact",
-            pod_id=f"seed{bundle.seed.rng_seed}", certification=given,
+            configs, [(pt, field) for pt in legs], mode="exact", pod_id=pod_id,
+            certification=certification,
         )
-        # the seed's configurations must lie on the bundle's configuration
-        # ideal and span, or the bundle's ideals are not the seed's
+        # the seed's configurations must lie on the configuration ideal and
+        # span, and each sampled leg on the full leg curve
         span = LinearSubspace(X_NAMES, "forms", bundle.config_span_forms, field)
         on_bundle = bundle.config_ideal + span.linear_forms(bundle.config_ideal.ring)
         report.configs_off_bundle = [i for i, (c, _) in enumerate(configs) if not on_bundle.contains_point(c)]
-        # and each sampled leg on the bundle's full leg curve
         report.legs_off_bundle = [
             j for j, pt in enumerate(legs) if not bundle.leg_ideal_full.contains_point(pt)
         ]
@@ -354,22 +309,9 @@ def cmd_verify(args) -> int:
         cfgs = verify.real_configurations(bundle.seed, max(10, args.samples // 2))
         legs = verify.real_legs(bundle, max(5, args.samples // 5), random.Random(args.seed))
         report = verify.check_pod(
-            cfgs, legs, mode="float", tol=args.tol, pod_id=f"seed{bundle.seed.rng_seed}",
-            certification=given,
+            cfgs, legs, mode="float", tol=args.tol, pod_id=pod_id, certification=certification,
         )
-    # the certification it prints must be recomputed from the bundle: a key
-    # that is missing, extra or different (as JSON) fails it
-    recomputed = {
-        "i_lin_dim": linalg.rank([list(v) for v in bundle.config_span_forms], field),
-        "f_smooth": bundle.seed.f_smooth,
-        "leg_sym": leg_sym.triple(),
-        "leg_full": hilbert_data(bundle.leg_ideal_full).triple(),
-    }
-    report.certification_mismatch = sorted(
-        key for key in recomputed.keys() | given.keys()
-        if key not in given or key not in recomputed
-        or json.dumps(given[key]) != json.dumps(recomputed[key])
-    )
+    report.bundle_mismatch = sorted(mismatch)
     _write_json(args.out, report.to_json())
     _print_report(report)
     return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
@@ -389,8 +331,8 @@ def _print_report(report):
             print(f"  legs off leg_ideal_full: {report.legs_off_bundle}")
     else:
         print(f"  max |residual| = {report.max_abs:.3e} (tol {report.tol})")
-    if report.certification_mismatch:
-        print(f"  certification differs from the bundle's ideals and seed: {report.certification_mismatch}")
+    if report.bundle_mismatch:
+        print(f"  entries differ from the bundle rebuilt from its seed: {report.bundle_mismatch}")
     print("  PASS" if report.ok else "  FAIL")
 
 
@@ -461,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", default="fp:101")
     p.add_argument("--bound", type=_count("--bound"), default=10)
-    p.add_argument("--retries", type=_count("--retries"), default=8)
     p.add_argument("--legs", help="pod JSON with base/platform/lengths_squared")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_construct)
@@ -474,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a bundle's sphere conditions")
     p.add_argument("bundle")
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--samples", type=_count("--samples"), default=25)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
@@ -496,7 +436,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse's usage errors, --help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except (InputError, ParseError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (constructions.DegenerateSeedError, DualityError) as exc:

@@ -186,13 +186,16 @@ def build_seed(L1, L2, L3, U, rng_seed: int = -1, bound: int = 0) -> Constructio
     return ConstructionSeed((L1, L2, L3), U, P, F, rng_seed, bound, field, smooth)
 
 
-def draw_seed(rng_seed: int, field=None, bound: int = 10, retries: int = 8) -> ConstructionSeed:
-    """Draw an admissible seed, resampling on degeneracy up to the budget."""
+RETRIES = 8  # redraws of a degenerate seed or cubic plane before giving up
+
+
+def draw_seed(rng_seed: int, field=None, bound: int = 10) -> ConstructionSeed:
+    """Draw an admissible seed, resampling on degeneracy up to RETRIES times."""
     field = field or GF(101)
     ring = ring_euler(field)
     rng = random.Random(rng_seed)
     reasons = []
-    for _ in range(retries + 1):
+    for _ in range(RETRIES + 1):
         L = tuple(_rand_poly(ring, rng, 1, bound) for _ in range(3))
         U = _rand_poly(ring, rng, 2, bound)
         try:
@@ -201,7 +204,7 @@ def draw_seed(rng_seed: int, field=None, bound: int = 10, retries: int = 8) -> C
             reasons.append(str(exc))
             continue
         return seed
-    raise DegenerateSeedError("; ".join(reasons) or "retry budget exhausted")
+    raise DegenerateSeedError("; ".join(reasons))
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +324,7 @@ def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
     return cut_cohen_macaulay(ideal_Y_inv(field), cutting.linear_forms(ring_Y_inv(field))).reduced()
 
 
-def create_infinity_pod(
-    rng_seed: int,
-    field=None,
-    bound: int = 10,
-    retries: int = 8,
-) -> InfinityPodBundle:
+def create_infinity_pod(rng_seed: int, field=None, bound: int = 10) -> InfinityPodBundle:
     """Run the construction end to end from a seed.
 
     The configuration ideal is the involution model plus P, the preimage of
@@ -344,7 +342,7 @@ def create_infinity_pod(
     is certified (1, 10, 6).  A failed certificate raises CertificationError
     naming the seed.  The field must not have characteristic 2."""
     field = field or GF(101)
-    seed = draw_seed(rng_seed, field, bound, retries)
+    seed = draw_seed(rng_seed, field, bound)
     try:
         rho = seed.lift()
         # P has no forms beyond P_1 ((F) is zero in degree 2), so P_1 is the
@@ -569,14 +567,13 @@ class CubicPodBundle:
     field: object
 
 
-def cubic_line_symmetric(rng_seed: int, field=None, bound: int = 10, retries: int = 8) -> CubicPodBundle:
+def cubic_line_symmetric(rng_seed: int, field=None, bound: int = 10) -> CubicPodBundle:
     """A planar line-symmetric infinity pod: a general plane section of the
     planar symmetric cone (a plane cubic of genus one) and the dual curve of
     configurations (degree six)."""
     field = field or GF(101)
     rng = random.Random(rng_seed)
-    last = "retry budget exhausted"
-    for _ in range(retries + 1):
+    for _ in range(RETRIES + 1):
         pts = [[field.of(rng.randint(-bound, bound)) for _ in range(7)] for _ in range(3)]
         if linalg.rank(pts, field) != 3:
             last = "plane points dependent"

@@ -55,7 +55,7 @@ from math import inf
 from . import unipoly
 from .fields import QQ, FieldError
 from .rings import (
-    DEGREVLEX, EXP_MAX, ParseError, Polynomial, RingContext, elim_order,
+    DEGREVLEX, EXP_MAX, Polynomial, RingContext, elim_order,
 )
 
 
@@ -932,28 +932,3 @@ def ideal_to_json(ideal: Ideal) -> dict:
         "ring": {"vars": list(ideal.ring.names), "weights": list(ideal.ring.weights)},
         "generators": [str(g) for g in ideal.generators],
     }
-
-
-def ideal_from_json(data: dict) -> Ideal:
-    """The ideal of `ideal_to_json`'s format.  An entry of the wrong JSON type,
-    a bad field descriptor or ring header raises ParseError, as a malformed
-    generator does; a missing key raises KeyError."""
-    from .fields import field_from_descriptor
-
-    def listed(value, kind):  # a JSON list of `kind` entries (a bool is no int)
-        return isinstance(value, list) and all(type(v) is kind for v in value)
-
-    if not isinstance(data, dict) or not isinstance(data["ring"], dict):
-        raise ParseError(f"an ideal and its ring must be JSON objects: {data!r}")
-    header, generators, desc = data["ring"], data["generators"], data.get("field", "q")
-    if not (listed(header["vars"], str) and listed(header.get("weights") or [], int) and isinstance(desc, str)):
-        raise ParseError(f"bad ring header: field {desc!r}, ring {header!r}")
-    if not listed(generators, str):
-        raise ParseError(f"generators must be a list of strings, not {generators!r}")
-    try:
-        field = field_from_descriptor(desc)
-        names = tuple(header["vars"])
-        ring = RingContext(names, tuple(header.get("weights") or [1] * len(names)), DEGREVLEX, field)
-    except ValueError as exc:
-        raise ParseError(f"bad ring header: {exc}") from None
-    return Ideal(ring, [ring.parse(g) for g in generators])

@@ -17,9 +17,7 @@ to multiply and divide, `guard_mask` to catch an exponent above the cap,
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import mul
@@ -31,10 +29,6 @@ EXP_MASK = 0xFF
 EXP_MAX = 127
 
 DEGREVLEX = ("degrevlex",)
-
-
-class ParseError(ValueError):
-    """A polynomial string that is not in the canonical text format."""
 
 
 def elim_order(n_eliminated: int):
@@ -234,45 +228,6 @@ class RingContext:
         return Polynomial(self, terms)
 
     # -- canonical text format -------------------------------------------------
-
-    _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*?)(?:\^([0-9]+))?$")
-
-    def parse(self, text: str) -> "Polynomial":
-        """Parse the canonical polynomial format `c*v1^a1*...*vk^ak` joined by
-        `+`/`-`.  Round-trips exactly with str().  Raises ParseError."""
-        s = text.replace(" ", "")
-        if s in ("", "0"):
-            return self.zero()
-        # split into signed terms
-        chunks = re.findall(r"[+-]?[^+-]+", s)
-        if "".join(chunks) != s:
-            raise ParseError(f"cannot parse polynomial {text!r}")
-        pairs = []
-        for chunk in chunks:
-            sign = 1
-            if chunk[0] == "+":
-                chunk = chunk[1:]
-            elif chunk[0] == "-":
-                sign = -1
-                chunk = chunk[1:]
-            factors = chunk.split("*")
-            coeff = Fraction(sign)
-            exps = [0] * self.n
-            for j, fac in enumerate(factors):
-                if j == 0 and re.fullmatch(r"[0-9]+(?:/[0-9]*[1-9][0-9]*)?", fac):
-                    coeff *= Fraction(fac)
-                    continue
-                m = self._FACTOR_RE.match(fac)
-                if not m or m.group(1) not in self.var_index:
-                    raise ParseError(f"bad factor {fac!r} in {text!r}")
-                exps[self.var_index[m.group(1)]] += int(m.group(2) or 1)
-            if max(exps) > EXP_MAX:
-                raise ParseError(f"exponent above the cap {EXP_MAX} in {text!r}")
-            try:
-                pairs.append((exps, self.field.of(coeff)))
-            except ZeroDivisionError as exc:  # a denominator that vanishes mod p
-                raise ParseError(f"{exc} in {text!r}") from None
-        return self.from_terms(pairs)
 
     def format_term(self, m: int, c) -> str:
         fld = self.field

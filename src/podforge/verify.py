@@ -544,12 +544,12 @@ class PodReport:
     certification: dict = dc_field(default_factory=dict)
     configs_off_bundle: list = dc_field(default_factory=list)  # off the bundle's config ideal
     legs_off_bundle: list = dc_field(default_factory=list)  # off the bundle's leg_ideal_full
-    certification_mismatch: list = dc_field(default_factory=list)  # keys not recomputed as given
+    bundle_mismatch: list = dc_field(default_factory=list)  # entries that differ from the rebuild
 
     @property
     def ok(self) -> bool:
         """No check failed, and at least one (configuration, leg) pair was checked."""
-        if not self.residuals or self.configs_off_bundle or self.legs_off_bundle or self.certification_mismatch:
+        if not self.residuals or self.configs_off_bundle or self.legs_off_bundle or self.bundle_mismatch:
             return False
         return self.residuals_ok
 
@@ -560,7 +560,7 @@ class PodReport:
 
     def to_json(self) -> dict:
         """The report; `configs_off_bundle`, `legs_off_bundle` and
-        `certification_mismatch` appear only when they are nonempty."""
+        `bundle_mismatch` appear only when they are nonempty."""
         out = {
             "pod_id": self.pod_id,
             "mode": self.mode,
@@ -580,8 +580,8 @@ class PodReport:
             out["configs_off_bundle"] = self.configs_off_bundle
         if self.legs_off_bundle:
             out["legs_off_bundle"] = self.legs_off_bundle
-        if self.certification_mismatch:
-            out["certification_mismatch"] = self.certification_mismatch
+        if self.bundle_mismatch:
+            out["bundle_mismatch"] = self.bundle_mismatch
         return out
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +45,7 @@ def test_model_emits_parseable_ideal(tmp_path):
     data = json.loads(out.read_text())
     assert data["ring"]["vars"] == ["z00", "z11", "z22", "s01", "s02", "s12", "l"]
     assert len(data["generators"]) == 1
-    from podforge.groebner import ideal_from_json
+    from polytext import ideal_from_json
 
     ideal = ideal_from_json(data)
     assert ideal.generators[0].homogeneous_degree() == 3
@@ -137,8 +138,7 @@ def test_construct_then_verify_exact(tmp_path):
     report = tmp_path / "r.json"
     run_cli("construct", "infinity", "--seed", "7", "--field", "fp:101", "--out", str(bundle))
     proc = run_cli(
-        "verify", str(bundle), "--mode", "exact", "--samples", "25", "--seed", "0",
-        "--out", str(report),
+        "verify", str(bundle), "--samples", "25", "--seed", "0", "--out", str(report),
     )
     assert proc.returncode == 0
     data = json.loads(report.read_text())
@@ -157,11 +157,29 @@ def qq2_bundle(tmp_path_factory):
     return json.loads(path.read_text())
 
 
+def _verify_fails_naming(tmp_path, data, named):
+    """Verify a bundle given as JSON: it must exit 1, naming exactly `named`
+    in bundle_mismatch, while the sampling on the rebuilt bundle passes.
+    Returns the report."""
+    bundle = tmp_path / "b.json"
+    report = tmp_path / "r.json"
+    bundle.write_text(json.dumps(data))
+    proc = run_cli("verify", str(bundle), "--out", str(report), check=False)
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads(report.read_text())
+    assert out["ok"] is False and out["bundle_mismatch"] == named
+    assert "configs_off_bundle" not in out and "legs_off_bundle" not in out
+    assert out["residuals"] and all(r["ok"] for r in out["residuals"])
+    assert f"entries differ from the bundle rebuilt from its seed: {named}" in proc.stdout
+    assert proc.stdout.rstrip().endswith("FAIL")
+    return out
+
+
 def test_construct_then_verify_float(tmp_path, qq2_bundle):
     bundle = tmp_path / "b.json"
     report = tmp_path / "r.json"
     bundle.write_text(json.dumps(qq2_bundle))
-    proc = run_cli("verify", str(bundle), "--mode", "float", "--out", str(report))
+    proc = run_cli("verify", str(bundle), "--out", str(report))
     assert proc.returncode == 0
     assert json.loads(report.read_text())["ok"] is True
 
@@ -172,13 +190,14 @@ def test_verify_float_reads_seed(tmp_path, qq2_bundle):
     import random
 
     from podforge import verify
-    from podforge.cli import _bundle_from_json
+    from podforge.constructions import create_infinity_pod
+    from podforge.fields import QQ
 
     bundle_path = tmp_path / "b.json"
     report = tmp_path / "r.json"
     bundle_path.write_text(json.dumps(qq2_bundle))
-    run_cli("verify", str(bundle_path), "--mode", "float", "--seed", "3", "--out", str(report))
-    bundle = _bundle_from_json(json.loads(bundle_path.read_text()))
+    run_cli("verify", str(bundle_path), "--seed", "3", "--out", str(report))
+    bundle = create_infinity_pod(2, QQ)
     cfgs = verify.real_configurations(bundle.seed, 12)
 
     def residuals(rng):
@@ -200,24 +219,15 @@ def test_verify_float_reads_seed(tmp_path, qq2_bundle):
     ids=["leg-sym", "leg-full", "span-smooth-and-missing"],
 )
 def test_verify_float_falsified_certification_fails(tmp_path, qq2_bundle, falsify, named):
-    # float mode recomputes the whole certification from the QQ bundle,
-    # leg_full through the Cohen-Macaulay cut of Y (None deletes a key)
-    bundle = tmp_path / "b.json"
-    report = tmp_path / "r.json"
+    # float mode compares the QQ bundle's certification with the rebuilt
+    # one, key by key (None deletes a key)
     data = json.loads(json.dumps(qq2_bundle))
     for key, value in falsify.items():
         if value is None:
             del data["certification"][key]
         else:
             data["certification"][key] = value
-    bundle.write_text(json.dumps(data))
-    proc = run_cli("verify", str(bundle), "--mode", "float", "--out", str(report), check=False)
-    assert proc.returncode == 1
-    out = json.loads(report.read_text())
-    assert out["ok"] is False and out["certification_mismatch"] == named
-    assert all(r["ok"] for r in out["residuals"])
-    assert f"certification differs from the bundle's ideals and seed: {named}" in proc.stdout
-    assert proc.stdout.rstrip().endswith("FAIL")
+    _verify_fails_naming(tmp_path, data, named)
 
 
 def test_verify_float_checking_no_pair_fails(tmp_path):
@@ -226,20 +236,12 @@ def test_verify_float_checking_no_pair_fails(tmp_path):
     bundle = tmp_path / "b.json"
     report = tmp_path / "r.json"
     run_cli("construct", "infinity", "--seed", "1", "--field", "q", "--out", str(bundle))
-    proc = run_cli("verify", str(bundle), "--mode", "float", "--out", str(report), check=False)
+    proc = run_cli("verify", str(bundle), "--out", str(report), check=False)
     assert proc.returncode == 1
     out = json.loads(report.read_text())
-    assert out["ok"] is False and out["residuals"] == [] and "certification_mismatch" not in out
+    assert out["ok"] is False and out["residuals"] == [] and "bundle_mismatch" not in out
     assert "pairs=0" in proc.stdout and "no (configuration, leg) pair checked" in proc.stdout
     assert proc.stdout.rstrip().endswith("FAIL")
-
-
-def test_verify_float_on_finite_field_bundle_usage_error(tmp_path):
-    bundle = tmp_path / "b.json"
-    run_cli("construct", "infinity", "--seed", "1", "--field", "fp:101", "--out", str(bundle))
-    proc = run_cli("verify", str(bundle), "--mode", "float", check=False)
-    assert proc.returncode == 2
-    assert proc.stderr == "float verification runs over a rational bundle\n"
 
 
 def test_construct_duporcq(tmp_path):
@@ -283,10 +285,7 @@ def test_dual_roundtrip(tmp_path):
 
 def test_degenerate_seed_exit_code(tmp_path):
     # bound 0 draws all-zero forms: P is identically zero beyond any retry
-    proc = run_cli(
-        "construct", "infinity", "--seed", "1", "--bound", "0", "--retries", "1",
-        check=False,
-    )
+    proc = run_cli("construct", "infinity", "--seed", "1", "--bound", "0", check=False)
     assert proc.returncode == 3
 
 
@@ -300,9 +299,7 @@ def test_verify_tampered_bundle_fails(tmp_path):
         if "^" not in g and "l" in g:
             gens[i] = "z00 + 3*z12 + 7*l"
             break
-    bundle.write_text(json.dumps(data))
-    proc = run_cli("verify", str(bundle), "--mode", "exact", check=False)
-    assert proc.returncode == 1
+    _verify_fails_naming(tmp_path, data, ["leg_ideal_full"])
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +314,30 @@ def fp_bundles(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("key", ["seed_forms", "leg_span_points", "config_ideal"])
+def test_verify_falsified_entry_fails(tmp_path, fp_bundles, qq2_bundle, key, mode):
+    # verify reads no entry beyond kind, field, rng_seed and bound, and
+    # compares each other one with the bundle rebuilt from them: the seed's
+    # L forms reversed, the leg span without its last point, or the
+    # configuration ideal cut down to X_inv's generators each fail, named
+    from podforge.fields import field_from_descriptor
+    from podforge.models import ideal_X_inv
+
+    data = json.loads(json.dumps(fp_bundles[8] if mode == "exact" else qq2_bundle))
+    entry = data[key]
+    if key == "seed_forms":
+        entry["L"].reverse()
+    elif key == "leg_span_points":
+        entry.pop()
+    else:
+        x_inv = [str(g) for g in ideal_X_inv(field_from_descriptor(data["field"])).generators]
+        assert entry["generators"][:len(x_inv)] == x_inv
+        entry["generators"] = x_inv
+    out = _verify_fails_naming(tmp_path, data, [key])
+    assert out["mode"] == mode
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -329,42 +350,28 @@ def fp_bundles(tmp_path_factory):
     ids=["other-field", "no-generators", "one-variable-ring", "minor-dropped", "minors-reordered"],
 )
 def test_verify_bad_leg_ideal_is_an_input_error(tmp_path, fp_bundles, change):
-    # a well-typed bundle whose leg curve is over another field, or not in
-    # the shape construct writes: ideal_Y's 36 minors in order, then linear forms
+    # a leg curve over another field, or not in the shape construct writes
+    # (ideal_Y's 36 minors in order, then linear forms), differs from the
+    # rebuilt bundle: exit 1, not the usage exit of the four inputs
     data = json.loads(json.dumps(fp_bundles[8]))
     data["leg_ideal_full"].update(change(data["leg_ideal_full"]["generators"]))
-    bundle = tmp_path / "b.json"
-    bundle.write_text(json.dumps(data))
-    proc = run_cli("verify", str(bundle), "--mode", "exact", check=False)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("input error: ")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    _verify_fails_naming(tmp_path, data, ["leg_ideal_full"])
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_verify_leg_ideal_sym_not_a_curve_is_an_input_error(tmp_path, fp_bundles, qq2_bundle, mode):
-    # both modes slice the symmetric leg curve, which must be a curve
+    # both modes slice the rebuilt symmetric leg curve; an empty one in the
+    # file differs from it: exit 1, not the usage exit of the four inputs
     data = json.loads(json.dumps(qq2_bundle if mode == "float" else fp_bundles[8]))
     data["leg_ideal_sym"]["generators"] = []
-    bundle = tmp_path / "b.json"
-    bundle.write_text(json.dumps(data))
-    proc = run_cli("verify", str(bundle), "--mode", mode, check=False)
-    assert proc.returncode == 2
-    assert proc.stderr == f"input error: {bundle}: leg_ideal_sym is not a curve\n"
+    _verify_fails_naming(tmp_path, data, ["leg_ideal_sym"])
 
 
 def test_verify_leg_ideal_full_with_a_form_dropped_fails(tmp_path, fp_bundles):
-    # Y cut by five of the six forms keeps the shape: the cut certifies a
-    # surface, which is not the certified leg_full
+    # Y cut by five of the six forms is a surface, not the rebuilt leg curve
     data = json.loads(json.dumps(fp_bundles[8]))
     del data["leg_ideal_full"]["generators"][-1]
-    bundle = tmp_path / "b.json"
-    report = tmp_path / "r.json"
-    bundle.write_text(json.dumps(data))
-    proc = run_cli("verify", str(bundle), "--mode", "exact", "--out", str(report), check=False)
-    assert proc.returncode == 1
-    out = json.loads(report.read_text())
-    assert out["certification_mismatch"] == ["leg_full"] and "legs_off_bundle" not in out
+    _verify_fails_naming(tmp_path, data, ["leg_ideal_full"])
 
 
 @pytest.mark.parametrize(
@@ -374,55 +381,32 @@ def test_verify_leg_ideal_full_with_a_form_dropped_fails(tmp_path, fp_bundles):
 )
 def test_verify_bundle_with_another_seeds_configurations_fails(tmp_path, fp_bundles, keys):
     # seed 8's bundle carrying seed 1's configuration ideal or span (or both
-    # and its symmetric leg curve): seed 8's configurations are off them, and
-    # legs sampled from seed 1's symmetric curve are off seed 8's full curve
-    # and fail the pairing with seed 8's configurations
+    # and its symmetric leg curve): each differs from seed 8's rebuild
     data = dict(fp_bundles[8])
     for key in keys:
         data[key] = fp_bundles[1][key]
-    bundle = tmp_path / "b.json"
-    report = tmp_path / "r.json"
-    bundle.write_text(json.dumps(data))
-    proc = run_cli("verify", str(bundle), "--mode", "exact", "--out", str(report), check=False)
-    assert proc.returncode == 1
-    out = json.loads(report.read_text())
-    assert out["ok"] is False and out["configs_off_bundle"]
-    assert ("legs_off_bundle" in out) == ("leg_ideal_sym" in keys)
-    assert all(r["ok"] for r in out["residuals"]) == ("leg_ideal_sym" not in keys)
-    assert proc.stdout.rstrip().endswith("FAIL")
+    _verify_fails_naming(tmp_path, data, sorted(keys))
 
 
 def test_verify_bundle_with_another_seeds_symmetric_leg_curve_fails(tmp_path, fp_bundles):
-    # seed 8's bundle carrying only seed 1's leg_ideal_sym: the legs sampled
-    # from it are off seed 8's leg_ideal_full and fail the pairing with seed
-    # 8's configurations
+    # seed 8's bundle carrying only seed 1's leg_ideal_sym
     data = dict(fp_bundles[8], leg_ideal_sym=fp_bundles[1]["leg_ideal_sym"])
-    bundle = tmp_path / "b.json"
-    report = tmp_path / "r.json"
-    bundle.write_text(json.dumps(data))
-    proc = run_cli("verify", str(bundle), "--mode", "exact", "--out", str(report), check=False)
-    assert proc.returncode == 1
-    out = json.loads(report.read_text())
-    assert out["ok"] is False and out["legs_off_bundle"] and "configs_off_bundle" not in out
-    assert not all(r["ok"] for r in out["residuals"])
-    assert "legs off leg_ideal_full" in proc.stdout and proc.stdout.rstrip().endswith("FAIL")
+    _verify_fails_naming(tmp_path, data, ["leg_ideal_sym"])
 
 
 @pytest.mark.parametrize("seed", [7, 8])
 def test_exact_legs_lie_on_the_plain_basis_of_the_full_curve(seed):
-    # oracle: a plain Buchberger run on the loaded leg_ideal_full's
-    # generators gives the triple of the loader's Cohen-Macaulay cut, and
-    # every exact-mode leg lies on its basis, in (a, b), (b, a) pairs
+    # oracle: a plain Buchberger run on the full leg curve's generators gives
+    # the triple of the construction's Cohen-Macaulay cut, and every
+    # exact-mode leg lies on its basis, in (a, b), (b, a) pairs
     import random
 
     from podforge import verify
-    from podforge.cli import _bundle_from_json, _bundle_to_json
     from podforge.constructions import create_infinity_pod
     from podforge.fields import GF
     from podforge.groebner import Ideal, hilbert_data
 
-    data = json.loads(json.dumps(_bundle_to_json(create_infinity_pod(seed, GF(101)))))
-    bundle = _bundle_from_json(data)
+    bundle = create_infinity_pod(seed, GF(101))
     plain = Ideal(bundle.leg_ideal_full.ring, bundle.leg_ideal_full.generators)
     assert hilbert_data(bundle.leg_ideal_full).triple() == hilbert_data(plain).triple() == (1, 20, 11)
     on_plain = Ideal(plain.ring, plain.groebner_basis())
@@ -436,34 +420,33 @@ def test_exact_legs_lie_on_the_plain_basis_of_the_full_curve(seed):
         assert ab[16] == ba[16]
 
 
-def test_bundle_numbers_run_no_buchberger_without_a_series(monkeypatch, fp_bundles, qq2_bundle):
-    # the configuration ideal keeps P's certified basis, and verify's loader
-    # reaches leg_full by the Cohen-Macaulay cut of Y: neither runs
-    # Buchberger on a bundle ideal without a series
-    from podforge import acceptance, groebner
-    from podforge.cli import _bundle_from_json
+def test_bundle_numbers_run_no_buchberger_without_a_series(monkeypatch, tmp_path, fp_bundles, qq2_bundle):
+    # the configuration ideal keeps P's certified basis, so claims 4 and 6
+    # run no Buchberger on a bundle ideal; and verify, which rebuilds the
+    # bundle, makes no run without a series that the construction does not
+    from podforge import acceptance, cli, groebner
     from podforge.constructions import create_infinity_pod
     from podforge.fields import GF, QQ
-    from podforge.groebner import hilbert_data
-    from podforge.models import Y_NAMES
 
-    bundles = [create_infinity_pod(8, GF(101)), create_infinity_pod(2, QQ)]
     runs = []
     real = groebner.buchberger
 
     def recording(ideal, max_steps=None, hilbert=None):
-        runs.append((ideal.ring.names, hilbert))
+        runs.append((ideal.ring.names, hilbert is None, tuple(map(str, ideal.generators))))
         return real(ideal, max_steps=max_steps, hilbert=hilbert)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
-    for bundle in bundles:  # claims 4 and 6
-        assert acceptance._certification_wrong(bundle) is None
-    assert runs == []
-    for data in (fp_bundles[8], qq2_bundle):
-        loaded = _bundle_from_json(json.loads(json.dumps(data)))
-        assert hilbert_data(loaded.leg_ideal_full).triple() == (1, 20, 11)
-    leg_runs = [hilbert for names, hilbert in runs if names == Y_NAMES]
-    assert leg_runs and None not in leg_runs
+    for seed, field, data in [(8, GF(101), fp_bundles[8]), (2, QQ, qq2_bundle)]:
+        runs.clear()
+        bundle = create_infinity_pod(seed, field)
+        built = [run for run in runs if run[1]]
+        runs.clear()
+        assert acceptance._certification_wrong(bundle) is None  # claims 4 and 6
+        assert runs == []
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(data))
+        assert cli.run(["verify", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        assert runs and [run for run in runs if run[1] and run not in built] == []
 
 
 @pytest.mark.parametrize(
@@ -476,29 +459,55 @@ def test_bundle_numbers_run_no_buchberger_without_a_series(monkeypatch, fp_bundl
     ids=["leg-triples", "missing-and-extra", "json-type"],
 )
 def test_verify_falsified_certification_fails(tmp_path, fp_bundles, falsify, named):
-    # verify recomputes the certification it prints from the bundle's ideals,
-    # span and seed: a key that is different (as JSON), missing (None here
-    # deletes it) or extra fails the report and is named
+    # a certification key that is different (as JSON), missing (None here
+    # deletes it) or extra fails the report and is named by its own key
     data = json.loads(json.dumps(fp_bundles[8]))
     for key, value in falsify.items():
         if value is None:
             del data["certification"][key]
         else:
             data["certification"][key] = value
-    bundle = tmp_path / "b.json"
-    report = tmp_path / "r.json"
-    bundle.write_text(json.dumps(data))
-    proc = run_cli("verify", str(bundle), "--mode", "exact", "--out", str(report), check=False)
-    assert proc.returncode == 1
-    out = json.loads(report.read_text())
-    assert out["ok"] is False and out["certification_mismatch"] == named
-    assert "configs_off_bundle" not in out and "legs_off_bundle" not in out
-    assert all(r["ok"] for r in out["residuals"])
-    assert f"certification differs from the bundle's ideals and seed: {named}" in proc.stdout
-    assert proc.stdout.rstrip().endswith("FAIL")
+    _verify_fails_naming(tmp_path, data, named)
 
 
-def _write_inputs(tmp_path):
+MISSING = object()  # a deleted bundle entry
+
+# the entries of the four that verify reads, each malformed or MISSING, with
+# the end of the input error it must exit 2 with
+MALFORMED_INPUTS = {
+    "seed_string": ("rng_seed", "7", "rng_seed must be an integer, not '7'"),
+    "seed_null": ("rng_seed", None, "rng_seed must be an integer, not None"),
+    "seed_bool": ("rng_seed", True, "rng_seed must be an integer, not True"),
+    "bound_string": ("bound", "x", "bound must be an integer of at least 0, not 'x'"),
+    "bound_negative": ("bound", -1, "bound must be an integer of at least 0, not -1"),
+    "bound_missing": ("bound", MISSING, "has no 'bound' key"),
+    "field_number": ("field", 5, "bad field 5: not a descriptor string"),
+}
+# any other bundle entry, malformed: it differs from the rebuilt bundle, so
+# verify exits 1 and names it
+MALFORMED_ENTRIES = {
+    "bad_span": ("config_span_forms", [["x"] + ["0"] * 16]),
+    "bad_poly": ("config_ideal", {"ring": {"vars": ["l"]}, "generators": ["l + * "]}),
+    "bad_field_header": ("config_ideal", {"field": "fp:x", "ring": {"vars": ["l"]}, "generators": []}),
+    "repeated_var": ("config_ideal", {"ring": {"vars": ["l", "l"]}, "generators": []}),
+    "certification_list": ("certification", [1]),
+    "span_not_list": ("config_span_forms", 5),
+    "short_vector": ("leg_span_points", [["1"]]),
+    "ideal_number": ("config_ideal", 5),
+    "generators_number": ("config_ideal", {"ring": {"vars": ["l"]}, "generators": 5}),
+    "generator_number": ("config_ideal", {"ring": {"vars": ["l"]}, "generators": [3]}),
+    "ideal_field_number": ("config_ideal", {"field": 101, "ring": {"vars": ["l"]}, "generators": []}),
+    "vars_number": ("config_ideal", {"ring": {"vars": 5}, "generators": []}),
+    "ring_number": ("config_ideal", {"ring": 5, "generators": []}),
+    "var_number": ("config_ideal", {"ring": {"vars": [5]}, "generators": []}),
+    "weight_string": ("config_ideal", {"ring": {"vars": ["l"], "weights": ["a"]}, "generators": []}),
+}
+
+
+def _write_inputs(tmp_path, bundle=None):
+    """The malformed input files, and, given an honest bundle as loaded JSON,
+    that bundle with one entry changed for each MALFORMED_INPUTS and
+    MALFORMED_ENTRIES case."""
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "no_ambient.json").write_text(
         json.dumps({"field": "q", "kind": "points", "basis": [["1"]]})
@@ -525,47 +534,13 @@ def _write_inputs(tmp_path):
         json.dumps({"field": 5, "ambient": names, "kind": "points",
                     "basis": [["1", "0", "0", "0", "0", "0", "0"]]})
     )
-    empty = {"ring": {"vars": ["l"]}, "generators": []}
-    (tmp_path / "bad_poly.json").write_text(json.dumps({
-        "kind": "infinity", "field": "fp:101", "rng_seed": 1,
-        "config_ideal": {"ring": {"vars": ["l"]}, "generators": ["l + * "]},
-        "leg_ideal_full": empty, "leg_ideal_sym": empty,
-        "config_span_forms": [], "leg_span_points": [],
-    }))
-    for name, header in [("bad_field_header", {"field": "fp:x", "ring": {"vars": ["l"]}}),
-                         ("repeated_var", {"ring": {"vars": ["l", "l"]}})]:
-        (tmp_path / f"{name}.json").write_text(json.dumps({
-            "kind": "infinity", "field": "fp:101", "rng_seed": 1,
-            "config_ideal": dict(header, generators=[]),
-            "leg_ideal_full": empty, "leg_ideal_sym": empty,
-            "config_span_forms": [], "leg_span_points": [],
-        }))
-    bundle = {
-        "kind": "infinity", "field": "fp:101", "rng_seed": 1, "config_ideal": empty,
-        "leg_ideal_full": empty, "leg_ideal_sym": empty,
-        "config_span_forms": [], "leg_span_points": [],
-    }
-    for name, key, value in [
-        ("bad_span", "config_span_forms", [["x"] + ["0"] * 16]),
-        ("seed_string", "rng_seed", "7"),
-        ("seed_null", "rng_seed", None),
-        ("seed_bool", "rng_seed", True),
-        ("bound_string", "bound", "x"),
-        ("bound_negative", "bound", -1),
-        ("certification_list", "certification", [1]),
-        ("span_not_list", "config_span_forms", 5),
-        ("short_vector", "leg_span_points", [["1"]]),
-        ("field_number", "field", 5),
-        ("ideal_number", "config_ideal", 5),
-        ("generators_number", "config_ideal", {"ring": {"vars": ["l"]}, "generators": 5}),
-        ("generator_number", "config_ideal", {"ring": {"vars": ["l"]}, "generators": [3]}),
-        ("ideal_field_number", "config_ideal", {"field": 101, "ring": {"vars": ["l"]}, "generators": []}),
-        ("vars_number", "config_ideal", {"ring": {"vars": 5}, "generators": []}),
-        ("ring_number", "config_ideal", {"ring": 5, "generators": []}),
-        ("var_number", "config_ideal", {"ring": {"vars": [5]}, "generators": []}),
-        ("weight_string", "config_ideal", {"ring": {"vars": ["l"], "weights": ["a"]}, "generators": []}),
-    ]:
-        (tmp_path / f"{name}.json").write_text(json.dumps(dict(bundle, **{key: value})))
+    if bundle is None:
+        return
+    for name, (key, value, *_) in {**MALFORMED_INPUTS, **MALFORMED_ENTRIES}.items():
+        data = dict(bundle, **{key: value})
+        if value is MISSING:
+            del data[key]
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
 
 
 @pytest.mark.parametrize(
@@ -583,6 +558,7 @@ def _write_inputs(tmp_path):
         ["verify", "{tmp}/seed_bool.json"],
         ["verify", "{tmp}/bound_string.json"],
         ["verify", "{tmp}/bound_negative.json"],
+        ["verify", "{tmp}/bound_missing.json"],
         ["verify", "{tmp}/certification_list.json"],
         ["verify", "{tmp}/span_not_list.json"],
         ["verify", "{tmp}/short_vector.json"],
@@ -607,8 +583,6 @@ def _write_inputs(tmp_path):
         ["dual", "--form", "sbsc_planar7", "--in", "{tmp}/field_number_subspace.json"],
         ["construct", "infinity", "--bound", "-1"],
         ["construct", "conic", "--bound", "-1"],
-        ["construct", "infinity", "--retries", "-1"],
-        ["construct", "cubic", "--retries", "-1"],
         ["construct", "cubic", "--seed", "3", "--field", "q"],
         ["verify", "{tmp}/pod.json", "--samples", "-40"],
         ["verify", "{tmp}/pod.json", "--tol", "-1"],
@@ -620,7 +594,7 @@ def _write_inputs(tmp_path):
     ids=["verify-missing-file", "dual-missing-file", "verify-bad-json", "verify-bad-number",
          "verify-bad-polynomial", "verify-bad-field-header", "verify-repeated-variable",
          "verify-seed-string", "verify-seed-null", "verify-seed-bool", "verify-bound-string",
-         "verify-bound-negative", "verify-certification-list",
+         "verify-bound-negative", "verify-bound-missing", "verify-certification-list",
          "verify-span-not-list", "verify-short-vector", "verify-field-number",
          "verify-ideal-number", "verify-generators-number", "verify-generator-number",
          "verify-ideal-field-number", "verify-vars-number", "verify-ring-number",
@@ -628,16 +602,28 @@ def _write_inputs(tmp_path):
          "dual-bad-json", "dual-no-ambient", "field-not-prime", "field-two",
          "legs-unequal-lengths", "legs-non-numeric", "legs-wrong-count", "dual-wrong-ambient",
          "dual-short-basis", "dual-field-number", "infinity-bound-negative",
-         "conic-bound-negative", "infinity-retries-negative", "cubic-retries-negative", "cubic-field-q",
+         "conic-bound-negative", "cubic-field-q",
          "verify-samples-negative", "verify-tol-negative", "verify-tol-infinite",
          "reproduce-tol-negative", "reproduce-tol-nan", "invariants-weighted-model"],
 )
-def test_input_error_exit_code(tmp_path, args):
-    _write_inputs(tmp_path)
+def test_input_error_exit_code(tmp_path, fp_bundles, args):
+    # every malformed input exits with its documented code: 2 with one line
+    # of stderr (for MALFORMED_INPUTS, the line it states), except a bundle
+    # entry of MALFORMED_ENTRIES, which differs from the rebuilt bundle:
+    # exit 1, named
+    _write_inputs(tmp_path, fp_bundles[8])
     proc = run_cli(*[a.format(tmp=tmp_path) for a in args], check=False)
+    name = Path(args[1]).stem if args[0] == "verify" else None
+    if name in MALFORMED_ENTRIES:
+        key = MALFORMED_ENTRIES[name][0]
+        assert proc.returncode == 1
+        assert f"entries differ from the bundle rebuilt from its seed: {[key]}" in proc.stdout
+        return
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    if name in MALFORMED_INPUTS:
+        assert proc.stderr.rstrip().endswith(MALFORMED_INPUTS[name][2])
 
 
 def test_special_pentapod_exit_code(tmp_path):

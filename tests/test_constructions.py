@@ -222,7 +222,7 @@ def sym_image_by_elimination(leg_full):
     split_ideal._hilbert = hilbert_data(Ideal(leg_full.ring, leg_full.generators))
     out = eliminate(split_ideal, ["a01", "a02", "a03", "a12", "a13", "a23"])
     ryi = ring_Y_inv(field)
-    return Ideal(ryi, [ryi.parse(str(g)) for g in out.generators])
+    return Ideal(ryi, [ryi.coerce(g) for g in out.generators])
 
 
 @pytest.fixture(scope="module")
