@@ -29,6 +29,7 @@ from .models import (
 )
 from .duality import (
     FORMS,
+    DualityError,
     LinearSubspace,
     bsc17,
     bsc_planar10,
@@ -164,7 +165,7 @@ def run_all(fast: bool = False, seed: int = 0, tol: float = 1e-9):
             ]
             try:
                 sixth = constructions.duporcq_sixth_leg(legs)
-            except Exception:
+            except DualityError:
                 continue  # measure-zero special pentapod: redraw
             s5 = constructions.legs_span_subspace(legs, QQ)
             s6 = constructions.legs_span_subspace(legs + [sixth], QQ)

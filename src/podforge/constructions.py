@@ -401,11 +401,7 @@ def duporcq_sixth_leg(legs) -> Leg:
     # the minors of z(lam) = sum_s lam_s z_s, one kernel row of lam_s lam_t
     # coefficients each; a lam_s^2 coefficient is a minor of one input leg
     lring = RingContext(tuple(f"lam{s}" for s in range(5)), (1,) * 5, DEGREVLEX, field)
-    zlam = [
-        [sum((lring.gen(s).scale(v[3 * i + j]) for s, v in enumerate(vecs)), lring.zero())
-         for j in range(3)]
-        for i in range(3)
-    ]
+    zlam = [[lring.linear_form([v[3 * i + j] for v in vecs]) for j in range(3)] for i in range(3)]
 
     def lam_st(s, t):  # the exponents of lam_s lam_t
         return [int(i == s) + int(i == t) for i in range(5)]
@@ -587,15 +583,7 @@ def cubic_line_symmetric(rng_seed: int, field=None, bound: int = 10) -> CubicPod
             continue
         # smoothness of the plane cubic, on the plane's own coordinates
         uring = RingContext(("u0", "u1", "u2"), (1, 1, 1), DEGREVLEX, field)
-        uimg = []
-        for j in range(7):
-            uimg.append(
-                sum(
-                    (uring.gen(k).scale(pts[k][j]) for k in range(3)),
-                    uring.zero(),
-                )
-            )
-        restrict = RingMap(rypi, uring, uimg)
+        restrict = RingMap(rypi, uring, [uring.linear_form(col) for col in zip(*pts)])
         cubic_u = restrict(y_pinv_cubic(rypi))
         if cubic_u.is_zero():
             last = "plane lies inside the cone"
@@ -632,9 +620,6 @@ def _lfree_cutting_forms(points, field) -> list:
     combos = linalg.matrix_kernel([[v[-1] for v in cutting]], field)
     columns = [list(col) for col in zip(*cutting)]
     return [linalg.mat_vec(columns, c, field) for c in combos]
-
-
-SYMMETROID_NODE_SAMPLES = 8  # the most nodes `symmetroid_pencil` locates
 
 
 @dataclass(frozen=True)
@@ -688,21 +673,11 @@ def symmetroid_pencil(bundle: CubicPodBundle) -> SymmetroidPencil:
                 raise CertificationError("pencil matrix has a nonzero last row or column")
 
     wring = RingContext(("w0", "w1", "w2", "w3"), (1, 1, 1, 1), DEGREVLEX, field)
-    w = [wring.gen(f"w{i}") for i in range(4)]
-    entries = [
-        [
-            sum(
-                (w[0].scale(E[i][j]),)
-                + tuple(w[k + 1].scale(A[k][i][j]) for k in range(3)),
-                wring.zero(),
-            )
-            for j in range(4)
-        ]
-        for i in range(4)
-    ]
+    entries = [[wring.linear_form([E[i][j]] + [a[i][j] for a in A]) for j in range(4)]
+               for i in range(4)]
     (det,) = minors(entries, 4)
     (H,) = minors([row[:3] for row in entries[:3]], 3)
-    if det != w[0] * H:
+    if det != wring.gen("w0") * H:
         raise CertificationError("determinant is not w0 times the leading 3 x 3 minor")
     jac = Ideal(wring, [H.derivative(n) for n in ("w0", "w1", "w2", "w3")])
     hd = hilbert_data(jac)
@@ -710,7 +685,7 @@ def symmetroid_pencil(bundle: CubicPodBundle) -> SymmetroidPencil:
     node_scheme_degree = 0
     if hd.dimension == 0:
         node_scheme_degree = hd.degree
-        nodes = tuple(solve_zero_dimensional(jac, max_points=SYMMETROID_NODE_SAMPLES))
+        nodes = tuple(solve_zero_dimensional(jac))
     elif hd.dimension > 0:
         raise CertificationError("symmetroid singular locus is positive-dimensional")
     columns = list(zip(*pts))
@@ -746,8 +721,6 @@ def base_curve(bundle: InfinityPodBundle) -> Ideal:
     if len(lfree) != 5:
         raise CertificationError("leg span does not project cleanly (vertex issue)")
     ring3 = RingContext(("a0", "a1", "a2", "a3"), (1,) * 4, DEGREVLEX, field)
-    a = [ring3.gen(f"a{i}") for i in range(4)]
     # row c, column j: the linear form multiplying b_j
-    rows = [[sum((a[i].scale(v[4 * i + j]) for i in range(4)), ring3.zero()) for j in range(4)]
-            for v in lfree]
+    rows = [[ring3.linear_form(v[j:16:4]) for j in range(4)] for v in lfree]
     return Ideal(ring3, minors(rows, 4))

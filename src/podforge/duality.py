@@ -305,8 +305,7 @@ class LinearSubspace:
                 f"coordinates {self.ambient} over {self.field}"
             )
         forms = self if self.kind == "forms" else self.converted()
-        units = [tuple(int(k == i) for k in range(ring.n)) for i in range(ring.n)]
-        return [ring.from_terms(zip(units, v)) for v in forms.basis]
+        return [ring.linear_form(v) for v in forms.basis]
 
 
 def same_subspace(s1: LinearSubspace, s2: LinearSubspace) -> bool:

@@ -185,6 +185,15 @@ class RingContext:
     def gens(self) -> tuple:
         return tuple(self.gen(i) for i in range(self.n))
 
+    def linear_form(self, coeffs) -> "Polynomial":
+        """The form sum c_i * x_i, one coefficient per variable, each brought
+        into the field with `of`; zero coefficients are dropped."""
+        if len(coeffs) != self.n:
+            raise ValueError(f"{len(coeffs)} coefficients for {self.n} variables")
+        of = self.field.of
+        terms = {u: c for u, c in zip(self.units, map(of, coeffs)) if c}
+        return Polynomial(self, terms)
+
     def from_terms(self, pairs) -> "Polynomial":
         """Build from (exponent tuple, coefficient) pairs; repeats accumulate."""
         of = self.field.of

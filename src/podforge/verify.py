@@ -86,8 +86,7 @@ def roots_mod_p(coeffs, p, rng=None):
 
 def _random_form(ring, rng, lo, hi):
     """A linear form with coefficients drawn uniformly from [lo, hi]."""
-    field = ring.field
-    return sum((g.scale(field.of(rng.randint(lo, hi))) for g in ring.gens()), ring.zero())
+    return ring.linear_form([rng.randint(lo, hi) for _ in range(ring.n)])
 
 
 def multiplication_data(ideal: Ideal, rng=None):
@@ -141,12 +140,11 @@ def multiplication_data(ideal: Ideal, rng=None):
 _FORM_DRAWS = 20  # draws of the two random forms before a solve gives up
 REFINE_WIDTH = Fraction(1, 10 ** 12)  # width of the intervals refine_root returns
 NEWTON_STEPS = 6  # Newton steps of polish_float_root
-REAL_LEG_SLICES = 12  # slices real_legs draws before it gives up
-CURVE_SLICES = 25  # slices curve_points draws before it gives up
+SLICES = 25  # hyperplanes a curve's slice loop draws before it gives up
 REAL_CONFIG_GRID = 40  # real_configurations sweeps e2 over 2 * REAL_CONFIG_GRID + 1 values
 
 
-def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
+def solve_zero_dimensional(ideal: Ideal, rng=None):
     """All rational points of a zero-dimensional projective scheme over its
     field, each verified exactly against every generator.
 
@@ -184,8 +182,6 @@ def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
                 norm = tuple(field.of(lead * c) for c in pt)
                 if norm not in points:
                     points.append(norm)
-                    if max_points is not None and len(points) >= max_points:
-                        return points
         else:
             return points
     raise SamplingError(
@@ -194,28 +190,34 @@ def solve_zero_dimensional(ideal: Ideal, max_points=None, rng=None):
     )
 
 
-def curve_points(ideal: Ideal, rng=None):
-    """The GF(p) points of a one-dimensional scheme, each once, as a
-    generator: random hyperplanes slice it into zero-dimensional schemes,
-    each solved exactly.  A slice is skipped when it is not zero-dimensional
-    or when its points are not separated (SamplingError); any other error
-    propagates.  The points end after CURVE_SLICES slices."""
-    rng = rng or random.Random(1)
-    ring = ideal.ring
-    field = ring.field
-    if field is QQ:
-        raise ValueError("curve point sampling runs over a finite field")
+def _slices(ideal: Ideal, rng, lo: int, hi: int):
+    """The zero-dimensional hyperplane slices of a curve, as a generator:
+    SLICES random forms with coefficients drawn from [lo, hi], each cutting
+    the curve unless it is zero or the hyperplane contains a component.
+    Raises ValueError unless the ideal is a curve."""
     hd = hilbert_data(ideal)
     if hd.dimension != 1:
         raise ValueError(f"expected a curve, got dimension {hd.dimension}")
-    seen = set()
-    for _ in range(CURVE_SLICES):
-        hyper = _random_form(ring, rng, 0, field.p - 1)
+    for _ in range(SLICES):
+        hyper = _random_form(ideal.ring, rng, lo, hi)
         if hyper.is_zero():
             continue
         sliced = ideal + [hyper]
-        if hilbert_data(sliced).dimension != 0:
-            continue  # the hyperplane contains a component
+        if hilbert_data(sliced).dimension == 0:
+            yield sliced
+
+
+def curve_points(ideal: Ideal, rng=None):
+    """The GF(p) points of a one-dimensional scheme, each once, as a
+    generator: the slices of `_slices`, each solved exactly.  A slice whose
+    points are not separated (SamplingError) is skipped; any other error
+    propagates."""
+    rng = rng or random.Random(1)
+    field = ideal.ring.field
+    if field is QQ:
+        raise ValueError("curve point sampling runs over a finite field")
+    seen = set()
+    for sliced in _slices(ideal, rng, 0, field.p - 1):
         try:
             pts = solve_zero_dimensional(sliced, rng=rng)
         except SamplingError:
@@ -243,7 +245,7 @@ def exact_legs(bundle, count: int, rng):
             legs += [leg_to_point(leg).coords() for leg in pair]
             if len(legs) >= count:
                 return legs
-    raise SamplingError(f"found {len(legs)} legs after {CURVE_SLICES} slices")
+    raise SamplingError(f"found {len(legs)} legs after {SLICES} slices")
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +466,12 @@ def _real_leg(a, b, d2):
 def real_legs(bundle, count: int, rng=None):
     """At least `count` real legs of a bundle over Q, in (a, b), (b, a) pairs.
 
-    Random rational hyperplanes slice the degree-10 symmetric leg curve, and
-    each slice is read as over GF(p): the real roots of the charpoly of A are
-    isolated exactly by Sturm sequences and refined, and a root's point is
-    read through `columns` from the float left eigenvector of A (the null
-    vector of (A - lam I)^t); a slice whose draw gives a singular M0 is
-    skipped.
+    Random rational hyperplanes slice the degree-10 symmetric leg curve
+    (`_slices`), and each slice is read as over GF(p): the real roots of the
+    charpoly of A are isolated exactly by Sturm sequences and refined, and a
+    root's point is read through `columns` from the float left eigenvector
+    of A (the null vector of (A - lam I)^t); a slice whose draw gives a
+    singular M0 is skipped.
     `recover_leg_pairs_float` factors the point into its leg pair; both
     (a, b) and (b, a) are legs, because the full leg curve is the 2:1
     preimage of the symmetric one.  A point whose pair is complex, whose
@@ -480,19 +482,9 @@ def real_legs(bundle, count: int, rng=None):
     if field is not QQ:
         raise ValueError("real leg extraction requires a rational bundle")
     rng = rng or random.Random(11)
-    ideal = bundle.leg_ideal_sym
-    ring = ideal.ring
     legs = []
     slice_degrees = []
-    for _ in range(REAL_LEG_SLICES):
-        if len(legs) >= count:
-            break
-        hyper = _random_form(ring, rng, -9, 9)
-        if hyper.is_zero():
-            continue
-        sliced = ideal + [hyper]
-        if hilbert_data(sliced).dimension != 0:
-            continue  # the hyperplane contains a component
+    for sliced in _slices(bundle.leg_ideal_sym, rng, -9, 9):
         try:
             A, columns = multiplication_data(sliced, rng)
         except SamplingError:
@@ -515,13 +507,10 @@ def real_legs(bundle, count: int, rng=None):
                 continue
             legs += [_real_leg(la, lb, d2), _real_leg(lb, la, d2)]
             if len(legs) >= count:
-                break
-    if len(legs) < count:
-        raise SamplingError(
-            f"found {len(legs)} real legs after {REAL_LEG_SLICES} slices "
-            f"(slice degrees {slice_degrees})"
-        )
-    return legs
+                return legs
+    raise SamplingError(
+        f"found {len(legs)} real legs after {SLICES} slices (slice degrees {slice_degrees})"
+    )
 
 
 # ---------------------------------------------------------------------------

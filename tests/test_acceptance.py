@@ -85,3 +85,18 @@ def test_claims_4_and_6_fail_off_the_configuration_curve(monkeypatch, name, pref
     (row,) = run_all(fast=True)
     assert not row.ok
     assert row.detail == f"{prefix}configuration curve (1, 1, 0) (want (1, 8, 3))"
+
+
+def test_claim7_redraws_only_special_pentapods(monkeypatch):
+    # a special pentapod raises DualityError and is redrawn; any other error
+    # is a fault and fails the claim (only claim 7 runs here)
+    def broken(legs):
+        raise TypeError("unsupported operand")
+
+    claim = acceptance._claim
+    monkeypatch.setattr(constructions, "duporcq_sixth_leg", broken)
+    monkeypatch.setattr(acceptance, "_claim", lambda results, name, fn: (
+        claim(results, name, fn) if name == "7 sixth-leg extension" else None))
+    (row,) = run_all(fast=True)
+    assert not row.ok
+    assert row.detail == "error: unsupported operand"

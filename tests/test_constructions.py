@@ -719,7 +719,7 @@ def test_hexapod_rigid_configs_pair_with_leg_curve():
         rxp = ring_X_p(F101)
         cfg_ideal = ideal_X_p(F101) + forms.linear_forms(rxp)
         try:
-            cfgs = solve_zero_dimensional(cfg_ideal, max_points=4)
+            cfgs = solve_zero_dimensional(cfg_ideal)[:4]
         except Exception:
             continue
         if not cfgs:

@@ -53,6 +53,25 @@ def test_scale_over_gf5():
     assert e1.scale(2).scale(3) == e1
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(2**31 - 1)], ids=["QQ", "GF101", "GF2^31-1"])
+def test_linear_form_matches_the_sum_of_scaled_generators(field):
+    # oracle: sum c_i * x_i built by scaling and adding the generators
+    ring = RingContext(("a", "b", "c", "d"), (1,) * 4, DEGREVLEX, field)
+    rng = random.Random(29)
+    for _ in range(50):
+        coeffs = [rng.choice([0, 1, -1, rng.randint(-10**12, 10**12), Fraction(rng.randint(-9, 9), 7)])
+                  for _ in range(ring.n)]
+        form = ring.linear_form(coeffs)
+        assert form == sum((g.scale(c) for g, c in zip(ring.gens(), coeffs)), ring.zero())
+        # stored coefficients are the field's canonical scalars, zeros absent
+        assert set(form.terms) == {u for u, c in zip(ring.units, coeffs) if not field.is_zero(field.of(c))}
+        assert all(c == field.of(c) and not field.is_zero(c) for c in form.terms.values())
+    assert ring.linear_form([0, 0, field.characteristic, 0]).is_zero()
+    for wrong in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(ValueError, match="coefficients for 4 variables"):
+            ring.linear_form(wrong)
+
+
 def test_field_mixing_rejected(ring_xyz):
     other = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, GF(7))
     with pytest.raises(FieldError):

@@ -409,6 +409,28 @@ def test_real_legs_skips_only_unsolvable_slices(monkeypatch):
         verify.real_legs(bundle, 1)
 
 
+def test_real_legs_raise_after_the_slice_budget(monkeypatch):
+    # every slice spends its draw (a singular M0): real_legs gives up after
+    # SLICES slices and says so
+    from types import SimpleNamespace
+
+    from podforge import verify
+
+    ring = RingContext(("x0", "x1", "x2", "x3"), (1,) * 4, DEGREVLEX, QQ)
+    g = ring.gens()
+    bundle = SimpleNamespace(seed=SimpleNamespace(field=QQ), leg_ideal_sym=Ideal(ring, [g[2], g[3]]))
+    calls = []
+
+    def singular(*args, **kwargs):
+        calls.append(1)
+        raise SamplingError("M0 is singular: ell_0 vanishes at a point")
+
+    monkeypatch.setattr(verify, "multiplication_data", singular)
+    with pytest.raises(SamplingError, match=f"found 0 real legs after {verify.SLICES} slices"):
+        verify.real_legs(bundle, 1)
+    assert 0 < len(calls) <= verify.SLICES
+
+
 def test_real_legs_from_symmetric_curve_lie_on_full_curve():
     # oracle: legs read from the degree-10 symmetric curve satisfy every
     # generator of the independently built full leg curve, come in
