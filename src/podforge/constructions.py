@@ -18,6 +18,7 @@ from .fields import QQ, GF
 from .groebner import (
     Ideal,
     cut_cohen_macaulay,
+    cut_regular_sequence,
     hilbert_data,
     normal_form,
     reduce_by_basis,
@@ -331,16 +332,33 @@ def create_infinity_pod(rng_seed: int, field=None, bound: int = 10) -> InfinityP
     (F) under the seed's lift map (`rho_preimage`: X cut by the lift's 11
     kernel forms, certified by three exact checks).  The involution forms
     reduce to zero modulo P's basis, so that sum is P and carries P's basis
-    and numerator.  Those forms span the
-    configuration forms; the compatible legs are cut out of the leg cone Y
-    by the forms dual to them.  Y is determinantal, hence Cohen-Macaulay
-    (Hochster-Eagon 1971), so that cut runs on the series (1 - t)^6 HS(Y)
-    (`cut_cohen_macaulay`); reaching it shows that the six forms cut Y in
-    dimension 1, and the full curve is certified (1, 20, 11).  Its symmetric
-    image comes from the duality on the symmetric side
-    (`_symmetric_leg_ideal`, which checks exactly that it is that image) and
-    is certified (1, 10, 6).  A failed certificate raises CertificationError
-    naming the seed.  The field must not have characteristic 2."""
+    and numerator.  Those forms span the configuration forms; the compatible
+    legs are cut out of the leg cone Y by the six forms L dual to them, and
+    their symmetric image out of Y_inv by the forms dual to the P^4 of the
+    symmetric side (`_symmetric_leg_ideal`, which checks exactly that L's
+    P^10 is the symmetrization preimage of that P^4, and cuts Y_inv as a
+    Cohen-Macaulay ring); the symmetric curve is certified (1, 10, 6).
+
+    The full curve Y + L is certified (1, 20, 11) with no Groebner run on it,
+    through the symmetrization pi: z_ij, z_ji -> s_ij, z_ii -> z_ii, l -> l,
+    a linear projection from the P^16 of Y to the P^10 of Y_inv:
+    1. pi's centre {z_ii = 0, z_ji = -z_ij, l = 0} misses Y: there the
+       minor z_ii z_jj - z_ij z_ji is z_ij^2, which vanishes on Y, so z = 0.
+       So pi restricted to Y is finite, and keeps the dimension of every
+       closed subset.
+    2. pi maps Y into Y_inv: pi(z) is the symmetric matrix z + z^t, of rank
+       at most 2.
+    3. L's P^10 is pi^-1(P^4) (checked), so pi maps Y + L into the
+       symmetric curve, and by 1 the dimension of Y + L is at most that
+       curve's; CertificationError is raised unless it is 1.
+    4. Y is determinantal, hence Cohen-Macaulay (Hochster-Eagon 1971), of
+       dimension 7, and six forms cut it in dimension at most 1 = 7 - 6, so
+       they are part of a system of parameters, hence a regular sequence
+       (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.2), and
+       HS(Y + L) = (1 - t)^6 HS(Y) (`cut_regular_sequence`), with HS(Y)
+       certified by Y's own run (`models.ideal_Y`).
+    A failed certificate raises CertificationError naming the seed.  The
+    field must not have characteristic 2."""
     field = field or GF(101)
     seed = draw_seed(rng_seed, field, bound)
     try:
@@ -356,15 +374,20 @@ def create_infinity_pod(rng_seed: int, field=None, bound: int = 10) -> InfinityP
         config.seed_groebner_cache(p_basis)
         l_lin = dual_space(i_lin, bsc17(), "left")
         cutting = l_lin.converted()
-        leg_full = cut_cohen_macaulay(ideal_Y(field), cutting.linear_forms(ring_Y(field)))
         leg_sym = _symmetric_leg_ideal(i_lin.basis, cutting.basis, field)
+        sym_data = hilbert_data(leg_sym)
+        if sym_data.dimension != 1:
+            raise CertificationError(
+                f"the symmetric leg curve has dimension {sym_data.dimension}, not 1"
+            )
+        leg_full = cut_regular_sequence(ideal_Y(field), cutting.linear_forms(ring_Y(field)))
     except CertificationError as exc:
         raise CertificationError(f"seed {rng_seed}: {exc}") from None
 
     certification = {
         "i_lin_dim": len(i_lin.basis),
         "f_smooth": seed.f_smooth,
-        "leg_sym": hilbert_data(leg_sym).triple(),
+        "leg_sym": sym_data.triple(),
         "leg_full": hilbert_data(leg_full).triple(),
     }
     return InfinityPodBundle(

@@ -14,7 +14,9 @@ supplies the exact series for free, `Ideal + [f]` supplies (1 - t^deg f) times
 the parent's series, a bound for every slice, and a model ideal may carry a
 proven bound of its own (`models.ideal_Y`).  `cut_cohen_macaulay` runs a cut
 of a Cohen-Macaulay ring on the series a regular sequence would give and
-keeps the result only if it reaches that series.  `saturate` computes
+keeps the result only if it reaches that series; `cut_regular_sequence`
+carries that series as exact, for forms the caller has proven a regular
+sequence, and makes no run until a basis is asked for.  `saturate` computes
 I : x^infinity for the last degrevlex variable x in one run that divides each
 new basis element by its largest power of x (Bayer's lemma, Bayer-Stillman
 1987), so the basis of I itself is never finished.
@@ -751,10 +753,7 @@ def cut_cohen_macaulay(ideal: Ideal, forms) -> Ideal:
     repeated with no series.  The check reads the run's own numerator of
     its final leads, which the result keeps with its basis."""
     out = ideal + forms
-    series = _basis_numerator(ideal)
-    for f in out.generators[len(ideal.generators):]:
-        series = _times_one_minus_t_power(series, f.homogeneous_degree())
-    series = unipoly.trim(series)
+    series = _cut_series(ideal, out)
     try:
         gb = buchberger(out, hilbert=series)
     except ValueError:
@@ -763,6 +762,28 @@ def cut_cohen_macaulay(ideal: Ideal, forms) -> Ideal:
         gb = buchberger(out)
     out.seed_groebner_cache(gb)
     return out
+
+
+def cut_regular_sequence(ideal: Ideal, forms) -> Ideal:
+    """I + forms, for forms that the caller has proven to be a regular
+    sequence on R/I, in a weight-1 ring.  Each form of degree e then
+    multiplies the Hilbert series by (1 - t^e), so the cut's series is
+    exactly H = prod(1 - t^deg f) HS(R/I): `hilbert_data` reads it with no
+    Groebner run on the cut, and a later `groebner_basis()` call is driven
+    by it."""
+    out = ideal + forms
+    out._bound = _cut_series(ideal, out)
+    out._hilbert = _hilbert_from_numerator(out.ring, out._bound)
+    return out
+
+
+def _cut_series(ideal: Ideal, out: Ideal):
+    """prod(1 - t^deg f) HS(R/I), as a numerator over prod(1 - t^w), for the
+    forms f that `out` adds to I's generators."""
+    series = _basis_numerator(ideal)
+    for f in out.generators[len(ideal.generators):]:
+        series = _times_one_minus_t_power(series, f.homogeneous_degree())
+    return unipoly.trim(series)
 
 
 # ---------------------------------------------------------------------------
@@ -866,12 +887,16 @@ def _known_numerator(ideal: Ideal):
 def hilbert_data(ideal: Ideal) -> HilbertData:
     """Dimension, degree and (for curves) arithmetic genus of a homogeneous
     ideal in a weight-1 ring."""
-    ring = ideal.ring
+    if ideal._hilbert is None:
+        ideal._hilbert = _hilbert_from_numerator(ideal.ring, _basis_numerator(ideal))
+    return ideal._hilbert
+
+
+def _hilbert_from_numerator(ring, num) -> HilbertData:
+    """The HilbertData of the series num / (1 - t)^n of a weight-1 ring of n
+    variables."""
     if any(w != 1 for w in ring.weights):
         raise ValueError("hilbert_data requires a weight-1 ring")
-    if ideal._hilbert is not None:
-        return ideal._hilbert
-    num = _basis_numerator(ideal)
     # strip factors of (1 - t); num(1) == 0 iff divisible
     s = 0
     while num and sum(num) == 0:
@@ -879,16 +904,13 @@ def hilbert_data(ideal: Ideal) -> HilbertData:
         s += 1
     if not num:
         # unit ideal: empty projective scheme
-        data = HilbertData(-1, 0, None, (0,))
-    else:
-        proj_dim = ring.n - s - 1
-        degree = sum(num)
-        # a curve's HS = num(t) / (1 - t)^2 has HP(t) = sum_j c_j (t - j + 1)
-        # = deg * t + 1 - g, so g = 1 - deg + sum_j j * c_j
-        genus = 1 - degree + sum(j * c for j, c in enumerate(num)) if proj_dim == 1 else None
-        data = HilbertData(proj_dim, degree, genus, tuple(num))
-    ideal._hilbert = data
-    return data
+        return HilbertData(-1, 0, None, (0,))
+    proj_dim = ring.n - s - 1
+    degree = sum(num)
+    # a curve's HS = num(t) / (1 - t)^2 has HP(t) = sum_j c_j (t - j + 1)
+    # = deg * t + 1 - g, so g = 1 - deg + sum_j j * c_j
+    genus = 1 - degree + sum(j * c for j, c in enumerate(num)) if proj_dim == 1 else None
+    return HilbertData(proj_dim, degree, genus, tuple(num))
 
 
 def standard_monomials(ideal: Ideal, t: int):

@@ -397,7 +397,7 @@ def test_verify_bundle_with_another_seeds_symmetric_leg_curve_fails(tmp_path, fp
 @pytest.mark.parametrize("seed", [7, 8])
 def test_exact_legs_lie_on_the_plain_basis_of_the_full_curve(seed):
     # oracle: a plain Buchberger run on the full leg curve's generators gives
-    # the triple of the construction's Cohen-Macaulay cut, and every
+    # the triple of the construction's series, and every
     # exact-mode leg lies on its basis, in (a, b), (b, a) pairs
     import random
 

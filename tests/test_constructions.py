@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from podforge import constructions, groebner, linalg, unipoly
+from podforge import constructions, groebner, linalg, models, unipoly
 from podforge.fields import GF, QQ
 from podforge.groebner import Ideal, eliminate, hilbert_data
 from podforge.models import (
     Y_NAMES,
+    YINV_NAMES,
     Leg,
     ideal_X,
+    ideal_Y,
+    ideal_Y_inv,
     project_model,
     rho_isometry_point,
     ring_euler,
@@ -439,18 +442,12 @@ def test_infinity_pod_computes_each_lead_numerator_once(monkeypatch):
 
 
 def test_leg_cone_cut_reduction_count(monkeypatch):
-    # a work guard on Y's Cohen-Macaulay cut for seed 1: 42 generators, 15
-    # S-pairs and 51 tails of the final interreduction, 108 reductions in all
-    cuts = []
-    cut = groebner.cut_cohen_macaulay
-
-    def recording(ideal, forms):
-        cuts.append((ideal, list(forms)))
-        return cut(ideal, forms)
-
-    monkeypatch.setattr(constructions, "cut_cohen_macaulay", recording)
-    create_infinity_pod(1, F101)
-    ((Y, forms),) = [(i, f) for i, f in cuts if i.ring == ring_Y(F101)]
+    # a work guard on Y's Cohen-Macaulay cut by seed 1's six leg forms: 42
+    # generators, 15 S-pairs and 51 tails of the final interreduction, 108
+    # reductions in all
+    Y = ideal_Y(F101)
+    forms = create_infinity_pod(1, F101).leg_ideal_full.generators[36:]
+    assert len(Y.generators) == 36 and len(forms) == 6
     series = groebner._basis_numerator(Y)
     for _ in forms:
         series = unipoly.mul(series, [1, -1])
@@ -465,8 +462,75 @@ def test_leg_cone_cut_reduction_count(monkeypatch):
         return reduce(*args)
 
     monkeypatch.setattr(groebner, "_reduce", counting)
-    assert len(cut(Y, forms).groebner_basis()) == 51
+    assert len(groebner.cut_cohen_macaulay(Y, forms).groebner_basis()) == 51
     assert len(calls) == 108
+
+
+@pytest.mark.parametrize("field, seeds", [(F101, range(1, 9)), (GF(32003), [1]), (QQ, [2])])
+def test_leg_full_series_is_the_cohen_macaulay_cut(field, seeds):
+    # oracle: the series the full leg curve reads off Y's series and the
+    # symmetric curve's dimension is the one the Cohen-Macaulay cut reaches
+    # (and, for GF(101) seed 1, the one a run with no series finds), and the
+    # run it drives gives the cut's reduced basis
+    Y = ideal_Y(field)
+    for s in seeds:
+        full = create_infinity_pod(s, field).leg_ideal_full
+        cut = groebner.cut_cohen_macaulay(Y, full.generators[len(Y.generators):])
+        assert hilbert_data(full) == hilbert_data(cut)
+        assert hilbert_data(full).triple() == (1, 20, 11)
+        if (field, s) == (F101, 1):
+            plain = Ideal(full.ring, groebner.buchberger(full.generators))
+            assert hilbert_data(plain) == hilbert_data(full)
+            assert plain.generators == cut.groebner_basis()
+        assert full.groebner_basis() == cut.groebner_basis()
+
+
+@pytest.mark.parametrize("field", [QQ, F101, GF(32003)])
+def test_symmetrization_is_finite_on_the_leg_cone(field):
+    # the premises of the full leg curve's certificate: the centre of the
+    # symmetrization pi, {z_ii = 0, z_ij + z_ji = 0, l = 0}, misses Y, and pi
+    # maps Y into Y_inv
+    ry = ring_Y(field)
+    z = {n: ry.gen(n) for n in Y_NAMES}
+    pairs = list(itertools.combinations(range(4), 2))
+    centre = ([z[f"z{i}{i}"] for i in range(4)] + [z[f"z{i}{j}"] + z[f"z{j}{i}"] for i, j in pairs]
+              + [z["l"]])
+    assert len(centre) == 11
+    assert hilbert_data(ideal_Y(field) + centre).dimension == -1
+    images = [z[n] if n[0] != "s" else z[f"z{n[1]}{n[2]}"] + z[f"z{n[2]}{n[1]}"] for n in YINV_NAMES]
+    pi = RingMap(ring_Y_inv(field), ry, images)
+    minors3 = ideal_Y_inv(field).generators
+    assert len(minors3) == 16
+    basis = ideal_Y(field).groebner_basis()
+    assert all(groebner.reduce_by_basis(pi(m), basis).is_zero() for m in minors3)
+
+
+def test_leg_sym_not_a_curve_raises(monkeypatch):
+    # negative control: the full curve's series is read only off a symmetric
+    # curve of dimension 1
+    monkeypatch.setattr(constructions, "_symmetric_leg_ideal",
+                        lambda span, cutting, field: ideal_Y_inv(field))
+    with pytest.raises(CertificationError,
+                       match=r"^seed 7: the symmetric leg curve has dimension 7, not 1$"):
+        create_infinity_pod(7, F101)
+
+
+def test_no_groebner_run_on_a_cut_of_the_leg_cone(monkeypatch):
+    # the construction runs Buchberger on Y's own generators (the model cache
+    # is emptied, so it does here) and on no other ideal of Y's ring
+    runs = []
+    run = groebner.buchberger
+
+    def recording(ideal, *args, **kwargs):
+        runs.append(ideal)
+        return run(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(models, "_ideal_cache", {})
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    bundle = create_infinity_pod(4, F101)
+    on_y = [i.generators for i in runs if i.ring == ring_Y(F101)]
+    assert on_y == [ideal_Y(F101).generators]
+    assert bundle.certification["leg_full"] == (1, 20, 11)
 
 
 def _saturate_two_runs(ideal, var):

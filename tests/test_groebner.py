@@ -14,6 +14,7 @@ from podforge.groebner import (
     _reduce_rows,
     buchberger,
     cut_cohen_macaulay,
+    cut_regular_sequence,
     eliminate,
     hilbert_data,
     normal_form,
@@ -319,6 +320,10 @@ def test_leg_cones_cohen_macaulay_certificate(model, p):
     cut = hilbert_data(plain)
     assert (cut.dimension, cut.numerator) == (-1, hd.numerator)
     assert cut_cohen_macaulay(ideal, forms).groebner_basis() == plain.groebner_basis()
+    # so the regular-sequence series is the cut's, and drives its run
+    regular = cut_regular_sequence(ideal, forms)
+    assert hilbert_data(regular) == cut
+    assert regular.groebner_basis() == plain.groebner_basis()
 
 
 def test_cohen_macaulay_cut_falls_back_when_series_missed():
