@@ -295,6 +295,8 @@ def _certification_wrong(bundle):
     cert = bundle.certification
     if cert["i_lin_dim"] != 11:
         return f"span dim {cert['i_lin_dim']} (want 11)"
+    if not cert["f_smooth"]:
+        return "the plane quartic F is singular (want f_smooth)"
     if cert["leg_sym"] != (1, 10, 6):
         return f"symmetric leg curve {cert['leg_sym']} (want (1, 10, 6))"
     if cert["leg_full"] != (1, 20, 11):

@@ -21,19 +21,23 @@ I : x^infinity for the last degrevlex variable x in one run that divides each
 new basis element by its largest power of x (Bayer's lemma, Bayer-Stillman
 1987), so the basis of I itself is never finished.
 
-Reduction has two kernels.  A degree of a run over GF(p) that no series
-bounds (the saturation, X's own basis, Y_inv's unbounded run) takes all its
-S-pairs together, and when their S-polynomials share their monomials
-(`DENSE_REUSE`, `DENSE_FILL`) reduces them as one matrix, F4-style
-(`_reduce_rows`: symbolic preprocessing, then one row reduction; Faugere
-1999).  Everything else goes through the heap-driven `_reduce`, whose loop
-serves both fields (only the reduction mod p and the reducer's factor depend
-on the field): the other degrees and the series-driven degrees pair by pair,
-every run over Q, the input generators, the final interreduction (each
-minimal element is its lead plus the normal form of its tail modulo the
-finished basis) and `reducer` / `reduce_by_basis`.  In both kernels each term is reduced by the first basis
-element whose lead divides it (`RingContext.first_divisor`); the run and
-each `reducer` cache that lookup per monomial.  Basis elements are kept
+Reduction has two kernels, and one rule picks between them.  Over GF(p) a
+batch of rows that share their monomials (`_dense_span`: `DENSE_REUSE`,
+`DENSE_FILL`) is reduced as one matrix, F4-style (`_reduce_rows`: symbolic
+preprocessing, then one pass a pack of PACK rows, every column's entries
+held in one int with a slot a row; Faugere 1999).  The batches are a
+degree's S-pairs in a run that no series bounds (the saturation, X's own
+basis, Y_inv's unbounded run), a degree's input generators in any run but
+the saturation, the final interreduction's tails (each minimal element is
+its lead plus the normal form of its tail modulo the finished basis), and
+the list given to a `reducer`; the last two in the kernel's normal-form
+mode, where no row reduces another.  Everything else goes through the
+heap-driven `_reduce`, whose loop serves both fields (only the reduction mod
+p and the reducer's factor depend on the field): a batch that fails the
+rule row by row, the series-driven degrees pair by pair, and everything
+over Q.  In both kernels each term is reduced by the first basis element
+whose lead divides it (`RingContext.first_divisor`); the run and each
+`reducer` cache that lookup per monomial.  Basis elements are kept
 monic over GF(p) and content-normalized over Q during the run.  The reduced
 basis is unique for a fixed order, so output is bit-reproducible regardless
 of internal scheduling.
@@ -52,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import inf
 
 from . import unipoly
@@ -235,19 +240,40 @@ def _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard):
     return out
 
 
-# A degree of an unbounded GF(p) run is reduced as one matrix when a monomial
-# of its S-polynomials occurs in at least DENSE_REUSE of them on average, and
-# in at least a DENSE_FILL share of them (see `_gb_engine`)
+# A GF(p) batch of rows is reduced as one matrix (`_reduce_rows`) when a
+# monomial of its rows occurs in at least DENSE_REUSE of them on average, and
+# in at least a DENSE_FILL share of them (see `_dense_span`)
 DENSE_REUSE = 2
 DENSE_FILL = 0.02
 
+# Rows `_reduce_rows` reduces at once, one slot of each column's int a row:
+# on sample-fp's batches (the pentapod saturation and its slices) 32 tied 64,
+# which doubles the accumulator's memory, and 16 and 128 were slower
+PACK = 32
 
-def _reduce_rows(rows, span, find_reducer, leads, tails, key, p, guard):
+
+def _dense_span(rows):
+    """The set of the monomials of an iterable of term dicts when they share
+    them as `_reduce_rows` needs (DENSE_REUSE, DENSE_FILL), else None."""
+    span, size, count = set(), 0, 0
+    for row in rows:
+        span.update(row)
+        size += len(row)
+        count += bool(row)
+    if span and size >= len(span) * max(DENSE_REUSE, DENSE_FILL * count):
+        return span
+    return None
+
+
+def _reduce_rows(rows, span, find_reducer, leads, tails, key, p, guard, normal_forms=False):
     """The nonzero reduced forms, monic, of an iterable of term dicts over
     GF(p) of one degree, in order; `span` is the set of their monomials, and
     is consumed.  Each result is the normal form of its row modulo the monic
     reducers (picked by find_reducer, as in `_reduce`) and the earlier
-    results (Faugere 1999, F4).
+    results (Faugere 1999, F4).  With `normal_forms`, no row reduces another
+    and the rows may have any degrees: the result is the list of every row's
+    normal form modulo the reducers alone, as `_reduce` gives it (zero rows
+    included, coefficients in [0, p), decreasing monomial order).
 
     Symbolic preprocessing closes the span under find_reducer: each monomial
     m with reducer i brings in the row m / leads[i] times reducer i, and its
@@ -255,12 +281,38 @@ def _reduce_rows(rows, span, find_reducer, leads, tails, key, p, guard):
     into columns.  A reducer row is kept as the list of its tail's column
     indices, which are the column map's own int objects (a pointer a term;
     an `array` of them was 10-15% slower to read), and its coefficients are
-    shared by every shift of the same reducer.  Each row is then reduced in
-    a dense accumulator column by column, largest first, an entry reduced
-    mod p only when its column is reached; a result becomes the pivot of its
-    lead column for the later rows (in one degree, a monomial that a
-    result's lead divides is that lead).  Raises OverflowError when a
-    monomial of the closure has an exponent above the cap."""
+    shared by every shift of the same reducer.
+
+    The rows are read PACK at a time, and a pack is reduced in one dense
+    accumulator column by column, largest first: the entry of column j is
+    one int x holding one W-bit slot a row (row k at bits kW..kW + W - 1),
+    and `ones` has a 1 at the bottom of every slot.  Reaching j, all slots
+    are reduced mod p at once by the multiply-shift of Granlund and
+    Montgomery (1994, Division by invariant integers using multiplication):
+    with magic = ceil(2^s / p), r = x - p * (((x * magic) >> s) & mask),
+    `mask` keeping the low W - s bits of every slot.  A reducer row is
+    applied to the whole pack by one multiply-add a tail term,
+    acc[jj] += f * cc with f = p * nz - r, where nz, the slots of r that are
+    nonzero, is bit c = bitlen(p) of each slot of r + (2^c - 1) * ones.  No
+    slot carries into the next:
+    - every coefficient read is below p (a row's is taken mod p, a reducer
+      tail's is), and a slot gains at most (p - 1)^2 from each of the at most
+      ncols columns before its own, so it stays below 2^b with
+      b = bitlen(p + (ncols + 1) * p * (p - 1));
+    - floor(x * magic / 2^s) = floor(x / p) for every x < 2^b when
+      s >= b + bitlen(p) (magic * p - 2^s < p <= 2^(s - b)), and
+      x * magic < 2^(b + s), so with W >= s + b each slot's product stays in
+      its slot.
+    So each slot follows its own row's reduction exactly.  Results of
+    earlier packs are pivots of their lead columns for the later packs (in
+    one degree, a monomial that a result's lead divides is that lead); a
+    pack's remainders, which miss every column with a pivot, are then
+    echelonized in row order, each by the pack's earlier results.  A
+    remainder of a row modulo rows of distinct leads that misses all those
+    leads is unique (the difference of two lies in their span and misses
+    every lead), so each result is the one the rows reduced one at a time
+    against every reducer and earlier result give.  Raises OverflowError
+    when a monomial of the closure has an exponent above the cap."""
     todo = list(span)
     if any(m & guard for m in todo):
         raise OverflowError(f"monomial exponent above the cap {EXP_MAX}")
@@ -294,41 +346,72 @@ def _reduce_rows(rows, span, find_reducer, leads, tails, key, p, guard):
             cs = shared[i] = tuple(c for _, c in tails[i])
         piv_coeffs[j] = cs
     del pivot_of, shared
+    # the slot layout (see above), W = width
+    c = p.bit_length()
+    b = (p + (ncols + 1) * p * (p - 1)).bit_length()
+    s = b + c
+    width = s + b
+    magic = -(-(1 << s) // p)
+    ones = sum(1 << (k * width) for k in range(PACK))
+    mask = ((1 << (width - s)) - 1) * ones
+    low = ((1 << c) - 1) * ones
+    slot = (1 << width) - 1
     out = []
-    acc = [0] * ncols  # all zero between rows: each entry is cleared when reached
-    for row in rows:
-        if not row:
-            continue
+    acc = [0] * ncols  # all zero between packs: each entry is cleared when reached
+    rows = iter(rows)
+    while pack := list(islice(rows, PACK)):
         lo = ncols
-        for m, c in row.items():
-            j = col[m]
-            acc[j] = c
-            if j < lo:
-                lo = j
-        kept = []
+        for k, row in enumerate(pack):
+            at = k * width
+            for mono, v in row.items():
+                j = col[mono]
+                acc[j] += (v % p) << at
+                if j < lo:
+                    lo = j
+        kept = []  # (column, its residues) where no pivot reduces
         for j in range(lo, ncols):
-            v = acc[j]
-            if not v:
+            x = acc[j]
+            if not x:
                 continue
             acc[j] = 0
-            v %= p
-            if not v:
+            r = x - p * (((x * magic) >> s) & mask)
+            if not r:
                 continue
             pc = piv_cols[j]
             if pc is None:
-                kept.append((j, v))
+                kept.append((j, r))
                 continue
-            f = p - v
+            f = p * (((r + low) >> c) & ones) - r
             for jj, cc in zip(pc, piv_coeffs[j]):
                 acc[jj] += f * cc
-        if kept:
-            j0 = kept[0][0]
-            inv = pow(kept[0][1], p - 2, p)
-            tail = [(j, v * inv % p) for j, v in kept[1:]]
+        new = []  # lead columns of the pack's results
+        for k in range(len(pack)):
+            at = k * width
+            rem = {}
+            for j, r in kept:
+                v = (r >> at) & slot
+                if v:
+                    rem[j] = v
+            if normal_forms:
+                out.append({order[j]: v for j, v in rem.items()})
+                continue
+            for j0 in new:  # each result misses the leads of those before it
+                v = rem.pop(j0, 0) % p
+                if v:
+                    f = p - v
+                    for jj, cc in zip(piv_cols[j0], piv_coeffs[j0]):
+                        rem[jj] = rem.get(jj, 0) + f * cc
+            red = sorted((j, v % p) for j, v in rem.items() if v % p)
+            if not red:
+                continue
+            (j0, lc), tail = red[0], red[1:]
+            inv = pow(lc, p - 2, p)
+            tail = [(j, v * inv % p) for j, v in tail]
             piv_cols[j0] = [j for j, _ in tail]
-            piv_coeffs[j0] = tuple(c for _, c in tail)
+            piv_coeffs[j0] = tuple(v for _, v in tail)
+            new.append(j0)
             terms = {order[j0]: 1}
-            terms.update((order[j], c) for j, c in tail)
+            terms.update((order[j], v) for j, v in tail)
             out.append(terms)
     return out
 
@@ -367,22 +450,27 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     (`constructions.pentapod_config_ideal`) made 624 reductions this way,
     412 of them to zero, against 858 smallest lcm first.
 
-    Over GF(p) with no series, a degree's pairs are taken together.  When a
-    monomial of their S-polynomials occurs in at least DENSE_REUSE of them
-    on average, and in at least a DENSE_FILL share of them, they are
-    reduced as one matrix (`_reduce_rows`), in the same order: a reducer
-    row is then built once for every row that meets it, and a pair that
-    reduces to zero costs a row, not a heap walk.  Each nonzero row is
-    inserted in order as above; in a saturating run a row whose lead a lead
-    divided by h earlier in the batch divides is first reduced by
-    `_reduce`.  The matrix route counts one step per pair.  Other degrees
-    stay on `_reduce` pair by pair, which was measured faster there: in X's
-    own basis a monomial occurs in 1.1-1.9 of a degree's S-polynomials on
-    average, and in its large degrees in 0.27-0.61% of them, and a single
-    pair has nothing to share, while the pentapod saturation's batches
-    reuse a monomial 3.6-13 times and reduce 2-4.5 times faster as
-    matrices.  The reduced basis is unique, so the order and the kernel
-    change the work, never the result.
+    Over GF(p) with no series, a degree's pairs are taken together.  When
+    their S-polynomials pass `_dense_span` (a monomial occurs in at least
+    DENSE_REUSE of them on average, and in at least a DENSE_FILL share of
+    them), they are reduced as one matrix (`_reduce_rows`), in the same
+    order: a reducer row is then built once for every row that meets it, and
+    a pair that reduces to zero costs a slot of a pack, not a heap walk.
+    Each nonzero row is inserted in order as above; in a saturating run a
+    row whose lead a lead divided by h earlier in the batch divides is first
+    reduced by `_reduce`.  The matrix route counts one step per pair.  Other
+    degrees stay on `_reduce` pair by pair, which was measured faster there:
+    in X's own basis a monomial occurs in 1.1-1.9 of a degree's
+    S-polynomials on average, and in its large degrees in 0.27-0.61% of
+    them, and a single pair has nothing to share (sending all of X's
+    degrees to the matrix took 0.40 s against 0.24 s), while the pentapod
+    saturation's batches reuse a monomial 3.6-13 times and reduce 2-4.5
+    times faster as matrices.  The same rule sends a degree's input
+    generators (outside a saturating run, which divides a new element by h
+    and so breaks the matrix's one-degree pivots) and the final
+    interreduction's tails to the matrix, the tails in normal-form mode.
+    The reduced basis is unique, so the order and the kernel change the
+    work, never the result.
 
     Returns (a list of term dicts, monic, sorted by increasing leading
     monomial; deterministic, the Hilbert numerator of their lead ideal when
@@ -422,6 +510,11 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     def full_reduce(work):
         """Full normal form of a term dict against the current basis."""
         return _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard)
+
+    def rows_reduce(rows, span, normal_forms=False):
+        """`_reduce_rows` against the current basis."""
+        return _reduce_rows(rows, span, find_reducer, leads, tails, key, p, guard,
+                            normal_forms=normal_forms)
 
     def insert(terms):
         """Normalize and append a new basis element; return its index."""
@@ -490,10 +583,6 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     # to lower degrees, so it updates at once.
     pending = []
 
-    def add(terms):
-        """Reduce and insert; return the number of new basis elements (0 or 1)."""
-        return keep(full_reduce(terms))
-
     def keep(red):
         """Insert a reduced term dict unless it is zero; return 0 or 1."""
         if not red:
@@ -543,21 +632,22 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
         missing = inf if num is None else _hilbert_gap(ring, num, hilbert, d)
         if missing < 0:
             raise wrong_series(f"the lead ideal is already {-missing} past it in degree {d}")
+        # input generators are always reduced: they are few, and check the series
+        gens = []
         while seeds and seeds[-1][0] == d:
-            # input generators are always reduced: they are few, and check the series
-            missing -= add(seeds.pop()[2])
+            gens.append(seeds.pop()[2])
+        span = p and not saturating and _dense_span(gens)
+        for red in rows_reduce(gens, span) if span else map(full_reduce, gens):
+            missing -= keep(red)
             if missing < 0:
                 raise wrong_series(f"an input generator passes it in degree {d}")
         formed = {}  # the S-polynomials of a sparse degree, by pair
         if p and hilbert is None and pairs and pairs[0][0] == d:
             batch = [e[2:] for e in sorted(e for e in pairs if e[0] == d)]  # in pop order
-            span, size, count = set(), 0, 0
             for i, j, lij in batch:
-                s = formed[i, j] = s_polynomial_terms(i, j, lij)
-                span.update(s)
-                size += len(s)
-                count += bool(s)
-            if span and size >= len(span) * max(DENSE_REUSE, DENSE_FILL * count):
+                formed[i, j] = s_polynomial_terms(i, j, lij)
+            span = _dense_span(formed.values())
+            if span:
                 # formed again one at a time: held through the reduction too,
                 # they raised the pentapod saturation's traced peak from 1.6
                 # to 2.3 MB
@@ -568,7 +658,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
                 pairs[:] = [e for e in pairs if e[0] != d]
                 heapify(pairs)
                 rows = (s_polynomial_terms(i, j, lij) for i, j, lij in batch)
-                for row in _reduce_rows(rows, span, find_reducer, leads, tails, key, p, guard):
+                for row in rows_reduce(rows, span):
                     # a lead divided by h earlier in the batch may divide this one
                     keep(row if find_reducer(next(iter(row))) is None else full_reduce(row))
                 continue
@@ -580,7 +670,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
             if max_steps is not None and steps > max_steps:
                 raise budget_exceeded(d)
             s = formed.pop((i, j), None)
-            missing -= add(s_polynomial_terms(i, j, lij) if s is None else s)
+            missing -= keep(full_reduce(s_polynomial_terms(i, j, lij) if s is None else s))
 
     # minimal basis: the elements whose lead no other lead divides (the
     # leads are distinct), in increasing lead order
@@ -590,11 +680,14 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     # reduced basis: each minimal lead plus the normal form of its tail, made
     # monic.  The normal form modulo a Groebner basis is unique, so the whole
     # basis of the run and its warm reducer cache give the reduced tails.
+    def minimal_tails():
+        return (dict(tails[index[lm]]) for lm in minimal)
+
+    span = p and _dense_span(minimal_tails())
     final = []
-    for lm in minimal:
-        i = index[lm]
-        tail = full_reduce(dict(tails[i]))
-        inv = field.inv(lcoeffs[i])
+    for lm, tail in zip(minimal, rows_reduce(minimal_tails(), span, True) if span
+                        else map(full_reduce, minimal_tails())):
+        inv = field.inv(lcoeffs[index[lm]])
         out = {lm: field.one}
         out.update((m, c * inv) for m, c in tail.items())
         final.append(out)
@@ -638,15 +731,18 @@ def reduce_by_basis(f: Polynomial, basis) -> Polynomial:
     Raises OverflowError when a reduction step needs an exponent above 127."""
     if not basis or f.is_zero():
         return f
-    return reducer(basis)(f)
+    return reducer(basis)([f])[0]
 
 
 def reducer(basis):
-    """`reduce_by_basis` against a fixed nonempty basis, as a function of f:
-    the leads, the split tails and each monomial's first divisor are found
-    once and shared by every call."""
+    """`reduce_by_basis` against a fixed nonempty basis, as a function of a
+    list of polynomials that returns the list of their normal forms: the
+    leads, the split tails and each monomial's first divisor are found once
+    and shared by every call.  Over GF(p) a list whose terms share their
+    monomials (`_dense_span`) is reduced as one matrix, in normal-form mode."""
     ring = basis[0].ring
     p = ring.field.p if ring.field is not QQ else None
+    key, guard = ring.sort_key, ring.guard_mask
     leads = [g.lead_monomial() for g in basis]
     tails = [None] * len(basis)  # split off on first use
     lcoeffs = [None] * len(basis)
@@ -661,11 +757,17 @@ def reducer(basis):
             tails[i], lcoeffs[i] = _split_lead(basis[i].terms, leads[i], p)
         return i
 
-    def nf(f):
-        return Polynomial(ring, _reduce(dict(f.terms), find_reducer, leads, tails, lcoeffs,
-                                        ring.sort_key, p, ring.guard_mask))
+    def nfs(fs):
+        span = p and _dense_span(f.terms for f in fs)
+        if span:
+            out = _reduce_rows((f.terms for f in fs), span, find_reducer, leads, tails, key, p,
+                               guard, normal_forms=True)
+        else:
+            out = (_reduce(dict(f.terms), find_reducer, leads, tails, lcoeffs, key, p, guard)
+                   for f in fs)
+        return [Polynomial(ring, t) for t in out]
 
-    return nf
+    return nfs
 
 
 # ---------------------------------------------------------------------------

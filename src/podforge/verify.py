@@ -103,7 +103,10 @@ def multiplication_data(ideal: Ideal, rng=None):
     eigenvalue ell_1(p) / ell_0(p).  Since v M0^-1 is the evaluation
     functional of p in degree t + 1 divided by ell_0(p), `columns(j)`
     returns, for each variable x_i, c_i = M0^-1 NF(x_i * b_j) with
-    v . c_i = x_i(p) v_j / ell_0(p): the point up to scale when v_j != 0."""
+    v . c_i = x_i(p) v_j / ell_0(p): the point up to scale when v_j != 0.
+    The 2d products ell_i * b_j go to one `reducer` call as one list, and so
+    do each call's n products x_i * b_j, so that over GF(p) a list whose
+    products share their monomials is reduced as one matrix."""
     ring = ideal.ring
     field = ring.field
     hd = hilbert_data(ideal)
@@ -116,25 +119,30 @@ def multiplication_data(ideal: Ideal, rng=None):
     bt = standard_monomials(ideal, t)
     idx1 = {m: i for i, m in enumerate(standard_monomials(ideal, t + 1))}
 
-    def nf(f, m):
-        """The coordinates of NF(f * m) over the degree-(t + 1) basis."""
-        vec = [field.zero] * d
-        for mm, c in reduce(f.mul_term(m, field.one)).terms.items():
-            vec[idx1[mm]] = c
-        return vec
+    def nfs(products):
+        """The coordinates of the products' normal forms over the
+        degree-(t + 1) basis, reduced as one list."""
+        vecs = []
+        for r in reduce(products):
+            vec = [field.zero] * d
+            for mm, c in r.terms.items():
+                vec[idx1[mm]] = c
+            vecs.append(vec)
+        return vecs
 
     rng = rng or random.Random(0x5EED)
     ell0, ell1 = [_random_form(ring, rng, 0, 1000) for _ in range(2)]
+    m01 = nfs([ell.mul_term(m, field.one) for ell in (ell0, ell1) for m in bt])
     try:
-        minv = linalg.mat_inverse(linalg._transpose([nf(ell0, m) for m in bt]), field)
+        minv = linalg.mat_inverse(linalg._transpose(m01[:d]), field)
     except ValueError:
         raise SamplingError("M0 is singular: ell_0 vanishes at a point") from None
 
     def columns(j):
-        return [linalg.mat_vec(minv, nf(x, bt[j]), field) for x in ring.gens()]
+        products = [x.mul_term(bt[j], field.one) for x in ring.gens()]
+        return [linalg.mat_vec(minv, v, field) for v in nfs(products)]
 
-    m1 = linalg._transpose([nf(ell1, m) for m in bt])
-    return linalg.mat_mul(minv, m1, field), columns
+    return linalg.mat_mul(minv, linalg._transpose(m01[d:]), field), columns
 
 
 _FORM_DRAWS = 20  # draws of the two random forms before a solve gives up

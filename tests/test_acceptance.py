@@ -68,6 +68,29 @@ def test_claim6_fails_on_a_wrong_certification(monkeypatch, key, value):
     "name, prefix",
     [("4 infinity-pod certification", "run 0: "), ("6 real demo over Q/float", "QQ seed 2: ")],
 )
+def test_claims_4_and_6_fail_on_a_singular_quartic(monkeypatch, name, prefix):
+    # a bundle whose plane quartic is singular does not certify the paper's
+    # curve: f_smooth False alone fails claims 4 and 6 (only that claim runs)
+    construct = constructions.create_infinity_pod
+
+    def singular(*args, **kwargs):
+        bundle = construct(*args, **kwargs)
+        certification = {**bundle.certification, "f_smooth": False}
+        return dataclasses.replace(bundle, certification=certification)
+
+    claim = acceptance._claim
+    monkeypatch.setattr(constructions, "create_infinity_pod", singular)
+    monkeypatch.setattr(acceptance, "_claim", lambda results, claim_name, fn: (
+        claim(results, claim_name, fn) if claim_name == name else None))
+    (row,) = run_all(fast=True)
+    assert not row.ok
+    assert row.detail == f"{prefix}the plane quartic F is singular (want f_smooth)"
+
+
+@pytest.mark.parametrize(
+    "name, prefix",
+    [("4 infinity-pod certification", "run 0: "), ("6 real demo over Q/float", "QQ seed 2: ")],
+)
 def test_claims_4_and_6_fail_off_the_configuration_curve(monkeypatch, name, prefix):
     # claims 4 and 6 read the configuration ideal of each bundle: a line in
     # its place, not the curve (1, 8, 3), fails them (only that claim runs here)

@@ -396,8 +396,9 @@ def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
 def test_pentapod_saturation_step_budget(monkeypatch):
     # a work guard on the home-pose pentapod's saturation: the run pops 652
     # S-pairs, largest lcm first within a degree, 651 of them in six degrees
-    # reduced as one matrix each, so it finishes in a budget of 652 steps and
-    # not in 651
+    # reduced as one matrix each (the kernel's echelon mode; the final
+    # interreduction's normal forms are not steps), so it finishes in a
+    # budget of 652 steps and not in 651
     cut = []
     saturate = constructions.saturate
 
@@ -411,13 +412,13 @@ def test_pentapod_saturation_step_budget(monkeypatch):
     batches = []
     reduce_rows = groebner._reduce_rows
 
-    def counting(rows, *args):
-        batches.append(1)
-        return reduce_rows(rows, *args)
+    def counting(rows, *args, normal_forms=False):
+        batches.append(normal_forms)
+        return reduce_rows(rows, *args, normal_forms=normal_forms)
 
     monkeypatch.setattr(groebner, "_reduce_rows", counting)
     groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=652)
-    assert batches
+    assert batches.count(False) == 6
     with pytest.raises(groebner.BudgetExceeded):
         groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=651)
 
@@ -444,7 +445,9 @@ def test_infinity_pod_computes_each_lead_numerator_once(monkeypatch):
 def test_leg_cone_cut_reduction_count(monkeypatch):
     # a work guard on Y's Cohen-Macaulay cut by seed 1's six leg forms: 42
     # generators, 15 S-pairs and 51 tails of the final interreduction, 108
-    # reductions in all
+    # reductions in all.  The heap loop reduces Y's 36 quadrics and the 15
+    # S-pairs; the six linear forms share their monomials, and so do the 51
+    # tails, so the matrix kernel reduces them as two batches of rows
     Y = ideal_Y(F101)
     forms = create_infinity_pod(1, F101).leg_ideal_full.generators[36:]
     assert len(Y.generators) == 36 and len(forms) == 6
@@ -454,16 +457,23 @@ def test_leg_cone_cut_reduction_count(monkeypatch):
     groebner.buchberger(Y + forms, hilbert=series, max_steps=15)
     with pytest.raises(groebner.BudgetExceeded):
         groebner.buchberger(Y + forms, hilbert=series, max_steps=14)
-    calls = []
-    reduce = groebner._reduce
+    calls, batches = [], []
+    reduce, reduce_rows = groebner._reduce, groebner._reduce_rows
 
     def counting(*args):
         calls.append(1)
         return reduce(*args)
 
+    def counting_rows(rows, *args, **kwargs):
+        rows = list(rows)
+        batches.append(len(rows))
+        return reduce_rows(rows, *args, **kwargs)
+
     monkeypatch.setattr(groebner, "_reduce", counting)
+    monkeypatch.setattr(groebner, "_reduce_rows", counting_rows)
     assert len(groebner.cut_cohen_macaulay(Y, forms).groebner_basis()) == 51
-    assert len(calls) == 108
+    assert (len(calls), batches) == (36 + 15, [6, 51])
+    assert len(calls) + sum(batches) == 108
 
 
 @pytest.mark.parametrize("field, seeds", [(F101, range(1, 9)), (GF(32003), [1]), (QQ, [2])])
@@ -564,14 +574,14 @@ def test_dense_saturation_matches_the_two_run_saturation(monkeypatch, seed):
     batches = []
     reduce_rows = groebner._reduce_rows
 
-    def recording(rows, *args):
-        rows = [r for r in rows if r]
-        batches.append(len(rows))
-        return reduce_rows(rows, *args)
+    def recording(rows, *args, normal_forms=False):
+        rows = list(rows)
+        batches.append((normal_forms, len([r for r in rows if r])))
+        return reduce_rows(rows, *args, normal_forms=normal_forms)
 
     monkeypatch.setattr(groebner, "_reduce_rows", recording)
     one_run = groebner.saturate(ideal, "h").generators
-    assert max(batches) > 1
+    assert max(n for normal_forms, n in batches if not normal_forms) > 1
     monkeypatch.setattr(groebner, "DENSE_FILL", float("inf"))
     batches.clear()
     assert one_run == _saturate_two_runs(Ideal(ring, ideal.generators), "h")
