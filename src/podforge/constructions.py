@@ -22,6 +22,7 @@ from .groebner import (
     hilbert_data,
     normal_form,
     reduce_by_basis,
+    reducer,
     ring_numerator,
     saturate,
 )
@@ -268,7 +269,16 @@ def rho_preimage(rho: RingMap, F: Polynomial, kernel: LinearSubspace) -> Ideal:
        relations to -F/4.  So J = I(X) + P_1 lies in P, and HS(R/P) is a
        lower bound for J's series.
     3. The Buchberger run on that bound reaches it, so J = P.
-    The result has its reduced degrevlex basis as generators and cached."""
+    The result has its reduced degrevlex basis as generators and cached.
+
+    So the configuration curve V(P) is the plane quartic {F = 0},
+    re-embedded: by check 1, rho* maps R onto the even Veronese subring of
+    k[e], and P = rho*^-1((F)), so R/P is the second Veronese subring of
+    k[e]/(F), which has the same Proj; V(P) is {F = 0} embedded by nu_2 in
+    the P^5 of the span (Hartshorne II Ex. 5.13).  `f_smooth` makes the
+    quartic smooth, hence irreducible (two components would meet in a
+    singular point), of genus (4 - 1)(4 - 2)/2 = 3, which matches the
+    certified (1, 8, 3): one smooth irreducible curve of genus 3."""
     field = F.ring.field
     rx = rho.source
     if len(kernel.basis) != 11:
@@ -368,7 +378,7 @@ def create_infinity_pod(rng_seed: int, field=None, bound: int = 10) -> InfinityP
         i_lin = lift_kernel(rho).reduced()
         preimage = rho_preimage(rho, seed.F, i_lin)
         p_basis = preimage.groebner_basis()
-        if any(reduce_by_basis(f, p_basis) for f in involution_linear_forms(rho.source)):
+        if any(reducer(p_basis)(involution_linear_forms(rho.source))):
             raise CertificationError("the involution forms are not in the preimage of (F)")
         config = ideal_X_inv(field) + preimage.generators
         config.seed_groebner_cache(p_basis)

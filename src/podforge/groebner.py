@@ -21,26 +21,26 @@ I : x^infinity for the last degrevlex variable x in one run that divides each
 new basis element by its largest power of x (Bayer's lemma, Bayer-Stillman
 1987), so the basis of I itself is never finished.
 
-Reduction has two kernels, and one rule picks between them.  Over GF(p) a
-batch of rows that share their monomials (`_dense_span`: `DENSE_REUSE`,
-`DENSE_FILL`) is reduced as one matrix, F4-style (`_reduce_rows`: symbolic
+Reduction has two kernels, and one method picks between them: the reducer
+set `_Reducers`, which holds the leads, tails and first-divisor cache of a
+run's basis or of a `reducer`'s, and whose `reduce` takes a batch of rows.
+Over GF(p) a batch whose rows share their monomials (`_dense_span`:
+`DENSE_REUSE`) is reduced as one matrix, F4-style (`_reduce_rows`: symbolic
 preprocessing, then one pass a pack of PACK rows, every column's entries
 held in one int with a slot a row; Faugere 1999).  The batches are a
 degree's S-pairs in a run that no series bounds (the saturation, X's own
-basis, Y_inv's unbounded run), a degree's input generators in any run but
-the saturation, the final interreduction's tails (each minimal element is
-its lead plus the normal form of its tail modulo the finished basis), and
-the list given to a `reducer`; the last two in the kernel's normal-form
-mode, where no row reduces another.  Everything else goes through the
-heap-driven `_reduce`, whose loop serves both fields (only the reduction mod
-p and the reducer's factor depend on the field): a batch that fails the
-rule row by row, the series-driven degrees pair by pair, and everything
-over Q.  In both kernels each term is reduced by the first basis element
-whose lead divides it (`RingContext.first_divisor`); the run and each
-`reducer` cache that lookup per monomial.  Basis elements are kept
-monic over GF(p) and content-normalized over Q during the run.  The reduced
-basis is unique for a fixed order, so output is bit-reproducible regardless
-of internal scheduling.
+basis, Y_inv's unbounded run), a degree's input generators, the final
+interreduction's tails (each minimal element is its lead plus the normal
+form of its tail modulo the finished basis), and the list given to a
+`reducer`; the last two in the kernel's normal-form mode, where no row
+reduces another.  Any other batch, the series-driven degrees pair by pair
+and everything over Q go through the heap-driven `_reduce`, whose loop
+serves both fields (only the reduction mod p and the reducer's factor
+depend on the field).  In both kernels each term is reduced by the first
+basis element whose lead divides it (`RingContext.first_divisor`).  Basis
+elements are kept monic over GF(p) and content-normalized over Q during the
+run.  The reduced basis is unique for a fixed order, so output is
+bit-reproducible regardless of internal scheduling.
 
 Hilbert series numerators are `unipoly` coefficient lists of ints (the unit
 ideal's is [], stored as (0,) in HilbertData), computed on packed lead
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from math import inf
+from math import gcd, inf
 
 from . import unipoly
 from .fields import QQ, FieldError
@@ -176,41 +176,18 @@ class HilbertData:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_qq(terms):
-    """Scale a Fraction term dict to coprime integers, positive lead left to caller."""
-    from math import gcd
+def _reduce(work, reducers):
+    """Full normal form of the term dict `work` (consumed) modulo a
+    `_Reducers`, returned as a term dict in decreasing monomial order.
 
-    num, den = 0, 1
-    for c in terms.values():
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    if num == 0:
-        return terms
-    scale = Fraction(den, num)
-    return {m: c * scale for m, c in terms.items()}
-
-
-def _split_lead(terms, lm, p):
-    """(tail, lead coefficient) of a term dict with lead monomial lm: the tail
-    as (monomial, coeff) pairs, scaled to a monic reducer over GF(p)."""
-    lc = terms[lm]
-    if p:
-        inv = pow(lc, p - 2, p)
-        return [(m, c * inv % p) for m, c in terms.items() if m != lm], 1
-    return [(m, c) for m, c in terms.items() if m != lm], Fraction(lc)
-
-
-def _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard):
-    """Full normal form of the term dict `work` (consumed), returned as a term
-    dict in decreasing monomial order.
-
-    Reducer i is leads[i] plus the (monomial, coeff) pairs tails[i] with lead
-    coefficient lcoeffs[i]; find_reducer(m) picks the reducer of monomial m.
-    Over GF(p) (p given) every reducer must be monic and the coefficients are
-    ints, reduced mod p only when their monomial is popped; over Q (p None)
-    they are Fractions.  The loop is the same for both fields: a monomial's
-    accumulator is never deleted, so it enters the heap once.  Raises
-    OverflowError when a new monomial needs an exponent above the cap."""
+    Each monomial is reduced by its `reducers.find` pick.  Over GF(p) every
+    reducer is monic and the coefficients are ints, reduced mod p only when
+    their monomial is popped; over Q they are Fractions.  The loop is the
+    same for both fields: a monomial's accumulator is never deleted, so it
+    enters the heap once.  Raises OverflowError when a new monomial needs an
+    exponent above the cap."""
+    find, leads, tails, lcoeffs = reducers.find, reducers.leads, reducers.tails, reducers.lcoeffs
+    key, p, guard = reducers.key, reducers.p, reducers.guard
     out = {}
     heap = [(-key(m), m) for m in work]
     heapify(heap)
@@ -221,7 +198,7 @@ def _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard):
             c %= p
         if not c:
             continue
-        idx = find_reducer(m)
+        idx = find(m)
         if idx is None:
             out[m] = c
             continue
@@ -241,10 +218,9 @@ def _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard):
 
 
 # A GF(p) batch of rows is reduced as one matrix (`_reduce_rows`) when a
-# monomial of its rows occurs in at least DENSE_REUSE of them on average, and
-# in at least a DENSE_FILL share of them (see `_dense_span`)
+# monomial of its rows occurs in at least DENSE_REUSE of them on average (see
+# `_dense_span`)
 DENSE_REUSE = 2
-DENSE_FILL = 0.02
 
 # Rows `_reduce_rows` reduces at once, one slot of each column's int a row:
 # on sample-fp's batches (the pentapod saturation and its slices) 32 tied 64,
@@ -254,28 +230,108 @@ PACK = 32
 
 def _dense_span(rows):
     """The set of the monomials of an iterable of term dicts when they share
-    them as `_reduce_rows` needs (DENSE_REUSE, DENSE_FILL), else None."""
-    span, size, count = set(), 0, 0
+    them as `_reduce_rows` needs (DENSE_REUSE), else None."""
+    span, size = set(), 0
     for row in rows:
         span.update(row)
         size += len(row)
-        count += bool(row)
-    if span and size >= len(span) * max(DENSE_REUSE, DENSE_FILL * count):
+    if span and size >= len(span) * DENSE_REUSE:
         return span
     return None
 
 
-def _reduce_rows(rows, span, find_reducer, leads, tails, key, p, guard, normal_forms=False):
+class _Reducers:
+    """The reducers of one ring's reductions, in order: reducer i is
+    leads[i] plus the (monomial, coeff) pairs tails[i] with lead coefficient
+    lcoeffs[i], monic over GF(p) (p given) and content-normalized over Q
+    (p None).  The engine's basis grows by `add` during a run; `reducer`
+    builds one from a fixed basis.  `find(m)` is the index of the first lead
+    dividing m, or None, cached per monomial and still valid as the set
+    grows (`RingContext.first_divisor` scans only the leads added since).
+    `reduce` is the one choice between the two kernels."""
+
+    __slots__ = ("key", "p", "guard", "leads", "tails", "lcoeffs", "find")
+
+    def __init__(self, ring, basis=()):
+        self.key = ring.sort_key
+        self.p = ring.field.p if ring.field is not QQ else None
+        self.guard = ring.guard_mask
+        leads = self.leads = []
+        self.tails, self.lcoeffs = [], []
+        first_divisor = ring.first_divisor
+        cache = {}  # monomial -> its index, or ~(the number of leads scanned)
+
+        def find(m):
+            ent = cache.get(m, -1)
+            if ent >= 0:
+                return ent
+            nb = len(leads)
+            if ~ent == nb:
+                return None
+            idx = first_divisor(m, leads, ~ent)
+            cache[m] = ~nb if idx is None else idx
+            return idx
+
+        self.find = find
+        for g in basis:
+            self.add(g.terms)
+
+    def add(self, terms):
+        """Append the nonzero term dict `terms` (not kept) as a reducer,
+        scaled to be monic over GF(p) and to coprime integers over Q; return
+        its index."""
+        p = self.p
+        lm = max(terms, key=self.key)
+        if p:
+            inv = pow(terms[lm], p - 2, p)
+            tail, lc = [(m, c * inv % p) for m, c in terms.items() if m != lm], 1
+        else:
+            num, den = 0, 1
+            for c in terms.values():
+                num = gcd(num, c.numerator)
+                den = den * c.denominator // gcd(den, c.denominator)
+            scale = Fraction(den, num)
+            tail = [(m, c * scale) for m, c in terms.items() if m != lm]
+            lc = terms[lm] * scale
+        self.leads.append(lm)
+        self.tails.append(tail)
+        self.lcoeffs.append(lc)
+        return len(self.leads) - 1
+
+    def reduce(self, rows, normal_forms=False):
+        """The reduced forms, modulo the reducers, of the term dicts that the
+        factory `rows()` yields.  Over GF(p), rows that pass `_dense_span` go
+        to `_reduce_rows` as one batch (in echelon mode its nonzero results,
+        monic, each row reduced by the earlier results too), formed again by
+        `rows()`: a batch of S-polynomials held through the kernel's pass
+        raised the pentapod saturation's traced peak from 1.6 to 2.3 MB.
+        Other rows, kept once formed, go one at a time through `_reduce`,
+        which consumes them, zeros included: a form the caller adds before it
+        takes the next reduces the later rows, as the kernel's results do.
+        With `normal_forms` every row's normal form modulo the reducers alone
+        is returned, in order."""
+        batch = rows()
+        if self.p:
+            batch = list(batch)
+            span = _dense_span(batch)
+            if span:
+                del batch
+                return _reduce_rows(rows(), span, self, normal_forms=normal_forms)
+        return (_reduce(row, self) for row in batch)
+
+
+def _reduce_rows(rows, span, reducers, normal_forms=False):
     """The nonzero reduced forms, monic, of an iterable of term dicts over
     GF(p) of one degree, in order; `span` is the set of their monomials, and
     is consumed.  Each result is the normal form of its row modulo the monic
-    reducers (picked by find_reducer, as in `_reduce`) and the earlier
-    results (Faugere 1999, F4).  With `normal_forms`, no row reduces another
-    and the rows may have any degrees: the result is the list of every row's
-    normal form modulo the reducers alone, as `_reduce` gives it (zero rows
+    `_Reducers` (each monomial's reducer picked by `reducers.find`, as in
+    `_reduce`) and the earlier results (Faugere 1999, F4).  With
+    `normal_forms`, no row reduces another and the rows may have any
+    degrees: the result is the list of every row's normal form modulo the
+    reducers alone, as `_reduce` gives it (zero rows
     included, coefficients in [0, p), decreasing monomial order).
 
-    Symbolic preprocessing closes the span under find_reducer: each monomial
+    Symbolic preprocessing closes the span under `find`: each monomial
     m with reducer i brings in the row m / leads[i] times reducer i, and its
     monomials join the closure.  The closure is sorted once by the order key
     into columns.  A reducer row is kept as the list of its tail's column
@@ -313,13 +369,15 @@ def _reduce_rows(rows, span, find_reducer, leads, tails, key, p, guard, normal_f
     every lead), so each result is the one the rows reduced one at a time
     against every reducer and earlier result give.  Raises OverflowError
     when a monomial of the closure has an exponent above the cap."""
+    find, leads, tails = reducers.find, reducers.leads, reducers.tails
+    key, p, guard = reducers.key, reducers.p, reducers.guard
     todo = list(span)
     if any(m & guard for m in todo):
         raise OverflowError(f"monomial exponent above the cap {EXP_MAX}")
     pivot_of = {}  # monomial -> index of its reducer
     while todo:
         m = todo.pop()
-        i = find_reducer(m)
+        i = find(m)
         if i is None:
             continue
         pivot_of[m] = i
@@ -450,27 +508,27 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     (`constructions.pentapod_config_ideal`) made 624 reductions this way,
     412 of them to zero, against 858 smallest lcm first.
 
-    Over GF(p) with no series, a degree's pairs are taken together.  When
-    their S-polynomials pass `_dense_span` (a monomial occurs in at least
-    DENSE_REUSE of them on average, and in at least a DENSE_FILL share of
-    them), they are reduced as one matrix (`_reduce_rows`), in the same
-    order: a reducer row is then built once for every row that meets it, and
-    a pair that reduces to zero costs a slot of a pack, not a heap walk.
-    Each nonzero row is inserted in order as above; in a saturating run a
-    row whose lead a lead divided by h earlier in the batch divides is first
-    reduced by `_reduce`.  The matrix route counts one step per pair.  Other
-    degrees stay on `_reduce` pair by pair, which was measured faster there:
-    in X's own basis a monomial occurs in 1.1-1.9 of a degree's
-    S-polynomials on average, and in its large degrees in 0.27-0.61% of
-    them, and a single pair has nothing to share (sending all of X's
-    degrees to the matrix took 0.40 s against 0.24 s), while the pentapod
-    saturation's batches reuse a monomial 3.6-13 times and reduce 2-4.5
-    times faster as matrices.  The same rule sends a degree's input
-    generators (outside a saturating run, which divides a new element by h
-    and so breaks the matrix's one-degree pivots) and the final
-    interreduction's tails to the matrix, the tails in normal-form mode.
-    The reduced basis is unique, so the order and the kernel change the
-    work, never the result.
+    Over GF(p) with no series, a degree's pairs are one batch.  That batch,
+    a degree's input generators and the final interreduction's tails (each
+    minimal element is its lead plus the normal form of its tail, in
+    normal-form mode) go through `_Reducers.reduce`, the one choice of
+    kernel: a batch whose rows pass `_dense_span` (a monomial occurs in at
+    least DENSE_REUSE of them on average) is reduced as one matrix
+    (`_reduce_rows`), in the same order, and any other row by row on
+    `_reduce`.  As a matrix, a reducer row is built once for every row that
+    meets it, and a pair that reduces to zero costs a slot of a pack, not a
+    heap walk: the pentapod saturation's batches reuse a monomial 3.6-13
+    times and reduce 2-4.5 times faster that way.  The rule keeps X's own
+    basis on the heap loop, where a monomial occurs in 1.1-1.9 of a degree's
+    S-polynomials on average (sending all of X's degrees to the matrix took
+    0.40 s against 0.24 s).  Each nonzero row is inserted in order as above.
+    A saturating run divides a new element by h, which breaks the matrix's
+    one-degree pivots, so there a row whose lead a lead divided earlier in
+    its batch divides is reduced again by `_reduce` first (`keep`).  A batch
+    counts one step per pair.  The series-driven degrees go pair by pair, so
+    that they stop once the series shows the degree complete.  The reduced
+    basis is unique, so the order and the kernel change the work, never the
+    result.
 
     Returns (a list of term dicts, monic, sorted by increasing leading
     monomial; deterministic, the Hilbert numerator of their lead ideal when
@@ -479,51 +537,12 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     key = ring.sort_key
     field = ring.field
     p = field.p if field is not QQ else None
-    guard = ring.guard_mask
     if hilbert is not None:
         assert not saturating, "the saturation's Hilbert series is unknown"
         hilbert = unipoly.trim(hilbert)
     h = ring.units[-1]  # the packed last variable: m // h is its exponent in m
-
-    leads = []      # leading monomial per basis element
-    tails = []      # list of (monomial, coeff) pairs, excluding the lead
-    lcoeffs = []    # leading coefficient (1 over GF(p))
-    cache = {}      # reducer cache: monomial -> (scanned_upto, index or None)
-    first_divisor = ring.first_divisor
-
-    def find_reducer(m):
-        """Index of the first lead dividing m, or None; cached, and still
-        valid as the basis grows."""
-        ent = cache.get(m)
-        if ent is None:
-            start, idx = 0, None
-        else:
-            start, idx = ent
-            if idx is not None:
-                return idx
-        nb = len(leads)
-        if start < nb:
-            idx = first_divisor(m, leads, start)
-            cache[m] = (nb, idx)
-        return idx
-
-    def full_reduce(work):
-        """Full normal form of a term dict against the current basis."""
-        return _reduce(work, find_reducer, leads, tails, lcoeffs, key, p, guard)
-
-    def rows_reduce(rows, span, normal_forms=False):
-        """`_reduce_rows` against the current basis."""
-        return _reduce_rows(rows, span, find_reducer, leads, tails, key, p, guard,
-                            normal_forms=normal_forms)
-
-    def insert(terms):
-        """Normalize and append a new basis element; return its index."""
-        lm = max(terms, key=key)
-        tail, lc = _split_lead(terms if p else _normalize_qq(terms), lm, p)
-        leads.append(lm)
-        tails.append(tail)
-        lcoeffs.append(lc)
-        return len(leads) - 1
+    reducers = _Reducers(ring)  # the basis so far
+    leads, tails, lcoeffs = reducers.leads, reducers.tails, reducers.lcoeffs
 
     # input generators by (degree, lead key); each is reduced at its degree
     seeds = []
@@ -584,15 +603,19 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     pending = []
 
     def keep(red):
-        """Insert a reduced term dict unless it is zero; return 0 or 1."""
+        """Insert a reduced term dict unless it is zero; return 0 or 1.  In a
+        saturating run, a row whose lead a lead divided by h earlier in its
+        batch divides is reduced again first."""
+        if saturating and red and reducers.find(next(iter(red))) is not None:
+            red = _reduce(red, reducers)
         if not red:
             return 0
         if saturating:
             k = min(m // h for m in red)
             red = {m - k * h: c for m, c in red.items()}
-            gm_update(insert(red))
+            gm_update(reducers.add(red))
         else:
-            pending.append(insert(red))
+            pending.append(reducers.add(red))
         return 1
 
     def wrong_series(why):
@@ -614,7 +637,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
         if num is not None and num == hilbert:
             # the lead ideal has the series of I, so the basis is complete and
             # the generators not reached yet reduce to zero
-            if any(full_reduce(s[2]) for s in seeds):
+            if any(_reduce(s[2], reducers) for s in seeds):
                 raise wrong_series("an input generator is outside the finished basis")
             break
         for t in pending:
@@ -636,32 +659,20 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
         gens = []
         while seeds and seeds[-1][0] == d:
             gens.append(seeds.pop()[2])
-        span = p and not saturating and _dense_span(gens)
-        for red in rows_reduce(gens, span) if span else map(full_reduce, gens):
+        for red in reducers.reduce(lambda: gens):
             missing -= keep(red)
             if missing < 0:
                 raise wrong_series(f"an input generator passes it in degree {d}")
-        formed = {}  # the S-polynomials of a sparse degree, by pair
-        if p and hilbert is None and pairs and pairs[0][0] == d:
-            batch = [e[2:] for e in sorted(e for e in pairs if e[0] == d)]  # in pop order
-            for i, j, lij in batch:
-                formed[i, j] = s_polynomial_terms(i, j, lij)
-            span = _dense_span(formed.values())
-            if span:
-                # formed again one at a time: held through the reduction too,
-                # they raised the pentapod saturation's traced peak from 1.6
-                # to 2.3 MB
-                formed.clear()
-                steps += len(batch)
-                if max_steps is not None and steps > max_steps:
-                    raise budget_exceeded(d)
-                pairs[:] = [e for e in pairs if e[0] != d]
-                heapify(pairs)
-                rows = (s_polynomial_terms(i, j, lij) for i, j, lij in batch)
-                for row in rows_reduce(rows, span):
-                    # a lead divided by h earlier in the batch may divide this one
-                    keep(row if find_reducer(next(iter(row))) is None else full_reduce(row))
-                continue
+        if p and hilbert is None:
+            batch = []
+            while pairs and pairs[0][0] == d:
+                batch.append(heappop(pairs)[2:])
+            steps += len(batch)
+            if max_steps is not None and steps > max_steps:
+                raise budget_exceeded(d)
+            for row in reducers.reduce(lambda: (s_polynomial_terms(*e) for e in batch)):
+                keep(row)
+            continue
         while pairs and pairs[0][0] == d:
             _, _, i, j, lij = heappop(pairs)
             if missing == 0:
@@ -669,8 +680,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
             steps += 1
             if max_steps is not None and steps > max_steps:
                 raise budget_exceeded(d)
-            s = formed.pop((i, j), None)
-            missing -= keep(full_reduce(s_polynomial_terms(i, j, lij) if s is None else s))
+            missing -= keep(_reduce(s_polynomial_terms(i, j, lij), reducers))
 
     # minimal basis: the elements whose lead no other lead divides (the
     # leads are distinct), in increasing lead order
@@ -680,13 +690,9 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     # reduced basis: each minimal lead plus the normal form of its tail, made
     # monic.  The normal form modulo a Groebner basis is unique, so the whole
     # basis of the run and its warm reducer cache give the reduced tails.
-    def minimal_tails():
-        return (dict(tails[index[lm]]) for lm in minimal)
-
-    span = p and _dense_span(minimal_tails())
     final = []
-    for lm, tail in zip(minimal, rows_reduce(minimal_tails(), span, True) if span
-                        else map(full_reduce, minimal_tails())):
+    for lm, tail in zip(minimal, reducers.reduce(
+            lambda: (dict(tails[index[m]]) for m in minimal), normal_forms=True)):
         inv = field.inv(lcoeffs[index[lm]])
         out = {lm: field.one}
         out.update((m, c * inv) for m, c in tail.items())
@@ -736,36 +742,16 @@ def reduce_by_basis(f: Polynomial, basis) -> Polynomial:
 
 def reducer(basis):
     """`reduce_by_basis` against a fixed nonempty basis, as a function of a
-    list of polynomials that returns the list of their normal forms: the
-    leads, the split tails and each monomial's first divisor are found once
-    and shared by every call.  Over GF(p) a list whose terms share their
-    monomials (`_dense_span`) is reduced as one matrix, in normal-form mode."""
+    list of polynomials that returns the list of their normal forms: one
+    `_Reducers` of the basis, with its first-divisor cache, serves every
+    call, and its `reduce` reduces the list (over GF(p), as one matrix in
+    normal-form mode when its terms share their monomials)."""
     ring = basis[0].ring
-    p = ring.field.p if ring.field is not QQ else None
-    key, guard = ring.sort_key, ring.guard_mask
-    leads = [g.lead_monomial() for g in basis]
-    tails = [None] * len(basis)  # split off on first use
-    lcoeffs = [None] * len(basis)
-    first_divisor = ring.first_divisor
-    cache = {}
-
-    def find_reducer(m):
-        if m in cache:
-            return cache[m]
-        i = cache[m] = first_divisor(m, leads)
-        if i is not None and tails[i] is None:
-            tails[i], lcoeffs[i] = _split_lead(basis[i].terms, leads[i], p)
-        return i
+    reducers = _Reducers(ring, basis)
 
     def nfs(fs):
-        span = p and _dense_span(f.terms for f in fs)
-        if span:
-            out = _reduce_rows((f.terms for f in fs), span, find_reducer, leads, tails, key, p,
-                               guard, normal_forms=True)
-        else:
-            out = (_reduce(dict(f.terms), find_reducer, leads, tails, lcoeffs, key, p, guard)
-                   for f in fs)
-        return [Polynomial(ring, t) for t in out]
+        rows = reducers.reduce(lambda: (dict(f.terms) for f in fs), normal_forms=True)
+        return [Polynomial(ring, t) for t in rows]
 
     return nfs
 

@@ -398,7 +398,9 @@ def test_pentapod_saturation_step_budget(monkeypatch):
     # S-pairs, largest lcm first within a degree, 651 of them in six degrees
     # reduced as one matrix each (the kernel's echelon mode; the final
     # interreduction's normal forms are not steps), so it finishes in a
-    # budget of 652 steps and not in 651
+    # budget of 652 steps and not in 651.  A seventh echelon-mode batch is
+    # the five input generators of the lowest degree: a saturating run's
+    # generator batches take the same route as its S-pair batches
     cut = []
     saturate = constructions.saturate
 
@@ -418,7 +420,7 @@ def test_pentapod_saturation_step_budget(monkeypatch):
 
     monkeypatch.setattr(groebner, "_reduce_rows", counting)
     groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=652)
-    assert batches.count(False) == 6
+    assert batches.count(False) == 7
     with pytest.raises(groebner.BudgetExceeded):
         groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=651)
 
@@ -559,9 +561,12 @@ def _saturate_two_runs(ideal, var):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dense_saturation_matches_the_two_run_saturation(monkeypatch, seed):
     # the one-run saturation of dense forms, whose degrees go through the
-    # matrix kernel, against the two-run route on the heap loop alone (no
-    # batch is dense once DENSE_FILL is infinite).  The generators divisible
-    # by h and h^2 make the run divide new rows within a batch.
+    # matrix kernel, against the two-run route on the heap loop alone (with
+    # `_dense_span` switched off, no batch reaches the kernel).  The
+    # generators divisible by h and h^2 make the run divide new rows within
+    # a batch.  The five of degree 3 share their monomials, so they reach
+    # the kernel as one batch, whose later rows the run reduces again by the
+    # earlier ones divided by h.
     rng = random.Random(seed)
     ring = RingContext(("x0", "x1", "x2", "x3", "h"), (1,) * 5, DEGREVLEX, F101)
 
@@ -570,19 +575,25 @@ def test_dense_saturation_matches_the_two_run_saturation(monkeypatch, seed):
         return ring.from_terms([(e, rng.randrange(1, 101)) for e in exps if rng.random() < 0.6])
 
     h = ring.gen("h")
-    ideal = Ideal(ring, [form(2) * h, form(2) * h, form(3) * h * h, form(3) + form(2) * h])
+    gens = [form(2) * h, form(2) * h, form(3) * h * h, form(3) + form(2) * h]
+    gens += [form(2) * h, form(2) * h]
+    ideal = Ideal(ring, gens)
     batches = []
     reduce_rows = groebner._reduce_rows
 
     def recording(rows, *args, normal_forms=False):
         rows = list(rows)
-        batches.append((normal_forms, len([r for r in rows if r])))
+        batches.append((normal_forms, rows))
         return reduce_rows(rows, *args, normal_forms=normal_forms)
 
     monkeypatch.setattr(groebner, "_reduce_rows", recording)
     one_run = groebner.saturate(ideal, "h").generators
-    assert max(n for normal_forms, n in batches if not normal_forms) > 1
-    monkeypatch.setattr(groebner, "DENSE_FILL", float("inf"))
+    echelon = [rows for normal_forms, rows in batches if not normal_forms]
+    assert max(len([r for r in rows if r]) for rows in echelon) > 1
+    cubics = [g for g in gens if g.homogeneous_degree() == 3]
+    assert len(cubics) == len(echelon[0]) == 5
+    assert {frozenset(r.items()) for r in echelon[0]} == {frozenset(g.terms.items()) for g in cubics}
+    monkeypatch.setattr(groebner, "_dense_span", lambda rows: None)
     batches.clear()
     assert one_run == _saturate_two_runs(Ideal(ring, ideal.generators), "h")
     assert not batches

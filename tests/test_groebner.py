@@ -10,6 +10,7 @@ from podforge import unipoly
 from podforge.groebner import (
     BudgetExceeded,
     Ideal,
+    _Reducers,
     _lead_numerator,
     _reduce_rows,
     buchberger,
@@ -576,12 +577,10 @@ def test_reduce_by_basis_exponent_cap_raises():
 
 
 def _reduce_rows_against(basis, rows):
-    """`_reduce_rows` on term dicts against a monic basis, as Polynomials."""
+    """`_reduce_rows` on term dicts against the reducer set of a basis, as
+    Polynomials."""
     ring = basis[0].ring
-    leads = [g.lead_monomial() for g in basis]
-    tails = [[(m, c) for m, c in g.terms.items() if m != lm] for g, lm in zip(basis, leads)]
-    out = _reduce_rows(rows, set().union(*rows), lambda m: ring.first_divisor(m, leads),
-                       leads, tails, ring.sort_key, ring.field.p, ring.guard_mask)
+    out = _reduce_rows(rows, set().union(*rows), _Reducers(ring, basis))
     return [Polynomial(ring, t) for t in out]
 
 

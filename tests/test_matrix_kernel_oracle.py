@@ -15,49 +15,33 @@ import pytest
 
 from podforge import groebner
 from podforge.fields import GF
-from podforge.groebner import PACK, _reduce, _reduce_rows, buchberger, reduce_by_basis, reducer
+from podforge.groebner import (
+    PACK, _Reducers, _reduce, _reduce_rows, buchberger, reduce_by_basis, reducer,
+)
 from podforge.rings import DEGREVLEX, RingContext
 
 PRIMES = [101, 32003, 2**31 - 1]
 
 
-def _monic_split(basis):
-    """(leads, tails) of a basis, each tail scaled to a monic reducer."""
-    p = basis[0].ring.field.p
-    leads, tails = [], []
-    for g in basis:
-        lm = g.lead_monomial()
-        inv = pow(g.terms[lm], p - 2, p)
-        leads.append(lm)
-        tails.append([(m, c * inv % p) for m, c in g.terms.items() if m != lm])
-    return leads, tails
-
-
 def _kernel(basis, rows, normal_forms=False):
-    ring = basis[0].ring
-    leads, tails = _monic_split(basis)
-    return _reduce_rows(iter(rows), set().union(*rows), lambda m: ring.first_divisor(m, leads),
-                        leads, tails, ring.sort_key, ring.field.p, ring.guard_mask,
-                        normal_forms=normal_forms)
+    reducers = _Reducers(basis[0].ring, basis)
+    return _reduce_rows(iter(rows), set().union(*rows), reducers, normal_forms=normal_forms)
 
 
 def _heap_one_at_a_time(basis, rows):
     """Each row's normal form by `_reduce` modulo the basis and the monic
     results of the rows before it; the nonzero results, in order."""
-    ring = basis[0].ring
-    p = ring.field.p
-    leads, tails = _monic_split(basis)
+    p = basis[0].ring.field.p
+    reducers = _Reducers(basis[0].ring, basis)
     out = []
     for row in rows:
-        red = _reduce(dict(row), lambda m: ring.first_divisor(m, leads), leads, tails,
-                      [1] * len(leads), ring.sort_key, p, ring.guard_mask)
+        red = _reduce(dict(row), reducers)
         if not red:
             continue
         lm = next(iter(red))
         inv = pow(red[lm], p - 2, p)
         monic = {m: c * inv % p for m, c in red.items()}
-        leads.append(lm)
-        tails.append([(m, c) for m, c in monic.items() if m != lm])
+        reducers.add(monic)
         out.append(monic)
     return out
 
