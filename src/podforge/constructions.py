@@ -58,6 +58,7 @@ from .models import (
     y_pinv_cubic,
     ring_Y_pinv,
     symmetric_matrix,
+    x_closure_quadrics,
 )
 from .duality import (
     DualityError,
@@ -496,11 +497,27 @@ def pentapod_config_ideal(legs) -> Ideal:
     h = 0, so no pose is lost.  `saturate` finds J in one Groebner run that
     divides out h as each basis element is found, and never finishes I's
     own basis.  J's reduced degrevlex basis is its generator set and is
-    cached, so its slices get a Hilbert-series bound for free."""
+    cached, so its slices get a Hilbert-series bound for free.
+
+    The run is seeded with X's 18 `x_closure_quadrics` as well: each such
+    q has h^3 q in the ideal E of X's 21 equations, over Z.  With
+    adj M = cof(M)^t, Cramer's rule (adj M) M = (det M) I and the equations
+    M M^t = h^2 I and det M = h^3 give
+    h^2 (adj M - h M^t) = (det M - h^3) M^t - adj M (M M^t - h^2 I),
+    so h^2 (cof(M) - h M) lies in E.  For a cross row
+    q_k = M (x cross e_k) + y cross (M e_k), the identity
+    (Ma) cross (Mb) = cof(M)(a cross b) with a = x, b = e_k gives
+    h q_k = (Mx + h y) cross (M e_k) - (cof(M) - h M)(x cross e_k),
+    and Mx + h y lies in E, so h^3 q_k lies in E.  So every quadric lies in
+    I : h^infinity = J: the seeded ideal lies between I and J and has the
+    same saturation, over every field, and J's reduced basis does not
+    change.  The run no longer rediscovers the quadrics, times powers of h,
+    from S-pairs of higher degree."""
     field = legs[0].field
+    ring = ring_X(field)
     points = tuple(leg_to_point(leg).coords() for leg in legs)
     forms = dual_space(LinearSubspace(Y_NAMES, "points", points, field), bsc17(), "right")
-    return saturate(ideal_X(field) + forms.linear_forms(ring_X(field)), "h")
+    return saturate(ideal_X(field) + x_closure_quadrics(ring) + forms.linear_forms(ring), "h")
 
 
 def legs_span_subspace(legs, field) -> LinearSubspace:

@@ -6,7 +6,9 @@ canonical int representatives in [0, p) over GF(p).  Arithmetic is plain
 brings a value into the field (`of`), inverts it (`inv`, so a division is
 `x * field.inv(b)`), tests it (`is_zero`, which also reads an unreduced
 value), takes a square root over GF(p) (`sqrt`) and prints it (`to_str`).
-A value goes through `of` where it is stored or returned.
+A value goes through `of` where it is stored or returned.  `slot_layout` is
+the one layout of GF(p) values packed a slot each into one int, which the
+packed kernels (`groebner._reduce_rows` and `linalg` over GF(p)) share.
 """
 
 from __future__ import annotations
@@ -152,6 +154,29 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
+
+
+def slot_layout(p: int, bound: int, count: int):
+    """The layout of `count` slots packed into one int, each holding a value
+    in [0, bound), bound >= p, that one multiply-shift reduces mod p, every
+    slot at once (Granlund and Montgomery 1994, Division by invariant
+    integers using multiplication).  Returns (width, s, magic, ones, mask):
+    slot k is bits kW..kW + W - 1 for W = width, `ones` has a 1 at the
+    bottom of every slot, and for x whose slots are all below `bound`,
+    x - p * (((x * magic) >> s) & mask) holds each slot of x mod p.
+
+    With b = bitlen(bound), c = bitlen(p), s = b + c and magic = ceil(2^s / p),
+    floor(x * magic / 2^s) = floor(x / p) for every x < 2^b, since
+    magic * p - 2^s < p <= 2^(s - b); and x * magic < 2^(b + s), so with
+    W = s + b each slot's product stays in its slot, and `mask` keeps the
+    low W - s bits of every slot of the shifted product."""
+    b = bound.bit_length()
+    s = b + p.bit_length()
+    width = s + b
+    magic = -(-(1 << s) // p)
+    ones = ((1 << (width * count)) - 1) // ((1 << width) - 1)
+    mask = ((1 << (width - s)) - 1) * ones
+    return width, s, magic, ones, mask
 
 
 QQ = Rationals()

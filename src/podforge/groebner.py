@@ -60,7 +60,7 @@ from itertools import islice
 from math import gcd, inf
 
 from . import unipoly
-from .fields import QQ, FieldError
+from .fields import QQ, FieldError, slot_layout
 from .rings import (
     DEGREVLEX, EXP_MAX, Polynomial, RingContext, elim_order,
 )
@@ -341,24 +341,16 @@ def _reduce_rows(rows, span, reducers, normal_forms=False):
 
     The rows are read PACK at a time, and a pack is reduced in one dense
     accumulator column by column, largest first: the entry of column j is
-    one int x holding one W-bit slot a row (row k at bits kW..kW + W - 1),
-    and `ones` has a 1 at the bottom of every slot.  Reaching j, all slots
-    are reduced mod p at once by the multiply-shift of Granlund and
-    Montgomery (1994, Division by invariant integers using multiplication):
-    with magic = ceil(2^s / p), r = x - p * (((x * magic) >> s) & mask),
-    `mask` keeping the low W - s bits of every slot.  A reducer row is
-    applied to the whole pack by one multiply-add a tail term,
-    acc[jj] += f * cc with f = p * nz - r, where nz, the slots of r that are
-    nonzero, is bit c = bitlen(p) of each slot of r + (2^c - 1) * ones.  No
-    slot carries into the next:
-    - every coefficient read is below p (a row's is taken mod p, a reducer
-      tail's is), and a slot gains at most (p - 1)^2 from each of the at most
-      ncols columns before its own, so it stays below 2^b with
-      b = bitlen(p + (ncols + 1) * p * (p - 1));
-    - floor(x * magic / 2^s) = floor(x / p) for every x < 2^b when
-      s >= b + bitlen(p) (magic * p - 2^s < p <= 2^(s - b)), and
-      x * magic < 2^(b + s), so with W >= s + b each slot's product stays in
-      its slot.
+    one int x holding one slot a row, in the layout of `fields.slot_layout`
+    (row k at bits kW..kW + W - 1).  Reaching j, all slots are reduced mod p
+    at once by its multiply-shift, r = x - p * (((x * magic) >> s) & mask).
+    A reducer row is applied to the whole pack by one multiply-add a tail
+    term, acc[jj] += f * cc with f = p * nz - r, where nz, the slots of r
+    that are nonzero, is bit c = bitlen(p) of each slot of r +
+    (2^c - 1) * ones.  No slot carries into the next: every coefficient read
+    is below p (a row's is taken mod p, a reducer tail's is), and a slot
+    gains at most (p - 1)^2 from each of the at most ncols columns before its
+    own, so it stays below the layout's bound p + (ncols + 1) * p * (p - 1).
     So each slot follows its own row's reduction exactly.  Results of
     earlier packs are pivots of their lead columns for the later packs (in
     one degree, a monomial that a result's lead divides is that lead); a
@@ -406,12 +398,7 @@ def _reduce_rows(rows, span, reducers, normal_forms=False):
     del pivot_of, shared
     # the slot layout (see above), W = width
     c = p.bit_length()
-    b = (p + (ncols + 1) * p * (p - 1)).bit_length()
-    s = b + c
-    width = s + b
-    magic = -(-(1 << s) // p)
-    ones = sum(1 << (k * width) for k in range(PACK))
-    mask = ((1 << (width - s)) - 1) * ones
+    width, s, magic, ones, mask = slot_layout(p, p + (ncols + 1) * p * (p - 1), PACK)
     low = ((1 << c) - 1) * ones
     slot = (1 << width) - 1
     out = []
@@ -504,9 +491,11 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     new lead can come only from a pair whose lcm is above it: taken from the
     top, the pairs meet the degree's new elements early, and the later pairs
     reduce against them, mostly to zero, or are skipped once a bound shows
-    the degree complete.  The pentapod curve's saturation
-    (`constructions.pentapod_config_ideal`) made 624 reductions this way,
-    412 of them to zero, against 858 smallest lcm first.
+    the degree complete.  Where a degree is one batch (below), the order
+    changed no count: the home-pose pentapod's saturation
+    (`constructions.pentapod_config_ideal`) pops 393 pairs, 369 of them
+    reducing to zero, largest or smallest lcm first (652 and 538 before the
+    run was seeded with X's closure quadrics).
 
     Over GF(p) with no series, a degree's pairs are one batch.  That batch,
     a degree's input generators and the final interreduction's tails (each

@@ -4,20 +4,27 @@ Matrices are lists of equal-length rows of field scalars.  Everything is
 deterministic: pivots are chosen first-nonzero, kernel bases follow the
 standard free-column convention, so results are reproducible bit for bit.
 
-One Gauss-Jordan loop (`_gauss_jordan`) is the only elimination: `rref`,
-`rank`, `row_space_basis`, `matrix_kernel` and `mat_inverse` read its RREF,
-`det` the signed product of the pivots it divides by.  Arithmetic is plain
-`a - f * b`, the same for both fields; a value enters the field (`field.of`,
+One Gauss-Jordan loop per field (`_gauss_jordan`) is the only elimination:
+`rref`, `rank`, `row_space_basis`, `matrix_kernel` and `mat_inverse` read its
+RREF, `det` the signed product of the pivots it divides by.  Over Q the loop
+is plain `a - f * b` on Fraction rows; a value enters the field (`field.of`,
 `field.inv`) only where it is read as a pivot or a factor, or returned.  Over
-GF(p) every factor and every pivot row is reduced, so an entry grows by less
-than p^2 per pivot.  The characteristic polynomial's Hessenberg recurrence
-runs on `unipoly` coefficient lists (ints mod p over GF(p), Fractions over Q).
+GF(p) a row is one int with a slot a column (`fields.slot_layout`): a row
+update is one multiply-add, then one multiply-shift reduces every slot mod p,
+and the first nonzero column of a row is its lowest set bit.  `mat_mul`
+packs the rows of its right factor the same way, so a row of the product is
+one sum of multiply-adds and one reduction.  The characteristic polynomial
+over GF(p) is the minimal polynomial of e_0 read off its packed Krylov rows
+e_0, e_0 A, ..., when that has degree n; otherwise, and over Q, it comes
+from the Hessenberg recurrence on `unipoly` coefficient lists (ints mod p
+over GF(p), Fractions over Q).  RREF, determinant, product and monic
+characteristic polynomial are unique, so the route never shows in a result.
 """
 
 from __future__ import annotations
 
 from . import unipoly
-from .fields import QQ
+from .fields import QQ, slot_layout
 
 
 def _coerce_matrix(rows, field):
@@ -35,6 +42,8 @@ def _coerce_matrix(rows, field):
 def _gauss_jordan(m, field):
     """Reduce the coerced matrix m in place.  Returns (RREF rows, pivot
     column indices, signed product of the pivots)."""
+    if field is not QQ:
+        return _gauss_jordan_packed(m, field.p)
     of = field.of
     pivots = []
     scale = field.one
@@ -59,6 +68,52 @@ def _gauss_jordan(m, field):
         if row == len(m):
             break
     return [[of(c) for c in r] for r in m[:row]], pivots, scale
+
+
+def _pack(row, width):
+    """The int holding the entries of row (ints in [0, p)), entry j in slot j."""
+    return sum(v << (j * width) for j, v in enumerate(row) if v)
+
+
+def _unpack(x, width, count):
+    slot = (1 << width) - 1
+    return [(x >> (j * width)) & slot for j in range(count)]
+
+
+def _gauss_jordan_packed(m, p):
+    """`_gauss_jordan` over GF(p), on packed rows: the same pivots, each row
+    kept reduced.  An update adds (p - f) times the monic pivot row, so a
+    slot stays below p^2 until its reduction."""
+    ncols = len(m[0]) if m else 0
+    width, s, magic, _, mask = slot_layout(p, p * p, ncols)
+    slot = (1 << width) - 1
+    m = [_pack(r, width) for r in m]
+    pivots = []
+    scale = 1
+    row = 0
+    for col in range(ncols):
+        at = col * width
+        sel = next((i for i in range(row, len(m)) if (m[i] >> at) & slot), None)
+        if sel is None:
+            continue
+        if sel != row:
+            m[row], m[sel] = m[sel], m[row]
+            scale = -scale
+        piv = (m[row] >> at) & slot
+        scale = scale * piv % p
+        x = m[row] * pow(piv, p - 2, p)
+        prow = m[row] = x - p * (((x * magic) >> s) & mask)
+        for i, x in enumerate(m):
+            if i != row:
+                f = (x >> at) & slot
+                if f:
+                    x += (p - f) * prow
+                    m[i] = x - p * (((x * magic) >> s) & mask)
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return [_unpack(x, width, ncols) for x in m[:row]], pivots, scale
 
 
 def rref(rows, field):
@@ -111,8 +166,20 @@ def det(rows, field):
 
 
 def mat_mul(a, b, field):
-    bt = _transpose(b)
-    return [[field.of(sum(x * y for x, y in zip(r, c))) for c in bt] for r in a]
+    """The product a b.  Over GF(p) the rows of b are packed, so a row of the
+    product is one sum of multiply-adds, whose slots stay below
+    len(b) * p^2, and one reduction."""
+    if field is QQ or not b or not b[0]:
+        bt = _transpose(b)
+        return [[field.of(sum(x * y for x, y in zip(r, c))) for c in bt] for r in a]
+    p, of, ncols = field.p, field.of, len(b[0])
+    width, s, magic, _, mask = slot_layout(p, len(b) * p * p, ncols)
+    packed = [_pack([of(c) for c in r], width) for r in b]
+    out = []
+    for r in a:
+        x = sum(of(v) * y for v, y in zip(r, packed) if v)
+        out.append(_unpack(x - p * (((x * magic) >> s) & mask), width, ncols))
+    return out
 
 
 def mat_vec(a, v, field):
@@ -134,14 +201,64 @@ def mat_inverse(rows, field):
 
 def charpoly(rows, field):
     """Characteristic polynomial det(xI - A) as a coefficient list, ascending
-    powers, monic.  Hessenberg reduction followed by the standard recurrence."""
-    of = field.of
+    powers, monic.  Over GF(p), the minimal polynomial of e_0 when it has
+    degree n (`_krylov_charpoly`); otherwise, and over Q, Hessenberg
+    reduction followed by the standard recurrence."""
     a = _coerce_matrix(rows, field)
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("characteristic polynomial of a non-square matrix")
     if n == 0:
         return [field.one]
+    if field is not QQ:
+        poly = _krylov_charpoly(a, field.p)
+        if poly is not None:
+            return poly
+    return _hessenberg_charpoly(a, field)
+
+
+def _krylov_charpoly(a, p):
+    """The characteristic polynomial of the n x n matrix a over GF(p) when
+    e_0 is cyclic for it, else None.
+
+    The rows v_k = e_0 a^k are packed with n slots for v_k and n + 1 slots
+    that record it as a combination of v_0..v_k (v_k starts with a 1 in
+    slot n + k), and are echelonized one at a time, each by the monic rows
+    kept before it, in order.  The first v_k that reduces to zero in its n
+    vector slots gives the relation sum_i t_i v_i = 0 with t_k = 1, that is
+    e_0 q(a) = 0 for the monic q = sum_i t_i x^i of degree k, the minimal
+    polynomial of e_0.  It divides the minimal polynomial of a, which
+    divides the characteristic polynomial; so when k = n it is the
+    characteristic polynomial."""
+    n = len(a)
+    width, s, magic, _, mask = slot_layout(p, (n + 1) * p * p, 2 * n + 1)
+    slot = (1 << width) - 1
+    low = (1 << (n * width)) - 1
+    packed = [_pack(r, width) for r in a]
+    kept = []  # (lead slot offset, monic row)
+    v = 1  # v_0 = e_0
+    for k in range(n + 1):
+        x = v + (1 << ((n + k) * width))
+        for at, row in kept:
+            f = (x >> at) & slot
+            if f:
+                x += (p - f) * row
+                x -= p * (((x * magic) >> s) & mask)
+        if not x & low:
+            return _unpack(x >> (n * width), width, n + 1) if k == n else None
+        at = ((x & -x).bit_length() - 1) // width * width
+        x *= pow((x >> at) & slot, p - 2, p)
+        kept.append((at, x - p * (((x * magic) >> s) & mask)))
+        x = sum(c * y for c, y in zip(_unpack(v, width, n), packed) if c)
+        v = x - p * (((x * magic) >> s) & mask)
+
+
+def _hessenberg_charpoly(a, field):
+    """The characteristic polynomial of the coerced n x n matrix a (n >= 1,
+    consumed): reduction to upper Hessenberg form by similarity transforms,
+    then the recurrence on its leading blocks."""
+    of = field.of
+    n = len(a)
     # reduce to upper Hessenberg form by similarity transforms
     for col in range(n - 2):
         piv = next((i for i in range(col + 1, n) if a[i][col]), None)

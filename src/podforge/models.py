@@ -163,8 +163,12 @@ def _cached(key, build):
 
 
 def x_equations(ring) -> list:
-    """The defining equations of X: orthogonality of M against h^2, the
-    determinant relation, the x/y exchange rows, and the r relations."""
+    """The 21 equations of X: orthogonality of M against h^2, the determinant
+    relation, the x/y exchange rows, and the r relations.  They generate X's
+    prime ideal only up to saturation at h: their ideal also carries
+    components inside h = 0, and with the 18 quadrics of
+    `x_closure_quadrics` (which they imply once multiplied by h^3) they
+    generate the prime ideal itself."""
     gv = {n: ring.gen(n) for n in X_NAMES}
     M = [[gv[f"m{i + 1}{j + 1}"] for j in range(3)] for i in range(3)]
     xv = [gv["x1"], gv["x2"], gv["x3"]]
@@ -188,6 +192,43 @@ def x_equations(ring) -> list:
     return gens
 
 
+def x_closure_quadrics(ring) -> list:
+    """18 quadrics of X's prime ideal that the 21 `x_equations` do not
+    contain: the 9 cofactor relations cof(M)_ij - h m_ij, and the 9 entries
+    of M (x cross e_k) + y cross (M e_k), k = 1, 2, 3.  At a pose M/h is a
+    rotation, so cof(M) = h^2 cof(M/h) = h M and (Ma) cross (Mb) =
+    cof(M)(a cross b); with Mx = -h y that gives
+    h M (x cross e_k) = (Mx) cross (M e_k) = -h y cross (M e_k).
+
+    Each quadric q has h^3 q in the ideal of the 21 equations, over Z (the
+    proof is in `constructions.pentapod_config_ideal`, which seeds its
+    saturation with them)."""
+    gv = {n: ring.gen(n) for n in X_NAMES}
+    M = [[gv[f"m{i + 1}{j + 1}"] for j in range(3)] for i in range(3)]
+    xv = [gv["x1"], gv["x2"], gv["x3"]]
+    yv = [gv["y1"], gv["y2"], gv["y3"]]
+    h = gv["h"]
+
+    def cross(u, v):
+        return [u[(i + 1) % 3] * v[(i + 2) % 3] - u[(i + 2) % 3] * v[(i + 1) % 3] for i in range(3)]
+
+    def cof(i, j):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        c, d = (j + 1) % 3, (j + 2) % 3
+        return M[a][c] * M[b][d] - M[a][d] * M[b][c]
+
+    quadrics = [cof(i, j) - h * M[i][j] for i in range(3) for j in range(3)]
+    for k in range(3):
+        ek = [ring.one() if i == k else ring.zero() for i in range(3)]
+        xe = cross(xv, ek)
+        col = [M[i][k] for i in range(3)]
+        quadrics += [
+            sum((M[i][j] * xe[j] for j in range(3)), ring.zero()) + w
+            for i, w in enumerate(cross(yv, col))
+        ]
+    return quadrics
+
+
 def involution_linear_forms(ring) -> list:
     """The seven linear forms cutting the involution slice: M symmetric,
     x = y, and trace(M) + h = 0."""
@@ -204,7 +245,12 @@ def involution_linear_forms(ring) -> list:
 
 
 def ideal_X(field=QQ) -> Ideal:
-    """The closure of the isometry group in P^16: dimension 6, degree 40."""
+    """The closure of the isometry group in P^16: dimension 6, degree 40.
+
+    Its generators are the 21 `x_equations`, which generate X's ideal only
+    up to saturation at h; with the 18 `x_closure_quadrics` they generate
+    its prime ideal.  The list is kept as it is: the quadrics would change
+    the reduced bases of X's projections."""
     def build():
         ring = ring_X(field)
         return Ideal(ring, x_equations(ring))

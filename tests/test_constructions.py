@@ -394,13 +394,14 @@ def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
 
 
 def test_pentapod_saturation_step_budget(monkeypatch):
-    # a work guard on the home-pose pentapod's saturation: the run pops 652
-    # S-pairs, largest lcm first within a degree, 651 of them in six degrees
-    # reduced as one matrix each (the kernel's echelon mode; the final
-    # interreduction's normal forms are not steps), so it finishes in a
-    # budget of 652 steps and not in 651.  A seventh echelon-mode batch is
-    # the five input generators of the lowest degree: a saturating run's
-    # generator batches take the same route as its S-pair batches
+    # a work guard on the home-pose pentapod's saturation: seeded with X's
+    # 18 closure quadrics, the run pops 393 S-pairs, largest lcm first within
+    # a degree, 392 of them in three degrees reduced as one matrix each (the
+    # kernel's echelon mode; the final interreduction's normal forms are not
+    # steps), so it finishes in a budget of 393 steps and not in 392.  A
+    # fourth echelon-mode batch is the five input generators of the lowest
+    # degree: a saturating run's generator batches take the same route as its
+    # S-pair batches.  Unseeded, the run popped 652 S-pairs in seven batches
     cut = []
     saturate = constructions.saturate
 
@@ -419,10 +420,10 @@ def test_pentapod_saturation_step_budget(monkeypatch):
         return reduce_rows(rows, *args, normal_forms=normal_forms)
 
     monkeypatch.setattr(groebner, "_reduce_rows", counting)
-    groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=652)
-    assert batches.count(False) == 7
+    groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=393)
+    assert batches.count(False) == 4
     with pytest.raises(groebner.BudgetExceeded):
-        groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=651)
+        groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=392)
 
 
 def test_infinity_pod_computes_each_lead_numerator_once(monkeypatch):
@@ -599,13 +600,14 @@ def test_dense_saturation_matches_the_two_run_saturation(monkeypatch, seed):
     assert not batches
 
 
-@pytest.mark.parametrize("which", ["random-1", "home-pose"])
+@pytest.mark.parametrize("which", ["random-1", "random-2", "random-3", "random-4", "home-pose"])
 def test_pentapod_config_ideal_matches_the_two_run_saturation(which):
-    # the one-run saturation against the route that finishes the cut's basis
+    # the one-run saturation, seeded with X's 18 closure quadrics, against
+    # the route that finishes the basis of the unseeded cut
     if which == "home-pose":
         legs = _home_pose_pentapod()
     else:
-        rng = random.Random(1)
+        rng = random.Random(int(which.split("-")[1]))
         legs = [_rand_planar_leg(rng, F101) for _ in range(5)]
     points = tuple(leg_to_point(leg).coords() for leg in legs)
     forms = dual_space(LinearSubspace(Y_NAMES, "points", points, F101), bsc17(), "right")

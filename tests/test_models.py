@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from podforge.fields import GF, QQ
-from podforge.groebner import hilbert_data
+from podforge.groebner import Ideal, hilbert_data, reducer, saturate
 from podforge.linalg import mat_inverse, mat_mul
 from podforge.models import (
     IsometryPoint,
@@ -23,7 +23,10 @@ from podforge.models import (
     ideal_Z_inv,
     project_model,
     ring_euler,
+    ring_X,
     rho_isometry_point,
+    x_closure_quadrics,
+    x_equations,
 )
 from podforge.duality import leg_to_point, leg_sym_coords, leg_p_coords, leg_pinv_coords
 from podforge.constructions import draw_seed
@@ -68,6 +71,67 @@ def test_random_isometries_on_X():
 def test_hilbert_X():
     hd = hilbert_data(ideal_X(F101))
     assert (hd.dimension, hd.degree) == (6, 40)
+
+
+def _quaternion_rotation(rng):
+    """The rotation v -> q v q^-1 of a random quaternion q = (a, b, c, d)
+    whose norm n = a^2 + b^2 + c^2 + d^2 is a unit mod 101: its matrix over
+    Z divided by n."""
+    while True:
+        a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
+        n = a * a + b * b + c * c + d * d
+        if n % 101:
+            break
+    rows = [
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ]
+    return [[Fraction(v, n) for v in r] for r in rows]
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["q", "fp:101"])
+def test_closure_quadrics_vanish_at_random_isometries(field):
+    rng = random.Random(29)
+    ring = ring_X(field)
+    quadrics = x_closure_quadrics(ring)
+    assert len(quadrics) == 18
+    assert all(q.is_homogeneous() and q.homogeneous_degree() == 2 for q in quadrics)
+    for _ in range(30):
+        y = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)]
+        pt = IsometryPoint.from_affine(_quaternion_rotation(rng), y, field)
+        assert ideal_X(field).contains_point(pt.coords)
+        assert all(field.is_zero(q.evaluate(pt.coords)) for q in quadrics)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_closure_quadrics_lie_in_the_saturation_only(p):
+    # the 9 cofactor relations need h^2 and the 9 cross rows h^3 to reach the
+    # ideal E of the 21 equations (the proof in `x_closure_quadrics`), and no
+    # lower power does: none of them lies in E itself
+    field = GF(p)
+    ring = ring_X(field)
+    h = ring.gen("h")
+    reduce = reducer(ideal_X(field).groebner_basis())
+    for k, q in enumerate(x_closure_quadrics(ring)):
+        need = 2 if k < 9 else 3
+        nfs = reduce([q * h ** e for e in range(need + 1)])
+        assert [nf.is_zero() for nf in nfs] == [False] * need + [True]
+
+
+def test_equations_and_closure_quadrics_generate_the_saturation():
+    # the 21 equations alone have a reduced basis of 171 elements; with the
+    # 18 quadrics they give the basis of their own saturation at h, X's
+    # prime ideal, with no Groebner run on h
+    ring = ring_X(F101)
+    equations = x_equations(ring)
+    assert len(equations) == 21
+    assert len(ideal_X(F101).groebner_basis()) == 171
+    closed = Ideal(ring, equations + x_closure_quadrics(ring))
+    saturated = saturate(ideal_X(F101), "h").generators
+    assert len(saturated) == 55
+    assert tuple(closed.groebner_basis()) == saturated
+    assert hilbert_data(closed).numerator == (1, 10, 18, 10, 1)
 
 
 def test_half_turn_on_X_inv():
