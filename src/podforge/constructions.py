@@ -58,7 +58,7 @@ from .models import (
     y_pinv_cubic,
     ring_Y_pinv,
     symmetric_matrix,
-    x_closure_quadrics,
+    x_equations,
 )
 from .duality import (
     DualityError,
@@ -266,9 +266,9 @@ def rho_preimage(rho: RingMap, F: Polynomial, kernel: LinearSubspace) -> Ideal:
        onto the even-degree Veronese subring of the Euler plane.  So R/P is
        k[e]/(F) in even degrees, and HS(R/P) = sum_k dim (k[e]/F)_{2k} t^k
        (PREIMAGE_NUMERATOR).
-    2. rho maps every equation of X into (F): nineteen to 0 and the two r
-       relations to -F/4.  So J = I(X) + P_1 lies in P, and HS(R/P) is a
-       lower bound for J's series.
+    2. rho maps each of X's 21 `x_equations` E into (F): nineteen to 0 and
+       the two r relations to -F/4.  So J = E + P_1 lies in P, and HS(R/P)
+       is a lower bound for J's series.
     3. The Buchberger run on that bound reaches it, so J = P.
     The result has its reduced degrevlex basis as generators and cached.
 
@@ -286,7 +286,7 @@ def rho_preimage(rho: RingMap, F: Polynomial, kernel: LinearSubspace) -> Ideal:
         raise CertificationError(
             f"preimage of (F) below its Hilbert series: {len(kernel.basis)} kernel forms, not 11"
         )
-    equations = list(ideal_X(field).generators)
+    equations = x_equations(rx)
     for q in equations:
         if not reduce_by_basis(rho(q), [F] if F else []).is_zero():
             raise CertificationError(f"preimage of (F) misses X: the lift maps {q} outside (F)")
@@ -494,30 +494,18 @@ def pentapod_config_ideal(legs) -> Ideal:
     The cut I carries boundary points on h = 0 (X is a closure, so they
     satisfy it); a pose has h != 0.  The result is J = I : h^infinity, whose
     points are the closure of the poses: V(I) and V(J) differ only inside
-    h = 0, so no pose is lost.  `saturate` finds J in one Groebner run that
-    divides out h as each basis element is found, and never finishes I's
-    own basis.  J's reduced degrevlex basis is its generator set and is
-    cached, so its slices get a Hilbert-series bound for free.
-
-    The run is seeded with X's 18 `x_closure_quadrics` as well: each such
-    q has h^3 q in the ideal E of X's 21 equations, over Z.  With
-    adj M = cof(M)^t, Cramer's rule (adj M) M = (det M) I and the equations
-    M M^t = h^2 I and det M = h^3 give
-    h^2 (adj M - h M^t) = (det M - h^3) M^t - adj M (M M^t - h^2 I),
-    so h^2 (cof(M) - h M) lies in E.  For a cross row
-    q_k = M (x cross e_k) + y cross (M e_k), the identity
-    (Ma) cross (Mb) = cof(M)(a cross b) with a = x, b = e_k gives
-    h q_k = (Mx + h y) cross (M e_k) - (cof(M) - h M)(x cross e_k),
-    and Mx + h y lies in E, so h^3 q_k lies in E.  So every quadric lies in
-    I : h^infinity = J: the seeded ideal lies between I and J and has the
-    same saturation, over every field, and J's reduced basis does not
-    change.  The run no longer rediscovers the quadrics, times powers of h,
-    from S-pairs of higher degree."""
+    h = 0, so no pose is lost.  `saturate` finds J from I's basis; for a
+    generic pentapod no element of it is divisible by h, so I is already
+    saturated and no second run is made.  Special pentapods need it: a
+    congruent platform (a_i = b_i) gives a cut of degree 40 whose saturation
+    has degree 32, and a collinear base a surface whose saturation is a
+    curve of degree 16.  J's reduced degrevlex basis is its generator set
+    and is cached, so its slices get a Hilbert-series bound for free."""
     field = legs[0].field
     ring = ring_X(field)
     points = tuple(leg_to_point(leg).coords() for leg in legs)
     forms = dual_space(LinearSubspace(Y_NAMES, "points", points, field), bsc17(), "right")
-    return saturate(ideal_X(field) + x_closure_quadrics(ring) + forms.linear_forms(ring), "h")
+    return saturate(ideal_X(field) + forms.linear_forms(ring), "h")
 
 
 def legs_span_subspace(legs, field) -> LinearSubspace:

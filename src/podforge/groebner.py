@@ -17,9 +17,8 @@ of a Cohen-Macaulay ring on the series a regular sequence would give and
 keeps the result only if it reaches that series; `cut_regular_sequence`
 carries that series as exact, for forms the caller has proven a regular
 sequence, and makes no run until a basis is asked for.  `saturate` computes
-I : x^infinity for the last degrevlex variable x in one run that divides each
-new basis element by its largest power of x (Bayer's lemma, Bayer-Stillman
-1987), so the basis of I itself is never finished.
+I : x^infinity for the last degrevlex variable x from I's basis, each element
+divided by its largest power of x (Bayer's lemma, Bayer-Stillman 1987).
 
 Reduction has two kernels, and one method picks between them: the reducer
 set `_Reducers`, which holds the leads, tails and first-divisor cache of a
@@ -28,9 +27,9 @@ Over GF(p) a batch whose rows share their monomials (`_dense_span`:
 `DENSE_REUSE`) is reduced as one matrix, F4-style (`_reduce_rows`: symbolic
 preprocessing, then one pass a pack of PACK rows, every column's entries
 held in one int with a slot a row; Faugere 1999).  The batches are a
-degree's S-pairs in a run that no series bounds (the saturation, X's own
-basis, Y_inv's unbounded run), a degree's input generators, the final
-interreduction's tails (each minimal element is its lead plus the normal
+degree's S-pairs in a run that no series bounds (a pentapod's cut of X,
+X's own basis, Y_inv's unbounded run), a degree's input generators, the
+final interreduction's tails (each minimal element is its lead plus the normal
 form of its tail modulo the finished basis), and the list given to a
 `reducer`; the last two in the kernel's normal-form mode, where no row
 reduces another.  Any other batch, the series-driven degrees pair by pair
@@ -461,10 +460,8 @@ def _reduce_rows(rows, span, reducers, normal_forms=False):
     return out
 
 
-def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False):
-    """Compute the reduced Groebner basis of homogeneous seed polynomials, or
-    when `saturating` (with no `hilbert`) that of their ideal saturated at the
-    last variable of a degrevlex ring (see `saturate`).
+def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
+    """Compute the reduced Groebner basis of homogeneous seed polynomials.
 
     `hilbert`, when given, is the numerator over prod(1 - t^w) (the ring's
     weights) of a lower bound on the Hilbert series of R/I: its Hilbert
@@ -492,10 +489,10 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     top, the pairs meet the degree's new elements early, and the later pairs
     reduce against them, mostly to zero, or are skipped once a bound shows
     the degree complete.  Where a degree is one batch (below), the order
-    changed no count: the home-pose pentapod's saturation
+    changed no count: the home-pose pentapod's cut of X
     (`constructions.pentapod_config_ideal`) pops 393 pairs, 369 of them
-    reducing to zero, largest or smallest lcm first (652 and 538 before the
-    run was seeded with X's closure quadrics).
+    reducing to zero, largest or smallest lcm first (652 and 538 before X's
+    ideal held its closure quadrics).
 
     Over GF(p) with no series, a degree's pairs are one batch.  That batch,
     a degree's input generators and the final interreduction's tails (each
@@ -506,18 +503,15 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     (`_reduce_rows`), in the same order, and any other row by row on
     `_reduce`.  As a matrix, a reducer row is built once for every row that
     meets it, and a pair that reduces to zero costs a slot of a pack, not a
-    heap walk: the pentapod saturation's batches reuse a monomial 3.6-13
+    heap walk: a pentapod cut's batches reuse a monomial 3.6-13
     times and reduce 2-4.5 times faster that way.  The rule keeps X's own
-    basis on the heap loop, where a monomial occurs in 1.1-1.9 of a degree's
+    basis on the heap loop, where a monomial occurs in 1.1-1.6 of a degree's
     S-polynomials on average (sending all of X's degrees to the matrix took
-    0.40 s against 0.24 s).  Each nonzero row is inserted in order as above.
-    A saturating run divides a new element by h, which breaks the matrix's
-    one-degree pivots, so there a row whose lead a lead divided earlier in
-    its batch divides is reduced again by `_reduce` first (`keep`).  A batch
-    counts one step per pair.  The series-driven degrees go pair by pair, so
-    that they stop once the series shows the degree complete.  The reduced
-    basis is unique, so the order and the kernel change the work, never the
-    result.
+    0.056 s against 0.033 s).  Each nonzero row is inserted in order as above.
+    A batch counts one step per pair.  The series-driven degrees go pair by
+    pair, so that they stop once the series shows the degree complete.  The
+    reduced basis is unique, so the order and the kernel change the work,
+    never the result.
 
     Returns (a list of term dicts, monic, sorted by increasing leading
     monomial; deterministic, the Hilbert numerator of their lead ideal when
@@ -527,9 +521,7 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     field = ring.field
     p = field.p if field is not QQ else None
     if hilbert is not None:
-        assert not saturating, "the saturation's Hilbert series is unknown"
         hilbert = unipoly.trim(hilbert)
-    h = ring.units[-1]  # the packed last variable: m // h is its exponent in m
     reducers = _Reducers(ring)  # the basis so far
     leads, tails, lcoeffs = reducers.leads, reducers.tails, reducers.lcoeffs
 
@@ -587,24 +579,14 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None, saturating=False)
     # A new element's lead is reduced, so all its pairs lie above its degree
     # and criterion B for it keeps every pair of its degree: the pair updates
     # of a degree wait until the degree is done, and are skipped when a
-    # series shows the basis finished.  A saturating run divides leads down
-    # to lower degrees, so it updates at once.
+    # series shows the basis finished
     pending = []
 
     def keep(red):
-        """Insert a reduced term dict unless it is zero; return 0 or 1.  In a
-        saturating run, a row whose lead a lead divided by h earlier in its
-        batch divides is reduced again first."""
-        if saturating and red and reducers.find(next(iter(red))) is not None:
-            red = _reduce(red, reducers)
+        """Insert a reduced term dict unless it is zero; return 0 or 1."""
         if not red:
             return 0
-        if saturating:
-            k = min(m // h for m in red)
-            red = {m - k * h: c for m, c in red.items()}
-            gm_update(reducers.add(red))
-        else:
-            pending.append(reducers.add(red))
+        pending.append(reducers.add(red))
         return 1
 
     def wrong_series(why):
@@ -794,23 +776,30 @@ def _eliminate_variable(ideal: Ideal, var) -> Ideal:
 
 
 def saturate(ideal: Ideal, var) -> Ideal:
-    """I : var^infinity, for var the last variable of a degrevlex ring, in one
-    engine run that divides each new basis element by its largest power of
-    var as it is found, so the basis of I itself is never finished.
+    """I : var^infinity, for var the last variable of a degrevlex ring, by
+    Bayer's two-run route (Bayer-Stillman 1987): I's reduced basis G, each
+    element divided by its largest power of var, then reduced by a second
+    run, made only when some element was divisible by var.
 
     In that order a homogeneous f is divisible by var^k exactly when its lead
-    is.  Every element the run keeps lies in J = I : var^infinity (J is
-    saturated), and every generator of I reduces to a multiple of a kept
-    element, so I is inside K, the ideal of the final basis G, and K is
-    inside J.  No lead of G is divisible by var, so var is a nonzerodivisor
-    modulo K (Bayer's lemma, Bayer-Stillman 1987): K = K : var^infinity,
-    which contains I : var^infinity = J.  So K = J, and the run's final
-    interreduction gives J's unique reduced basis.  The result has that basis
-    as generators and cached."""
+    is.  Let G' be G divided as above; it lies in J = I : var^infinity.  For
+    f in J, var^s f lies in I for some s, so some lead of G divides
+    var^s lead(f).  That lead is var^k times the lead of an element of G',
+    which var does not divide, so the latter divides lead(f).  So G' is a
+    Groebner basis of J, and J = I when no element of G is divisible by var.
+    The input caches no basis; the result has J's reduced basis as
+    generators and cached."""
     ring = ideal.ring
     if ring.order != DEGREVLEX or ring.names[-1] != var:
         raise ValueError(f"saturate needs {var!r} as the last variable of a degrevlex ring")
-    gb = tuple(Polynomial(ring, d) for d in _gb_engine(ideal.generators, ring, saturating=True)[0])
+    gb = buchberger(ideal)
+    h = ring.units[-1]  # the packed last variable: m // h is its exponent in m
+    powers = [min(m // h for m in g.terms) for g in gb]
+    if any(powers):
+        gb = buchberger([
+            Polynomial(ring, {m - k * h: c for m, c in g.terms.items()})
+            for g, k in zip(gb, powers)
+        ])
     out = Ideal(ring, gb)
     out.seed_groebner_cache(gb)
     return out

@@ -163,12 +163,10 @@ def _cached(key, build):
 
 
 def x_equations(ring) -> list:
-    """The 21 equations of X: orthogonality of M against h^2, the determinant
-    relation, the x/y exchange rows, and the r relations.  They generate X's
-    prime ideal only up to saturation at h: their ideal also carries
-    components inside h = 0, and with the 18 quadrics of
-    `x_closure_quadrics` (which they imply once multiplied by h^3) they
-    generate the prime ideal itself."""
+    """The 21 equations E of X: orthogonality of M against h^2, the
+    determinant relation, the x/y exchange rows, and the r relations.  They
+    generate X's prime ideal only up to saturation at h: their ideal also
+    carries components inside h = 0 (see `ideal_X`)."""
     gv = {n: ring.gen(n) for n in X_NAMES}
     M = [[gv[f"m{i + 1}{j + 1}"] for j in range(3)] for i in range(3)]
     xv = [gv["x1"], gv["x2"], gv["x3"]]
@@ -200,9 +198,15 @@ def x_closure_quadrics(ring) -> list:
     cof(M)(a cross b); with Mx = -h y that gives
     h M (x cross e_k) = (Mx) cross (M e_k) = -h y cross (M e_k).
 
-    Each quadric q has h^3 q in the ideal of the 21 equations, over Z (the
-    proof is in `constructions.pentapod_config_ideal`, which seeds its
-    saturation with them)."""
+    Each quadric q has h^3 q in the ideal E of the 21 `x_equations`, over Z.
+    With adj M = cof(M)^t, Cramer's rule (adj M) M = (det M) I and the
+    equations M M^t = h^2 I and det M = h^3 give
+    h^2 (adj M - h M^t) = (det M - h^3) M^t - adj M (M M^t - h^2 I),
+    so h^2 (cof(M) - h M) lies in E.  For a cross row
+    q_k = M (x cross e_k) + y cross (M e_k), the identity
+    (Ma) cross (Mb) = cof(M)(a cross b) with a = x, b = e_k gives
+    h q_k = (Mx + h y) cross (M e_k) - (cof(M) - h M)(x cross e_k),
+    and Mx + h y lies in E, so h^3 q_k lies in E."""
     gv = {n: ring.gen(n) for n in X_NAMES}
     M = [[gv[f"m{i + 1}{j + 1}"] for j in range(3)] for i in range(3)]
     xv = [gv["x1"], gv["x2"], gv["x3"]]
@@ -245,21 +249,29 @@ def involution_linear_forms(ring) -> list:
 
 
 def ideal_X(field=QQ) -> Ideal:
-    """The closure of the isometry group in P^16: dimension 6, degree 40.
+    """The prime ideal of X, the closure of the isometry group in P^16:
+    dimension 6, degree 40.  Its generators are the 21 `x_equations` E and
+    the 18 `x_closure_quadrics` Q.
 
-    Its generators are the 21 `x_equations`, which generate X's ideal only
-    up to saturation at h; with the 18 `x_closure_quadrics` they generate
-    its prime ideal.  The list is kept as it is: the quadrics would change
-    the reduced bases of X's projections."""
+    X's ideal is E : h^infinity, and each quadric lies there (h^3 Q lies in
+    E), so E + Q lies between E and E : h^infinity and has the same
+    saturation.  No lead of E + Q's degrevlex basis (h last) is divisible
+    by h (the tests check it over Q, GF(101) and GF(32003)), so E + Q is
+    saturated at h (Bayer's lemma, see `groebner.saturate`) and is X's
+    ideal itself."""
     def build():
         ring = ring_X(field)
-        return Ideal(ring, x_equations(ring))
+        return Ideal(ring, x_equations(ring) + x_closure_quadrics(ring))
 
     return _cached(("X", field.descriptor), build)
 
 
 def ideal_X_inv(field=QQ) -> Ideal:
-    """The involution model: X plus the seven linear forms."""
+    """The involution model: X plus the seven linear forms, generated by the
+    21 `x_equations` and the forms alone.  The quadrics are not needed
+    there: E plus the forms has the same reduced basis (20 elements) as
+    X's ideal plus the forms, and no lead of it is divisible by h, so it is
+    already saturated at h."""
     def build():
         ring = ring_X(field)
         return Ideal(ring, x_equations(ring) + involution_linear_forms(ring))

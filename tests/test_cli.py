@@ -87,9 +87,9 @@ def test_construct_infinity_output_pinned(tmp_path, field, seed, digest):
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("X", "83ccf426e339ea7e5496f62f3eba9ea31930de20f488968cf13a12b9d4fa5092"),
+        ("X", "fef932e6c503b85d5f6ea8e86d3b87b4e059b58f1e2b245fe77be4e74c2d9ef8"),
         ("Xinv", "689cf2075ed9f3c0759efc44f59cc69f267e3b6f5ed93ce43139a97feec3fa49"),
-        ("Xp", "b08ccee427060e19dd2de89acb06647edd48b83cd7bbe6d2611364edd70b28df"),
+        ("Xp", "d9ad9b4cca95871e62dcbc447a79f32c4ead39aa8a2d4b75a8366b3fc8988fc8"),
         ("Xpinv", "99dc67db916075740ea9f2bc991d2a2753c0e535eaf490a48ebebfb8c1692925"),
         ("Y", "0a3a81943c24dfd6b82cefa239cfd4cf13aa1aedac4edc59f5af4c7ad760584b"),
         ("Yinv", "8cb6b97c0e6c9e13283133606fdde94905b19726530e495892fa9a90dd82815b"),
@@ -109,7 +109,7 @@ def test_model_output_pinned(tmp_path, name, digest):
     "what, seed, digest",
     [
         ("cubic", 3, "860de6d6fdc546ce85eb920ee95e32bc4087c3676ecd0695cd64b397bbb50cbc"),
-        ("conic", 1, "4bc4304a0be79c59579e77057a4078e4790acbf419a0a384c413927562be8b57"),
+        ("conic", 1, "df4e063394a954bfd84af42c1c719448ec430e4427edf6d80676820ac9d34648"),
     ],
 )
 def test_construct_output_pinned(tmp_path, what, seed, digest):

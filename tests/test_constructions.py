@@ -23,6 +23,7 @@ from podforge.models import (
     ring_X,
     ring_Y,
     ring_Y_inv,
+    x_equations,
 )
 from podforge.rings import DEGREVLEX, Polynomial, RingContext, RingMap
 from podforge.duality import (
@@ -394,24 +395,25 @@ def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
 
 
 def test_pentapod_saturation_step_budget(monkeypatch):
-    # a work guard on the home-pose pentapod's saturation: seeded with X's
-    # 18 closure quadrics, the run pops 393 S-pairs, largest lcm first within
-    # a degree, 392 of them in three degrees reduced as one matrix each (the
-    # kernel's echelon mode; the final interreduction's normal forms are not
-    # steps), so it finishes in a budget of 393 steps and not in 392.  A
-    # fourth echelon-mode batch is the five input generators of the lowest
-    # degree: a saturating run's generator batches take the same route as its
-    # S-pair batches.  Unseeded, the run popped 652 S-pairs in seven batches
-    cut = []
-    saturate = constructions.saturate
+    # a work guard on the home-pose pentapod's saturation, which is one
+    # Buchberger run on the cut of X (no element of its basis is divisible
+    # by h, so `saturate` makes no second run): the run pops 393 S-pairs,
+    # largest lcm first within a degree, 392 of them in three degrees
+    # reduced as one matrix each (the kernel's echelon mode; the final
+    # interreduction's normal forms are not steps), so it finishes in a
+    # budget of 393 steps and not in 392.  A fourth echelon-mode batch is
+    # the five input generators of the lowest degree.  Before X's ideal held
+    # its closure quadrics, the run popped 652 S-pairs in seven batches
+    runs = []
+    buchberger = groebner.buchberger
 
-    def recording(ideal, var):
-        cut.append(ideal)
-        return saturate(ideal, var)
+    def recording(ideal, *args, **kwargs):
+        runs.append(ideal)
+        return buchberger(ideal, *args, **kwargs)
 
-    monkeypatch.setattr(constructions, "saturate", recording)
+    monkeypatch.setattr(groebner, "buchberger", recording)
     pentapod_config_ideal(_home_pose_pentapod())
-    ((ideal,),) = [cut]
+    (cut,) = runs
     batches = []
     reduce_rows = groebner._reduce_rows
 
@@ -420,10 +422,10 @@ def test_pentapod_saturation_step_budget(monkeypatch):
         return reduce_rows(rows, *args, normal_forms=normal_forms)
 
     monkeypatch.setattr(groebner, "_reduce_rows", counting)
-    groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=393)
+    buchberger(cut, max_steps=393)
     assert batches.count(False) == 4
     with pytest.raises(groebner.BudgetExceeded):
-        groebner._gb_engine(ideal.generators, ideal.ring, saturating=True, max_steps=392)
+        buchberger(cut, max_steps=392)
 
 
 def test_infinity_pod_computes_each_lead_numerator_once(monkeypatch):
@@ -561,58 +563,101 @@ def _saturate_two_runs(ideal, var):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dense_saturation_matches_the_two_run_saturation(monkeypatch, seed):
-    # the one-run saturation of dense forms, whose degrees go through the
-    # matrix kernel, against the two-run route on the heap loop alone (with
-    # `_dense_span` switched off, no batch reaches the kernel).  The
-    # generators divisible by h and h^2 make the run divide new rows within
-    # a batch.  The five of degree 3 share their monomials, so they reach
-    # the kernel as one batch, whose later rows the run reduces again by the
-    # earlier ones divided by h.
+    # I = K (h, l) for three dense quadrics K and a dense linear form l, so
+    # I : h^infinity = K: h K lies in I, I lies in K, and h is a
+    # nonzerodivisor modulo K.  The degrees of both runs of `saturate` go
+    # through the matrix kernel, and the result is K's own basis and the
+    # two-run route on the heap loop alone (with `_dense_span` switched
+    # off, no batch reaches the kernel)
     rng = random.Random(seed)
     ring = RingContext(("x0", "x1", "x2", "x3", "h"), (1,) * 5, DEGREVLEX, F101)
 
     def form(d):
         exps = [e for e in itertools.product(range(d + 1), repeat=5) if sum(e) == d]
-        return ring.from_terms([(e, rng.randrange(1, 101)) for e in exps if rng.random() < 0.6])
+        return ring.from_terms([(e, rng.randrange(1, 101)) for e in exps if rng.random() < 0.9])
 
-    h = ring.gen("h")
-    gens = [form(2) * h, form(2) * h, form(3) * h * h, form(3) + form(2) * h]
-    gens += [form(2) * h, form(2) * h]
-    ideal = Ideal(ring, gens)
+    K = [form(2) for _ in range(3)]
+    ell = form(1)
+    ideal = Ideal(ring, [q * ring.gen("h") for q in K] + [q * ell for q in K])
     batches = []
     reduce_rows = groebner._reduce_rows
 
     def recording(rows, *args, normal_forms=False):
-        rows = list(rows)
-        batches.append((normal_forms, rows))
+        batches.append(normal_forms)
         return reduce_rows(rows, *args, normal_forms=normal_forms)
 
     monkeypatch.setattr(groebner, "_reduce_rows", recording)
-    one_run = groebner.saturate(ideal, "h").generators
-    echelon = [rows for normal_forms, rows in batches if not normal_forms]
-    assert max(len([r for r in rows if r]) for rows in echelon) > 1
-    cubics = [g for g in gens if g.homogeneous_degree() == 3]
-    assert len(cubics) == len(echelon[0]) == 5
-    assert {frozenset(r.items()) for r in echelon[0]} == {frozenset(g.terms.items()) for g in cubics}
+    saturated = groebner.saturate(ideal, "h").generators
+    assert batches.count(False) > 1
+    assert saturated == groebner.buchberger(K)
     monkeypatch.setattr(groebner, "_dense_span", lambda rows: None)
     batches.clear()
-    assert one_run == _saturate_two_runs(Ideal(ring, ideal.generators), "h")
+    assert saturated == _saturate_two_runs(Ideal(ring, ideal.generators), "h")
     assert not batches
+
+
+def _leg_forms(legs):
+    """The five sphere-condition forms of a pentapod over GF(101), in X's ring."""
+    points = tuple(leg_to_point(leg).coords() for leg in legs)
+    forms = dual_space(LinearSubspace(Y_NAMES, "points", points, F101), bsc17(), "right")
+    return forms.linear_forms(ring_X(F101))
 
 
 @pytest.mark.parametrize("which", ["random-1", "random-2", "random-3", "random-4", "home-pose"])
 def test_pentapod_config_ideal_matches_the_two_run_saturation(which):
-    # the one-run saturation, seeded with X's 18 closure quadrics, against
-    # the route that finishes the basis of the unseeded cut
+    # the saturation of X's prime ideal cut by the legs, against the route
+    # that finishes the basis of the cut of X's 21 equations alone
     if which == "home-pose":
         legs = _home_pose_pentapod()
     else:
         rng = random.Random(int(which.split("-")[1]))
         legs = [_rand_planar_leg(rng, F101) for _ in range(5)]
-    points = tuple(leg_to_point(leg).coords() for leg in legs)
-    forms = dual_space(LinearSubspace(Y_NAMES, "points", points, F101), bsc17(), "right")
-    cut = ideal_X(F101) + forms.linear_forms(ring_X(F101))
+    cut = Ideal(ring_X(F101), x_equations(ring_X(F101)) + _leg_forms(legs))
     assert pentapod_config_ideal(legs).generators == _saturate_two_runs(cut, "h")
+
+
+def _special_pentapod(which, rng):
+    """A planar pentapod over GF(101) with a congruent platform (a_i = b_i)
+    or a collinear base."""
+    def coord():
+        return F101.of(rng.randint(-40, 40))
+
+    legs = []
+    for _ in range(5):
+        if which == "congruent":
+            a = b = (coord(), coord(), F101.zero)
+        else:
+            a, b = (coord(), F101.zero, F101.zero), (coord(), coord(), F101.zero)
+        legs.append(Leg(a, b, F101.of(rng.randint(1, 30)), F101))
+    return legs
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "which, cut, degree",
+    [("congruent", (1, 40), 32), ("collinear", (2, 4), 16)],
+    ids=["congruent", "collinear"],
+)
+def test_special_pentapods_need_the_saturation(which, cut, degree, seed):
+    # a congruent platform cuts X in a curve of degree 40, as a generic
+    # pentapod does, and a collinear base in a surface; both carry
+    # components inside h = 0, and saturated each leaves a curve of lower
+    # degree.  J = I : h^infinity is certified apart from `saturate`: no
+    # lead of J is divisible by h (so h is a nonzerodivisor modulo J, by
+    # Bayer's lemma), I lies in J, and h^k g lies in I for each g in J, so
+    # J lies in I : h^infinity, which lies in J : h^infinity = J
+    legs = _special_pentapod(which, random.Random(seed))
+    J = pentapod_config_ideal(legs)
+    I = ideal_X(F101) + _leg_forms(legs)
+    hd_cut, hd = hilbert_data(I), hilbert_data(J)
+    assert ((hd_cut.dimension, hd_cut.degree), hd.dimension, hd.degree) == (cut, 1, degree)
+    ring = J.ring
+    assert not any(ring.unpack(g.lead_monomial())[-1] for g in J.generators)
+    assert not any(groebner.reducer(J.generators)(list(I.generators)))
+    in_cut = groebner.reducer(I.groebner_basis())
+    h = ring.gen("h")
+    for g in J.generators:
+        assert any(nf.is_zero() for nf in in_cut([g * h ** k for k in range(4)]))
 
 
 def test_duporcq_shared_base_point_rejected():

@@ -9,6 +9,7 @@ from podforge.fields import GF, QQ
 from podforge.groebner import Ideal, hilbert_data, reducer, saturate
 from podforge.linalg import mat_inverse, mat_mul
 from podforge.models import (
+    XP_NAMES,
     IsometryPoint,
     Leg,
     euler_rho,
@@ -21,6 +22,7 @@ from podforge.models import (
     ideal_Y_p,
     ideal_Y_pinv,
     ideal_Z_inv,
+    involution_linear_forms,
     project_model,
     ring_euler,
     ring_X,
@@ -112,7 +114,7 @@ def test_closure_quadrics_lie_in_the_saturation_only(p):
     field = GF(p)
     ring = ring_X(field)
     h = ring.gen("h")
-    reduce = reducer(ideal_X(field).groebner_basis())
+    reduce = reducer(Ideal(ring, x_equations(ring)).groebner_basis())
     for k, q in enumerate(x_closure_quadrics(ring)):
         need = 2 if k < 9 else 3
         nfs = reduce([q * h ** e for e in range(need + 1)])
@@ -121,17 +123,44 @@ def test_closure_quadrics_lie_in_the_saturation_only(p):
 
 def test_equations_and_closure_quadrics_generate_the_saturation():
     # the 21 equations alone have a reduced basis of 171 elements; with the
-    # 18 quadrics they give the basis of their own saturation at h, X's
-    # prime ideal, with no Groebner run on h
+    # 18 quadrics, as `ideal_X`, they give the basis of their own saturation
+    # at h, X's prime ideal, with no Groebner run on h: no lead of it is
+    # divisible by h
     ring = ring_X(F101)
-    equations = x_equations(ring)
-    assert len(equations) == 21
-    assert len(ideal_X(F101).groebner_basis()) == 171
-    closed = Ideal(ring, equations + x_closure_quadrics(ring))
-    saturated = saturate(ideal_X(F101), "h").generators
+    equations = Ideal(ring, x_equations(ring))
+    assert len(equations.generators) == 21
+    assert len(equations.groebner_basis()) == 171
+    assert ideal_X(F101).generators == equations.generators + tuple(x_closure_quadrics(ring))
+    closed = ideal_X(F101).groebner_basis()
+    saturated = saturate(equations, "h").generators
     assert len(saturated) == 55
-    assert tuple(closed.groebner_basis()) == saturated
-    assert hilbert_data(closed).numerator == (1, 10, 18, 10, 1)
+    assert tuple(closed) == saturated
+    assert not any(ring.unpack(g.lead_monomial())[-1] for g in closed)
+    assert hilbert_data(ideal_X(F101)).numerator == (1, 10, 18, 10, 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["q", "fp:32003"])
+def test_x_is_saturated_at_h_over_other_fields(field):
+    # the certificate of `ideal_X` on Q and a second prime: no lead of the
+    # 55-element basis is divisible by h
+    ring = ring_X(field)
+    basis = ideal_X(field).groebner_basis()
+    assert len(basis) == 55
+    assert not any(ring.unpack(g.lead_monomial())[-1] for g in basis)
+    assert hilbert_data(ideal_X(field)).numerator == (1, 10, 18, 10, 1)
+
+
+def test_x_inv_needs_no_closure_quadrics():
+    # the involution model keeps the 21 equations and the 7 forms: with the
+    # 18 quadrics the reduced basis is the same 20 elements, and no lead of
+    # it is divisible by h, so E plus the forms is already saturated at h
+    ring = ring_X(F101)
+    forms = involution_linear_forms(ring)
+    assert ideal_X_inv(F101).generators == tuple(x_equations(ring) + forms)
+    basis = ideal_X_inv(F101).groebner_basis()
+    assert len(basis) == 20
+    assert tuple(Ideal(ring, ideal_X(F101).generators + tuple(forms)).groebner_basis()) == basis
+    assert not any(ring.unpack(g.lead_monomial())[-1] for g in basis)
 
 
 def test_half_turn_on_X_inv():
@@ -254,9 +283,21 @@ def test_project_model_identity():
 
 def test_projection_invariants():
     hd_xp = hilbert_data(ideal_X_p(F101))
-    assert (hd_xp.dimension, hd_xp.degree) == (6, 20)
+    assert (hd_xp.dimension, hd_xp.degree, hd_xp.numerator) == (6, 20, (1, 3, 6, 10))
     hd_xpi = hilbert_data(ideal_X_pinv(F101))
     assert (hd_xpi.dimension, hd_xpi.degree) == (4, 6)
+
+
+def test_x_p_is_the_saturated_projection_of_the_equations():
+    # the elimination of the 21 equations alone carries elements h times a
+    # quartic of X_p's ideal (numerator (1, 3, 6, 10, 4, -3, -1)); X_p, the
+    # projection of X's prime ideal, is that elimination saturated at h
+    ring = ring_X(F101)
+    projected = project_model(Ideal(ring, x_equations(ring)), XP_NAMES)
+    assert hilbert_data(projected).numerator == (1, 3, 6, 10, 4, -3, -1)
+    saturated = saturate(projected, "h").generators
+    assert len(saturated) == 15
+    assert tuple(ideal_X_p(F101).groebner_basis()) == saturated
 
 
 def test_rho_point_half_turn():
