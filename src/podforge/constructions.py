@@ -21,7 +21,6 @@ from .groebner import (
     cut_regular_sequence,
     hilbert_data,
     normal_form,
-    reduce_by_basis,
     reducer,
     ring_numerator,
     saturate,
@@ -287,8 +286,10 @@ def rho_preimage(rho: RingMap, F: Polynomial, kernel: LinearSubspace) -> Ideal:
             f"preimage of (F) below its Hilbert series: {len(kernel.basis)} kernel forms, not 11"
         )
     equations = x_equations(rx)
-    for q in equations:
-        if not reduce_by_basis(rho(q), [F] if F else []).is_zero():
+    images = [rho(q) for q in equations]
+    nfs = reducer([F])(images) if F else images
+    for q, nf in zip(equations, nfs):
+        if nf:
             raise CertificationError(f"preimage of (F) misses X: the lift maps {q} outside (F)")
     bound = ring_numerator(rx, PREIMAGE_NUMERATOR, 1)
     try:

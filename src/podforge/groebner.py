@@ -20,23 +20,23 @@ sequence, and makes no run until a basis is asked for.  `saturate` computes
 I : x^infinity for the last degrevlex variable x from I's basis, each element
 divided by its largest power of x (Bayer's lemma, Bayer-Stillman 1987).
 
-Reduction has two kernels, and one method picks between them: the reducer
-set `_Reducers`, which holds the leads, tails and first-divisor cache of a
-run's basis or of a `reducer`'s, and whose `reduce` takes a batch of rows.
-Over GF(p) a batch whose rows share their monomials (`_dense_span`:
-`DENSE_REUSE`) is reduced as one matrix, F4-style (`_reduce_rows`: symbolic
-preprocessing, then one pass a pack of PACK rows, every column's entries
-held in one int with a slot a row; Faugere 1999).  The batches are a
-degree's S-pairs in a run that no series bounds (a pentapod's cut of X,
-X's own basis, Y_inv's unbounded run), a degree's input generators, the
-final interreduction's tails (each minimal element is its lead plus the normal
+Reduction goes through the reducer set `_Reducers`, which holds the leads,
+tails and first-divisor cache of a run's basis or of a `reducer`'s, and whose
+`reduce` takes a batch of rows and picks the kernel by the field alone.  Over
+GF(p) every batch is reduced as one matrix, F4-style (`_reduce_rows`:
+symbolic preprocessing, then one pass a pack of PACK rows, every column's
+entries held in one int with a slot a row; Faugere 1999).  The batches are a
+degree's S-pairs in a run that no series bounds (a pentapod's cut of X, X's
+own basis, Y_inv's unbounded run), a degree's input generators, the final
+interreduction's tails (each minimal element is its lead plus the normal
 form of its tail modulo the finished basis), and the list given to a
 `reducer`; the last two in the kernel's normal-form mode, where no row
-reduces another.  Any other batch, the series-driven degrees pair by pair
-and everything over Q go through the heap-driven `_reduce`, whose loop
-serves both fields (only the reduction mod p and the reducer's factor
-depend on the field).  In both kernels each term is reduced by the first
-basis element whose lead divides it (`RingContext.first_divisor`).  Basis
+reduces another.  Over Q a batch goes row by row through the heap-driven
+`_reduce`, and so, over either field, do the series-driven degrees, pair by
+pair; its loop serves both fields (only the reduction mod p and the
+reducer's factor depend on the field).  In both kernels each term is
+reduced by the first basis element whose lead divides it
+(`RingContext.first_divisor`).  Basis
 elements are kept monic over GF(p) and content-normalized over Q during the
 run.  The reduced basis is unique for a fixed order, so output is
 bit-reproducible regardless of internal scheduling.
@@ -216,27 +216,10 @@ def _reduce(work, reducers):
     return out
 
 
-# A GF(p) batch of rows is reduced as one matrix (`_reduce_rows`) when a
-# monomial of its rows occurs in at least DENSE_REUSE of them on average (see
-# `_dense_span`)
-DENSE_REUSE = 2
-
 # Rows `_reduce_rows` reduces at once, one slot of each column's int a row:
 # on sample-fp's batches (the pentapod saturation and its slices) 32 tied 64,
 # which doubles the accumulator's memory, and 16 and 128 were slower
 PACK = 32
-
-
-def _dense_span(rows):
-    """The set of the monomials of an iterable of term dicts when they share
-    them as `_reduce_rows` needs (DENSE_REUSE), else None."""
-    span, size = set(), 0
-    for row in rows:
-        span.update(row)
-        size += len(row)
-    if span and size >= len(span) * DENSE_REUSE:
-        return span
-    return None
 
 
 class _Reducers:
@@ -247,7 +230,7 @@ class _Reducers:
     builds one from a fixed basis.  `find(m)` is the index of the first lead
     dividing m, or None, cached per monomial and still valid as the set
     grows (`RingContext.first_divisor` scans only the leads added since).
-    `reduce` is the one choice between the two kernels."""
+    `reduce` picks the kernel by the field."""
 
     __slots__ = ("key", "p", "guard", "leads", "tails", "lcoeffs", "find")
 
@@ -299,24 +282,23 @@ class _Reducers:
 
     def reduce(self, rows, normal_forms=False):
         """The reduced forms, modulo the reducers, of the term dicts that the
-        factory `rows()` yields.  Over GF(p), rows that pass `_dense_span` go
-        to `_reduce_rows` as one batch (in echelon mode its nonzero results,
-        monic, each row reduced by the earlier results too), formed again by
-        `rows()`: a batch of S-polynomials held through the kernel's pass
-        raised the pentapod saturation's traced peak from 1.6 to 2.3 MB.
-        Other rows, kept once formed, go one at a time through `_reduce`,
-        which consumes them, zeros included: a form the caller adds before it
-        takes the next reduces the later rows, as the kernel's results do.
-        With `normal_forms` every row's normal form modulo the reducers alone
-        is returned, in order."""
-        batch = rows()
+        factory `rows()` yields.  Over GF(p) the rows are one batch of
+        `_reduce_rows` (in echelon mode its nonzero results, monic, each row
+        reduced by the earlier results too): one pass over `rows()` gives
+        their monomials, and the kernel reads them formed again by `rows()`,
+        since a batch of S-polynomials held through the kernel's pass raised
+        the pentapod saturation's traced peak from 1.6 to 2.3 MB.  Over Q the
+        rows go one at a time, as they are formed, through `_reduce`, which
+        consumes them, zeros included: a form the caller adds before it takes
+        the next reduces the later rows, as the kernel's results do.  With
+        `normal_forms` every row's normal form modulo the reducers alone is
+        returned, in order."""
         if self.p:
-            batch = list(batch)
-            span = _dense_span(batch)
-            if span:
-                del batch
-                return _reduce_rows(rows(), span, self, normal_forms=normal_forms)
-        return (_reduce(row, self) for row in batch)
+            span = set()
+            for row in rows():
+                span.update(row)
+            return _reduce_rows(rows(), span, self, normal_forms=normal_forms)
+        return (_reduce(row, self) for row in rows())
 
 
 def _reduce_rows(rows, span, reducers, normal_forms=False):
@@ -338,10 +320,10 @@ def _reduce_rows(rows, span, reducers, normal_forms=False):
     an `array` of them was 10-15% slower to read), and its coefficients are
     shared by every shift of the same reducer.
 
-    The rows are read PACK at a time, and a pack is reduced in one dense
-    accumulator column by column, largest first: the entry of column j is
-    one int x holding one slot a row, in the layout of `fields.slot_layout`
-    (row k at bits kW..kW + W - 1).  Reaching j, all slots are reduced mod p
+    The rows are read PACK at a time, and a pack, held only until it is
+    loaded, is reduced in one dense accumulator column by column, largest
+    first: the entry of column j is one int x holding one slot a row, in the
+    layout of `fields.slot_layout` (row k at bits kW..kW + W - 1).  Reaching j, all slots are reduced mod p
     at once by its multiply-shift, r = x - p * (((x * magic) >> s) & mask).
     A reducer row is applied to the whole pack by one multiply-add a tail
     term, acc[jj] += f * cc with f = p * nz - r, where nz, the slots of r
@@ -412,6 +394,8 @@ def _reduce_rows(rows, span, reducers, normal_forms=False):
                 acc[j] += (v % p) << at
                 if j < lo:
                     lo = j
+        size = len(pack)
+        del pack, row
         kept = []  # (column, its residues) where no pivot reduces
         for j in range(lo, ncols):
             x = acc[j]
@@ -429,7 +413,7 @@ def _reduce_rows(rows, span, reducers, normal_forms=False):
             for jj, cc in zip(pc, piv_coeffs[j]):
                 acc[jj] += f * cc
         new = []  # lead columns of the pack's results
-        for k in range(len(pack)):
+        for k in range(size):
             at = k * width
             rem = {}
             for j, r in kept:
@@ -494,24 +478,20 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     reducing to zero, largest or smallest lcm first (652 and 538 before X's
     ideal held its closure quadrics).
 
-    Over GF(p) with no series, a degree's pairs are one batch.  That batch,
-    a degree's input generators and the final interreduction's tails (each
-    minimal element is its lead plus the normal form of its tail, in
-    normal-form mode) go through `_Reducers.reduce`, the one choice of
-    kernel: a batch whose rows pass `_dense_span` (a monomial occurs in at
-    least DENSE_REUSE of them on average) is reduced as one matrix
-    (`_reduce_rows`), in the same order, and any other row by row on
-    `_reduce`.  As a matrix, a reducer row is built once for every row that
-    meets it, and a pair that reduces to zero costs a slot of a pack, not a
-    heap walk: a pentapod cut's batches reuse a monomial 3.6-13
-    times and reduce 2-4.5 times faster that way.  The rule keeps X's own
-    basis on the heap loop, where a monomial occurs in 1.1-1.6 of a degree's
-    S-polynomials on average (sending all of X's degrees to the matrix took
-    0.056 s against 0.033 s).  Each nonzero row is inserted in order as above.
-    A batch counts one step per pair.  The series-driven degrees go pair by
-    pair, so that they stop once the series shows the degree complete.  The
-    reduced basis is unique, so the order and the kernel change the work,
-    never the result.
+    With no series, a degree's pairs are one batch.  That batch, a degree's
+    input generators and the final interreduction's tails (each minimal
+    element is its lead plus the normal form of its tail, in normal-form
+    mode) go through `_Reducers.reduce`; an empty batch makes no call.  The
+    field picks the kernel: over GF(p) a batch is reduced as one matrix
+    (`_reduce_rows`), in the same order, and over Q row by row on `_reduce`.
+    As a matrix, a reducer row is built once for every row that meets it,
+    and a pair that reduces to zero costs a slot of a pack, not a heap walk:
+    a pentapod cut's batches reuse a monomial 3.6-13 times and reduce 2-4.5
+    times faster that way.  Each nonzero row is inserted in order as above.
+    A batch counts one step per pair.  The series-driven degrees go pair by pair on `_reduce`, over
+    either field, so that they stop once the series shows the degree
+    complete.  The reduced basis is unique, so the order and the kernel
+    change the work, never the result.
 
     Returns (a list of term dicts, monic, sorted by increasing leading
     monomial; deterministic, the Hilbert numerator of their lead ideal when
@@ -626,23 +606,26 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
         missing = inf if num is None else _hilbert_gap(ring, num, hilbert, d)
         if missing < 0:
             raise wrong_series(f"the lead ideal is already {-missing} past it in degree {d}")
-        # input generators are always reduced: they are few, and check the series
+        # input generators are always reduced: they are few, and check the
+        # series.  An empty batch makes no call
         gens = []
         while seeds and seeds[-1][0] == d:
             gens.append(seeds.pop()[2])
-        for red in reducers.reduce(lambda: gens):
-            missing -= keep(red)
-            if missing < 0:
-                raise wrong_series(f"an input generator passes it in degree {d}")
-        if p and hilbert is None:
+        if gens:
+            for red in reducers.reduce(lambda: gens):
+                missing -= keep(red)
+                if missing < 0:
+                    raise wrong_series(f"an input generator passes it in degree {d}")
+        if hilbert is None:
             batch = []
             while pairs and pairs[0][0] == d:
                 batch.append(heappop(pairs)[2:])
             steps += len(batch)
             if max_steps is not None and steps > max_steps:
                 raise budget_exceeded(d)
-            for row in reducers.reduce(lambda: (s_polynomial_terms(*e) for e in batch)):
-                keep(row)
+            if batch:
+                for row in reducers.reduce(lambda: (s_polynomial_terms(*e) for e in batch)):
+                    keep(row)
             continue
         while pairs and pairs[0][0] == d:
             _, _, i, j, lij = heappop(pairs)
@@ -716,7 +699,7 @@ def reducer(basis):
     list of polynomials that returns the list of their normal forms: one
     `_Reducers` of the basis, with its first-divisor cache, serves every
     call, and its `reduce` reduces the list (over GF(p), as one matrix in
-    normal-form mode when its terms share their monomials)."""
+    normal-form mode)."""
     ring = basis[0].ring
     reducers = _Reducers(ring, basis)
 

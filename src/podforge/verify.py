@@ -105,8 +105,8 @@ def multiplication_data(ideal: Ideal, rng=None):
     returns, for each variable x_i, c_i = M0^-1 NF(x_i * b_j) with
     v . c_i = x_i(p) v_j / ell_0(p): the point up to scale when v_j != 0.
     The 2d products ell_i * b_j go to one `reducer` call as one list, and so
-    do each call's n products x_i * b_j, so that over GF(p) a list whose
-    products share their monomials is reduced as one matrix."""
+    do each call's n products x_i * b_j, so that over GF(p) each list is
+    reduced as one matrix."""
     ring = ideal.ring
     field = ring.field
     hd = hilbert_data(ideal)

@@ -398,12 +398,13 @@ def test_pentapod_saturation_step_budget(monkeypatch):
     # a work guard on the home-pose pentapod's saturation, which is one
     # Buchberger run on the cut of X (no element of its basis is divisible
     # by h, so `saturate` makes no second run): the run pops 393 S-pairs,
-    # largest lcm first within a degree, 392 of them in three degrees
-    # reduced as one matrix each (the kernel's echelon mode; the final
-    # interreduction's normal forms are not steps), so it finishes in a
-    # budget of 393 steps and not in 392.  A fourth echelon-mode batch is
-    # the five input generators of the lowest degree.  Before X's ideal held
-    # its closure quadrics, the run popped 652 S-pairs in seven batches
+    # largest lcm first within a degree, in degrees 3 to 6 (176, 136, 80
+    # and 1 of them), each degree reduced as one matrix (the kernel's
+    # echelon mode; the final interreduction's normal forms are not steps),
+    # so it finishes in a budget of 393 steps and not in 392.  The other
+    # three echelon-mode batches are the input generators of degrees 1, 2
+    # and 3 (the 5 leg forms, X's 38 quadrics and its cubic).  Before X's
+    # ideal held its closure quadrics, the run popped 652 S-pairs
     runs = []
     buchberger = groebner.buchberger
 
@@ -423,7 +424,7 @@ def test_pentapod_saturation_step_budget(monkeypatch):
 
     monkeypatch.setattr(groebner, "_reduce_rows", counting)
     buchberger(cut, max_steps=393)
-    assert batches.count(False) == 4
+    assert batches.count(False) == 7
     with pytest.raises(groebner.BudgetExceeded):
         buchberger(cut, max_steps=392)
 
@@ -450,9 +451,9 @@ def test_infinity_pod_computes_each_lead_numerator_once(monkeypatch):
 def test_leg_cone_cut_reduction_count(monkeypatch):
     # a work guard on Y's Cohen-Macaulay cut by seed 1's six leg forms: 42
     # generators, 15 S-pairs and 51 tails of the final interreduction, 108
-    # reductions in all.  The heap loop reduces Y's 36 quadrics and the 15
-    # S-pairs; the six linear forms share their monomials, and so do the 51
-    # tails, so the matrix kernel reduces them as two batches of rows
+    # reductions in all.  The matrix kernel reduces the six linear forms,
+    # Y's 36 quadrics and the 51 tails as three batches of rows; the heap
+    # loop reduces the 15 S-pairs of the series-driven degrees one at a time
     Y = ideal_Y(F101)
     forms = create_infinity_pod(1, F101).leg_ideal_full.generators[36:]
     assert len(Y.generators) == 36 and len(forms) == 6
@@ -477,7 +478,7 @@ def test_leg_cone_cut_reduction_count(monkeypatch):
     monkeypatch.setattr(groebner, "_reduce", counting)
     monkeypatch.setattr(groebner, "_reduce_rows", counting_rows)
     assert len(groebner.cut_cohen_macaulay(Y, forms).groebner_basis()) == 51
-    assert (len(calls), batches) == (36 + 15, [6, 51])
+    assert (len(calls), batches) == (15, [6, 36, 51])
     assert len(calls) + sum(batches) == 108
 
 
@@ -567,8 +568,8 @@ def test_dense_saturation_matches_the_two_run_saturation(monkeypatch, seed):
     # I : h^infinity = K: h K lies in I, I lies in K, and h is a
     # nonzerodivisor modulo K.  The degrees of both runs of `saturate` go
     # through the matrix kernel, and the result is K's own basis and the
-    # two-run route on the heap loop alone (with `_dense_span` switched
-    # off, no batch reaches the kernel)
+    # two-run route on the heap loop alone (with a heap-only
+    # `_Reducers.reduce`, no batch reaches the kernel)
     rng = random.Random(seed)
     ring = RingContext(("x0", "x1", "x2", "x3", "h"), (1,) * 5, DEGREVLEX, F101)
 
@@ -590,7 +591,11 @@ def test_dense_saturation_matches_the_two_run_saturation(monkeypatch, seed):
     saturated = groebner.saturate(ideal, "h").generators
     assert batches.count(False) > 1
     assert saturated == groebner.buchberger(K)
-    monkeypatch.setattr(groebner, "_dense_span", lambda rows: None)
+
+    def heap_only(reducers, rows, normal_forms=False):
+        return (groebner._reduce(row, reducers) for row in rows())
+
+    monkeypatch.setattr(groebner._Reducers, "reduce", heap_only)
     batches.clear()
     assert saturated == _saturate_two_runs(Ideal(ring, ideal.generators), "h")
     assert not batches

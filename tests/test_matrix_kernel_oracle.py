@@ -3,9 +3,11 @@
 
 In echelon mode each row is reduced by the reducers and by the monic results
 of the rows before it, so the oracle reduces the rows in order and appends
-each nonzero result to the reducers; in normal-form mode the oracle is
-`reduce_by_basis`, row by row.  Results are compared as term lists, order
-included: both kernels list a result's terms in decreasing monomial order.
+each nonzero result to the reducers; in normal-form mode the oracle reduces
+each row modulo the reducers alone.  Over GF(p), `reduce_by_basis` and
+`reducer` are the kernel itself, so no test here uses them as its oracle.
+Results are compared as term lists, order included: both kernels list a
+result's terms in decreasing monomial order.
 """
 
 import itertools
@@ -15,10 +17,8 @@ import pytest
 
 from podforge import groebner
 from podforge.fields import GF
-from podforge.groebner import (
-    PACK, _Reducers, _reduce, _reduce_rows, buchberger, reduce_by_basis, reducer,
-)
-from podforge.rings import DEGREVLEX, RingContext
+from podforge.groebner import PACK, _Reducers, _reduce, _reduce_rows, buchberger, reducer
+from podforge.rings import DEGREVLEX, Polynomial, RingContext
 
 PRIMES = [101, 32003, 2**31 - 1]
 
@@ -26,6 +26,12 @@ PRIMES = [101, 32003, 2**31 - 1]
 def _kernel(basis, rows, normal_forms=False):
     reducers = _Reducers(basis[0].ring, basis)
     return _reduce_rows(iter(rows), set().union(*rows), reducers, normal_forms=normal_forms)
+
+
+def _heap_normal_forms(basis, rows):
+    """Each row's normal form by `_reduce` modulo the basis alone, in order."""
+    reducers = _Reducers(basis[0].ring, basis)
+    return [_reduce(dict(row), reducers) for row in rows]
 
 
 def _heap_one_at_a_time(basis, rows):
@@ -131,22 +137,23 @@ def test_rows_that_reduce_to_zero(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_normal_form_mode_matches_reduce_by_basis(p):
     # rows of two degrees, more than one pack, none reducing another; zero
-    # rows give empty normal forms in place
+    # rows give empty normal forms in place.  The oracle is the heap loop,
+    # row by row
     ring = _ring(p)
     rng = random.Random(p + 2)
     basis = list(buchberger([_form(ring, rng, 2) for _ in range(3)]))
     polys = [_form(ring, rng, 2 + k % 2) for k in range(2 * PACK + 7)]
     polys[5] = basis[0] * ring.gens()[1]
-    got = _kernel(basis, [dict(f.terms) for f in polys], normal_forms=True)
-    want = [reduce_by_basis(f, basis) for f in polys]
-    assert _items(got) == _items(w.terms for w in want)
+    rows = [dict(f.terms) for f in polys]
+    got = _kernel(basis, rows, normal_forms=True)
+    assert _items(got) == _items(_heap_normal_forms(basis, rows))
     assert got[5] == {}
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_reducer_sends_a_dense_list_to_the_kernel(p, monkeypatch):
-    # `reducer` reduces a list that shares its monomials as one matrix, and a
-    # single polynomial on the heap loop; both give reduce_by_basis's forms
+    # `reducer` reduces every list as one matrix in normal-form mode, a
+    # single polynomial included, and gives the heap loop's forms
     ring = _ring(p)
     rng = random.Random(p + 3)
     basis = list(buchberger([_form(ring, rng, 2) for _ in range(3)]))
@@ -160,8 +167,11 @@ def test_reducer_sends_a_dense_list_to_the_kernel(p, monkeypatch):
 
     monkeypatch.setattr(groebner, "_reduce_rows", recording)
     nfs = reducer(basis)
-    assert nfs(polys) == [reducer(basis)([f])[0] for f in polys]
+    got = nfs(polys)
     assert calls == [True]
+    assert got == [nfs([f])[0] for f in polys]
+    assert calls == [True] * (1 + len(polys))
+    assert got == [Polynomial(ring, t) for t in _heap_normal_forms(basis, [f.terms for f in polys])]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -181,8 +191,8 @@ def test_slots_reach_the_top_of_their_width(p, n):
     assert top >= 1 << (p + (n + 2) * p * (p - 1)).bit_length() - 2
     polys = [sum(ring.gens()[:n], z.scale(ring.field.of(-1 - k - top))) for k in range(PACK)]
     rows = [dict(f.terms) for f in polys]
-    nfs = [reduce_by_basis(f, basis) for f in polys]
-    assert nfs == [z.scale(ring.field.of(-1 - k)) for k in range(PACK)]
-    assert _kernel(basis, rows, normal_forms=True) == [f.terms for f in nfs]
+    nfs = _heap_normal_forms(basis, rows)
+    assert nfs == [z.scale(ring.field.of(-1 - k)).terms for k in range(PACK)]
+    assert _kernel(basis, rows, normal_forms=True) == nfs
     want = [[(z.lead_monomial(), 1)]]
     assert _items(_kernel(basis, rows)) == _items(_heap_one_at_a_time(basis, rows)) == want
