@@ -17,6 +17,7 @@ from . import linalg, unipoly
 from .fields import QQ, GF
 from .groebner import (
     Ideal,
+    buchberger,
     cut_cohen_macaulay,
     cut_regular_sequence,
     hilbert_data,
@@ -28,6 +29,7 @@ from .groebner import (
 from .models import (
     EULER_NAMES,
     X_NAMES,
+    X_NUMERATOR,
     XINV_NAMES,
     XPINV_NAMES,
     Y_NAMES,
@@ -492,21 +494,51 @@ def pentapod_config_ideal(legs) -> Ideal:
     """Configurations of a pentapod: the isometry model cut by the five
     sphere-condition hyperplanes in P^16, saturated at h = 0.
 
-    The cut I carries boundary points on h = 0 (X is a closure, so they
-    satisfy it); a pose has h != 0.  The result is J = I : h^infinity, whose
-    points are the closure of the poses: V(I) and V(J) differ only inside
-    h = 0, so no pose is lost.  `saturate` finds J from I's basis; for a
-    generic pentapod no element of it is divisible by h, so I is already
-    saturated and no second run is made.  Special pentapods need it: a
-    congruent platform (a_i = b_i) gives a cut of degree 40 whose saturation
-    has degree 32, and a collinear base a surface whose saturation is a
-    curve of degree 16.  J's reduced degrevlex basis is its generator set
-    and is cached, so its slices get a Hilbert-series bound for free."""
+    The cut J = E + Q + forms (E the `x_equations`, Q the
+    `x_closure_quadrics`, R X's ring) carries boundary points on h = 0 (X
+    is a closure, so they satisfy it); a pose has h != 0.  The result is
+    J : h^infinity, whose points are the closure of the poses: the two
+    differ only inside h = 0, so no pose is lost.
+
+    One Groebner run on J is driven by the series a regular cut of X would
+    have, X_NUMERATOR / (1 - t)^2, and its basis is kept when its leads L
+    certify it: (a) their numerator is that series and (b) no lead involves
+    r or h, the last two variables.  Let A = R/(E + Q) over the field and y
+    the five forms followed by r and h.
+    1. By (a) and (b), R/(L + r + h) is Artinian of length 40, the sum of
+       X_NUMERATOR, and in(J + r + h) contains L + (r, h), so
+       A/yA = R/(J + r + h) has length at most 40.
+    2. E and Q have integer coefficients, so A's Hilbert function is at
+       least X's over Q in every degree.  With step 1, dim A = 7, so y is a
+       system of parameters of A, and e(A) >= 40.
+    3. Serre's inequality gives 40 <= e(A) <= length(A/yA) <= 40, so A is
+       Cohen-Macaulay and y is A-regular (Bruns-Herzog, Cor. 4.7.11).
+    4. So HS(R/J) = HS(R/(J + r + h)) / (1 - t)^2 = HS(R/L): L is in(J)
+       and the basis is complete.  Since h is regular on R/J, J is its own
+       saturation (Bayer's lemma, see `groebner.saturate`).
+    The route needs no basis of X and no Cohen-Macaulay fact about X.  When
+    the check fails, or the series is passed (ValueError), `saturate`
+    finds J : h^infinity from J's unbounded basis.  Special pentapods take
+    that route: a congruent platform (a_i = b_i) gives a cut of degree 40
+    whose saturation has degree 32, and a collinear base a surface whose
+    saturation is a curve of degree 16.  Either way the result's reduced
+    degrevlex basis is its generator set and is cached, so its slices get
+    a Hilbert-series bound for free."""
     field = legs[0].field
     ring = ring_X(field)
     points = tuple(leg_to_point(leg).coords() for leg in legs)
     forms = dual_space(LinearSubspace(Y_NAMES, "points", points, field), bsc17(), "right")
-    return saturate(ideal_X(field) + forms.linear_forms(ring), "h")
+    cut = ideal_X(field) + forms.linear_forms(ring)
+    series = ring_numerator(ring, X_NUMERATOR, 1)
+    try:
+        gb = buchberger(cut, hilbert=series)
+    except ValueError:
+        gb = None
+    if gb is None or gb.numerator != series or any(
+            any(ring.unpack(g.lead_monomial())[-2:]) for g in gb):
+        return saturate(cut, "h")
+    cut.seed_groebner_cache(gb)
+    return cut.reduced()
 
 
 def legs_span_subspace(legs, field) -> LinearSubspace:

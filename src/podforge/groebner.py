@@ -14,7 +14,9 @@ supplies the exact series for free, `Ideal + [f]` supplies (1 - t^deg f) times
 the parent's series, a bound for every slice, and a model ideal may carry a
 proven bound of its own (`models.ideal_Y`).  `cut_cohen_macaulay` runs a cut
 of a Cohen-Macaulay ring on the series a regular sequence would give and
-keeps the result only if it reaches that series; `cut_regular_sequence`
+keeps the result only if it reaches that series
+(`constructions.pentapod_config_ideal` runs a cut of X the same way and
+certifies the result by its leads); `cut_regular_sequence`
 carries that series as exact, for forms the caller has proven a regular
 sequence, and makes no run until a basis is asked for.  `saturate` computes
 I : x^infinity for the last degrevlex variable x from I's basis, each element
@@ -26,12 +28,12 @@ tails and first-divisor cache of a run's basis or of a `reducer`'s, and whose
 GF(p) every batch is reduced as one matrix, F4-style (`_reduce_rows`:
 symbolic preprocessing, then one pass a pack of PACK rows, every column's
 entries held in one int with a slot a row; Faugere 1999).  The batches are a
-degree's S-pairs in a run that no series bounds (a pentapod's cut of X, X's
-own basis, Y_inv's unbounded run), a degree's input generators, the final
-interreduction's tails (each minimal element is its lead plus the normal
-form of its tail modulo the finished basis), and the list given to a
-`reducer`; the last two in the kernel's normal-form mode, where no row
-reduces another.  Over Q a batch goes row by row through the heap-driven
+degree's S-pairs in a run that no series bounds (X's own basis, Y_inv's
+unbounded run, the saturation of a special pentapod's cut of X), a degree's
+input generators, the final interreduction's tails (each minimal element
+is its lead plus the normal form of its tail modulo the finished basis),
+and the list given to a `reducer`; the last two in the kernel's
+normal-form mode, where no row reduces another.  Over Q a batch goes row by row through the heap-driven
 `_reduce`, and so, over either field, do the series-driven degrees, pair by
 pair; its loop serves both fields (only the reduction mod p and the
 reducer's factor depend on the field).  In both kernels each term is
@@ -46,8 +48,8 @@ ideal's is [], stored as (0,) in HilbertData), computed on packed lead
 monomials by Bigatti's pivot recursion.  A lead set's numerator is computed
 at most once and kept with the basis it describes: a run given a series ends
 with the numerator of its final leads, which the minimal basis does not
-change, so the CM cut's check, `hilbert_data` and the series of a slice read
-it instead of recomputing it.
+change, so the CM cut's check, the pentapod cut's check, `hilbert_data`
+and the series of a slice read it instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -217,8 +219,9 @@ def _reduce(work, reducers):
 
 
 # Rows `_reduce_rows` reduces at once, one slot of each column's int a row:
-# on sample-fp's batches (the pentapod saturation and its slices) 32 tied 64,
-# which doubles the accumulator's memory, and 16 and 128 were slower
+# on sample-fp's batches (then the pentapod saturation's unbounded run and
+# its slices) 32 tied 64, which doubles the accumulator's memory, and 16 and
+# 128 were slower
 PACK = 32
 
 
@@ -473,10 +476,10 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     top, the pairs meet the degree's new elements early, and the later pairs
     reduce against them, mostly to zero, or are skipped once a bound shows
     the degree complete.  Where a degree is one batch (below), the order
-    changed no count: the home-pose pentapod's cut of X
-    (`constructions.pentapod_config_ideal`) pops 393 pairs, 369 of them
-    reducing to zero, largest or smallest lcm first (652 and 538 before X's
-    ideal held its closure quadrics).
+    changed no count: the home-pose pentapod's cut of X pops 393 pairs with
+    no series, 369 of them reducing to zero, largest or smallest lcm first.
+    Driven by the series of a regular cut, as
+    `constructions.pentapod_config_ideal` runs it, the same cut reduces 34.
 
     With no series, a degree's pairs are one batch.  That batch, a degree's
     input generators and the final interreduction's tails (each minimal
@@ -486,9 +489,9 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     (`_reduce_rows`), in the same order, and over Q row by row on `_reduce`.
     As a matrix, a reducer row is built once for every row that meets it,
     and a pair that reduces to zero costs a slot of a pack, not a heap walk:
-    a pentapod cut's batches reuse a monomial 3.6-13 times and reduce 2-4.5
-    times faster that way.  Each nonzero row is inserted in order as above.
-    A batch counts one step per pair.  The series-driven degrees go pair by pair on `_reduce`, over
+    an unbounded pentapod cut's batches reuse a monomial 3.6-13 times and
+    reduce 2-4.5 times faster that way.  Each nonzero row is inserted in
+    order as above.  A batch counts one step per pair.  The series-driven degrees go pair by pair on `_reduce`, over
     either field, so that they stop once the series shows the degree
     complete.  The reduced basis is unique, so the order and the kernel
     change the work, never the result.

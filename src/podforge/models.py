@@ -290,6 +290,10 @@ def ideal_Z_inv(field=QQ) -> Ideal:
     return _cached(("Zinv", field.descriptor), build)
 
 
+# HS of X over Q (`ideal_X`; dimension 6, degree 40):
+# (1 + 10t + 18t^2 + 10t^3 + t^4) / (1 - t)^7
+X_NUMERATOR = (1, 10, 18, 10, 1)
+
 # HS of the Segre cone over P^3 x P^3 in the z_ij: (1 + 9t + 9t^2 + t^3) / (1 - t)^7
 SEGRE_NUMERATOR = (1, 9, 9, 1)
 

@@ -365,17 +365,36 @@ def test_duporcq_sixth_leg_sphere_condition_on_configs():
         assert F101.is_zero(B.evaluate(c, lp))
 
 
-def _home_pose_pentapod():
-    """A planar pentapod over GF(101) built around a known pose (home)."""
+def _planar_pentapod(spec):
+    """Planar legs over GF(101) from ((a1, a2), (b1, b2), d2) triples."""
     field = F101
     return [
         Leg((field.of(a1), field.of(a2), field.zero), (field.of(b1), field.of(b2), field.zero),
             field.of(d2), field)
-        for (a1, a2), (b1, b2), d2 in [
-            ((83, 67), (31, 62), 67), ((35, 63), (64, 65), 30), ((45, 84), (58, 59), 53),
-            ((44, 72), (92, 71), 29), ((92, 58), (62, 84), 87),
-        ]
+        for (a1, a2), (b1, b2), d2 in spec
     ]
+
+
+def _home_pose_pentapod():
+    """A planar pentapod over GF(101) built around a known pose (home)."""
+    return _planar_pentapod([
+        ((83, 67), (31, 62), 67), ((35, 63), (64, 65), 30), ((45, 84), (58, 59), 53),
+        ((44, 72), (92, 71), 29), ((92, 58), (62, 84), 87),
+    ])
+
+
+def _saturate_calls(monkeypatch):
+    """Record the `saturate` calls of `pentapod_config_ideal`: none when its
+    one run certified the basis, one (at h) when it fell back."""
+    calls = []
+    saturate = groebner.saturate
+
+    def recording(ideal, var):
+        calls.append(var)
+        return saturate(ideal, var)
+
+    monkeypatch.setattr(constructions, "saturate", recording)
+    return calls
 
 
 def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
@@ -394,27 +413,29 @@ def test_pentapod_slice_through_a_boundary_point_finds_the_home_pose():
     assert tuple(field.of(v) for v in home) in pts
 
 
-def test_pentapod_saturation_step_budget(monkeypatch):
-    # a work guard on the home-pose pentapod's saturation, which is one
-    # Buchberger run on the cut of X (no element of its basis is divisible
-    # by h, so `saturate` makes no second run): the run pops 393 S-pairs,
-    # largest lcm first within a degree, in degrees 3 to 6 (176, 136, 80
-    # and 1 of them), each degree reduced as one matrix (the kernel's
-    # echelon mode; the final interreduction's normal forms are not steps),
-    # so it finishes in a budget of 393 steps and not in 392.  The other
-    # three echelon-mode batches are the input generators of degrees 1, 2
-    # and 3 (the 5 leg forms, X's 38 quadrics and its cubic).  Before X's
-    # ideal held its closure quadrics, the run popped 652 S-pairs
+def test_pentapod_cut_step_budget(monkeypatch):
+    # a work guard on the home-pose pentapod's one Groebner run, on the cut
+    # of X driven by the series of a regular cut: it finishes in a budget of
+    # 34 S-pair reductions and not in 33, and its matrix-kernel batches are
+    # the input generators of degrees 1, 2 and 3 (the 5 leg forms, X's 38
+    # quadrics and its cubic) in echelon mode and the final interreduction
+    # in normal-form mode; the series-driven pairs go one at a time through
+    # the heap loop.  Unbounded, as `saturate` runs it, the cut pops 393
+    # S-pairs, 369 of which reduce to zero
     runs = []
     buchberger = groebner.buchberger
 
     def recording(ideal, *args, **kwargs):
-        runs.append(ideal)
+        runs.append((ideal, kwargs))
         return buchberger(ideal, *args, **kwargs)
 
-    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(constructions, "buchberger", recording)
+    fallbacks = _saturate_calls(monkeypatch)
     pentapod_config_ideal(_home_pose_pentapod())
-    (cut,) = runs
+    ((cut, kwargs),) = runs
+    assert not fallbacks
+    series = kwargs["hilbert"]
+    assert series == groebner.ring_numerator(cut.ring, models.X_NUMERATOR, 1)
     batches = []
     reduce_rows = groebner._reduce_rows
 
@@ -423,10 +444,10 @@ def test_pentapod_saturation_step_budget(monkeypatch):
         return reduce_rows(rows, *args, normal_forms=normal_forms)
 
     monkeypatch.setattr(groebner, "_reduce_rows", counting)
-    buchberger(cut, max_steps=393)
-    assert batches.count(False) == 7
+    buchberger(cut, hilbert=series, max_steps=34)
+    assert batches == [False, False, False, True]
     with pytest.raises(groebner.BudgetExceeded):
-        buchberger(cut, max_steps=392)
+        buchberger(cut, hilbert=series, max_steps=33)
 
 
 def test_infinity_pod_computes_each_lead_numerator_once(monkeypatch):
@@ -446,6 +467,13 @@ def test_infinity_pod_computes_each_lead_numerator_once(monkeypatch):
     monkeypatch.setattr(groebner, "_lead_numerator", recording)
     create_infinity_pod(3, F101)
     assert keys and len(keys) == len(set(keys))
+    # a pentapod's certified run leaves its numerator with its basis
+    keys.clear()
+    J = pentapod_config_ideal(_home_pose_pentapod())
+    assert keys
+    keys.clear()
+    assert hilbert_data(J).triple() == (1, 40, 41)
+    assert not keys
 
 
 def test_leg_cone_cut_reduction_count(monkeypatch):
@@ -602,23 +630,71 @@ def test_dense_saturation_matches_the_two_run_saturation(monkeypatch, seed):
 
 
 def _leg_forms(legs):
-    """The five sphere-condition forms of a pentapod over GF(101), in X's ring."""
+    """The five sphere-condition forms of a pentapod, in X's ring."""
+    field = legs[0].field
     points = tuple(leg_to_point(leg).coords() for leg in legs)
-    forms = dual_space(LinearSubspace(Y_NAMES, "points", points, F101), bsc17(), "right")
-    return forms.linear_forms(ring_X(F101))
+    forms = dual_space(LinearSubspace(Y_NAMES, "points", points, field), bsc17(), "right")
+    return forms.linear_forms(ring_X(field))
 
 
-@pytest.mark.parametrize("which", ["random-1", "random-2", "random-3", "random-4", "home-pose"])
-def test_pentapod_config_ideal_matches_the_two_run_saturation(which):
+def _saturated_cut_of_the_equations(legs):
+    """The two-run saturation at h of the cut of X's 21 equations alone (no
+    closure quadrics) by the legs: J : h^infinity by a route apart from
+    `pentapod_config_ideal`'s."""
+    ring = ring_X(legs[0].field)
+    return _saturate_two_runs(Ideal(ring, x_equations(ring) + _leg_forms(legs)), "h")
+
+
+@pytest.mark.parametrize(
+    "which", ["random-1", "random-2", "random-3", "random-4", "home-pose", "fp:32003-random-5"])
+def test_pentapod_config_ideal_matches_the_two_run_saturation(monkeypatch, which):
     # the saturation of X's prime ideal cut by the legs, against the route
-    # that finishes the basis of the cut of X's 21 equations alone
+    # that finishes the basis of the cut of X's 21 equations alone; each
+    # pentapod's one run certifies its basis, so `saturate` is not called
     if which == "home-pose":
         legs = _home_pose_pentapod()
     else:
-        rng = random.Random(int(which.split("-")[1]))
-        legs = [_rand_planar_leg(rng, F101) for _ in range(5)]
-    cut = Ideal(ring_X(F101), x_equations(ring_X(F101)) + _leg_forms(legs))
-    assert pentapod_config_ideal(legs).generators == _saturate_two_runs(cut, "h")
+        field = GF(32003) if which.startswith("fp:32003") else F101
+        rng = random.Random(int(which.split("-")[-1]))
+        legs = [_rand_planar_leg(rng, field) for _ in range(5)]
+    fallbacks = _saturate_calls(monkeypatch)
+    J = pentapod_config_ideal(legs)
+    assert not fallbacks
+    assert J.generators == _saturated_cut_of_the_equations(legs)
+
+
+def test_pentapod_with_r_in_its_leads_falls_back(monkeypatch):
+    # the lead numerator alone does not certify a basis: on sample-fp seed
+    # 22's second input the run reaches the series with r in 9 leads, and
+    # the check on r sends it to `saturate`
+    legs = _planar_pentapod([
+        ((84, 23), (39, 72), 97), ((47, 50), (74, 3), 80), ((38, 73), (76, 71), 84),
+        ((69, 67), (55, 96), 16), ((86, 67), (54, 11), 18),
+    ])
+    ring = ring_X(F101)
+    series = groebner.ring_numerator(ring, models.X_NUMERATOR, 1)
+    run = groebner.buchberger(ideal_X(F101) + _leg_forms(legs), hilbert=series)
+    assert run.numerator == series
+    assert sum(1 for g in run if ring.unpack(g.lead_monomial())[-2]) == 9
+    fallbacks = _saturate_calls(monkeypatch)
+    J = pentapod_config_ideal(legs)
+    assert fallbacks == ["h"]
+    assert J.generators == _saturated_cut_of_the_equations(legs)
+
+
+@pytest.mark.parametrize("numerator", [(1, 10, 18, 11, 1), (1, 10, 18, 10)], ids=["above", "below"])
+def test_wrong_x_numerator_falls_back(monkeypatch, numerator):
+    # a negative control of the certificate: a series that is not X's fails
+    # the check, and the fallback gives the same ideal.  The home pose's run
+    # reaches the larger one with a lead in r or h, so the check on the
+    # leads' variables is what rejects it; the leads cannot reach the
+    # smaller one
+    legs = _home_pose_pentapod()
+    expected = pentapod_config_ideal(legs).generators
+    monkeypatch.setattr(constructions, "X_NUMERATOR", numerator)
+    fallbacks = _saturate_calls(monkeypatch)
+    assert pentapod_config_ideal(legs).generators == expected
+    assert fallbacks == ["h"]
 
 
 def _special_pentapod(which, rng):
@@ -643,16 +719,19 @@ def _special_pentapod(which, rng):
     [("congruent", (1, 40), 32), ("collinear", (2, 4), 16)],
     ids=["congruent", "collinear"],
 )
-def test_special_pentapods_need_the_saturation(which, cut, degree, seed):
+def test_special_pentapods_need_the_saturation(monkeypatch, which, cut, degree, seed):
     # a congruent platform cuts X in a curve of degree 40, as a generic
     # pentapod does, and a collinear base in a surface; both carry
     # components inside h = 0, and saturated each leaves a curve of lower
     # degree.  J = I : h^infinity is certified apart from `saturate`: no
     # lead of J is divisible by h (so h is a nonzerodivisor modulo J, by
     # Bayer's lemma), I lies in J, and h^k g lies in I for each g in J, so
-    # J lies in I : h^infinity, which lies in J : h^infinity = J
+    # J lies in I : h^infinity, which lies in J : h^infinity = J.  The one
+    # run on I cannot certify its basis, so `saturate` finds J
     legs = _special_pentapod(which, random.Random(seed))
+    fallbacks = _saturate_calls(monkeypatch)
     J = pentapod_config_ideal(legs)
+    assert fallbacks == ["h"]
     I = ideal_X(F101) + _leg_forms(legs)
     hd_cut, hd = hilbert_data(I), hilbert_data(J)
     assert ((hd_cut.dimension, hd_cut.degree), hd.dimension, hd.degree) == (cut, 1, degree)

@@ -9,6 +9,7 @@ from podforge.fields import GF, QQ
 from podforge.groebner import Ideal, hilbert_data, reducer, saturate
 from podforge.linalg import mat_inverse, mat_mul
 from podforge.models import (
+    X_NUMERATOR,
     XP_NAMES,
     IsometryPoint,
     Leg,
@@ -136,7 +137,7 @@ def test_equations_and_closure_quadrics_generate_the_saturation():
     assert len(saturated) == 55
     assert tuple(closed) == saturated
     assert not any(ring.unpack(g.lead_monomial())[-1] for g in closed)
-    assert hilbert_data(ideal_X(F101)).numerator == (1, 10, 18, 10, 1)
+    assert hilbert_data(ideal_X(F101)).numerator == X_NUMERATOR
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["q", "fp:32003"])
@@ -147,7 +148,17 @@ def test_x_is_saturated_at_h_over_other_fields(field):
     basis = ideal_X(field).groebner_basis()
     assert len(basis) == 55
     assert not any(ring.unpack(g.lead_monomial())[-1] for g in basis)
-    assert hilbert_data(ideal_X(field)).numerator == (1, 10, 18, 10, 1)
+    assert hilbert_data(ideal_X(field)).numerator == X_NUMERATOR
+
+
+def test_x_generators_have_integer_coefficients():
+    # `constructions.pentapod_config_ideal`'s certificate compares a cut of
+    # E + Q over GF(p) with X over Q: E and Q defined over Z give R/(E + Q)
+    # over GF(p) a Hilbert function at least X's over Q in every degree
+    ring = ring_X(QQ)
+    gens = x_equations(ring) + x_closure_quadrics(ring)
+    assert len(gens) == 39
+    assert all(c.denominator == 1 for g in gens for c in g.terms.values())
 
 
 def test_x_inv_needs_no_closure_quadrics():
