@@ -17,8 +17,7 @@ from . import linalg, unipoly
 from .fields import QQ, GF
 from .groebner import (
     Ideal,
-    buchberger,
-    cut_cohen_macaulay,
+    certified_cut,
     cut_regular_sequence,
     hilbert_data,
     normal_form,
@@ -28,10 +27,12 @@ from .groebner import (
 )
 from .models import (
     EULER_NAMES,
+    SEGRE_NUMERATOR,
     X_NAMES,
     X_NUMERATOR,
     XINV_NAMES,
     XPINV_NAMES,
+    Y_INV_NUMERATOR,
     Y_NAMES,
     YINV_NAMES,
     YP_NAMES,
@@ -321,8 +322,10 @@ def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
     O(2) on the pairs (a_i, b_i) (De Concini-Procesi 1976) identify
     S/I_{Y_inv} with the transpose-invariants of R/I_Y, the Reynolds operator
     (1 + tau)/2 is an S-linear retraction onto them, so
-    ker(S -> R/(I_Y + pi^* I_cut)) = I_{Y_inv} + I_cut.  The result has its
-    reduced degrevlex basis as generators and cached."""
+    ker(S -> R/(I_Y + pi^* I_cut)) = I_{Y_inv} + I_cut.  The cut is
+    `groebner.certified_cut` on Y_INV_NUMERATOR / (1 - t)^2 (the minors have
+    integer coefficients), else a run with no series; either way its
+    reduced degrevlex basis is its generator set and is cached."""
     # restrict the span forms to W: substituting m_ji = m_ij and y = x folds
     # the covector entries pairwise
     rows = [push(v, X_NAMES, XINV_NAMES, fold_name, field) for v in span_forms]
@@ -336,7 +339,9 @@ def _symmetric_leg_ideal(span_forms, leg_cutting, field) -> Ideal:
         raise CertificationError(
             "the leg P^10 is not the symmetrization preimage of the dual P^4"
         )
-    return cut_cohen_macaulay(ideal_Y_inv(field), cutting.linear_forms(ring_Y_inv(field))).reduced()
+    cut = ideal_Y_inv(field) + cutting.linear_forms(ring_Y_inv(field))
+    certified = certified_cut(cut, ring_numerator(cut.ring, Y_INV_NUMERATOR, 1))
+    return cut.reduced() if certified is None else certified
 
 
 def create_infinity_pod(rng_seed: int, field=None, bound: int = 10) -> InfinityPodBundle:
@@ -350,8 +355,8 @@ def create_infinity_pod(rng_seed: int, field=None, bound: int = 10) -> InfinityP
     legs are cut out of the leg cone Y by the six forms L dual to them, and
     their symmetric image out of Y_inv by the forms dual to the P^4 of the
     symmetric side (`_symmetric_leg_ideal`, which checks exactly that L's
-    P^10 is the symmetrization preimage of that P^4, and cuts Y_inv as a
-    Cohen-Macaulay ring); the symmetric curve is certified (1, 10, 6).
+    P^10 is the symmetrization preimage of that P^4, and certifies the cut
+    of Y_inv by its leads); the symmetric curve is certified (1, 10, 6).
 
     The full curve Y + L is certified (1, 20, 11) with no Groebner run on it,
     through the symmetrization pi: z_ij, z_ji -> s_ij, z_ii -> z_ii, l -> l,
@@ -370,7 +375,7 @@ def create_infinity_pod(rng_seed: int, field=None, bound: int = 10) -> InfinityP
        they are part of a system of parameters, hence a regular sequence
        (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.2), and
        HS(Y + L) = (1 - t)^6 HS(Y) (`cut_regular_sequence`), with HS(Y)
-       certified by Y's own run (`models.ideal_Y`).
+       the Segre series over every field (`models.ideal_Y`).
     A failed certificate raises CertificationError naming the seed.  The
     field must not have characteristic 2."""
     field = field or GF(101)
@@ -394,7 +399,8 @@ def create_infinity_pod(rng_seed: int, field=None, bound: int = 10) -> InfinityP
             raise CertificationError(
                 f"the symmetric leg curve has dimension {sym_data.dimension}, not 1"
             )
-        leg_full = cut_regular_sequence(ideal_Y(field), cutting.linear_forms(ring_Y(field)))
+        leg_full = cut_regular_sequence(ideal_Y(field), cutting.linear_forms(ring_Y(field)),
+                                        ring_numerator(ring_Y(field), SEGRE_NUMERATOR, 1))
     except CertificationError as exc:
         raise CertificationError(f"seed {rng_seed}: {exc}") from None
 
@@ -495,50 +501,29 @@ def pentapod_config_ideal(legs) -> Ideal:
     sphere-condition hyperplanes in P^16, saturated at h = 0.
 
     The cut J = E + Q + forms (E the `x_equations`, Q the
-    `x_closure_quadrics`, R X's ring) carries boundary points on h = 0 (X
-    is a closure, so they satisfy it); a pose has h != 0.  The result is
+    `x_closure_quadrics`) carries boundary points on h = 0 (X is a
+    closure, so they satisfy it); a pose has h != 0.  The result is
     J : h^infinity, whose points are the closure of the poses: the two
     differ only inside h = 0, so no pose is lost.
 
-    One Groebner run on J is driven by the series a regular cut of X would
-    have, X_NUMERATOR / (1 - t)^2, and its basis is kept when its leads L
-    certify it: (a) their numerator is that series and (b) no lead involves
-    r or h, the last two variables.  Let A = R/(E + Q) over the field and y
-    the five forms followed by r and h.
-    1. By (a) and (b), R/(L + r + h) is Artinian of length 40, the sum of
-       X_NUMERATOR, and in(J + r + h) contains L + (r, h), so
-       A/yA = R/(J + r + h) has length at most 40.
-    2. E and Q have integer coefficients, so A's Hilbert function is at
-       least X's over Q in every degree.  With step 1, dim A = 7, so y is a
-       system of parameters of A, and e(A) >= 40.
-    3. Serre's inequality gives 40 <= e(A) <= length(A/yA) <= 40, so A is
-       Cohen-Macaulay and y is A-regular (Bruns-Herzog, Cor. 4.7.11).
-    4. So HS(R/J) = HS(R/(J + r + h)) / (1 - t)^2 = HS(R/L): L is in(J)
-       and the basis is complete.  Since h is regular on R/J, J is its own
-       saturation (Bayer's lemma, see `groebner.saturate`).
-    The route needs no basis of X and no Cohen-Macaulay fact about X.  When
-    the check fails, or the series is passed (ValueError), `saturate`
-    finds J : h^infinity from J's unbounded basis.  Special pentapods take
-    that route: a congruent platform (a_i = b_i) gives a cut of degree 40
-    whose saturation has degree 32, and a collinear base a surface whose
-    saturation is a curve of degree 16.  Either way the result's reduced
-    degrevlex basis is its generator set and is cached, so its slices get
-    a Hilbert-series bound for free."""
+    J is `groebner.certified_cut` on X_NUMERATOR / (1 - t)^2 (E and Q have
+    integer coefficients): no lead of the basis it certifies involves h, so
+    J is its own saturation (Bayer's lemma, see `groebner.saturate`).  The
+    route needs no basis of X and no Cohen-Macaulay fact about X.  When the
+    leads do not certify the run, `saturate` finds J : h^infinity from J's
+    unbounded basis.  Special pentapods take that route: a congruent
+    platform (a_i = b_i) gives a cut of degree 40 whose saturation has
+    degree 32, and a collinear base a surface whose saturation is a curve
+    of degree 16.  Either way the result's reduced degrevlex basis is its
+    generator set and is cached, so its slices get a Hilbert-series bound
+    for free."""
     field = legs[0].field
     ring = ring_X(field)
     points = tuple(leg_to_point(leg).coords() for leg in legs)
     forms = dual_space(LinearSubspace(Y_NAMES, "points", points, field), bsc17(), "right")
     cut = ideal_X(field) + forms.linear_forms(ring)
-    series = ring_numerator(ring, X_NUMERATOR, 1)
-    try:
-        gb = buchberger(cut, hilbert=series)
-    except ValueError:
-        gb = None
-    if gb is None or gb.numerator != series or any(
-            any(ring.unpack(g.lead_monomial())[-2:]) for g in gb):
-        return saturate(cut, "h")
-    cut.seed_groebner_cache(gb)
-    return cut.reduced()
+    certified = certified_cut(cut, ring_numerator(ring, X_NUMERATOR, 1))
+    return saturate(cut, "h") if certified is None else certified
 
 
 def legs_span_subspace(legs, field) -> LinearSubspace:

@@ -12,15 +12,14 @@ Hilbert function matches the bound there, and stops once the two series agree
 (Traverso 1996, Hilbert functions and the Buchberger algorithm).  Elimination
 supplies the exact series for free, `Ideal + [f]` supplies (1 - t^deg f) times
 the parent's series, a bound for every slice, and a model ideal may carry a
-proven bound of its own (`models.ideal_Y`).  `cut_cohen_macaulay` runs a cut
-of a Cohen-Macaulay ring on the series a regular sequence would give and
-keeps the result only if it reaches that series
-(`constructions.pentapod_config_ideal` runs a cut of X the same way and
-certifies the result by its leads); `cut_regular_sequence`
-carries that series as exact, for forms the caller has proven a regular
-sequence, and makes no run until a basis is asked for.  `saturate` computes
-I : x^infinity for the last degrevlex variable x from I's basis, each element
-divided by its largest power of x (Bayer's lemma, Bayer-Stillman 1987).
+proven bound of its own (`models.ideal_Y`).  `certified_cut` runs a cut of
+a model on the series a regular cut would have, from the model's numerator
+over Q (a `models` constant), and keeps the basis only when its leads
+certify it; `cut_regular_sequence` carries such a series as exact, for
+forms the caller has proven a regular sequence, and makes no run until a
+basis is asked for.  `saturate` computes I : x^infinity for the last
+degrevlex variable x from I's basis, each element divided by its largest
+power of x (Bayer's lemma, Bayer-Stillman 1987).
 
 Reduction goes through the reducer set `_Reducers`, which holds the leads,
 tails and first-divisor cache of a run's basis or of a `reducer`'s, and whose
@@ -28,28 +27,28 @@ tails and first-divisor cache of a run's basis or of a `reducer`'s, and whose
 GF(p) every batch is reduced as one matrix, F4-style (`_reduce_rows`:
 symbolic preprocessing, then one pass a pack of PACK rows, every column's
 entries held in one int with a slot a row; Faugere 1999).  The batches are a
-degree's S-pairs in a run that no series bounds (X's own basis, Y_inv's
-unbounded run, the saturation of a special pentapod's cut of X), a degree's
-input generators, the final interreduction's tails (each minimal element
-is its lead plus the normal form of its tail modulo the finished basis),
-and the list given to a `reducer`; the last two in the kernel's
-normal-form mode, where no row reduces another.  Over Q a batch goes row by row through the heap-driven
-`_reduce`, and so, over either field, do the series-driven degrees, pair by
-pair; its loop serves both fields (only the reduction mod p and the
-reducer's factor depend on the field).  In both kernels each term is
-reduced by the first basis element whose lead divides it
-(`RingContext.first_divisor`).  Basis
-elements are kept monic over GF(p) and content-normalized over Q during the
-run.  The reduced basis is unique for a fixed order, so output is
-bit-reproducible regardless of internal scheduling.
+degree's S-pairs in a run that no series bounds (X's own basis, a cut that
+`certified_cut` rejects, the saturation of a special pentapod's cut of X),
+a degree's input generators, the final interreduction's tails (each minimal
+element is its lead plus the normal form of its tail modulo the finished
+basis), and the list given to a `reducer`; the last two in the kernel's
+normal-form mode, where no row reduces another.  Over Q a batch goes row by
+row through the heap-driven `_reduce`, and so, over either field, do the
+series-driven degrees, pair by pair; its loop serves both fields (only the
+reduction mod p and the reducer's factor depend on the field).  In both
+kernels each term is reduced by the first basis element whose lead divides
+it (`RingContext.first_divisor`).  Basis elements are kept monic over GF(p)
+and content-normalized over Q during the run.  The reduced basis is unique
+for a fixed order, so output is bit-reproducible regardless of internal
+scheduling.
 
 Hilbert series numerators are `unipoly` coefficient lists of ints (the unit
 ideal's is [], stored as (0,) in HilbertData), computed on packed lead
 monomials by Bigatti's pivot recursion.  A lead set's numerator is computed
 at most once and kept with the basis it describes: a run given a series ends
 with the numerator of its final leads, which the minimal basis does not
-change, so the CM cut's check, the pentapod cut's check, `hilbert_data`
-and the series of a slice read it instead of recomputing it.
+change, so `certified_cut`'s check, `hilbert_data` and the series of a
+slice read it instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -478,8 +477,8 @@ def _gb_engine(seed_polys, ring, max_steps=None, hilbert=None):
     the degree complete.  Where a degree is one batch (below), the order
     changed no count: the home-pose pentapod's cut of X pops 393 pairs with
     no series, 369 of them reducing to zero, largest or smallest lcm first.
-    Driven by the series of a regular cut, as
-    `constructions.pentapod_config_ideal` runs it, the same cut reduces 34.
+    Driven by the series of a regular cut, as `certified_cut` runs it,
+    the same cut reduces 34.
 
     With no series, a degree's pairs are one batch.  That batch, a degree's
     input generators and the final interreduction's tails (each minimal
@@ -791,51 +790,57 @@ def saturate(ideal: Ideal, var) -> Ideal:
     return out
 
 
-def cut_cohen_macaulay(ideal: Ideal, forms) -> Ideal:
-    """I + forms, for an ideal I whose ring R/I the caller knows to be
-    Cohen-Macaulay, with its degrevlex basis cached.
+def certified_cut(cut: Ideal, series):
+    """The cut J = I + forms of a model I, with its reduced basis as
+    generators and cached, from one run certified by its leads; None when
+    the leads do not certify it.
 
-    The run is driven by H = prod(1 - t^deg f) HS(R/I), which is not a lower
-    bound in general, so the engine may skip pairs it should not; correctness
-    comes from a post-check.  If the basis returned has lead series H, then
-    HF(R/J) <= H, so the forms cut the dimension by their number: they are
-    part of a system of parameters, on a Cohen-Macaulay ring a regular
-    sequence, hence HS(R/J) = H and the basis is complete.  Otherwise
-    (including a ValueError for a series that is too large) the run is
-    repeated with no series.  The check reads the run's own numerator of
-    its final leads, which the result keeps with its basis."""
-    out = ideal + forms
-    series = _cut_series(ideal, out)
+    The caller cuts a model I generated by forms with integer coefficients
+    by c linear forms, and `series` (a numerator over prod(1 - t^w), as every
+    `hilbert=`) is `ring_numerator(ring, N, d)` for N the Hilbert numerator
+    of R/I over Q and d = dim V(I) - c, the series of a cut by a regular
+    sequence.  The run `buchberger(cut, hilbert=series)` is kept when its
+    leads L certify it: (a) their numerator is `series` and (b) no lead
+    involves z, the last d + 1 variables.  Let A = R/I over the field,
+    e = N(1) the degree of I over Q, and y the forms followed by z.
+    1. By (a) and (b), R/(L + z) is Artinian of length e, and in(J + z)
+       contains L + z, so A/yA = R/(J + z) has length at most e.
+    2. I's generators have integer coefficients, so A's Hilbert function is
+       at least that of R/I over Q in every degree.  With step 1, the
+       Krull dimension of A is c + d + 1, so y is a system of parameters of
+       A, and e(A) >= e.
+    3. Serre's inequality gives e <= e(A) <= length(A/yA) <= e, so A is
+       Cohen-Macaulay and y is A-regular (Bruns-Herzog, Cor. 4.7.11).
+    4. So R/(J + z) has length e, and its Hilbert function, at most that
+       of R/(L + z) in every degree (step 1), has the same sum: the two are
+       equal.  z is regular on R/J (step 3) and on R/L (by (b)), so
+       HS(R/J) = HS(R/L): L is in(J) and the run's basis is complete.
+    The route needs no basis of I and no Cohen-Macaulay fact about I.
+    When the check fails, or the series is passed (ValueError), the caller
+    takes its own route."""
+    ring = cut.ring
     try:
-        gb = buchberger(out, hilbert=series)
+        z = ring.n - _hilbert_from_numerator(ring, series).dimension - 1
+        gb = buchberger(cut, hilbert=series)
     except ValueError:
-        gb = None
-    if gb is None or gb.numerator != series:
-        gb = buchberger(out)
-    out.seed_groebner_cache(gb)
-    return out
+        return None
+    if gb.numerator != unipoly.trim(series) or any(
+            any(ring.unpack(g.lead_monomial())[z:]) for g in gb):
+        return None
+    cut.seed_groebner_cache(gb)
+    return cut.reduced()
 
 
-def cut_regular_sequence(ideal: Ideal, forms) -> Ideal:
+def cut_regular_sequence(ideal: Ideal, forms, series) -> Ideal:
     """I + forms, for forms that the caller has proven to be a regular
-    sequence on R/I, in a weight-1 ring.  Each form of degree e then
-    multiplies the Hilbert series by (1 - t^e), so the cut's series is
-    exactly H = prod(1 - t^deg f) HS(R/I): `hilbert_data` reads it with no
-    Groebner run on the cut, and a later `groebner_basis()` call is driven
-    by it."""
+    sequence on R/I, in a weight-1 ring, and `series` the cut's Hilbert
+    numerator over (1 - t)^n, prod(1 - t^deg f) HS(R/I): `hilbert_data`
+    reads it with no Groebner run on the cut, and a later `groebner_basis()`
+    call is driven by it."""
     out = ideal + forms
-    out._bound = _cut_series(ideal, out)
-    out._hilbert = _hilbert_from_numerator(out.ring, out._bound)
+    out._bound = series
+    out._hilbert = _hilbert_from_numerator(out.ring, series)
     return out
-
-
-def _cut_series(ideal: Ideal, out: Ideal):
-    """prod(1 - t^deg f) HS(R/I), as a numerator over prod(1 - t^w), for the
-    forms f that `out` adds to I's generators."""
-    series = _basis_numerator(ideal)
-    for f in out.generators[len(ideal.generators):]:
-        series = _times_one_minus_t_power(series, f.homogeneous_degree())
-    return unipoly.trim(series)
 
 
 # ---------------------------------------------------------------------------

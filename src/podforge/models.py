@@ -297,17 +297,23 @@ X_NUMERATOR = (1, 10, 18, 10, 1)
 # HS of the Segre cone over P^3 x P^3 in the z_ij: (1 + 9t + 9t^2 + t^3) / (1 - t)^7
 SEGRE_NUMERATOR = (1, 9, 9, 1)
 
+# HS of Y_inv over Q (`ideal_Y_inv`): (1 + 3t + 6t^2) / (1 - t)^8
+Y_INV_NUMERATOR = (1, 3, 6)
+
 
 def ideal_Y(field=QQ) -> Ideal:
     """Cone over the Segre variety of P^3 x P^3: all 2x2 minors of (z_ij).
 
-    Its Groebner run is driven by the series (1 + 9t + 9t^2 + t^3) / (1 - t)^8,
-    a lower bound on HS(R/I) over any field: the minors lie in the kernel K
-    of z_ij -> a_i b_j, l -> l, so HF(R/I) >= HF(R/K) in every degree, and
-    R/K is the span of the monomials a^u b^v l^m with |u| = |v| = k, which
-    number sum_{k <= d} C(k + 3, 3)^2 in degree d (l is free), the
-    coefficients of that series.  The minors are a Groebner basis, so the
-    run reaches the bound in degree 2 and reduces no S-pair."""
+    HS(R/I) is (1 + 9t + 9t^2 + t^3) / (1 - t)^8 (SEGRE_NUMERATOR) over
+    every field.  It is at least that series: the minors lie in the kernel
+    K of z_ij -> a_i b_j, l -> l, so HF(R/I) >= HF(R/K) in every degree,
+    and R/K is the span of the monomials a^u b^v l^m with |u| = |v| = k,
+    which number sum_{k <= d} C(k + 3, 3)^2 in degree d (l is free), the
+    coefficients of that series.  It is at most the series of the minors'
+    36 leads, which lie in in(I): each minor is a binomial with
+    coefficients 1 and -1, so its lead is the same monomial over every
+    field, and the numerator of those leads is the Segre one (tested).  The
+    series drives Y's Groebner run, which then reduces no S-pair."""
     def build():
         ring = ring_Y(field)
         z = [[ring.gen(f"z{i}{j}") for j in range(4)] for i in range(4)]

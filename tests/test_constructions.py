@@ -429,7 +429,7 @@ def test_pentapod_cut_step_budget(monkeypatch):
         runs.append((ideal, kwargs))
         return buchberger(ideal, *args, **kwargs)
 
-    monkeypatch.setattr(constructions, "buchberger", recording)
+    monkeypatch.setattr(groebner, "buchberger", recording)
     fallbacks = _saturate_calls(monkeypatch)
     pentapod_config_ideal(_home_pose_pentapod())
     ((cut, kwargs),) = runs
@@ -477,7 +477,7 @@ def test_infinity_pod_computes_each_lead_numerator_once(monkeypatch):
 
 
 def test_leg_cone_cut_reduction_count(monkeypatch):
-    # a work guard on Y's Cohen-Macaulay cut by seed 1's six leg forms: 42
+    # a work guard on Y's certified cut by seed 1's six leg forms: 42
     # generators, 15 S-pairs and 51 tails of the final interreduction, 108
     # reductions in all.  The matrix kernel reduces the six linear forms,
     # Y's 36 quadrics and the 51 tails as three batches of rows; the heap
@@ -485,9 +485,7 @@ def test_leg_cone_cut_reduction_count(monkeypatch):
     Y = ideal_Y(F101)
     forms = create_infinity_pod(1, F101).leg_ideal_full.generators[36:]
     assert len(Y.generators) == 36 and len(forms) == 6
-    series = groebner._basis_numerator(Y)
-    for _ in forms:
-        series = unipoly.mul(series, [1, -1])
+    series = groebner.ring_numerator(Y.ring, models.SEGRE_NUMERATOR, 1)
     groebner.buchberger(Y + forms, hilbert=series, max_steps=15)
     with pytest.raises(groebner.BudgetExceeded):
         groebner.buchberger(Y + forms, hilbert=series, max_steps=14)
@@ -505,21 +503,23 @@ def test_leg_cone_cut_reduction_count(monkeypatch):
 
     monkeypatch.setattr(groebner, "_reduce", counting)
     monkeypatch.setattr(groebner, "_reduce_rows", counting_rows)
-    assert len(groebner.cut_cohen_macaulay(Y, forms).groebner_basis()) == 51
+    assert len(groebner.certified_cut(Y + forms, series).generators) == 51
     assert (len(calls), batches) == (15, [6, 36, 51])
     assert len(calls) + sum(batches) == 108
 
 
 @pytest.mark.parametrize("field, seeds", [(F101, range(1, 9)), (GF(32003), [1]), (QQ, [2])])
-def test_leg_full_series_is_the_cohen_macaulay_cut(field, seeds):
+def test_leg_full_series_is_the_certified_cut(field, seeds):
     # oracle: the series the full leg curve reads off Y's series and the
-    # symmetric curve's dimension is the one the Cohen-Macaulay cut reaches
-    # (and, for GF(101) seed 1, the one a run with no series finds), and the
-    # run it drives gives the cut's reduced basis
+    # symmetric curve's dimension is the one of the cut that `certified_cut`
+    # certifies by its leads (and, for GF(101) seed 1, the one a run with no
+    # series finds), and the run it drives gives the cut's reduced basis
     Y = ideal_Y(field)
+    series = groebner.ring_numerator(Y.ring, models.SEGRE_NUMERATOR, 1)
     for s in seeds:
         full = create_infinity_pod(s, field).leg_ideal_full
-        cut = groebner.cut_cohen_macaulay(Y, full.generators[len(Y.generators):])
+        cut = groebner.certified_cut(Y + full.generators[len(Y.generators):], series)
+        assert cut is not None
         assert hilbert_data(full) == hilbert_data(cut)
         assert hilbert_data(full).triple() == (1, 20, 11)
         if (field, s) == (F101, 1):
@@ -560,21 +560,65 @@ def test_leg_sym_not_a_curve_raises(monkeypatch):
 
 
 def test_no_groebner_run_on_a_cut_of_the_leg_cone(monkeypatch):
-    # the construction runs Buchberger on Y's own generators (the model cache
-    # is emptied, so it does here) and on no other ideal of Y's ring
+    # with the model cache emptied, the construction runs Buchberger on no
+    # ideal of Y's ring, and on Y_inv's ring once: on the cut, driven by the
+    # series of a regular cut, and not on Y_inv's 16 generators
     runs = []
     run = groebner.buchberger
 
     def recording(ideal, *args, **kwargs):
-        runs.append(ideal)
+        runs.append((ideal, kwargs.get("hilbert")))
         return run(ideal, *args, **kwargs)
 
     monkeypatch.setattr(models, "_ideal_cache", {})
     monkeypatch.setattr(groebner, "buchberger", recording)
     bundle = create_infinity_pod(4, F101)
-    on_y = [i.generators for i in runs if i.ring == ring_Y(F101)]
-    assert on_y == [ideal_Y(F101).generators]
+    assert not [i for i, _ in runs if i.ring == ring_Y(F101)]
+    ((cut, series),) = [(i, h) for i, h in runs if i.ring == ring_Y_inv(F101)]
+    assert series == groebner.ring_numerator(cut.ring, models.Y_INV_NUMERATOR, 1)
+    assert cut.generators[:16] == ideal_Y_inv(F101).generators and len(cut.generators) == 22
     assert bundle.certification["leg_full"] == (1, 20, 11)
+
+
+def _certified_cut_calls(monkeypatch):
+    """Record (cut, series, result) for each `certified_cut` call of the
+    constructions: a result of None sent the caller to its fallback."""
+    calls = []
+    certified_cut = groebner.certified_cut
+
+    def recording(cut, series):
+        calls.append((cut, series, certified_cut(cut, series)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(constructions, "certified_cut", recording)
+    return calls
+
+
+def test_symmetric_leg_cut_with_leads_in_z00_or_l_falls_back(monkeypatch):
+    # the lead numerator alone does not certify a basis: on GF(11) seed 4
+    # the symmetric leg cut's run reaches the series with 2 leads in z00 or
+    # l, the last two variables, so `certified_cut` rejects it, and the
+    # result is the cut's run with no series
+    calls = _certified_cut_calls(monkeypatch)
+    sym = create_infinity_pod(4, GF(11)).leg_ideal_sym
+    ((cut, series, result),) = calls
+    assert result is None
+    run = groebner.buchberger(cut, hilbert=series)
+    assert run.numerator == series
+    assert sum(1 for g in run if any(cut.ring.unpack(g.lead_monomial())[-2:])) == 2
+    assert sym.generators == groebner.buchberger(cut)
+
+
+@pytest.mark.parametrize("numerator", [(1, 3, 7), (1, 3)], ids=["above", "below"])
+def test_wrong_y_inv_numerator_falls_back(monkeypatch, numerator):
+    # a negative control of the symmetric leg cut's certificate: a series
+    # that is not Y_inv's fails the check, and the fallback gives the same
+    # ideal
+    expected = create_infinity_pod(3, F101).leg_ideal_sym.generators
+    monkeypatch.setattr(constructions, "Y_INV_NUMERATOR", numerator)
+    calls = _certified_cut_calls(monkeypatch)
+    assert create_infinity_pod(3, F101).leg_ideal_sym.generators == expected
+    assert [result for _, _, result in calls] == [None]
 
 
 def _saturate_two_runs(ideal, var):

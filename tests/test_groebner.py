@@ -14,12 +14,13 @@ from podforge.groebner import (
     _lead_numerator,
     _reduce_rows,
     buchberger,
-    cut_cohen_macaulay,
+    certified_cut,
     cut_regular_sequence,
     eliminate,
     hilbert_data,
     normal_form,
     reduce_by_basis,
+    ring_numerator,
     saturate,
     standard_monomials,
     ideal_to_json,
@@ -28,7 +29,9 @@ from podforge.linalg import matrix_kernel, row_space_basis
 from podforge.rings import DEGREVLEX, Polynomial, RingContext, RingMap, elim_order
 from podforge.models import (
     EULER_NAMES,
+    SEGRE_NUMERATOR,
     X_NAMES,
+    Y_INV_NUMERATOR,
     euler_rho,
     ideal_X_inv,
     ideal_Y,
@@ -308,33 +311,38 @@ def _random_linear_forms(ring, count, rng):
 
 
 @pytest.mark.parametrize("p", [101, 32003])
-@pytest.mark.parametrize("model", [ideal_Y, ideal_Y_inv], ids=["Y", "Yinv"])
-def test_leg_cones_cohen_macaulay_certificate(model, p):
+@pytest.mark.parametrize(
+    "model, numerator", [(ideal_Y, SEGRE_NUMERATOR), (ideal_Y_inv, Y_INV_NUMERATOR)],
+    ids=["Y", "Yinv"])
+def test_leg_cones_cohen_macaulay_certificate(model, numerator, p):
     # dim + 1 random linear forms, a system of parameters, are a regular
     # sequence exactly when R/I is Cohen-Macaulay: the cut with no series then
     # keeps the h-vector, (1 - t)^8 HS(R/I)
     ideal = model(GF(p))
     hd = hilbert_data(ideal)
-    assert hd.dimension + 1 == 8
+    assert (hd.dimension, hd.numerator) == (7, numerator)
     forms = _random_linear_forms(ideal.ring, 8, random.Random(p))
     plain = Ideal(ideal.ring, ideal.generators + tuple(forms))
     cut = hilbert_data(plain)
     assert (cut.dimension, cut.numerator) == (-1, hd.numerator)
-    assert cut_cohen_macaulay(ideal, forms).groebner_basis() == plain.groebner_basis()
-    # so the regular-sequence series is the cut's, and drives its run
-    regular = cut_regular_sequence(ideal, forms)
+    # so the certified cut (an Artinian one: no variable is checked) keeps
+    # the run its leads certify, and the regular-sequence series is the
+    # cut's and drives its run
+    series = ring_numerator(ideal.ring, numerator, -1)
+    assert certified_cut(ideal + forms, series).generators == plain.groebner_basis()
+    regular = cut_regular_sequence(ideal, forms, series)
     assert hilbert_data(regular) == cut
     assert regular.groebner_basis() == plain.groebner_basis()
 
 
 def test_cohen_macaulay_cut_falls_back_when_series_missed():
-    # a repeated form is no system of parameters: the series is never reached
+    # a repeated form is no system of parameters: the series of a regular
+    # cut by two forms is never reached, and `certified_cut` returns None
+    # for its caller to run the cut with no series
     field = GF(101)
     ideal = ideal_Y_inv(field)
     f = _random_linear_forms(ideal.ring, 1, random.Random(5))[0]
-    assert cut_cohen_macaulay(ideal, [f, f]).groebner_basis() == buchberger(
-        ideal.generators + (f,)
-    )
+    assert certified_cut(ideal + [f, f], ring_numerator(ideal.ring, Y_INV_NUMERATOR, 5)) is None
     # x (x, y, z, w) is not Cohen-Macaulay (x is a socle element): its series
     # times (1 - t)^2 passes the cut by y, z in degree 3, and the engine raises
     ring = RingContext(("x", "y", "z", "w"), (1,) * 4, DEGREVLEX, field)
@@ -345,9 +353,7 @@ def test_cohen_macaulay_cut_falls_back_when_series_missed():
         series = unipoly.mul(series, [1, -1])
     with pytest.raises(ValueError, match="Hilbert series is wrong"):
         buchberger(ideal.generators + (y, z), hilbert=series)
-    assert cut_cohen_macaulay(ideal, [y, z]).groebner_basis() == buchberger(
-        ideal.generators + (y, z)
-    )
+    assert certified_cut(ideal + [y, z], series) is None
 
 
 # -- Hilbert data ---------------------------------------------------------------

@@ -6,11 +6,15 @@ from fractions import Fraction
 import pytest
 
 from podforge.fields import GF, QQ
-from podforge.groebner import Ideal, hilbert_data, reducer, saturate
+from podforge.groebner import (
+    Ideal, _lead_numerator, hilbert_data, reducer, ring_numerator, saturate,
+)
 from podforge.linalg import mat_inverse, mat_mul
 from podforge.models import (
+    SEGRE_NUMERATOR,
     X_NUMERATOR,
     XP_NAMES,
+    Y_INV_NUMERATOR,
     IsometryPoint,
     Leg,
     euler_rho,
@@ -27,6 +31,7 @@ from podforge.models import (
     project_model,
     ring_euler,
     ring_X,
+    ring_Y,
     rho_isometry_point,
     x_closure_quadrics,
     x_equations,
@@ -152,13 +157,16 @@ def test_x_is_saturated_at_h_over_other_fields(field):
 
 
 def test_x_generators_have_integer_coefficients():
-    # `constructions.pentapod_config_ideal`'s certificate compares a cut of
-    # E + Q over GF(p) with X over Q: E and Q defined over Z give R/(E + Q)
-    # over GF(p) a Hilbert function at least X's over Q in every degree
+    # `groebner.certified_cut` compares a cut of a model over GF(p) with the
+    # model over Q: generators defined over Z give R/I over GF(p) a Hilbert
+    # function at least that over Q in every degree.  So for X's E + Q, the
+    # 16 minors of Y_inv and Y's 36
     ring = ring_X(QQ)
-    gens = x_equations(ring) + x_closure_quadrics(ring)
-    assert len(gens) == 39
-    assert all(c.denominator == 1 for g in gens for c in g.terms.values())
+    generator_sets = [x_equations(ring) + x_closure_quadrics(ring),
+                      ideal_Y_inv(QQ).generators, ideal_Y(QQ).generators]
+    assert [len(gens) for gens in generator_sets] == [39, 16, 36]
+    for gens in generator_sets:
+        assert all(c.denominator == 1 for g in gens for c in g.terms.values())
 
 
 def test_x_inv_needs_no_closure_quadrics():
@@ -223,6 +231,15 @@ def test_hilbert_Y_cone_over_segre():
     assert (hd.dimension, hd.degree) == (7, 20)
 
 
+@pytest.mark.parametrize("field", [QQ, F101, GF(3)], ids=["q", "fp:101", "fp:3"])
+def test_segre_numerator_is_the_minors_leads(field):
+    # the upper half of `ideal_Y`'s proof that HS(Y) is the Segre series over
+    # every field: the numerator of the 36 minors' leads is that series
+    ring = ring_Y(field)
+    leads = [g.lead_monomial() for g in ideal_Y(field).generators]
+    assert _lead_numerator(ring, leads) == ring_numerator(ring, SEGRE_NUMERATOR, 7)
+
+
 def test_hilbert_Y_p():
     hd = hilbert_data(ideal_Y_p(F101))
     assert (hd.dimension, hd.degree) == (5, 6)
@@ -263,6 +280,9 @@ def test_rank3_point_not_on_Y_inv():
 def test_hilbert_Y_inv():
     hd = hilbert_data(ideal_Y_inv(F101))
     assert (hd.dimension, hd.degree) == (7, 10)
+    # over Q, the series `groebner.certified_cut` reads from Y_INV_NUMERATOR
+    hd = hilbert_data(ideal_Y_inv(QQ))
+    assert (hd.dimension, hd.numerator) == (7, Y_INV_NUMERATOR)
 
 
 def test_planar_sym_images_on_Y_pinv():
