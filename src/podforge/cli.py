@@ -185,6 +185,7 @@ def cmd_construct(args) -> int:
                 "kind": "cubic_line_symmetric",
                 "field": field.descriptor,
                 "rng_seed": args.seed,
+                "bound": args.bound,
                 "certification": dict(bundle.certification),
                 "leg_ideal": ideal_to_json(bundle.leg_ideal),
                 "config_ideal": ideal_to_json(bundle.config_ideal),
@@ -206,6 +207,7 @@ def cmd_construct(args) -> int:
                 "kind": "conic_product",
                 "field": field.descriptor,
                 "rng_seed": args.seed,
+                "bound": args.bound,
                 "certification": dict(pod.certification),
                 "leg_ideal": ideal_to_json(pod.leg_ideal),
                 "config_ideal": ideal_to_json(pod.config_ideal),

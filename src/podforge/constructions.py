@@ -269,10 +269,18 @@ def rho_preimage(rho: RingMap, F: Polynomial, kernel: LinearSubspace) -> Ideal:
        k[e]/(F) in even degrees, and HS(R/P) = sum_k dim (k[e]/F)_{2k} t^k
        (PREIMAGE_NUMERATOR).
     2. rho maps each of X's 21 `x_equations` E into (F): nineteen to 0 and
-       the two r relations to -F/4.  So J = E + P_1 lies in P, and HS(R/P)
-       is a lower bound for J's series.
-    3. The Buchberger run on that bound reaches it, so J = P.
+       the two r relations to -F/4.  So J = E + P_1 lies in P, and so does
+       J' = E_2 + P_1, for E_2 the 20 quadrics of E (all but the cubic
+       det M - h^3).  HS(R/P) is a lower bound for J''s series.
+    3. The Buchberger run of J' on that bound reaches it, so J' = P.
     The result has its reduced degrevlex basis as generators and cached.
+
+    The run leaves out E's cubic, and reaches the bound whenever the run of
+    J would: R/P is the second Veronese ring of k[e]/(F), so P is generated
+    by quadrics, the Veronese quadrics and the lift of F (Hartshorne II
+    Ex. 5.13).  If J reaches P, then J and P agree in degree 2, and J and J'
+    agree there (the cubic has no degree-2 part), so J' contains P's
+    quadrics and J' = P.  The cubic's one row is work the run need not do.
 
     So the configuration curve V(P) is the plane quartic {F = 0},
     re-embedded: by check 1, rho* maps R onto the even Veronese subring of
@@ -294,9 +302,10 @@ def rho_preimage(rho: RingMap, F: Polynomial, kernel: LinearSubspace) -> Ideal:
     for q, nf in zip(equations, nfs):
         if nf:
             raise CertificationError(f"preimage of (F) misses X: the lift maps {q} outside (F)")
+    quadrics = [q for q in equations if q.homogeneous_degree() == 2]
     bound = ring_numerator(rx, PREIMAGE_NUMERATOR, 1)
     try:
-        out = Ideal(rx, equations + kernel.linear_forms(rx), hilbert=bound).reduced()
+        out = Ideal(rx, quadrics + kernel.linear_forms(rx), hilbert=bound).reduced()
     except ValueError as exc:
         raise CertificationError(f"preimage of (F) below its Hilbert series: {exc}") from None
     hd = hilbert_data(out)  # read from the numerator the run left with its basis

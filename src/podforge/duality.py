@@ -14,14 +14,16 @@ Cayley-transform oracle in the test suite is the arbiter for both signs.
 `bsc17` is the only written pairing.  The symmetric and planar pairings are
 induced from it by coordinate name (`_induced`): through `fold_name` on the
 configuration side and `pi_name` on the leg side, or by keeping the planar
-coordinates.  `push` and `pull` are the coordinate maps between the named
-spaces, so a sign fixed in `bsc17` reaches every pairing.
+coordinates.  Each pairing is a constant, built once per process.  `push`
+and `pull` are the coordinate maps between the named spaces, so a sign fixed
+in `bsc17` reaches every pairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .fields import QQ, FieldError
@@ -85,6 +87,7 @@ def _pair_matrix(left, right, pairs):
     return tuple(tuple(r) for r in rows)
 
 
+@cache
 def bsc17() -> BilinearForm:
     """The full bilinear sphere condition between the two P^16."""
     pairs = [("h", "l", 1), ("r", "z00", 1)]
@@ -170,18 +173,21 @@ def _induced(form, kind, left, right, left_map=same_name, right_map=same_name) -
     return BilinearForm(kind, left, right, tuple(tuple(map(int, row)) for row in rows))
 
 
+@cache
 def sbsc11() -> BilinearForm:
     """The symmetric bilinear sphere condition between the two P^10: bsc17 on
     W, read through the symmetrization pi."""
     return _induced(bsc17(), "sbsc11", XINV_NAMES, YINV_NAMES, fold_name, pi_name)
 
 
+@cache
 def bsc_planar10() -> BilinearForm:
     """The planar bilinear sphere condition between the two P^9: bsc17 on the
     planar coordinates."""
     return _induced(bsc17(), "bsc_planar10", XP_NAMES, YP_NAMES)
 
 
+@cache
 def sbsc_planar7() -> BilinearForm:
     """The planar symmetric sphere condition between the two P^6: sbsc11 on
     the planar coordinates."""

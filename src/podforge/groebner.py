@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import accumulate, islice
 from math import gcd, inf
 
 from . import unipoly
@@ -124,8 +124,9 @@ class Ideal:
         """The same ideal with its reduced basis in the ring's order as
         generators, and that basis (with its numerator) cached."""
         gb = self.groebner_basis()
-        out = Ideal(self.ring, gb)
-        out.seed_groebner_cache(gb)
+        out = Ideal(self.ring, ())
+        out.generators = tuple(gb)  # a basis of checked generators is not checked again
+        out._gb[self.ring.order] = gb
         return out
 
     def __add__(self, other):
@@ -140,8 +141,9 @@ class Ideal:
             if other.ring != self.ring:
                 raise FieldError("ideals from different rings")
             other = other.generators
-        out = Ideal(self.ring, self.generators + tuple(other))
-        added = out.generators[len(self.generators):]
+        added = Ideal(self.ring, other).generators
+        out = Ideal(self.ring, ())
+        out.generators = self.generators + added  # only the added forms are checked
         if len(added) == 1:
             num = _known_numerator(self)
             if num is not None:
@@ -954,10 +956,12 @@ def _hilbert_from_numerator(ring, num) -> HilbertData:
     variables."""
     if any(w != 1 for w in ring.weights):
         raise ValueError("hilbert_data requires a weight-1 ring")
-    # strip factors of (1 - t); num(1) == 0 iff divisible
+    # strip factors of (1 - t); num(1) == 0 iff divisible, and then
+    # num / (1 - t) is the list of num's prefix sums, the last one num(1)
+    num = unipoly.trim(num)
     s = 0
     while num and sum(num) == 0:
-        num = unipoly.divmod(num, [1, -1])[0]
+        num = list(accumulate(num))[:-1]
         s += 1
     if not num:
         # unit ideal: empty projective scheme

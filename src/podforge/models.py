@@ -166,7 +166,15 @@ def x_equations(ring) -> list:
     """The 21 equations E of X: orthogonality of M against h^2, the
     determinant relation, the x/y exchange rows, and the r relations.  They
     generate X's prime ideal only up to saturation at h: their ideal also
-    carries components inside h = 0 (see `ideal_X`)."""
+    carries components inside h = 0 (see `ideal_X`).  Twenty are quadrics;
+    the determinant relation det M - h^3 is the one cubic.
+
+    They are built once per ring and kept, as the ideal E, with the model
+    ideals; each call returns a new list of them."""
+    return list(_cached(("E", ring), lambda: Ideal(ring, _x_equations(ring))).generators)
+
+
+def _x_equations(ring) -> list:
     gv = {n: ring.gen(n) for n in X_NAMES}
     M = [[gv[f"m{i + 1}{j + 1}"] for j in range(3)] for i in range(3)]
     xv = [gv["x1"], gv["x2"], gv["x3"]]

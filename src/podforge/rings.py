@@ -239,21 +239,24 @@ class RingContext:
     # -- canonical text format -------------------------------------------------
 
     def format_term(self, m: int, c) -> str:
-        fld = self.field
+        names = self.names
         facs = []
-        for name, e in zip(self.names, m.to_bytes(self.n, "little")):
-            if e == 1:
-                facs.append(name)
-            elif e > 1:
-                facs.append(f"{name}^{e}")
-        cs = fld.to_str(c)
+        while m:  # the variables of m, lowest first: each is m's lowest nonzero byte
+            bit = (m & -m).bit_length() - 1
+            shift = bit - bit % EXP_BITS
+            e = (m >> shift) & EXP_MASK
+            m -= e << shift
+            name = names[shift // EXP_BITS]
+            facs.append(name if e == 1 else f"{name}^{e}")
+        facs = "*".join(facs)
+        cs = self.field.to_str(c)
         if not facs:
             return cs
         if cs == "1":
-            return "*".join(facs)
+            return facs
         if cs == "-1":
-            return "-" + "*".join(facs)
-        return cs + "*" + "*".join(facs)
+            return "-" + facs
+        return cs + "*" + facs
 
     def __repr__(self):
         kind = "degrevlex" if self.order[0] == "degrevlex" else f"elim({self.order[1]})"
@@ -312,10 +315,6 @@ class Polynomial:
 
     def coefficient(self, exps):
         return self.terms.get(self.ring.pack(exps), self.ring.field.zero)
-
-    def sorted_terms(self) -> list:
-        key = self.ring.sort_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -481,16 +480,10 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            s = self.ring.format_term(m, c)
-            if not parts:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        return "".join(parts)
+        ring, terms = self.ring, self.terms
+        fmt = ring.format_term
+        first, *rest = [fmt(m, terms[m]) for m in sorted(terms, key=ring.sort_key, reverse=True)]
+        return first + "".join([" - " + s[1:] if s[0] == "-" else " + " + s for s in rest])
 
     def __repr__(self):
         return f"<{self}>"
@@ -556,14 +549,28 @@ class RingMap:
         return f
 
     def __call__(self, f: Polynomial) -> Polynomial:
+        """The image of f: each term's product of image powers, scaled by
+        its coefficient, summed into one dict that is reduced once at the
+        end."""
         if f.ring != self.source:
             raise FieldError("polynomial not in the source ring")
-        tgt = self.target
-        acc = tgt.zero()
+        unpack = self.source.unpack
+        acc = {}
         for m, c in f.terms.items():
-            t = tgt.constant(c)
-            for i, e in enumerate(self.source.unpack(m)):
+            t = None
+            for i, e in enumerate(unpack(m)):
                 if e:
-                    t = t * self._power(i, e)
-            acc = acc + t
-        return acc
+                    t = self._power(i, e) if t is None else t * self._power(i, e)
+            if t is None:  # the constant term
+                acc[0] = acc.get(0, 0) + c
+                continue
+            for mm, cc in t.terms.items():
+                acc[mm] = acc.get(mm, 0) + c * cc
+        p = self.target.field.characteristic
+        out = {}
+        for m, c in acc.items():
+            if p:
+                c %= p
+            if c:
+                out[m] = c
+        return Polynomial(self.target, out)

@@ -108,9 +108,10 @@ def test_model_output_pinned(tmp_path, name, digest):
 @pytest.mark.parametrize(
     "what, seed, digest",
     [
-        ("cubic", 3, "860de6d6fdc546ce85eb920ee95e32bc4087c3676ecd0695cd64b397bbb50cbc"),
-        ("conic", 1, "df4e063394a954bfd84af42c1c719448ec430e4427edf6d80676820ac9d34648"),
+        ("cubic", 3, "7b787b30a57a05d8249fff0c22383045e2a777ce5f79fce35b0108a793fa99d5"),
+        ("conic", 1, "f71b0b6ad5a96d199fe7f961ad1f12ce4e774ced30e3bf7496d484ee3c84f5c1"),
     ],
+    ids=["cubic-3", "conic-1"],
 )
 def test_construct_output_pinned(tmp_path, what, seed, digest):
     out = tmp_path / "c.json"

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from podforge import constructions, groebner, linalg, models, unipoly
+from podforge import constructions, duality, groebner, linalg, models, unipoly
 from podforge.fields import GF, QQ
 from podforge.groebner import Ideal, eliminate, hilbert_data
 from podforge.models import (
@@ -578,6 +578,31 @@ def test_no_groebner_run_on_a_cut_of_the_leg_cone(monkeypatch):
     assert series == groebner.ring_numerator(cut.ring, models.Y_INV_NUMERATOR, 1)
     assert cut.generators[:16] == ideal_Y_inv(F101).generators and len(cut.generators) == 22
     assert bundle.certification["leg_full"] == (1, 20, 11)
+
+
+def test_seed_independent_work_is_done_once_a_process(monkeypatch):
+    # two constructions in one process build X's 21 equations in GF(101)'s
+    # ring once, and the pairings bsc17 and sbsc11 once
+    builds = []
+
+    def counting(module, name, label):
+        build = getattr(module, name)
+
+        def wrapped(*args):
+            builds.append(label(*args))
+            return build(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    monkeypatch.setattr(models, "_ideal_cache", {})
+    counting(models, "_x_equations", lambda ring: ("x_equations", ring))
+    counting(duality, "_pair_matrix", lambda left, right, pairs: "bsc17")
+    counting(duality, "_induced", lambda form, kind, *names: kind)
+    duality.bsc17.cache_clear()
+    duality.sbsc11.cache_clear()
+    for s in (1, 8):
+        create_infinity_pod(s, F101)
+    assert sorted(builds, key=str) == [("x_equations", ring_X(F101)), "bsc17", "sbsc11"]
 
 
 def _certified_cut_calls(monkeypatch):

@@ -38,8 +38,10 @@ from podforge.models import (
     ideal_Y_inv,
     ring_euler,
     ring_X,
+    x_equations,
 )
 from podforge.constructions import (
+    PREIMAGE_NUMERATOR,
     CertificationError,
     create_infinity_pod,
     draw_seed,
@@ -256,6 +258,23 @@ def test_rho_preimage_matches_graph_elimination(field, s):
     assert hilbert_data(pre).triple() == (1, 8, 3)
 
 
+@pytest.mark.parametrize(
+    "field, seeds",
+    [(GF(101), [7 * k + 1 for k in range(20)]), (QQ, [1, 2, 3])],
+    ids=["fp101-claim4", "q-1-3"],
+)
+def test_rho_preimage_quadrics_give_the_basis_of_all_21_equations(field, seeds):
+    # oracle: the run on all 21 x_equations plus P_1, cubic included, on
+    # claim 4's GF(101) seeds and three seeds over Q
+    for s in seeds:
+        rho, F = seed_lift(s, field)
+        kernel = lift_kernel(rho).reduced()
+        rx = rho.source
+        bound = ring_numerator(rx, PREIMAGE_NUMERATOR, 1)
+        full = Ideal(rx, x_equations(rx) + kernel.linear_forms(rx), hilbert=bound).reduced()
+        assert rho_preimage(rho, F, kernel).generators == full.generators, s
+
+
 def test_rho_preimage_missed_series_raises(monkeypatch):
     from podforge import constructions
 
@@ -272,6 +291,30 @@ def test_rho_preimage_missed_series_raises(monkeypatch):
     monkeypatch.setattr(constructions, "PREIMAGE_NUMERATOR", (1, 4, 2))
     with pytest.raises(CertificationError, match=r"Hilbert numerator \[1, 4, 3\]"):
         rho_preimage(rho, F, lift_kernel(rho))
+
+
+def test_ideal_checks_only_the_generators_it_adds(monkeypatch):
+    # a sum checks the added forms and not the ideal's own generators, and
+    # a reduced ideal does not check its basis again; both still refuse an
+    # inhomogeneous form added to them
+    ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, GF(101))
+    x, y, z = ring.gens()
+    ideal = Ideal(ring, [x * x - y * z, x * y * z - z ** 3])
+    ideal.groebner_basis()
+    checked = []
+    is_homogeneous = Polynomial.is_homogeneous
+    monkeypatch.setattr(Polynomial, "is_homogeneous",
+                        lambda f: checked.append(f) or is_homogeneous(f))
+    total = ideal + [y - z]
+    assert checked == [y - z]
+    assert total.generators == ideal.generators + (y - z,)
+    reduced = ideal.reduced()
+    assert checked == [y - z]
+    assert reduced.generators == tuple(ideal.groebner_basis())
+    with pytest.raises(ValueError, match="inhomogeneous generator"):
+        ideal + [y - z * z]
+    with pytest.raises(ValueError, match="inhomogeneous generator"):
+        reduced + [x * x - y]
 
 
 def test_rho_preimage_rejects_a_lift_off_X():

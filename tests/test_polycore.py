@@ -207,6 +207,23 @@ def test_parse_print_roundtrip_gf():
         assert parse(ring, str(f)) == f
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_parse_print_roundtrip_extreme_exponents_and_unit_coefficients(field):
+    # exponents up to the cap 127 and coefficients +-1, where format_term
+    # drops the coefficient or keeps only its sign; constants included
+    ring = RingContext(("x", "y", "z"), (1, 1, 1), DEGREVLEX, field)
+    rng = random.Random(127)
+    for _ in range(200):
+        f = ring.from_terms(
+            ((rng.choice((0, 1, 2, 126, 127)), rng.choice((0, 1, 127)), rng.randint(0, 127)),
+             rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 6))
+        )
+        assert parse(ring, str(f)) == f
+    assert str(ring.constant(-1)) == field.to_str(field.of(-1))
+    assert parse(ring, str(ring.gen("x") ** 127 - ring.one())) == ring.gen("x") ** 127 - ring.one()
+
+
 @pytest.mark.parametrize(
     "text", ["x + * ", "x*w", "x^128", "x^100*x^100", "1/0*x", "1/101*y", "x y"],
 )
@@ -317,6 +334,45 @@ def test_ring_map_is_homomorphism(ring_xyz):
         )
         assert phi(f * g) == phi(f) * phi(g)
         assert phi(f + g) == phi(f) + phi(g)
+
+
+def _compose_term_by_term(phi, f):
+    """Oracle for RingMap: the image of f as a sum of one Polynomial a term,
+    each the coefficient times the images' powers."""
+    target = phi.target
+    acc = target.zero()
+    for m, c in f.terms.items():
+        t = target.constant(c)
+        for img, e in zip(phi.images, phi.source.unpack(m)):
+            t = t * img ** e
+        acc = acc + t
+    return acc
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_ring_map_matches_term_by_term_composition(field):
+    source = RingContext(("x", "y", "z", "w"), (1, 1, 1, 1), DEGREVLEX, field)
+    target = ring_euler(field)
+    rng = random.Random(43)
+
+    def rand_poly(ring, max_exp, n_terms):
+        return ring.from_terms(
+            (tuple(rng.randint(0, max_exp) for _ in range(ring.n)),
+             Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            for _ in range(n_terms)
+        )
+
+    x, y, z, w = source.gens()
+    for _ in range(40):
+        img = rand_poly(target, 2, 3)
+        # x and y share an image, so x - y maps to zero; z goes to a constant
+        # and w to a random polynomial, possibly zero
+        images = [img, img, target.constant(rng.randint(-3, 3)), rand_poly(target, 2, rng.randint(0, 3))]
+        phi = RingMap(source, target, images)
+        f = rand_poly(source, 3, 6)
+        for g in (f, f * (x - y), x - y, source.constant(7), f + source.constant(-2), source.zero()):
+            assert phi(g) == _compose_term_by_term(phi, g)
+        assert phi(x - y).is_zero() and phi(f * (x - y)).is_zero()
 
 
 # -- kernels -----------------------------------------------------------------
